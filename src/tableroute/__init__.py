@@ -9,7 +9,7 @@ from .paths import (
     PATH_NAMES,
     PathCostVector,
 )
-from .gate import GateInput, GateParameters, init_gate
+from .gate import GateParameters, init_gate
 from .trainer import TrainConfig, evaluate_policy, train
 from .engine import EngineBackends, EngineConfig, infer, measure_cost, route
 
@@ -17,7 +17,6 @@ __all__ = [
     "DEFAULT_PATH_COSTS",
     "PATH_NAMES",
     "PathCostVector",
-    "GateInput",
     "GateParameters",
     "init_gate",
     "TrainConfig",

@@ -166,7 +166,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     examples = _require_corpus(cfg)
     params, _ = _load_gate(args)
     ex = _find_example(examples, args.id)
-    decision = engine.route(params, ex.embeddings, cfg.cost_vector(),
+    decision = engine.route(params, ex.embedding, cfg.cost_vector(),
                             cfg.engine_config().gate_temperature)
     print(json.dumps({
         "path": decision.path,
@@ -205,13 +205,13 @@ def cmd_profile_cost(args: argparse.Namespace) -> int:
     run_dir = Path(cfg.run_dir)
     _write_snapshot(cfg, run_dir)
     examples = _require_corpus(cfg)
-    backends, agent = backends_from_corpus(cfg, examples)
+    backends, _ = backends_from_corpus(cfg, examples)
     per_dataset = int(cfg["profile"]["samples_per_dataset"])
     testbed = []
     for dataset, group in sorted(split_by_dataset(examples).items()):
         testbed.extend(sorted(group, key=lambda e: e.id)[:per_dataset])
     costs, measurements = engine.measure_all_costs(
-        testbed, backends, agent,
+        testbed, backends,
         warmup_runs=int(cfg["profile"]["warmup_runs"]),
         timed_runs=int(cfg["profile"]["timed_runs"]),
         api_overhead_s=cfg.engine_config().fusion_api_overhead_s,

@@ -2,11 +2,13 @@
 
 A corpus directory holds:
     corpus.jsonl    one JSON record per example (no embeddings inline)
-    embeddings.bin  little-endian float32, row-major, one flat array
-    manifest.json   maps example id -> per-modality (element offset, dim)
+    embeddings.bin  the embedding matrix: little-endian float32, row-major,
+                    shape [N, 10112]; row i is the gate input of line i of
+                    corpus.jsonl (question || text || vision)
 
 Writing is serialized in example-id order, and embeddings are float32, so a
-re-run with the same inputs reproduces the files bitwise.
+re-run with the same inputs reproduces the files bitwise. A `manifest.json`
+left by older writers is ignored.
 """
 from __future__ import annotations
 
@@ -19,12 +21,12 @@ import numpy as np
 
 from .errors import IngestError, InvalidArgumentError
 from .experts import ExpertOutput
-from .gate import GateInput
-from .paths import EMBED_DIMS, KNOWN_DATASETS, MODALITIES
+from .fileio import atomic_open
+from .paths import INPUT_DIM, KNOWN_DATASETS
 
 CORPUS_FILE = "corpus.jsonl"
 SIDECAR_FILE = "embeddings.bin"
-MANIFEST_FILE = "manifest.json"
+_ROW_BYTES = INPUT_DIM * np.dtype("<f4").itemsize
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,11 @@ class Table:
 
 @dataclass
 class RoutingExample:
-    """One table-query instance with per-path correctness scores."""
+    """One table-query instance with per-path correctness scores.
+
+    `embedding` is the float32 [10112] gate input row; a loaded corpus sets
+    it to a read-only view of the memory-mapped sidecar.
+    """
 
     id: str
     dataset: str
@@ -81,7 +87,7 @@ class RoutingExample:
     table_markdown: str
     path_scores: tuple[int, int, int]
     gold_answer: str
-    embeddings: GateInput | None = None
+    embedding: np.ndarray | None = None
     cached_expert_outputs: dict[str, ExpertOutput] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -140,55 +146,35 @@ def _example_from_json(rec: dict) -> RoutingExample:
 
 
 def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
-    """Write records, embedding sidecar, and manifest. Requires resolved embeddings."""
+    """Write the embedding sidecar, then the records, each replaced atomically.
+
+    Every record is validated and serialized before either file is touched.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     ordered = sorted(examples, key=lambda e: e.id)
     ids = [e.id for e in ordered]
     if len(set(ids)) != len(ids):
         raise IngestError("duplicate example ids in corpus")
+    lines = []
+    for ex in ordered:
+        if ex.embedding is None or np.shape(ex.embedding) != (INPUT_DIM,):
+            raise IngestError(f"example {ex.id} has no {INPUT_DIM}-dim embedding to write")
+        lines.append(json.dumps(_example_to_json(ex), ensure_ascii=False, sort_keys=True) + "\n")
 
-    chunks: list[np.ndarray] = []
-    manifest_entries: dict[str, dict[str, list[int]]] = {}
-    offset = 0
-    with open(directory / CORPUS_FILE, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(directory / SIDECAR_FILE) as fh:
         for ex in ordered:
-            if ex.embeddings is None:
-                raise IngestError(f"example {ex.id} has no embeddings to write")
-            entry = {}
-            for modality, vec in (
-                ("question", ex.embeddings.question_embedding),
-                ("text", ex.embeddings.text_embedding),
-                ("vision", ex.embeddings.vision_embedding),
-            ):
-                arr = np.ascontiguousarray(vec, dtype="<f4").ravel()
-                if arr.size != EMBED_DIMS[modality]:
-                    raise IngestError(
-                        f"example {ex.id}: {modality} embedding has {arr.size} dims, "
-                        f"expected {EMBED_DIMS[modality]}"
-                    )
-                entry[modality] = [offset, arr.size]
-                chunks.append(arr)
-                offset += arr.size
-            manifest_entries[ex.id] = entry
-            fh.write(json.dumps(_example_to_json(ex), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-
-    flat = np.concatenate(chunks) if chunks else np.zeros(0, dtype="<f4")
-    flat.tofile(directory / SIDECAR_FILE)
-    manifest = {
-        "dtype": "<f4",
-        "total_elements": int(flat.size),
-        "entries": manifest_entries,
-    }
-    (directory / MANIFEST_FILE).write_text(
-        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+            fh.write(np.ascontiguousarray(ex.embedding, dtype="<f4").tobytes())
+    with atomic_open(directory / CORPUS_FILE, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
 
 
-def load_corpus(directory: str | Path, resolve_embeddings: bool = True) -> list[RoutingExample]:
-    """Load a corpus; every embedding ref must resolve or IngestError is raised."""
+def load_corpus(directory: str | Path) -> list[RoutingExample]:
+    """Load a corpus; each example's `embedding` is its row of the sidecar.
+
+    The sidecar must hold exactly one row per record, or IngestError is
+    raised. It is memory-mapped read-only, so rows are read when used.
+    """
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
     if not corpus_path.exists():
@@ -204,36 +190,19 @@ def load_corpus(directory: str | Path, resolve_embeddings: bool = True) -> list[
             except (KeyError, ValueError) as e:
                 raise IngestError(f"{corpus_path}:{line_no}: bad record ({e})") from e
 
-    if resolve_embeddings:
-        manifest_path = directory / MANIFEST_FILE
-        sidecar_path = directory / SIDECAR_FILE
-        if not manifest_path.exists() or not sidecar_path.exists():
-            raise IngestError(f"missing embedding sidecar or manifest in {directory}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        flat = np.fromfile(sidecar_path, dtype=manifest.get("dtype", "<f4"))
-        entries = manifest["entries"]
-        for ex in examples:
-            entry = entries.get(ex.id)
-            if entry is None:
-                raise IngestError(f"example {ex.id}: no embedding manifest entry")
-            vecs = {}
-            for modality in MODALITIES:
-                if modality not in entry:
-                    raise IngestError(f"example {ex.id}: manifest missing {modality} ref")
-                off, dim = entry[modality]
-                if dim != EMBED_DIMS[modality]:
-                    raise IngestError(
-                        f"example {ex.id}: {modality} ref has dim {dim}, "
-                        f"expected {EMBED_DIMS[modality]}"
-                    )
-                if off + dim > flat.size:
-                    raise IngestError(f"example {ex.id}: {modality} ref beyond sidecar end")
-                vecs[modality] = flat[off:off + dim].copy()
-            ex.embeddings = GateInput(
-                question_embedding=vecs["question"],
-                text_embedding=vecs["text"],
-                vision_embedding=vecs["vision"],
-            )
+    sidecar_path = directory / SIDECAR_FILE
+    if not sidecar_path.exists():
+        raise IngestError(f"missing embedding sidecar {sidecar_path}")
+    size = sidecar_path.stat().st_size
+    if size != len(examples) * _ROW_BYTES:
+        raise IngestError(
+            f"embedding sidecar {sidecar_path} has {size} bytes, expected "
+            f"{len(examples) * _ROW_BYTES} for {len(examples)} records"
+        )
+    if examples:
+        matrix = np.memmap(sidecar_path, dtype="<f4", mode="r", shape=(len(examples), INPUT_DIM))
+        for ex, row in zip(examples, np.asarray(matrix)):
+            ex.embedding = row
     return examples
 
 

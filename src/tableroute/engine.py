@@ -28,7 +28,7 @@ from .errors import (
 )
 from .experts import EmbeddingBackend, GenerationBackend, stable_digest64
 from .fusion import AgentBackend, FusionRequest, fuse
-from .gate import GateInput, GateParameters, concat_input, forward
+from .gate import GateParameters, concat_input, forward
 from .numerics import softmax
 from .paths import (
     PATH_FUSION,
@@ -98,12 +98,15 @@ class InferenceRecord:
 
 def route(
     gate: GateParameters,
-    gi: GateInput,
+    x: np.ndarray,
     costs: PathCostVector = DEFAULT_PATH_COSTS,
     gate_temperature: float = 1.0,
 ) -> RouteDecision:
-    """Pick a path by argmax over the gate logits; ties go to the cheaper path."""
-    x = concat_input(gi)
+    """Pick a path for the 10,112-dim gate input `x` by argmax over the gate
+    logits; ties go to the cheaper path. Non-finite inputs are rejected."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgumentError("gate input: non-finite entries")
     z, _ = forward(gate, x, mode="eval")
     idx = argmax_with_tiebreak(z, costs)
     return RouteDecision(
@@ -116,15 +119,14 @@ def route(
 
 def _embed_phase(
     example: RoutingExample, backends: EngineBackends, nonce: int
-) -> tuple[GateInput, float]:
+) -> tuple[np.ndarray, float]:
     serialized = example.table.serialize()
     e_q, t_q = backends.question_embedder.embed_timed(example.question, tag=example.dataset, nonce=nonce)
     e_t, t_t = backends.text_embedder.embed_timed(serialized, tag=example.dataset, nonce=nonce)
     e_v, t_v = backends.vision_embedder.embed_timed(
         serialized.encode("utf-8"), tag=example.dataset, nonce=nonce
     )
-    gi = GateInput(question_embedding=e_q, text_embedding=e_t, vision_embedding=e_v)
-    return gi, max(t_q, t_t, t_v)
+    return concat_input(e_q, e_t, e_v), max(t_q, t_t, t_v)
 
 
 def _generate(
@@ -162,17 +164,17 @@ def infer(
     if mode not in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
         raise InvalidArgumentError(f"unknown engine mode {mode!r}")
 
-    gi, t1 = _embed_phase(example, backends, nonce)
+    x, t1 = _embed_phase(example, backends, nonce)
 
     if mode == MODE_ADAPTIVE:
         if gate is None:
             raise InvalidArgumentError("adaptive mode needs a trained gate")
         if cfg.timing == "wallclock":
             start = time.monotonic()
-            decision = route(gate, gi, costs, cfg.gate_temperature)
+            decision = route(gate, x, costs, cfg.gate_temperature)
             t2 = time.monotonic() - start
         else:
-            decision = route(gate, gi, costs, cfg.gate_temperature)
+            decision = route(gate, x, costs, cfg.gate_temperature)
             t2 = cfg.gate_latency_s
         path_idx = decision.path_index
     else:
@@ -282,7 +284,6 @@ def measure_cost(
     path: str,
     testbed: Sequence[RoutingExample],
     backends: EngineBackends,
-    agent: AgentBackend,
     warmup_runs: int = 5,
     timed_runs: int = 10,
     api_overhead_s: float = 0.3,
@@ -337,10 +338,9 @@ def measure_cost(
 def measure_all_costs(
     testbed: Sequence[RoutingExample],
     backends: EngineBackends,
-    agent: AgentBackend,
     **kwargs,
 ) -> tuple[PathCostVector, list[CostMeasurement]]:
-    measurements = [measure_cost(p, testbed, backends, agent, **kwargs) for p in PATH_NAMES]
+    measurements = [measure_cost(p, testbed, backends, **kwargs) for p in PATH_NAMES]
     return PathCostVector(tuple(m.cost for m in measurements)), measurements
 
 

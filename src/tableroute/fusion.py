@@ -117,7 +117,7 @@ def build_fusion_prompt(req: FusionRequest) -> str:
     )
 
 
-def parse_fusion_response(raw: str, dataset_tag: str | None = None) -> str:
+def parse_fusion_response(raw: str) -> str:
     """Extract the "answer" field from the first JSON object in `raw`.
 
     Single-element lists are unwrapped; longer lists are joined with ", ".
@@ -175,7 +175,7 @@ def fuse(
     tokens = reply.output_tokens
     degraded = False
     try:
-        final = parse_fusion_response(raw, req.dataset_tag)
+        final = parse_fusion_response(raw)
     except FusionParseError:
         try:
             retry = agent.complete(prompt + STRICT_RETRY_SUFFIX, context=context)
@@ -185,7 +185,7 @@ def fuse(
         raw = retry.text
         tokens = retry.output_tokens
         try:
-            final = parse_fusion_response(raw, req.dataset_tag)
+            final = parse_fusion_response(raw)
         except FusionParseError:
             final = req.text_output.answer
             degraded = True

@@ -22,6 +22,7 @@ from .errors import (
     IncompatibleCheckpointError,
     InvalidArgumentError,
 )
+from .fileio import atomic_open
 from .numerics import OptimizerState
 from .paths import INPUT_DIM, N_PATHS, QUESTION_DIM, TEXT_DIM, VISION_DIM
 
@@ -71,15 +72,6 @@ class GateGradients:
     db2: np.ndarray
 
 
-@dataclass(frozen=True)
-class GateInput:
-    """Per-instance embeddings in the fixed concatenation order."""
-
-    question_embedding: np.ndarray
-    text_embedding: np.ndarray
-    vision_embedding: np.ndarray
-
-
 @dataclass
 class ForwardCache:
     """Everything backward needs from one forward call."""
@@ -121,20 +113,22 @@ def init_gate(
     return GateParameters(W1, b1, W2, b2)
 
 
-def concat_input(gi: GateInput) -> np.ndarray:
-    """Concatenate question || text || vision into the 10,112-dim gate input."""
+def concat_input(question, text, vision) -> np.ndarray:
+    """Validate three backend embeddings and concatenate question || text ||
+    vision into the float32 10,112-dim gate input row.
+
+    Rows are float32 at rest; `forward_batch` computes in float64.
+    """
     parts = (
-        ("question_embedding", gi.question_embedding, QUESTION_DIM),
-        ("text_embedding", gi.text_embedding, TEXT_DIM),
-        ("vision_embedding", gi.vision_embedding, VISION_DIM),
+        ("question_embedding", question, QUESTION_DIM),
+        ("text_embedding", text, TEXT_DIM),
+        ("vision_embedding", vision, VISION_DIM),
     )
     arrays = []
     for name, arr, dim in parts:
-        a = np.asarray(arr, dtype=np.float64).ravel()
+        a = np.asarray(arr, dtype=np.float32).ravel()
         if a.shape != (dim,):
-            raise DimensionMismatchError(
-                f"{name}: expected {dim} dims, got {a.shape[0] if a.ndim == 1 else a.shape}"
-            )
+            raise DimensionMismatchError(f"{name}: expected {dim} dims, got {a.shape[0]}")
         if not np.all(np.isfinite(a)):
             raise InvalidArgumentError(f"{name}: non-finite entries")
         arrays.append(a)
@@ -303,8 +297,8 @@ def save_checkpoint(
             optimizer_state.epsilon,
         )
 
-    blob = _CKPT_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
-    Path(path).write_bytes(blob)
+    with atomic_open(path) as fh:
+        fh.write(_CKPT_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
 
 
 class _Cursor:

@@ -12,7 +12,7 @@ from .engine import EngineBackends
 from .errors import IngestError, TableRouteError
 from .experts import answers_match
 from .fusion import AgentBackend, FusionRequest, fuse
-from .gate import GateInput
+from .gate import concat_input
 from .paths import KNOWN_DATASETS
 
 log = logging.getLogger(__name__)
@@ -90,10 +90,10 @@ def _ingest_one(raw: Mapping, backends: EngineBackends, agent: AgentBackend) -> 
     gold = str(raw["gold_answer"])
     example_id = str(raw["id"])
 
-    gi = GateInput(
-        question_embedding=backends.question_embedder.embed(raw["question"], tag=tag),
-        text_embedding=backends.text_embedder.embed(serialized, tag=tag),
-        vision_embedding=backends.vision_embedder.embed(serialized.encode("utf-8"), tag=tag),
+    embedding = concat_input(
+        backends.question_embedder.embed(raw["question"], tag=tag),
+        backends.text_embedder.embed(serialized, tag=tag),
+        backends.vision_embedder.embed(serialized.encode("utf-8"), tag=tag),
     )
 
     kwargs = dict(example_id=example_id, gold_answer=gold, dataset_tag=tag)
@@ -124,6 +124,6 @@ def _ingest_one(raw: Mapping, backends: EngineBackends, agent: AgentBackend) -> 
         table_markdown=markdown,
         path_scores=scores,
         gold_answer=gold,
-        embeddings=gi,
+        embedding=embedding,
         cached_expert_outputs={"text": out_t, "image": out_v},
     )

@@ -15,7 +15,7 @@ import numpy as np
 from .corpus import RoutingExample, Table, stratified_split
 from .errors import InvalidArgumentError
 from .experts import LatencyModel, SimulatedEmbeddingBackend, stable_digest64
-from .gate import GateInput
+from .gate import concat_input
 from .paths import EMBED_DIMS, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
 
 # Per-tag correctness profile: (text, image, fusion).
@@ -121,10 +121,10 @@ def make_separable_corpus(
     for raw in raws:
         table = Table.from_json(raw["table"])
         serialized = table.serialize()
-        gi = GateInput(
-            question_embedding=embedders["question"].embed(raw["question"], tag=raw["dataset"]),
-            text_embedding=embedders["text"].embed(serialized, tag=raw["dataset"]),
-            vision_embedding=embedders["vision"].embed(serialized.encode("utf-8"), tag=raw["dataset"]),
+        embedding = concat_input(
+            embedders["question"].embed(raw["question"], tag=raw["dataset"]),
+            embedders["text"].embed(serialized, tag=raw["dataset"]),
+            embedders["vision"].embed(serialized.encode("utf-8"), tag=raw["dataset"]),
         )
         examples.append(
             RoutingExample(
@@ -135,7 +135,7 @@ def make_separable_corpus(
                 table_markdown=table.to_markdown(),
                 path_scores=tuple(raw["path_labels"]),
                 gold_answer=raw["gold_answer"],
-                embeddings=gi,
+                embedding=embedding,
             )
         )
     val_fraction = cfg.n_val / total

@@ -22,7 +22,6 @@ from .gate import (
     HIDDEN_DIM,
     GateParameters,
     backward_batch,
-    concat_input,
     forward_batch,
     init_gate,
     pack_gradients,
@@ -138,12 +137,19 @@ class TrainResult:
 
 
 def _embedding_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
-    rows = []
+    """Gather the examples' float32 rows into the float64 compute matrix.
+
+    Only the gathered rows are checked for non-finite entries, so a stored
+    corpus is never scanned as a whole.
+    """
     for ex in examples:
-        if ex.embeddings is None:
+        if ex.embedding is None:
             raise IngestError(f"example {ex.id}: embeddings not resolved")
-        rows.append(concat_input(ex.embeddings))
-    return np.stack(rows)
+    X = np.stack([ex.embedding for ex in examples], dtype=np.float64)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise IngestError(f"example {examples[int(np.argmin(finite))].id}: non-finite embedding")
+    return X
 
 
 def _score_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:

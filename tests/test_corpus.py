@@ -1,8 +1,11 @@
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from tableroute.cli import main as cli_main
 from tableroute.corpus import (
     RoutingExample,
     Table,
@@ -11,13 +14,15 @@ from tableroute.corpus import (
     stratified_split,
     write_corpus,
 )
-from tableroute.engine import EngineBackends
+from tableroute.engine import EngineBackends, route
 from tableroute.errors import IngestError, InvalidArgumentError
 from tableroute.experts import (
     SimulatedGenerationBackend,
 )
 from tableroute.fusion import ScriptedAgent
+from tableroute.gate import init_gate
 from tableroute.ingest import ingest
+from tableroute.paths import DEFAULT_PATH_COSTS, EMBED_DIMS, INPUT_DIM, MODALITIES
 from tableroute.synthetic import (
     SeparableCorpusConfig,
     TAG_PROFILES,
@@ -25,6 +30,46 @@ from tableroute.synthetic import (
     make_raw_records,
     make_separable_corpus,
 )
+from tableroute.trainer import TrainConfig, train
+
+# sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
+# `ingest --seed 7` write; they pin the on-disk corpus format.
+PINNED_CORPUS_SHA256 = {
+    "corpus.jsonl": "2391d1c9c961090d971fe784e093fe10594c70fce15d2a5c0f4926775f766c23",
+    "embeddings.bin": "b16e1c8509544b3ca09d09f2faaf777a6bfb7d7036c132a081a4a48fdc181edd",
+}
+# sha256 of the per-id offset manifest that earlier writers put beside them.
+LEGACY_MANIFEST_SHA256 = "8a2a15897c0fb5a654f94df15953367fa96aacda28278a89dcb77fbe9d1dba93"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus(tmp_path_factory):
+    """The 42-record corpus directory built through the CLI."""
+    root = tmp_path_factory.mktemp("pinned")
+    raw, out = root / "raw.jsonl", root / "corpus"
+    assert cli_main(["make-synthetic", "--out", str(raw), "--n", "42", "--all-tags",
+                     "--seed", "1"]) == 0
+    assert cli_main(["ingest", "--raw", str(raw), "--out", str(out), "--seed", "7"]) == 0
+    return out
+
+
+def _write_legacy_manifest(directory, examples):
+    """The per-id, per-modality offset manifest that earlier writers produced."""
+    entries, offset = {}, 0
+    for ex in examples:
+        entries[ex.id] = {}
+        for modality in MODALITIES:
+            entries[ex.id][modality] = [offset, EMBED_DIMS[modality]]
+            offset += EMBED_DIMS[modality]
+    manifest = {"dtype": "<f4", "total_elements": offset, "entries": entries}
+    (directory / "manifest.json").write_text(
+        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        encoding="utf-8",
+    )
 
 
 class TestTable:
@@ -79,27 +124,51 @@ class TestCorpusIO:
             src = by_id[ex.id]
             assert ex.question == src.question
             assert ex.path_scores == src.path_scores
-            np.testing.assert_array_equal(
-                ex.embeddings.question_embedding,
-                np.asarray(src.embeddings.question_embedding, dtype="<f4"),
-            )
+            np.testing.assert_array_equal(ex.embedding, np.asarray(src.embedding, dtype="<f4"))
+            assert not ex.embedding.flags.writeable
 
     def test_bitwise_reproducible_files(self, tmp_path):
         examples = self._examples()
         a, b = tmp_path / "a", tmp_path / "b"
         write_corpus(a, examples)
         write_corpus(b, examples)
-        for name in ("corpus.jsonl", "embeddings.bin", "manifest.json"):
+        for name in ("corpus.jsonl", "embeddings.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert sorted(p.name for p in a.iterdir()) == ["corpus.jsonl", "embeddings.bin"]
 
-    def test_missing_manifest_entry(self, tmp_path):
+    def test_sidecar_size_mismatch(self, tmp_path):
         examples = self._examples()
         write_corpus(tmp_path, examples)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        del manifest["entries"][examples[0].id]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(IngestError, match="manifest"):
-            load_corpus(tmp_path)
+        sidecar = tmp_path / "embeddings.bin"
+        blob = sidecar.read_bytes()
+        for damaged in (blob[:-4], blob + b"\0" * 4):
+            sidecar.write_bytes(damaged)
+            with pytest.raises(IngestError, match="embeddings.bin"):
+                load_corpus(tmp_path)
+
+    def test_non_finite_row_rejected_before_use(self, tmp_path):
+        examples = self._examples()
+        write_corpus(tmp_path, examples)
+        matrix = np.fromfile(tmp_path / "embeddings.bin", dtype="<f4").reshape(-1, INPUT_DIM)
+        matrix[2, 500] = np.nan
+        matrix.tofile(tmp_path / "embeddings.bin")
+        loaded = load_corpus(tmp_path)
+        with pytest.raises(IngestError, match=loaded[2].id):
+            train(loaded, [], TrainConfig(), DEFAULT_PATH_COSTS)
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            route(init_gate(seed=0), loaded[2].embedding)
+        route(init_gate(seed=0), loaded[1].embedding)
+
+    def test_legacy_directory_with_manifest_loads(self, pinned_corpus, tmp_path):
+        legacy = tmp_path / "legacy"
+        shutil.copytree(pinned_corpus, legacy)
+        fresh = load_corpus(pinned_corpus)
+        _write_legacy_manifest(legacy, fresh)
+        assert _sha256(legacy / "manifest.json") == LEGACY_MANIFEST_SHA256
+        loaded = load_corpus(legacy)
+        assert [e.id for e in loaded] == [e.id for e in fresh]
+        for old, new in zip(loaded, fresh):
+            np.testing.assert_array_equal(old.embedding, new.embedding)
 
     def test_truncated_sidecar(self, tmp_path):
         examples = self._examples()
@@ -114,7 +183,7 @@ class TestCorpusIO:
         clone = RoutingExample(
             id=examples[0].id, dataset=examples[0].dataset, question="q",
             table=examples[0].table, table_markdown=examples[0].table_markdown,
-            path_scores=(1, 0, 0), gold_answer="g", embeddings=examples[0].embeddings,
+            path_scores=(1, 0, 0), gold_answer="g", embedding=examples[0].embedding,
         )
         with pytest.raises(IngestError, match="duplicate"):
             write_corpus(tmp_path, [examples[0], clone])
@@ -176,7 +245,7 @@ class TestIngest:
         assert len(result.examples) == 10
         assert not result.skipped
         loaded = load_corpus(tmp_path)
-        assert all(e.embeddings is not None for e in loaded)
+        assert all(e.embedding.shape == (INPUT_DIM,) for e in loaded)
         # scores produced by running the paths equal the source labels
         by_id = {r["id"]: r for r in raws}
         for ex in loaded:
@@ -205,7 +274,7 @@ class TestIngest:
         for out in (a, b):
             backends, agent = build_sim_stack(raws, seed=8)
             ingest(raws, backends, agent, out)
-        for name in ("corpus.jsonl", "embeddings.bin", "manifest.json"):
+        for name in ("corpus.jsonl", "embeddings.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_cached_expert_outputs_persisted(self, tmp_path):
@@ -215,3 +284,10 @@ class TestIngest:
         loaded = load_corpus(tmp_path)
         for ex in loaded:
             assert set(ex.cached_expert_outputs) == {"text", "image"}
+
+
+class TestFormatPin:
+    def test_cli_corpus_bytes_pinned(self, pinned_corpus):
+        assert sorted(p.name for p in pinned_corpus.iterdir()) == sorted(PINNED_CORPUS_SHA256)
+        for name, digest in PINNED_CORPUS_SHA256.items():
+            assert _sha256(pinned_corpus / name) == digest, name

@@ -26,7 +26,7 @@ from tableroute.experts import (
     TokensModel,
 )
 from tableroute.fusion import ScriptedAgent
-from tableroute.gate import GateInput, GateParameters
+from tableroute.gate import GateParameters, concat_input
 from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, argmax_with_tiebreak
 
 
@@ -90,19 +90,19 @@ class TestRoute:
         assert argmax_with_tiebreak([0.0, 1.0, 1.0], DEFAULT_PATH_COSTS) == 1
 
     def test_route_decision_fields(self):
-        gi = GateInput(np.zeros(384), np.zeros(3584), np.zeros(6144))
-        decision = route(forced_gate(2), gi)
+        x = concat_input(np.zeros(384), np.zeros(3584), np.zeros(6144))
+        decision = route(forced_gate(2), x)
         assert decision.path == "fusion"
         assert decision.probabilities.sum() == pytest.approx(1.0)
 
     def test_choice_invariant_under_temperature(self):
-        gi = GateInput(
+        x = concat_input(
             np.random.default_rng(0).normal(size=384),
             np.zeros(3584),
             np.zeros(6144),
         )
         params = forced_gate(1)
-        picks = {route(params, gi, gate_temperature=t).path for t in (0.1, 1.0, 5.0)}
+        picks = {route(params, x, gate_temperature=t).path for t in (0.1, 1.0, 5.0)}
         assert len(picks) == 1
 
 
@@ -208,18 +208,18 @@ class TestPathCost:
 class TestMeasureCost:
     def _stack(self, n=6):
         examples = [make_example(i) for i in range(n)]
-        backends, agent = make_stack(
+        backends, _ = make_stack(
             examples,
             text_latency=(1.445, 0.0), image_latency=(1.559, 0.0),
             text_tokens=(64, 0), image_tokens=(29, 0),
         )
-        return examples, backends, agent
+        return examples, backends
 
     def test_reproduces_reference_costs(self):
-        examples, backends, agent = self._stack()
-        text = measure_cost("text", examples, backends, agent)
-        image = measure_cost("image", examples, backends, agent)
-        fusion = measure_cost("fusion", examples, backends, agent, api_overhead_s=0.3)
+        examples, backends = self._stack()
+        text = measure_cost("text", examples, backends)
+        image = measure_cost("image", examples, backends)
+        fusion = measure_cost("fusion", examples, backends, api_overhead_s=0.3)
         assert text.cost == pytest.approx(0.73, abs=0.005)
         assert image.cost == pytest.approx(0.81, abs=0.005)
         assert fusion.cost == pytest.approx(0.96, abs=0.005)
@@ -227,21 +227,21 @@ class TestMeasureCost:
         assert fusion.avg_tps == pytest.approx(image.avg_tps)
 
     def test_measure_all_costs_vector(self):
-        examples, backends, agent = self._stack()
-        costs, measurements = measure_all_costs(examples, backends, agent)
+        examples, backends = self._stack()
+        costs, measurements = measure_all_costs(examples, backends)
         assert isinstance(costs, PathCostVector)
         assert [m.path for m in measurements] == ["text", "image", "fusion"]
 
     def test_empty_testbed_rejected(self):
-        _, backends, agent = self._stack()
+        _, backends = self._stack()
         with pytest.raises(InvalidArgumentError):
-            measure_cost("text", [], backends, agent)
+            measure_cost("text", [], backends)
 
     def test_warmups_discarded_with_jitter(self):
         # with jitter, including warmups in the mean would change the result
         examples = [make_example(0)]
-        backends, agent = make_stack(examples, text_latency=(1.0, 0.5))
-        m = measure_cost("text", examples, backends, agent, warmup_runs=5, timed_runs=10)
+        backends, _ = make_stack(examples, text_latency=(1.0, 0.5))
+        m = measure_cost("text", examples, backends, warmup_runs=5, timed_runs=10)
         lat = backends.text_generator.latency
         expected = np.mean(
             [lat.draw("gen-lat", "text", 0, "ex-000", run) for run in range(5, 15)]

@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tableroute import fileio
 from tableroute.errors import (
     CheckpointIntegrityError,
     DimensionMismatchError,
@@ -11,7 +14,6 @@ from tableroute.errors import (
 )
 from tableroute.gate import (
     CANONICAL_DIMS,
-    GateInput,
     GateParameters,
     backward,
     backward_batch,
@@ -61,21 +63,25 @@ class TestInit:
 
 class TestConcat:
     def test_zero_components(self):
-        gi = GateInput(np.zeros(QUESTION_DIM), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
-        x = concat_input(gi)
+        x = concat_input(np.zeros(QUESTION_DIM), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
         assert x.shape == (INPUT_DIM,)
+        assert x.dtype == np.float32
         assert not x.any()
 
     def test_ordering_question_first(self):
-        gi = GateInput(np.ones(QUESTION_DIM), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
-        x = concat_input(gi)
+        x = concat_input(np.ones(QUESTION_DIM), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
         assert x[:QUESTION_DIM].all()
         assert not x[QUESTION_DIM:].any()
 
     def test_wrong_dim_names_component(self):
-        gi = GateInput(np.zeros(383), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
         with pytest.raises(DimensionMismatchError, match="question_embedding"):
-            concat_input(gi)
+            concat_input(np.zeros(383), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
+
+    def test_non_finite_names_component(self):
+        vision = np.zeros(VISION_DIM)
+        vision[7] = np.nan
+        with pytest.raises(InvalidArgumentError, match="vision_embedding"):
+            concat_input(np.zeros(QUESTION_DIM), np.zeros(TEXT_DIM), vision)
 
 
 class TestForward:
@@ -241,6 +247,22 @@ class TestCheckpoint:
         # explicit dims accept it
         loaded, _, _ = load_checkpoint(path, expected_dims=(INPUT_DIM, 128, 3))
         assert loaded.dims == (INPUT_DIM, 128, 3)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        class HalfWriter(io.FileIO):
+            def write(self, data):
+                super().write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        path = tmp_path / "gate.ckpt"
+        save_checkpoint(path, init_gate(seed=0))
+        monkeypatch.setattr(fileio, "open", lambda p, mode: HalfWriter(p, "w"), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_gate(seed=1))
+        monkeypatch.undo()
+        loaded, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.W1, init_gate(seed=0).W1)
+        assert [p.name for p in tmp_path.iterdir()] == ["gate.ckpt"]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -5,7 +5,7 @@ import pytest
 
 from tableroute.corpus import RoutingExample, Table
 from tableroute.errors import IngestError, InvalidArgumentError
-from tableroute.gate import GateInput, GateParameters
+from tableroute.gate import GateParameters, concat_input
 from tableroute.paths import DEFAULT_PATH_COSTS
 from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
 from tableroute.trainer import (
@@ -101,7 +101,7 @@ def toy_example(i, dataset, scores, coord, d_small=False):
         table_markdown=table.to_markdown(),
         path_scores=scores,
         gold_answer="1",
-        embeddings=GateInput(q, t, v),
+        embedding=concat_input(q, t, v),
     )
 
 
@@ -113,7 +113,7 @@ class TestTrain:
 
     def test_unresolved_embeddings_fail_fast(self):
         ex = toy_example(0, "wtq", (1, 0, 0), 1.0)
-        ex.embeddings = None
+        ex.embedding = None
         with pytest.raises(IngestError):
             train([ex], [], TrainConfig(), DEFAULT_PATH_COSTS)
 
@@ -138,10 +138,10 @@ class TestTrain:
         train_set, val_set = make_separable_corpus(
             SeparableCorpusConfig(n_train=64, n_val=16, seed=5)
         )
-        before = [ex.embeddings.question_embedding.copy() for ex in train_set[:4]]
+        before = [ex.embedding.copy() for ex in train_set[:4]]
         train(train_set, val_set, TrainConfig(seed=5), DEFAULT_PATH_COSTS)
         for ex, snap in zip(train_set[:4], before):
-            np.testing.assert_array_equal(ex.embeddings.question_embedding, snap)
+            np.testing.assert_array_equal(ex.embedding, snap)
 
 
 class TestEvaluatePolicy:
