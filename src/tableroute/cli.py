@@ -17,7 +17,7 @@ from pathlib import Path
 from . import analysis, engine
 from .corpus import load_corpus, split_by_dataset, stratified_split
 from .errors import ConfigError, TableRouteError, UndefinedRateError
-from .gate import load_checkpoint, save_checkpoint
+from .gate import compute_params, load_checkpoint, save_checkpoint
 from .ingest import ingest as run_ingest
 from .paths import KNOWN_DATASETS, TRAINING_DATASETS
 from .runconfig import RunConfig, backends_from_corpus, load_runconfig
@@ -151,7 +151,7 @@ def _load_gate(args: argparse.Namespace):
     if not Path(ckpt).exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
     params, _, meta = load_checkpoint(ckpt)
-    return params, meta
+    return compute_params(params), meta
 
 
 def _find_example(examples, example_id: str):

@@ -3,8 +3,19 @@ embedding to three path logits.
 
 Architecture: input -> Linear(256) -> ReLU -> Dropout(p=0.1) -> Linear(3).
 Uses inverted dropout (surviving units scaled by 1/keep at train time), so
-eval-mode forward is the identity on the dropout stage. Weights live as
-float32 at rest; forward/backward math runs in float64.
+eval-mode forward is the identity on the dropout stage.
+
+Dtype contract: weights live as float32 at rest (checkpoints, `init_gate`,
+`TrainResult.params`); forward/backward math runs in float64. The one cast
+between the two is `compute_params`. It stores W1 and W2 as transposed views
+of C-contiguous `[in, out]` float64 buffers, the operand layout numpy builds
+itself when it promotes a float32 `W.T` inside `X @ W.T`, so logits from the
+cast weights are bitwise equal to logits from the float32 weights. A plain
+`astype(np.float64)` keeps the `[out, in]` layout, which takes a different
+BLAS path and differs in the last bits. `forward_batch` casts on entry (a
+no-op for float64 params); callers that route many times, such as the CLI
+commands, cast once after loading so no call repeats the 2.59M-weight
+promotion.
 """
 from __future__ import annotations
 
@@ -135,6 +146,23 @@ def concat_input(question, text, vision) -> np.ndarray:
     return np.concatenate(arrays)
 
 
+def compute_params(params: GateParameters) -> GateParameters:
+    """The float64 compute form of `params`; float64 params come back as is.
+
+    W1 and W2 become `.T` views of C-contiguous `[in, out]` float64 buffers
+    (see the module docstring for why this layout and not `astype`). The
+    argument is never mutated.
+    """
+    if all(a.dtype == np.float64 for a in (params.W1, params.b1, params.W2, params.b2)):
+        return params
+    return GateParameters(
+        W1=np.ascontiguousarray(params.W1.T, dtype=np.float64).T,
+        b1=np.asarray(params.b1, dtype=np.float64),
+        W2=np.ascontiguousarray(params.W2.T, dtype=np.float64).T,
+        b2=np.asarray(params.b2, dtype=np.float64),
+    )
+
+
 def _dropout_mask_scale(seed: int, hidden_dim: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = rng.random(hidden_dim) < DROPOUT_KEEP
@@ -147,9 +175,14 @@ def forward_batch(
     mode: str = "eval",
     rng_seeds=None,
 ) -> tuple[np.ndarray, BatchCache]:
-    """Batched forward pass. X: [B, input]. Returns (logits [B, out], cache)."""
+    """Batched forward pass. X: [B, input]. Returns (logits [B, out], cache).
+
+    Computes in float64 through `compute_params`; pass params that are already
+    in compute form when calling repeatedly.
+    """
     if mode not in ("train", "eval"):
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
+    params = compute_params(params)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.dims[0]:
         raise DimensionMismatchError(
@@ -298,15 +331,17 @@ def save_checkpoint(
         )
 
     with atomic_open(path) as fh:
-        fh.write(_CKPT_MAGIC + bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+        fh.write(_CKPT_MAGIC)
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(body)))
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CheckpointIntegrityError("checkpoint truncated")
         out = self.buf[self.pos:self.pos + n]
@@ -328,7 +363,7 @@ def load_checkpoint(
     raw = Path(path).read_bytes()
     if len(raw) < len(_CKPT_MAGIC) + 4 or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise CheckpointIntegrityError(f"not a gate checkpoint: {path}")
-    body, crc_stored = raw[len(_CKPT_MAGIC):-4], struct.unpack("<I", raw[-4:])[0]
+    body, crc_stored = memoryview(raw)[len(_CKPT_MAGIC):-4], struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(body) != crc_stored:
         raise CheckpointIntegrityError(f"checksum mismatch in {path}")
 
@@ -343,8 +378,8 @@ def load_checkpoint(
 
     meta = {}
     for _ in range(cur.u32()):
-        k = cur.take(cur.u32()).decode("utf-8")
-        v = cur.take(cur.u32()).decode("utf-8")
+        k = str(cur.take(cur.u32()), "utf-8")
+        v = str(cur.take(cur.u32()), "utf-8")
         meta[k] = v
 
     def read_f4(shape):

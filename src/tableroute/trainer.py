@@ -299,8 +299,7 @@ def evaluate_policy(
         raise InvalidArgumentError("evaluate_policy: empty dataset")
     X = _embedding_matrix(data)
     S = _score_matrix(data)
-    params = gate.astype(np.float64)
-    return _evaluate_arrays(params, X, S, cost, gate_temperature)
+    return _evaluate_arrays(gate, X, S, cost, gate_temperature)
 
 
 def routed_paths(
@@ -308,6 +307,6 @@ def routed_paths(
 ) -> list[int]:
     """Chosen path index per example under eval-mode argmax routing."""
     X = _embedding_matrix(data)
-    Z, _ = forward_batch(gate.astype(np.float64), X, mode="eval")
+    Z, _ = forward_batch(gate, X, mode="eval")
     cost_arr = cost.as_array()
     return [argmax_with_tiebreak(z, cost_arr) for z in Z]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from tableroute.experts import (
     TokensModel,
 )
 from tableroute.fusion import ScriptedAgent
-from tableroute.gate import GateParameters, concat_input
+from tableroute.gate import GateParameters, compute_params, concat_input, init_gate
 from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, argmax_with_tiebreak
 
 
@@ -104,6 +106,18 @@ class TestRoute:
         params = forced_gate(1)
         picks = {route(params, x, gate_temperature=t).path for t in (0.1, 1.0, 5.0)}
         assert len(picks) == 1
+
+    def test_route_on_compute_params_allocates_under_1mb(self):
+        params = compute_params(init_gate(seed=0))
+        x = concat_input(np.zeros(384), np.zeros(3584), np.zeros(6144))
+        route(params, x)  # warm up
+        tracemalloc.start()
+        try:
+            route(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestInfer:

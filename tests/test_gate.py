@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tableroute.gate import (
     GateParameters,
     backward,
     backward_batch,
+    compute_params,
     concat_input,
     forward,
     forward_batch,
@@ -152,6 +154,68 @@ def finite_difference_grads(params, x, dl_dz, mode="eval", rng_seed=0, h=1e-5):
                 down = float(np.dot(dl_dz, z))
         grads[i] = (up - down) / (2 * h)
     return grads
+
+
+class TestComputeParams:
+    def test_returns_float64(self):
+        params = compute_params(init_gate(seed=0))
+        for a in (params.W1, params.b1, params.W2, params.b2):
+            assert a.dtype == np.float64
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_logits_bitwise_equal_to_float32_params(self, batch):
+        # The reference is numpy's own promotion of the float32 weights inside
+        # the matmuls, i.e. the logits of the float32 checkpoint before the cast.
+        params = init_gate(seed=3)
+        cast = compute_params(params)
+        rows = np.random.default_rng(0).normal(size=(21, CANONICAL_DIMS[0])).astype(np.float32)
+        for start in range(0, len(rows), batch):
+            X = rows[start:start + batch].astype(np.float64)
+            promoted = np.maximum(X @ params.W1.T + params.b1, 0.0) @ params.W2.T + params.b2
+            z, _ = forward_batch(cast, X)
+            assert z.tobytes() == promoted.tobytes()
+
+    def test_float64_params_returned_as_is(self):
+        params = toy_params(dtype=np.float64)
+        assert compute_params(params) is params
+
+    def test_float32_params_not_mutated(self):
+        params = init_gate(seed=2)
+        before = params.copy()
+        compute_params(params)
+        for a, b in zip((params.W1, params.b1, params.W2, params.b2),
+                        (before.W1, before.b1, before.W2, before.b2)):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes traced by tracemalloc while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    """Deterministic memory guards: what a call allocates, not how long it takes."""
+
+    def test_single_row_eval_on_compute_params_under_1mb(self):
+        params = compute_params(init_gate(seed=0))
+        x = np.zeros((1, CANONICAL_DIMS[0]))
+        forward_batch(params, x)  # warm up
+        assert traced_peak_bytes(lambda: forward_batch(params, x)) < 1_000_000
+
+    def test_load_checkpoint_peak_within_2_25x_file_size(self, tmp_path):
+        params = init_gate(seed=0)
+        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
+        path = tmp_path / "gate.ckpt"
+        save_checkpoint(path, params, opt, {"note": "peak"})
+        del params, opt
+        size = path.stat().st_size
+        assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 2.25 * size
 
 
 class TestBackward:
