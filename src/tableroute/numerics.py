@@ -1,7 +1,9 @@
 """Math kernel for the gate: softmax, KL divergence, optimizer, LR schedule.
 
-All functions compute in float64. They are pure except `adamw_step`, which
-updates the moment buffers of the state it is handed.
+All functions compute in float64. Two of them mutate their arguments:
+`adamw_step` updates `params` and the moment buffers of the state it is
+handed in place, and `clip_grad_norm` rescales `grads` in place. The rest
+are pure.
 """
 from __future__ import annotations
 
@@ -19,6 +21,11 @@ KL_FLOOR = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+# Elements per block of the in-place AdamW update: two 32K-element float64
+# scratch buffers (256 KB each) hold a block's temporaries while it is in
+# cache, instead of full-size temporaries streamed through memory.
+ADAMW_BLOCK = 32768
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
@@ -75,33 +82,63 @@ class OptimizerState:
 
 
 def adamw_step(params, grads, state: OptimizerState, lr: float) -> np.ndarray:
-    """One Adam step with decoupled weight decay; returns the updated params.
+    """One Adam step with decoupled weight decay, in place; returns `params`.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
 
-    Moments are bias-corrected and updated in place; `state.step_count` is
-    incremented.
+    `params` and the moments must be writable C-contiguous float64 arrays:
+    they are updated in place, and `state.step_count` is incremented. The
+    arrays are walked in blocks of ADAMW_BLOCK elements; every element sees
+    the same IEEE operations in the same order as the unblocked expression
+    above, so results are bitwise those of the out-of-place form.
     """
-    p = np.asarray(params, dtype=np.float64)
+    m, v = state.first_moment, state.second_moment
+    for name, arr in (("params", params), ("first_moment", m), ("second_moment", v)):
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.float64
+            and arr.flags.c_contiguous
+            and arr.flags.writeable
+        ):
+            raise InvalidArgumentError(
+                f"adamw_step: {name} must be a writable C-contiguous float64 array"
+            )
     g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape or p.shape != state.first_moment.shape:
+    if not (params.shape == g.shape == m.shape == v.shape):
         raise InvalidArgumentError(
-            f"adamw_step: shape mismatch params {p.shape}, grads {g.shape}, "
-            f"moments {state.first_moment.shape}"
+            f"adamw_step: shape mismatch params {params.shape}, grads {g.shape}, "
+            f"moments {m.shape}"
         )
     if not (np.isfinite(lr) and lr >= 0):
         raise InvalidArgumentError(f"adamw_step: lr must be >= 0, got {lr}")
 
     state.step_count += 1
     t = state.step_count
-    m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    return p - lr * (m_hat / (np.sqrt(v_hat) + state.epsilon) + state.weight_decay * p)
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    p, g, m, v = params.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    scratch = np.empty((2, min(p.size, ADAMW_BLOCK)))
+    for lo in range(0, p.size, ADAMW_BLOCK):
+        hi = min(lo + ADAMW_BLOCK, p.size)
+        pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        mb *= b1
+        np.multiply(1.0 - b1, gb, out=a)
+        mb += a
+        vb *= b2
+        np.multiply(1.0 - b2, gb, out=a)
+        a *= gb
+        vb += a
+        np.divide(mb, c1, out=b)  # m_hat
+        np.divide(vb, c2, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += state.epsilon
+        b /= a
+        np.multiply(state.weight_decay, pb, out=a)
+        b += a
+        b *= lr
+        pb -= b
+    return params
 
 
 @dataclass(frozen=True)
@@ -140,14 +177,18 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
 
 
 def clip_grad_norm(grads, max_norm: float) -> tuple[np.ndarray, float]:
-    """Scale `grads` so the global L2 norm is at most `max_norm`.
+    """Scale `grads` in place so the global L2 norm is at most `max_norm`.
 
-    Returns (possibly rescaled gradients, observed pre-clip norm).
+    Input that is not a float64 array is converted first, and the converted
+    copy is scaled. Returns (the possibly rescaled gradients, observed
+    pre-clip norm). The norm is `sqrt(sum(g * g))`, not `np.dot(g, g)`: the
+    two sum in different orders and differ in the last bits, and the norm is
+    part of the training history.
     """
     if not (np.isfinite(max_norm) and max_norm > 0):
         raise InvalidArgumentError(f"max_norm must be > 0, got {max_norm}")
     g = np.asarray(grads, dtype=np.float64)
     norm = float(np.sqrt(np.sum(g * g)))
     if norm > max_norm:
-        g = g * (max_norm / norm)
+        g *= max_norm / norm
     return g, norm

@@ -22,9 +22,9 @@ from .gate import (
     HIDDEN_DIM,
     GateParameters,
     backward_batch,
+    compute_params,
     forward_batch,
     init_gate,
-    pack_gradients,
     pack_parameters,
     unpack_parameters,
 )
@@ -136,16 +136,22 @@ class TrainResult:
     total_steps: int
 
 
-def _embedding_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
-    """Gather the examples' float32 rows into the float64 compute matrix.
+# Rows per gate call when `evaluate_policy` and `routed_paths` route a whole
+# split: bounds the rows gathered and cast to float64 at once.
+EVAL_BLOCK_ROWS = 256
 
+
+def _embedding_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
+    """Gather the examples' float32 rows into one float32 matrix.
+
+    `forward_batch` casts the rows it is given to float64, which is exact.
     Only the gathered rows are checked for non-finite entries, so a stored
     corpus is never scanned as a whole.
     """
     for ex in examples:
         if ex.embedding is None:
             raise IngestError(f"example {ex.id}: embeddings not resolved")
-    X = np.stack([ex.embedding for ex in examples], dtype=np.float64)
+    X = np.stack([ex.embedding for ex in examples], dtype=np.float32)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise IngestError(f"example {examples[int(np.argmin(finite))].id}: non-finite embedding")
@@ -192,6 +198,8 @@ def train(
     init = init_gate(cfg.seed, *dims)
     master = pack_parameters(init)  # float64 master copy; float32 at rest
     params_view = unpack_parameters(master, dims)
+    grad = np.empty_like(master)  # the cycle's accumulated gradient
+    grad_views = unpack_parameters(grad, dims)
     opt = OptimizerState.for_size(master.size, weight_decay=cfg.weight_decay)
     total_steps = planned_optimizer_steps(n, cfg)
     sched = ScheduleConfig(lr_max=cfg.lr_max, warmup_ratio=cfg.warmup_ratio, total_steps=total_steps)
@@ -209,7 +217,7 @@ def train(
         cycle = cfg.batch_size * cfg.grad_accum_steps
         for start in range(0, n, cycle):
             cycle_idx = order[start:start + cycle]
-            grad_accum = np.zeros_like(master)
+            grad.fill(0.0)
             sums = np.zeros(3)  # total, task, resource
             for b in range(0, len(cycle_idx), cfg.batch_size):
                 batch_idx = cycle_idx[b:b + cfg.batch_size]
@@ -220,13 +228,16 @@ def train(
                 Z, cache = forward_batch(params_view, X[batch_idx], mode="train", rng_seeds=seeds)
                 total, task, resource, dZ = _loss_batch(Z, S[batch_idx], cost_arr, cfg)
                 grads = backward_batch(params_view, cache, dZ)
-                grad_accum += pack_gradients(grads)
+                grad_views.W1 += grads.dW1
+                grad_views.b1 += grads.db1
+                grad_views.W2 += grads.dW2
+                grad_views.b2 += grads.db2
                 sums += (total.sum(), task.sum(), resource.sum())
             n_cycle = len(cycle_idx)
-            grad_accum /= n_cycle
-            clipped, norm = clip_grad_norm(grad_accum, cfg.clip_norm)
+            grad /= n_cycle
+            _, norm = clip_grad_norm(grad, cfg.clip_norm)
             lr = lr_at(step_idx, sched)
-            master[:] = adamw_step(master, clipped, opt, lr)
+            adamw_step(master, grad, opt, lr)
             history.append(
                 HistoryRecord(
                     step=step_idx,
@@ -240,7 +251,12 @@ def train(
             step_idx += 1
 
         if X_val is not None:
-            metrics = _evaluate_arrays(params_view, X_val, S_val, cost, cfg.gate_temperature)
+            # One call, not blocks: with the master's [out, in] W1 layout a
+            # row's logits differ in the last bits between calls of fewer
+            # and more than about 400 rows, so blocks would change
+            # val_metrics.json on larger validation splits.
+            Z_val, _ = forward_batch(params_view, X_val, mode="eval")
+            metrics = _evaluate_arrays(Z_val, S_val, cost, cfg.gate_temperature)
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
                 best_val = metrics
                 best_params = params_view.astype(np.float32)
@@ -267,14 +283,34 @@ def train(
     )
 
 
+def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.ndarray:
+    """Eval-mode logits for `data`, gathered and routed EVAL_BLOCK_ROWS rows
+    at a time through the compute form of `gate`.
+
+    Blocks start at multiples of EVAL_BLOCK_ROWS, which is a multiple of the
+    BLAS kernels' row tiles, so with that weight layout every row is computed
+    as in one call over all rows and the logits are bitwise the same. A
+    one-row call would take numpy's matrix-vector path instead, so a last
+    block of one row joins the block before it.
+    """
+    gate = compute_params(gate)
+    Z = np.empty((len(data), gate.dims[2]))
+    lo = 0
+    while lo < len(data):
+        hi = lo + EVAL_BLOCK_ROWS
+        if len(data) - hi <= 1:
+            hi = len(data)
+        Z[lo:hi] = forward_batch(gate, _embedding_matrix(data[lo:hi]), mode="eval")[0]
+        lo = hi
+    return Z
+
+
 def _evaluate_arrays(
-    params: GateParameters,
-    X: np.ndarray,
+    Z: np.ndarray,
     S: np.ndarray,
     cost: PathCostVector,
     gate_temperature: float,
 ) -> PolicyEval:
-    Z, _ = forward_batch(params, X, mode="eval")
     cost_arr = cost.as_array()
     chosen = np.asarray([argmax_with_tiebreak(z, cost_arr) for z in Z])
     hits = S[np.arange(len(chosen)), chosen] == 1
@@ -297,16 +333,12 @@ def evaluate_policy(
     """Argmax-routing accuracy, expected soft cost, and the chosen-path mix."""
     if not data:
         raise InvalidArgumentError("evaluate_policy: empty dataset")
-    X = _embedding_matrix(data)
-    S = _score_matrix(data)
-    return _evaluate_arrays(gate, X, S, cost, gate_temperature)
+    return _evaluate_arrays(_eval_logits(gate, data), _score_matrix(data), cost, gate_temperature)
 
 
 def routed_paths(
     gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector
 ) -> list[int]:
     """Chosen path index per example under eval-mode argmax routing."""
-    X = _embedding_matrix(data)
-    Z, _ = forward_batch(gate, X, mode="eval")
     cost_arr = cost.as_array()
-    return [argmax_with_tiebreak(z, cost_arr) for z in Z]
+    return [argmax_with_tiebreak(z, cost_arr) for z in _eval_logits(gate, data)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableroute.errors import InvalidArgumentError
+from tableroute.gate import CANONICAL_DIMS
 from tableroute.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    ADAMW_BLOCK,
     OptimizerState,
     ScheduleConfig,
     adamw_step,
@@ -143,6 +149,76 @@ class TestAdamW:
         np.testing.assert_allclose(p, p_ref, rtol=1e-12)
 
 
+def reference_adamw(p, g, m, v, t, lr, weight_decay):
+    """The out-of-place AdamW expression; returns new (params, m, v).
+
+    The in-place, blocked `adamw_step` must reproduce it bit for bit.
+    """
+    m = m * ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v = v * ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPSILON) + weight_decay * p), m, v
+
+
+class TestAdamWInPlace:
+    @pytest.mark.parametrize("size", [1, 3 * ADAMW_BLOCK + 5])
+    def test_bitwise_equal_to_out_of_place_reference(self, size):
+        rng = np.random.default_rng(size)
+        params = rng.normal(size=size)
+        state = OptimizerState.for_size(size, weight_decay=0.01)
+        p_ref, m_ref, v_ref = params.copy(), np.zeros(size), np.zeros(size)
+        for t in range(1, 6):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=size)
+            lr = float(rng.uniform(1e-5, 1e-3))
+            p_ref, m_ref, v_ref = reference_adamw(p_ref, g, m_ref, v_ref, t, lr, 0.01)
+            out = adamw_step(params, g, state, lr)
+            assert out is params
+            assert params.tobytes() == p_ref.tobytes()
+            assert state.first_moment.tobytes() == m_ref.tobytes()
+            assert state.second_moment.tobytes() == v_ref.tobytes()
+        assert state.step_count == 5
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            np.zeros(8)[::2],  # not contiguous
+            np.zeros(4, dtype=np.float32),
+            np.zeros(4).reshape(2, 2).T,  # Fortran order
+        ],
+        ids=["strided", "float32", "fortran"],
+    )
+    def test_rejects_params_it_cannot_update_in_place(self, params):
+        state = OptimizerState.for_size(4)
+        with pytest.raises(InvalidArgumentError):
+            adamw_step(params, np.ones(params.shape), state, lr=1e-3)
+        assert state.step_count == 0
+
+    def test_rejects_read_only_params(self):
+        params = np.zeros(4)
+        params.flags.writeable = False
+        with pytest.raises(InvalidArgumentError):
+            adamw_step(params, np.ones(4), OptimizerState.for_size(4), lr=1e-3)
+
+    def test_canonical_step_allocates_under_1mb(self):
+        # Full-size temporaries of the 2.59M-parameter gate would be ~20 MB each.
+        d_in, d_h, d_out = CANONICAL_DIMS
+        n = d_h * d_in + d_h + d_out * d_h + d_out
+        rng = np.random.default_rng(0)
+        params, grads = rng.normal(size=n), rng.normal(size=n)
+        state = OptimizerState.for_size(n, weight_decay=0.01)
+        adamw_step(params, grads, state, lr=1e-4)  # warm up
+        tracemalloc.start()
+        try:
+            adamw_step(params, grads, state, lr=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestSchedule:
     CFG = ScheduleConfig(lr_max=1e-4, warmup_ratio=0.05, total_steps=1000)
 
@@ -201,3 +277,20 @@ class TestClip:
     def test_rejects_nonpositive_max(self):
         with pytest.raises(InvalidArgumentError):
             clip_grad_norm(np.ones(2), 0.0)
+
+
+class TestClipInPlace:
+    def test_scales_in_place(self):
+        g = np.array([3.0, 4.0])
+        out, norm = clip_grad_norm(g, 1.0)
+        assert out is g
+        np.testing.assert_allclose(g, [0.6, 0.8], atol=1e-15)
+        assert norm == 5.0
+
+    def test_norm_is_sqrt_of_sum_of_squares(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            g = rng.normal(size=10_001)
+            expected = float(np.sqrt(np.sum(g * g)))
+            _, norm = clip_grad_norm(g, 1e9)
+            assert norm == expected

@@ -1,15 +1,21 @@
+import hashlib
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tableroute.cli import main as cli_main
 from tableroute.corpus import RoutingExample, Table
 from tableroute.errors import IngestError, InvalidArgumentError
-from tableroute.gate import GateParameters, concat_input
-from tableroute.paths import DEFAULT_PATH_COSTS
+from tableroute.gate import GateParameters, compute_params, concat_input, forward_batch, init_gate
+from tableroute.paths import DEFAULT_PATH_COSTS, INPUT_DIM
 from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
 from tableroute.trainer import (
+    EVAL_BLOCK_ROWS,
     TrainConfig,
+    _eval_logits,
     build_target,
     evaluate_policy,
     planned_optimizer_steps,
@@ -185,3 +191,56 @@ class TestEvaluatePolicy:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             evaluate_policy(self._gate_forcing(0), [], DEFAULT_PATH_COSTS)
+
+
+class TestBlockedEval:
+    """`evaluate_policy` and `routed_paths` route EVAL_BLOCK_ROWS rows per call."""
+
+    @staticmethod
+    def _examples(n):
+        rows = np.random.default_rng(n).normal(size=(n, INPUT_DIM)).astype(np.float32)
+        base = toy_example(0, "wtq", (1, 0, 0), 0.0)
+        return [replace(base, id=f"row-{i}", embedding=rows[i]) for i in range(n)], rows
+
+    # 600 ends on a short block; 513 = 256 + 257 folds a one-row tail.
+    @pytest.mark.parametrize("n", [600, 2 * EVAL_BLOCK_ROWS + 1])
+    def test_logits_bitwise_equal_to_one_call(self, n):
+        gate = init_gate(seed=4)
+        examples, rows = self._examples(n)
+        one_call, _ = forward_batch(compute_params(gate), rows, mode="eval")
+        assert _eval_logits(gate, examples).tobytes() == one_call.tobytes()
+
+    def test_peak_bounded_by_one_block(self):
+        # One call over 600 rows would hold a 48.5 MB float64 copy of them.
+        gate = compute_params(init_gate(seed=4))
+        examples, _ = self._examples(600)
+        tracemalloc.start()
+        try:
+            _eval_logits(gate, examples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_rows = (EVAL_BLOCK_ROWS + 1) * INPUT_DIM * (4 + 8)  # float32 gather + float64 copy
+        assert peak < block_rows + 4_000_000
+
+
+# sha256 of what `train --seed 7` writes for the corpus of `make-synthetic
+# --n 42 --all-tags --seed 1` + `ingest --seed 7`, taken before the optimizer
+# step became in place; they pin the training step's floating-point order.
+PINNED_TRAIN_SHA256 = {
+    "gate.ckpt": "fb28dfc65e4dcd4462452ecf4d46a77f08f0ccc52169242fc1ee615e1d065751",
+    "history.csv": "b6054a0e4f0bc510ab97eba69174f6fb16d24468b7fedb93e6195cfa59611724",
+    "val_metrics.json": "d3f51b8e6d64343b8ed519b2f644e39f1ccf43b4d9617bd9ae9f30f98cd66c42",
+}
+
+
+class TestTrainingBytesPin:
+    def test_cli_training_bytes_pinned(self, tmp_path):
+        raw, corpus, run = tmp_path / "raw.jsonl", tmp_path / "corpus", tmp_path / "run"
+        assert cli_main(["make-synthetic", "--out", str(raw), "--n", "42", "--all-tags",
+                         "--seed", "1"]) == 0
+        assert cli_main(["ingest", "--raw", str(raw), "--out", str(corpus), "--seed", "7"]) == 0
+        assert cli_main(["train", "--corpus", str(corpus), "--run-dir", str(run),
+                         "--seed", "7"]) == 0
+        for name, digest in PINNED_TRAIN_SHA256.items():
+            assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
