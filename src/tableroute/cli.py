@@ -150,7 +150,8 @@ def _load_gate(args: argparse.Namespace):
         raise ConfigError("pass --checkpoint <gate.ckpt>")
     if not Path(ckpt).exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
-    params, _, meta = load_checkpoint(ckpt)
+    params, opt, meta = load_checkpoint(ckpt)
+    del opt  # its moments are views of the whole file's bytes: free them before the cast
     return compute_params(params), meta
 
 
@@ -163,8 +164,9 @@ def _find_example(examples, example_id: str):
 
 def cmd_route(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    examples = _require_corpus(cfg)
+    # gate first: the checkpoint's file bytes are freed before the corpus is parsed
     params, _ = _load_gate(args)
+    examples = _require_corpus(cfg)
     ex = _find_example(examples, args.id)
     decision = engine.route(params, ex.embedding, cfg.cost_vector(),
                             cfg.engine_config().gate_temperature)
@@ -177,8 +179,9 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    examples = _require_corpus(cfg)
+    # gate first: the checkpoint's file bytes are freed before the corpus is parsed
     params, _ = _load_gate(args)
+    examples = _require_corpus(cfg)
     ex = _find_example(examples, args.id)
     backends, agent = backends_from_corpus(cfg, examples)
     record = engine.infer(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import IngestError, InvalidArgumentError
 from .experts import ExpertOutput
-from .fileio import atomic_open
+from .fileio import staged
 from .paths import INPUT_DIM, KNOWN_DATASETS
 
 CORPUS_FILE = "corpus.jsonl"
@@ -146,9 +146,14 @@ def _example_from_json(rec: dict) -> RoutingExample:
 
 
 def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
-    """Write the embedding sidecar, then the records, each replaced atomically.
+    """Write the embedding sidecar and the records to temp files, then rename
+    both into place, sidecar first.
 
-    Every record is validated and serialized before either file is touched.
+    Every record is validated and serialized before either file is touched,
+    and an exception while writing leaves the previous pair as it was. The
+    previous `corpus.jsonl` is removed just before the first rename, so a
+    process killed between the renames leaves a directory that `load_corpus`
+    rejects, never a new sidecar beside the previous records.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -162,11 +167,14 @@ def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> N
             raise IngestError(f"example {ex.id} has no {INPUT_DIM}-dim embedding to write")
         lines.append(json.dumps(_example_to_json(ex), ensure_ascii=False, sort_keys=True) + "\n")
 
-    with atomic_open(directory / SIDECAR_FILE) as fh:
-        for ex in ordered:
-            fh.write(np.ascontiguousarray(ex.embedding, dtype="<f4").tobytes())
-    with atomic_open(directory / CORPUS_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    corpus_path = directory / CORPUS_FILE
+    with staged(directory / SIDECAR_FILE, corpus_path) as (sidecar_tmp, corpus_tmp):
+        with open(sidecar_tmp, "wb") as fh:
+            for ex in ordered:
+                fh.write(np.ascontiguousarray(ex.embedding, dtype="<f4").tobytes())
+        with open(corpus_tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        corpus_path.unlink(missing_ok=True)
 
 
 def load_corpus(directory: str | Path) -> list[RoutingExample]:

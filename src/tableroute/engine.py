@@ -28,7 +28,7 @@ from .errors import (
 )
 from .experts import EmbeddingBackend, GenerationBackend, stable_digest64
 from .fusion import AgentBackend, FusionRequest, fuse
-from .gate import GateParameters, concat_input, forward
+from .gate import GateParameters, concat_input, forward_batch
 from .numerics import softmax
 from .paths import (
     PATH_FUSION,
@@ -96,25 +96,39 @@ class InferenceRecord:
             raise InvalidArgumentError("phase times must be >= 0")
 
 
+def route_batch(
+    gate: GateParameters,
+    X: np.ndarray,
+    costs: PathCostVector = DEFAULT_PATH_COSTS,
+    gate_temperature: float = 1.0,
+) -> list[RouteDecision]:
+    """Pick a path for each row of the [B, 10,112] gate input `X` with one
+    gate call, by argmax over that row's logits; ties go to the cheaper path.
+    Non-finite inputs are rejected."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise InvalidArgumentError("gate input: non-finite entries")
+    Z, _ = forward_batch(gate, X, mode="eval")
+    decisions = []
+    for z in Z:
+        idx = argmax_with_tiebreak(z, costs)
+        decisions.append(RouteDecision(
+            path=PATH_NAMES[idx],
+            path_index=idx,
+            logits=z,
+            probabilities=softmax(z, gate_temperature),
+        ))
+    return decisions
+
+
 def route(
     gate: GateParameters,
     x: np.ndarray,
     costs: PathCostVector = DEFAULT_PATH_COSTS,
     gate_temperature: float = 1.0,
 ) -> RouteDecision:
-    """Pick a path for the 10,112-dim gate input `x` by argmax over the gate
-    logits; ties go to the cheaper path. Non-finite inputs are rejected."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("gate input: non-finite entries")
-    z, _ = forward(gate, x, mode="eval")
-    idx = argmax_with_tiebreak(z, costs)
-    return RouteDecision(
-        path=PATH_NAMES[idx],
-        path_index=idx,
-        logits=z,
-        probabilities=softmax(z, gate_temperature),
-    )
+    """Route the one 10,112-dim gate input `x`: a one-row `route_batch`."""
+    return route_batch(gate, np.ravel(x)[None, :], costs, gate_temperature)[0]
 
 
 def _embed_phase(
@@ -156,31 +170,65 @@ def infer(
     mode: str = MODE_ADAPTIVE,
     nonce: int = 0,
 ) -> InferenceRecord:
-    """Run one routed inference and account its three-phase parallel latency.
+    """Run one routed inference: a one-example `infer_batch`."""
+    return infer_batch([example], gate, backends, agent, costs, cfg, mode, nonce)[0]
 
-    `mode="non_adaptive"` bypasses the gate (phase 2 is zero) and always takes
-    the fusion path.
+
+def infer_batch(
+    examples: Sequence[RoutingExample],
+    gate: GateParameters | None,
+    backends: EngineBackends,
+    agent: AgentBackend,
+    costs: PathCostVector = DEFAULT_PATH_COSTS,
+    cfg: EngineConfig = EngineConfig(),
+    mode: str = MODE_ADAPTIVE,
+    nonce: int = 0,
+) -> list[InferenceRecord]:
+    """Run routed inferences and account each one's three-phase parallel
+    latency.
+
+    Every example is embedded first, in order; adaptive mode then routes all
+    of them with one gate call; generation and fusion follow per example, in
+    order. `mode="non_adaptive"` bypasses the gate (phase 2 is zero) and
+    always takes the fusion path. In `wallclock` timing every example's
+    phase 2 is the wall time of the one gate call, which each of them waited
+    for.
     """
     if mode not in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
         raise InvalidArgumentError(f"unknown engine mode {mode!r}")
+    if mode == MODE_ADAPTIVE and gate is None:
+        raise InvalidArgumentError("adaptive mode needs a trained gate")
+    if not examples:
+        return []
 
-    x, t1 = _embed_phase(example, backends, nonce)
+    embedded = [_embed_phase(ex, backends, nonce) for ex in examples]
 
     if mode == MODE_ADAPTIVE:
-        if gate is None:
-            raise InvalidArgumentError("adaptive mode needs a trained gate")
-        if cfg.timing == "wallclock":
-            start = time.monotonic()
-            decision = route(gate, x, costs, cfg.gate_temperature)
-            t2 = time.monotonic() - start
-        else:
-            decision = route(gate, x, costs, cfg.gate_temperature)
-            t2 = cfg.gate_latency_s
-        path_idx = decision.path_index
+        start = time.monotonic()
+        decisions = route_batch(
+            gate, np.stack([x for x, _ in embedded]), costs, cfg.gate_temperature
+        )
+        t2 = time.monotonic() - start if cfg.timing == "wallclock" else cfg.gate_latency_s
+        path_indices = [d.path_index for d in decisions]
     else:
-        path_idx = PATH_FUSION
         t2 = 0.0
+        path_indices = [PATH_FUSION] * len(examples)
 
+    return [
+        _generate_phase(ex, path_idx, t1, t2, backends, agent, nonce)
+        for ex, (_, t1), path_idx in zip(examples, embedded, path_indices)
+    ]
+
+
+def _generate_phase(
+    example: RoutingExample,
+    path_idx: int,
+    t1: float,
+    t2: float,
+    backends: EngineBackends,
+    agent: AgentBackend,
+    nonce: int,
+) -> InferenceRecord:
     partial = {
         "example_id": example.id,
         "chosen_path": PATH_NAMES[path_idx],
@@ -405,10 +453,9 @@ def run_efficiency_bench(
             idx = rng.choice(len(pool), size=n, replace=False)
             sample = [pool[i] for i in sorted(idx.tolist())]
             for mode in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
-                records = [
-                    infer(ex, gate, backends, agent, costs, engine_cfg, mode=mode, nonce=seed)
-                    for ex in sample
-                ]
+                records = infer_batch(
+                    sample, gate, backends, agent, costs, engine_cfg, mode=mode, nonce=seed
+                )
                 mean_latency = float(np.mean([r.parallel_latency for r in records]))
                 mean_tps = float(
                     np.mean([r.output_tokens / r.parallel_latency for r in records])

@@ -8,6 +8,27 @@ from typing import IO, Iterator
 
 
 @contextmanager
+def staged(*paths: str | Path) -> Iterator[tuple[Path, ...]]:
+    """Yield a temp path beside each of `paths` for the body to write.
+
+    When the body returns, each temp file is renamed over its path, in the
+    order given. On an exception every temp file left is removed: an
+    exception in the body leaves `paths` as the body left them, and a failed
+    rename keeps the renames before it.
+    """
+    targets = [Path(p) for p in paths]
+    tmps = tuple(p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in targets)
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, targets):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
 def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     """Write to a temp file beside `path`, then rename it over `path`.
 
@@ -15,12 +36,6 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     that still has the previous file open or mapped keeps its contents. On
     an exception the temp file is removed and `path` is left untouched.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
+    with staged(path) as (tmp,):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise

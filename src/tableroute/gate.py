@@ -358,7 +358,10 @@ def load_checkpoint(
 ) -> tuple[GateParameters, OptimizerState | None, dict[str, str]]:
     """Load a checkpoint; verifies integrity first, then dimension compatibility.
 
-    Pass `expected_dims=None` to accept any recorded dimensions.
+    Pass `expected_dims=None` to accept any recorded dimensions. Parameters
+    are copied out of the file bytes; the optimizer moments are read-only
+    views of them, so commands that only route never copy the moments, and
+    `adamw_step` refuses to update them in place.
     """
     raw = Path(path).read_bytes()
     if len(raw) < len(_CKPT_MAGIC) + 4 or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -396,8 +399,8 @@ def load_checkpoint(
     opt = None
     if flags & 1:
         n = d_h * d_in + d_h + d_out * d_h + d_out
-        m = np.frombuffer(cur.take(8 * n), dtype="<f8").copy()
-        v = np.frombuffer(cur.take(8 * n), dtype="<f8").copy()
+        m = np.frombuffer(cur.take(8 * n), dtype="<f8")
+        v = np.frombuffer(cur.take(8 * n), dtype="<f8")
         step = struct.unpack("<Q", cur.take(8))[0]
         wd, beta1, beta2, eps = struct.unpack("<4d", cur.take(32))
         opt = OptimizerState(m, v, step, wd, beta1, beta2, eps)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -190,3 +191,38 @@ class TestPipeline:
         assert run("train", "--config", snapshot, "--run-dir", rd2) == 0
         assert (rd1 / "history.csv").read_bytes() == (rd2 / "history.csv").read_bytes()
         assert (rd1 / "gate.ckpt").read_bytes() == (rd2 / "gate.ckpt").read_bytes()
+
+
+# sha256 of what `make-synthetic --n 42 --all-tags --seed 1`, then `ingest`,
+# `train`, `bench` and `analyze` with `--seed 7` write, and of the `route` and
+# `infer --id syn-000000` stdout on that run; they pin the evaluate outputs.
+PINNED_EVALUATE_SHA256 = {
+    "bench.csv": "9f4ede956eaf3cf88f3e2f65e35028fb8b1c790c554d50e558baa6477b902971",
+    "analysis.csv": "d7fd926c78cac10a1f56d9962b21f0638d07614fd07247dec36e255a446cc982",
+    "route": "10e2405ad89302ec2214e4a930572c1d5aa94265013658e43e8414b6eaa6f39d",
+    "infer": "da6e4bbe3d1a70092358a2435ddad5ceed5bca2e79cb0603797ce4b540ad819f",
+}
+
+
+class TestEvaluateBytesPin:
+    def test_cli_evaluate_bytes_pinned(self, workdir, capsys):
+        raw, corpus, runs = workdir / "raw.jsonl", workdir / "corpus", workdir / "run"
+        ckpt = runs / "gate.ckpt"
+        assert run("make-synthetic", "--out", raw, "--n", 42, "--all-tags", "--seed", 1) == 0
+        assert run("ingest", "--raw", raw, "--out", corpus, "--seed", 7) == 0
+        assert run("train", "--corpus", corpus, "--run-dir", runs, "--seed", 7) == 0
+        with pytest.warns(UserWarning, match="only 6 examples"):
+            assert run("bench", "--corpus", corpus, "--checkpoint", ckpt, "--run-dir", runs,
+                       "--seed", 7) == 0
+        assert run("analyze", "--corpus", corpus, "--checkpoint", ckpt, "--run-dir", runs,
+                   "--seed", 7) == 0
+        digests = {
+            name: hashlib.sha256((runs / name).read_bytes()).hexdigest()
+            for name in ("bench.csv", "analysis.csv")
+        }
+        for command in ("route", "infer"):
+            capsys.readouterr()
+            assert run(command, "--corpus", corpus, "--checkpoint", ckpt,
+                       "--id", "syn-000000", "--seed", 7) == 0
+            digests[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == PINNED_EVALUATE_SHA256

@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tableroute import corpus as corpus_module
 from tableroute.cli import main as cli_main
 from tableroute.corpus import (
     RoutingExample,
@@ -177,6 +181,72 @@ class TestCorpusIO:
         (tmp_path / "embeddings.bin").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(IngestError, match="sidecar"):
             load_corpus(tmp_path)
+
+    def _rewritten(self, examples):
+        """The same ids with other questions and other embedding rows."""
+        return [
+            dataclasses.replace(ex, question=f"{ex.question} (v2)",
+                                embedding=np.asarray(ex.embedding, dtype=np.float32) + 1.0)
+            for ex in examples
+        ]
+
+    def test_kill_between_renames_leaves_unloadable_directory(self, tmp_path, monkeypatch):
+        old = self._examples(4)
+        write_corpus(tmp_path, old)
+        real_replace = os.replace
+        renamed = []
+
+        def replace_then_die(src, dst):
+            renamed.append(Path(dst).name)
+            if len(renamed) == 2:
+                raise OSError("killed between the renames")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_then_die)
+        with pytest.raises(OSError, match="killed"):
+            write_corpus(tmp_path, self._rewritten(old))
+        monkeypatch.undo()
+        assert renamed == ["embeddings.bin", "corpus.jsonl"]
+        with pytest.raises(IngestError, match="no corpus file"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("failing", ["embeddings.bin", "corpus.jsonl"])
+    def test_failed_temp_write_keeps_previous_pair(self, tmp_path, monkeypatch, failing):
+        class HalfThenFail:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+            def writelines(self, lines):
+                self.write("".join(lines))
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return HalfThenFail(fh) if Path(path).name.startswith(f".{failing}.") else fh
+
+        old = self._examples(4)
+        write_corpus(tmp_path, old)
+        before = {n: (tmp_path / n).read_bytes() for n in ("corpus.jsonl", "embeddings.bin")}
+        monkeypatch.setattr(corpus_module, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_corpus(tmp_path, self._rewritten(old))
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+        for name, blob in before.items():
+            assert (tmp_path / name).read_bytes() == blob, name
+        loaded = load_corpus(tmp_path)
+        for ex, src in zip(loaded, sorted(old, key=lambda e: e.id)):
+            assert ex.question == src.question
+            np.testing.assert_array_equal(ex.embedding, src.embedding)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         examples = self._examples(2)

@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tableroute import engine
 from tableroute.corpus import RoutingExample, Table
 from tableroute.engine import (
     MODE_ADAPTIVE,
@@ -13,10 +15,12 @@ from tableroute.engine import (
     InferenceRecord,
     fusion_cost_inputs,
     infer,
+    infer_batch,
     measure_all_costs,
     measure_cost,
     path_cost,
     route,
+    route_batch,
     run_efficiency_bench,
     write_bench_csv,
 )
@@ -342,3 +346,83 @@ class TestBench:
         assert lines[0] == "dataset,mode,seed,mean_latency_s,mean_tps"
         # 2 datasets x 2 modes x 1 seed + 4 summary rows
         assert len(lines) == 1 + 4 + 4
+
+
+class TestBatched:
+    """One gate call per sample set, with the records of per-example calls."""
+
+    _corpus = TestBench._corpus
+
+    def _jittered_stack(self, examples):
+        return make_stack(
+            examples, text_latency=(1.0, 0.3), image_latency=(1.5, 0.4),
+            text_tokens=(20, 5), image_tokens=(24, 6), agent_latency=(0.3, 0.1),
+        )
+
+    @pytest.mark.parametrize("mode", [MODE_ADAPTIVE, MODE_NON_ADAPTIVE])
+    def test_records_equal_per_example_infer(self, mode):
+        # distinct questions give distinct gate inputs, which reach all three paths
+        examples = [
+            dataclasses.replace(ex, question=f"What is the value for item {i}?")
+            for i, ex in enumerate(self._corpus())
+        ]
+        backends, agent = self._jittered_stack(examples)
+        gate = compute_params(init_gate(seed=3))
+        cfg = EngineConfig(gate_latency_s=0.001)
+        batch = infer_batch(examples, gate, backends, agent, DEFAULT_PATH_COSTS, cfg,
+                            mode=mode, nonce=2)
+        singles = [
+            infer(ex, gate, backends, agent, DEFAULT_PATH_COSTS, cfg, mode=mode, nonce=2)
+            for ex in examples
+        ]
+        assert batch == singles
+        if mode == MODE_ADAPTIVE:
+            assert {r.chosen_path for r in batch} == {"text", "image", "fusion"}
+        assert infer_batch([], gate, backends, agent, mode=mode) == []
+
+    def test_route_batch_paths_equal_per_row_route(self):
+        gate = compute_params(init_gate(seed=0))
+        X = np.random.default_rng(4).uniform(-1, 1, size=(50, 10112)).astype(np.float32)
+        batch = route_batch(gate, X)
+        singles = [route(gate, x) for x in X]
+        assert [d.path for d in batch] == [d.path for d in singles]
+        np.testing.assert_allclose([d.logits for d in batch], [d.logits for d in singles],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_one_gate_call_per_adaptive_set(self, monkeypatch):
+        rows_per_call = []
+        real_forward_batch = engine.forward_batch
+
+        def counting_forward_batch(params, X, *args, **kwargs):
+            rows_per_call.append(len(X))
+            return real_forward_batch(params, X, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "forward_batch", counting_forward_batch)
+        examples = self._corpus(n_per=5)
+        backends, agent = make_stack(examples)
+        run_efficiency_bench(
+            examples, forced_gate(0), backends, agent, DEFAULT_PATH_COSTS,
+            BenchConfig(n_per_dataset=4, seeds=(0, 1, 2)),
+        )
+        # 3 seeds x 2 datasets adaptive sets of 4; the non-adaptive sets add none
+        assert rows_per_call == [4] * 6
+
+    def test_generation_failure_names_its_example(self):
+        examples = self._corpus()
+        backends, agent = make_stack(examples)
+        del backends.text_generator.labels[examples[2].id]
+        with pytest.raises(InferenceError, match=examples[2].id) as err:
+            infer_batch(examples, forced_gate(0), backends, agent, DEFAULT_PATH_COSTS)
+        assert err.value.partial_record["example_id"] == examples[2].id
+        assert err.value.partial_record["chosen_path"] == "text"
+
+    def test_wallclock_phase2_is_the_shared_gate_call(self):
+        examples = self._corpus()
+        backends, agent = make_stack(examples)
+        cfg = EngineConfig(timing="wallclock")
+        adaptive = infer_batch(examples, forced_gate(1), backends, agent, DEFAULT_PATH_COSTS, cfg)
+        assert len({r.t_phase2 for r in adaptive}) == 1
+        assert adaptive[0].t_phase2 > 0
+        fixed = infer_batch(examples, None, backends, agent, DEFAULT_PATH_COSTS, cfg,
+                            mode=MODE_NON_ADAPTIVE)
+        assert all(r.t_phase2 == 0.0 for r in fixed)

@@ -29,7 +29,7 @@ from tableroute.gate import (
     save_checkpoint,
     unpack_parameters,
 )
-from tableroute.numerics import OptimizerState, softmax
+from tableroute.numerics import OptimizerState, adamw_step, softmax
 from tableroute.paths import INPUT_DIM, QUESTION_DIM, TEXT_DIM, VISION_DIM
 
 
@@ -216,6 +216,23 @@ class TestAllocation:
         del params, opt
         size = path.stat().st_size
         assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 2.25 * size
+
+    def test_load_checkpoint_with_moments_within_1_3x_file_size(self, tmp_path):
+        params = init_gate(seed=0)
+        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
+        opt.second_moment[:] = 0.5
+        path = tmp_path / "gate.ckpt"
+        save_checkpoint(path, params, opt, {"note": "peak"})
+        del params, opt
+        size = path.stat().st_size
+        assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 1.3 * size
+
+        params, opt, _ = load_checkpoint(path)
+        assert not opt.first_moment.flags.writeable
+        assert not opt.second_moment.flags.writeable
+        assert (opt.second_moment == 0.5).all()
+        with pytest.raises(InvalidArgumentError, match="first_moment"):
+            adamw_step(pack_parameters(params), np.zeros(params.param_count), opt, lr=1e-3)
 
 
 class TestBackward:
