@@ -4,6 +4,9 @@ Every command resolves a RunConfig (built-in defaults, optional JSON config
 file via --config or the TABLEROUTE_CONFIG env var, then CLI overrides),
 writes its outputs into the run directory next to a resolved config
 snapshot, and exits 0 on success, 2 on config errors, 1 on runtime errors.
+
+The synthetic, ingest and analysis modules are imported inside the commands
+that call them, so `route` and `infer` do not pay to import them.
 """
 from __future__ import annotations
 
@@ -14,14 +17,18 @@ import os
 import sys
 from pathlib import Path
 
-from . import analysis, engine
-from .corpus import load_corpus, split_by_dataset, stratified_split
+from . import engine
+from .corpus import load_corpus, load_example, split_by_dataset, stratified_split
 from .errors import ConfigError, TableRouteError, UndefinedRateError
 from .gate import compute_params, load_checkpoint, save_checkpoint
-from .ingest import ingest as run_ingest
 from .paths import KNOWN_DATASETS, TRAINING_DATASETS
-from .runconfig import RunConfig, backends_from_corpus, load_runconfig
-from .synthetic import make_raw_records
+from .runconfig import (
+    RunConfig,
+    backends_from_corpus,
+    build_agent,
+    build_backends,
+    load_runconfig,
+)
 from .trainer import train
 
 log = logging.getLogger("tableroute")
@@ -53,11 +60,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return load_runconfig(config_path, overrides)
 
 
-def _require_corpus(cfg: RunConfig):
+def _corpus_dir(cfg: RunConfig) -> str:
     if not cfg.corpus_dir:
         raise ConfigError("no corpus_dir configured (pass --corpus or set it in the config)",
                           key="corpus_dir")
-    return load_corpus(cfg.corpus_dir)
+    return cfg.corpus_dir
+
+
+def _require_corpus(cfg: RunConfig):
+    return load_corpus(_corpus_dir(cfg))
+
+
+def _require_example(cfg: RunConfig, example_id: str):
+    ex = load_example(_corpus_dir(cfg), example_id)
+    if ex is None:
+        raise ConfigError(f"example id {example_id!r} not in corpus")
+    return ex
 
 
 def _split(cfg: RunConfig, examples):
@@ -76,6 +94,8 @@ def _history_csv(history) -> str:
 
 
 def cmd_make_synthetic(args: argparse.Namespace) -> int:
+    from .synthetic import make_raw_records
+
     cfg = _resolve_config(args)
     tags = KNOWN_DATASETS if args.all_tags else TRAINING_DATASETS
     records = make_raw_records(args.n, seed=cfg.seed, tags=tags)
@@ -89,19 +109,18 @@ def cmd_make_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .ingest import ingest as run_ingest, read_raw_records
+
     cfg = _resolve_config(args)
     raw_path = Path(args.raw)
     if not raw_path.exists():
         raise ConfigError(f"raw corpus not found: {raw_path}")
-    raws = [json.loads(line) for line in raw_path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    raws = read_raw_records(raw_path)
 
     labels_text = {str(r.get("id")): int(r.get("path_labels", [0, 0, 0])[0]) for r in raws}
     labels_image = {str(r.get("id")): int(r.get("path_labels", [0, 0, 0])[1]) for r in raws}
     labels_fusion = {str(r.get("id")): int(r.get("path_labels", [0, 0, 0])[2]) for r in raws}
     tags = sorted({str(r.get("dataset")) for r in raws if r.get("dataset")})
-
-    from .runconfig import build_agent, build_backends
-
     backends = build_backends(cfg, labels_text, labels_image, tags=tags)
     agent = build_agent(cfg, labels_fusion)
     result = run_ingest(
@@ -155,19 +174,10 @@ def _load_gate(args: argparse.Namespace):
     return compute_params(params), meta
 
 
-def _find_example(examples, example_id: str):
-    for ex in examples:
-        if ex.id == example_id:
-            return ex
-    raise ConfigError(f"example id {example_id!r} not in corpus")
-
-
 def cmd_route(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    # gate first: the checkpoint's file bytes are freed before the corpus is parsed
     params, _ = _load_gate(args)
-    examples = _require_corpus(cfg)
-    ex = _find_example(examples, args.id)
+    ex = _require_example(cfg, args.id)
     decision = engine.route(params, ex.embedding, cfg.cost_vector(),
                             cfg.engine_config().gate_temperature)
     print(json.dumps({
@@ -179,11 +189,9 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    # gate first: the checkpoint's file bytes are freed before the corpus is parsed
     params, _ = _load_gate(args)
-    examples = _require_corpus(cfg)
-    ex = _find_example(examples, args.id)
-    backends, agent = backends_from_corpus(cfg, examples)
+    ex = _require_example(cfg, args.id)
+    backends, agent = backends_from_corpus(cfg, [ex])
     record = engine.infer(
         ex, params, backends, agent, cfg.cost_vector(), cfg.engine_config(),
         mode=engine.MODE_NON_ADAPTIVE if args.non_adaptive else engine.MODE_ADAPTIVE,
@@ -247,6 +255,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_lambda(args: argparse.Namespace) -> int:
+    from . import analysis
+
     cfg = _resolve_config(args)
     run_dir = Path(cfg.run_dir)
     _write_snapshot(cfg, run_dir)
@@ -264,6 +274,8 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analysis
+
     cfg = _resolve_config(args)
     run_dir = Path(cfg.run_dir)
     _write_snapshot(cfg, run_dir)

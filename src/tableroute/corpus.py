@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,6 +145,53 @@ def _example_from_json(rec: dict) -> RoutingExample:
     )
 
 
+def _parse_record(
+    corpus_path: Path, line_no: int, line: bytes, example_id: str | None = None
+) -> RoutingExample | None:
+    """The example on one line; with `example_id`, None unless the record has that id.
+
+    A record that is not UTF-8 JSON, lacks a field or holds a field of the
+    wrong type raises IngestError naming the file and line.
+    """
+    try:
+        rec = json.loads(line.decode("utf-8"))
+        if not isinstance(rec, dict):
+            raise TypeError("record is not a JSON object")
+        if example_id is not None and rec.get("id") != example_id:
+            return None
+        return _example_from_json(rec)
+    except (KeyError, TypeError, ValueError) as e:
+        raise IngestError(f"{corpus_path}:{line_no}: bad record ({e})") from e
+
+
+def _record_lines(corpus_path: Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, stripped line) of each non-empty line of the records file.
+
+    Lines stay bytes: `_parse_record` decodes the ones it parses.
+    """
+    if not corpus_path.exists():
+        raise IngestError(f"no corpus file at {corpus_path}")
+    with open(corpus_path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
+def _sidecar(directory: Path, n_records: int) -> Path:
+    """The sidecar path, after checking that it holds exactly one row per record."""
+    sidecar_path = directory / SIDECAR_FILE
+    if not sidecar_path.exists():
+        raise IngestError(f"missing embedding sidecar {sidecar_path}")
+    size = sidecar_path.stat().st_size
+    if size != n_records * _ROW_BYTES:
+        raise IngestError(
+            f"embedding sidecar {sidecar_path} has {size} bytes, expected "
+            f"{n_records * _ROW_BYTES} for {n_records} records"
+        )
+    return sidecar_path
+
+
 def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
     """Write the embedding sidecar and the records to temp files, then rename
     both into place, sidecar first.
@@ -185,33 +232,44 @@ def load_corpus(directory: str | Path) -> list[RoutingExample]:
     """
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
-    if not corpus_path.exists():
-        raise IngestError(f"no corpus file at {corpus_path}")
-    examples = []
-    with open(corpus_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                examples.append(_example_from_json(json.loads(line)))
-            except (KeyError, ValueError) as e:
-                raise IngestError(f"{corpus_path}:{line_no}: bad record ({e})") from e
-
-    sidecar_path = directory / SIDECAR_FILE
-    if not sidecar_path.exists():
-        raise IngestError(f"missing embedding sidecar {sidecar_path}")
-    size = sidecar_path.stat().st_size
-    if size != len(examples) * _ROW_BYTES:
-        raise IngestError(
-            f"embedding sidecar {sidecar_path} has {size} bytes, expected "
-            f"{len(examples) * _ROW_BYTES} for {len(examples)} records"
-        )
+    examples = [_parse_record(corpus_path, *where) for where in _record_lines(corpus_path)]
+    sidecar_path = _sidecar(directory, len(examples))
     if examples:
         matrix = np.memmap(sidecar_path, dtype="<f4", mode="r", shape=(len(examples), INPUT_DIM))
         for ex, row in zip(examples, np.asarray(matrix)):
             ex.embedding = row
     return examples
+
+
+def load_example(directory: str | Path, example_id: str) -> RoutingExample | None:
+    """The one example with id `example_id`, or None if no record has it.
+
+    Only lines that contain the id as a JSON string are parsed, and only the
+    record whose parsed id equals it is built; its `embedding` maps just its
+    own row of the sidecar, read-only. Every non-empty line is still counted,
+    so the sidecar must hold exactly one row per record, as for `load_corpus`.
+    The first record with the id wins.
+    """
+    directory = Path(directory)
+    corpus_path = directory / CORPUS_FILE
+    needles = {json.dumps(example_id).encode(),
+               json.dumps(example_id, ensure_ascii=False).encode("utf-8")}
+    found: tuple[int, RoutingExample] | None = None
+    n_records = 0
+    for line_no, line in _record_lines(corpus_path):
+        if found is None and any(needle in line for needle in needles):
+            ex = _parse_record(corpus_path, line_no, line, example_id)
+            if ex is not None:
+                found = (n_records, ex)
+        n_records += 1
+    sidecar_path = _sidecar(directory, n_records)
+    if found is None:
+        return None
+    row, ex = found
+    ex.embedding = np.asarray(np.memmap(
+        sidecar_path, dtype="<f4", mode="r", offset=row * _ROW_BYTES, shape=(INPUT_DIM,)
+    ))
+    return ex
 
 
 def split_by_dataset(examples: Iterable[RoutingExample]) -> dict[str, list[RoutingExample]]:

@@ -19,6 +19,8 @@ promotion.
 """
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -352,23 +354,48 @@ class _Cursor:
         return struct.unpack("<I", self.take(4))[0]
 
 
+_CRC_CHUNK = 1 << 22  # bytes; a multiple of every page size
+
+
+def _crc32_releasing(mapped: mmap.mmap, start: int, end: int) -> int:
+    """CRC32 of `mapped[start:end]`, read one chunk at a time.
+
+    Each chunk's pages are dropped from this process once read (they stay in
+    the page cache and fault back in when used), so checking a file holds at
+    most one chunk of it resident, not the whole file.
+    """
+    view = memoryview(mapped)
+    crc = 0
+    for pos in range(0, end, _CRC_CHUNK):
+        crc = zlib.crc32(view[max(pos, start):min(pos + _CRC_CHUNK, end)], crc)
+        mapped.madvise(mmap.MADV_DONTNEED, pos, min(_CRC_CHUNK, len(mapped) - pos))
+    return crc
+
+
 def load_checkpoint(
     path: str | Path,
     expected_dims: tuple[int, int, int] | None = CANONICAL_DIMS,
 ) -> tuple[GateParameters, OptimizerState | None, dict[str, str]]:
     """Load a checkpoint; verifies integrity first, then dimension compatibility.
 
-    Pass `expected_dims=None` to accept any recorded dimensions. Parameters
-    are copied out of the file bytes; the optimizer moments are read-only
-    views of them, so commands that only route never copy the moments, and
-    `adamw_step` refuses to update them in place.
+    Pass `expected_dims=None` to accept any recorded dimensions. The file is
+    memory-mapped read-only, so no copy of it is made. Parameters are copied
+    out of the mapping; the optimizer moments are read-only views of it, so
+    commands that only route never copy the moments, and `adamw_step`
+    refuses to update them in place. Checkpoints are only ever replaced by
+    rename, never rewritten in place, so the mapping keeps the file that was
+    opened.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_CKPT_MAGIC) + 4 or raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+    with open(path, "rb") as fh:
+        # mmap rejects an empty file; a file this short is no checkpoint anyway
+        if os.fstat(fh.fileno()).st_size < len(_CKPT_MAGIC) + 4:
+            raise CheckpointIntegrityError(f"not a gate checkpoint: {path}")
+        raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise CheckpointIntegrityError(f"not a gate checkpoint: {path}")
-    body, crc_stored = memoryview(raw)[len(_CKPT_MAGIC):-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(body) != crc_stored:
+    if _crc32_releasing(raw, len(_CKPT_MAGIC), len(raw) - 4) != struct.unpack("<I", raw[-4:])[0]:
         raise CheckpointIntegrityError(f"checksum mismatch in {path}")
+    body = memoryview(raw)[len(_CKPT_MAGIC):-4]
 
     cur = _Cursor(body)
     version, d_in, d_h, d_out, flags = struct.unpack("<5I", cur.take(20))

@@ -2,6 +2,7 @@
 per-path correctness scores, and write the corpus directory."""
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +30,28 @@ class IngestResult:
     def skip_rate(self) -> float:
         total = len(self.examples) + len(self.skipped)
         return len(self.skipped) / total if total else 0.0
+
+
+def read_raw_records(path: Path) -> list[dict]:
+    """The records of a raw JSONL file, one JSON object per non-empty line.
+
+    A line that is not a UTF-8 JSON object raises IngestError naming the file
+    and line: one unreadable line fails the whole file, unlike a record with
+    a missing field, which `ingest` skips.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as e:  # UnicodeDecodeError is a ValueError too
+                raise IngestError(f"{path}:{line_no}: not valid JSON ({e})") from e
+            if not isinstance(rec, dict):
+                raise IngestError(f"{path}:{line_no}: record is not a JSON object")
+            records.append(rec)
+    return records
 
 
 def _validate_raw(raw: Mapping) -> str | None:

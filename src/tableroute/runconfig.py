@@ -18,7 +18,6 @@ from .experts import (
 )
 from .fusion import ScriptedAgent
 from .paths import PathCostVector, TRAINING_DATASETS
-from .synthetic import biased_embedders
 from .trainer import TrainConfig
 
 _DEFAULTS: dict[str, Any] = {
@@ -233,6 +232,8 @@ def build_backends(
             text_generator=RemoteGenerationBackend(client, "text"),
             image_generator=RemoteGenerationBackend(client, "image"),
         )
+
+    from .synthetic import biased_embedders
 
     seed = int(b["embedding_seed"])
     tags = tuple(tags) if tags is not None else TRAINING_DATASETS

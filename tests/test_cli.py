@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tableroute
 from tableroute.cli import main
 from tableroute.errors import ConfigError
+from tableroute.gate import init_gate, save_checkpoint
 from tableroute.runconfig import load_runconfig
 
 
@@ -92,6 +98,22 @@ class TestExitCodes:
         code = run("ingest", "--raw", raw, "--out", workdir / "corpus")
         assert code == 1
         assert "skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_line", [b'{"id": "syn-x", "dataset": ', b"[1, 2]",
+                                          b'{"id": "syn-\xff"}'],
+                             ids=["cut-json", "not-an-object", "not-utf8"])
+    def test_ingest_bad_raw_line_exits_1(self, workdir, capsys, bad_line):
+        raw = workdir / "raw.jsonl"
+        assert run("make-synthetic", "--out", raw, "--n", 4) == 0
+        lines = raw.read_bytes().splitlines()
+        lines.insert(2, bad_line)
+        raw.write_bytes(b"\n".join(lines) + b"\n")
+        code = run("ingest", "--raw", raw, "--out", workdir / "corpus")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IngestError: ")
+        assert f"{raw}:3:" in err
+        assert not (workdir / "corpus").exists()
 
 
 class TestPipeline:
@@ -226,3 +248,43 @@ class TestEvaluateBytesPin:
                        "--id", "syn-000000", "--seed", 7) == 0
             digests[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digests == PINNED_EVALUATE_SHA256
+
+
+# Runs one CLI command in a fresh interpreter, then prints the tableroute modules it loaded.
+_MODULES_AFTER = """
+import json, sys
+from tableroute import cli
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("tableroute"))))
+"""
+
+
+class TestCommandImports:
+    """`route` and `infer` import only the modules they call."""
+
+    @pytest.fixture()
+    def tiny(self, workdir):
+        corpus = make_corpus(workdir, n=8)
+        save_checkpoint(workdir / "gate.ckpt", init_gate(seed=0))
+        return corpus, workdir / "gate.ckpt"
+
+    def modules_after(self, *argv):
+        env = {k: v for k, v in os.environ.items() if k != "TABLEROUTE_CONFIG"}
+        env["PYTHONPATH"] = str(Path(tableroute.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *map(str, argv)],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        return set(json.loads(out.splitlines()[-1]))
+
+    def test_route(self, tiny):
+        corpus, ckpt = tiny
+        loaded = self.modules_after("route", "--corpus", corpus, "--checkpoint", ckpt,
+                                    "--id", "syn-000003")
+        assert "tableroute.gate" in loaded
+        assert not loaded & {"tableroute.analysis", "tableroute.ingest", "tableroute.synthetic"}
+
+    def test_infer(self, tiny):
+        corpus, ckpt = tiny
+        loaded = self.modules_after("infer", "--corpus", corpus, "--checkpoint", ckpt,
+                                    "--id", "syn-000003")
+        assert "tableroute.engine" in loaded
+        assert not loaded & {"tableroute.analysis", "tableroute.ingest"}

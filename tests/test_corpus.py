@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tableroute import cli as cli_module
 from tableroute import corpus as corpus_module
+from tableroute import runconfig
 from tableroute.cli import main as cli_main
 from tableroute.corpus import (
     RoutingExample,
     Table,
     load_corpus,
+    load_example,
     split_by_dataset,
     stratified_split,
     write_corpus,
@@ -24,9 +27,15 @@ from tableroute.experts import (
     SimulatedGenerationBackend,
 )
 from tableroute.fusion import ScriptedAgent
-from tableroute.gate import init_gate
+from tableroute.gate import init_gate, save_checkpoint
 from tableroute.ingest import ingest
-from tableroute.paths import DEFAULT_PATH_COSTS, EMBED_DIMS, INPUT_DIM, MODALITIES
+from tableroute.paths import (
+    DEFAULT_PATH_COSTS,
+    EMBED_DIMS,
+    INPUT_DIM,
+    KNOWN_DATASETS,
+    MODALITIES,
+)
 from tableroute.synthetic import (
     SeparableCorpusConfig,
     TAG_PROFILES,
@@ -361,3 +370,184 @@ class TestFormatPin:
         assert sorted(p.name for p in pinned_corpus.iterdir()) == sorted(PINNED_CORPUS_SHA256)
         for name, digest in PINNED_CORPUS_SHA256.items():
             assert _sha256(pinned_corpus / name) == digest, name
+
+
+def _without_embedding(ex):
+    return dataclasses.replace(ex, embedding=None)
+
+
+def _edit_line(directory, line_no, edit):
+    """Rewrite one line of `directory`'s corpus.jsonl: `edit(record dict)` or a raw string."""
+    path = directory / "corpus.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    old = lines[line_no - 1]
+    if callable(edit):
+        rec = json.loads(old)
+        edit(rec)
+        lines[line_no - 1] = json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+    else:
+        lines[line_no - 1] = edit
+    path.write_text("".join(lines), encoding="utf-8")
+    return json.loads(old)["id"]
+
+
+# Field values of the wrong type, each on an otherwise valid record.
+BAD_FIELDS = [
+    pytest.param(lambda rec: rec.update(table=None), id="table-null"),
+    pytest.param(lambda rec: rec.update(table={"columns": 3, "rows": []}), id="columns-int"),
+    pytest.param(lambda rec: rec["table"].update(rows=[5]), id="row-int"),
+    pytest.param(lambda rec: rec.update(path_scores=7), id="scores-int"),
+    pytest.param(lambda rec: rec.update(expert_outputs={"text": None}), id="output-null"),
+    pytest.param(lambda rec: rec.update(dataset="nope"), id="unknown-tag"),
+    pytest.param(lambda rec: rec.pop("question"), id="missing-field"),
+]
+
+
+class TestBadRecords:
+    @pytest.mark.parametrize("edit", BAD_FIELDS)
+    def test_load_corpus_names_the_line(self, pinned_corpus, tmp_path, edit):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        _edit_line(tmp_path / "c", 4, edit)
+        with pytest.raises(IngestError, match=r"corpus\.jsonl:4: bad record"):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("edit", BAD_FIELDS)
+    def test_load_example_names_the_line(self, pinned_corpus, tmp_path, edit):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        example_id = _edit_line(tmp_path / "c", 4, edit)
+        with pytest.raises(IngestError, match=r"corpus\.jsonl:4: bad record"):
+            load_example(tmp_path / "c", example_id)
+
+    def test_record_not_an_object(self, pinned_corpus, tmp_path):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        _edit_line(tmp_path / "c", 4, "[1, 2]\n")
+        with pytest.raises(IngestError, match=r"corpus\.jsonl:4: bad record"):
+            load_corpus(tmp_path / "c")
+
+    def test_invalid_utf8_in_the_matching_line(self, pinned_corpus, tmp_path):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        path = tmp_path / "c" / "corpus.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        example_id = json.loads(lines[3])["id"]
+        lines[3] = lines[3].replace(b'"question": "', b'"question": "\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        for load in (load_corpus, lambda d: load_example(d, example_id)):
+            with pytest.raises(IngestError, match=r"corpus\.jsonl:4: bad record"):
+                load(tmp_path / "c")
+
+    def test_cut_json_line_holding_the_id(self, pinned_corpus, tmp_path):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        line = (tmp_path / "c" / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[3]
+        example_id = json.loads(line)["id"]
+        cut = line.index(json.dumps(example_id)) + len(json.dumps(example_id))
+        _edit_line(tmp_path / "c", 4, line[:cut] + "\n")
+        with pytest.raises(IngestError, match=r"corpus\.jsonl:4: bad record"):
+            load_example(tmp_path / "c", example_id)
+
+    def test_profile_cost_exits_1_naming_the_line(self, pinned_corpus, tmp_path, capsys):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        _edit_line(tmp_path / "c", 4, lambda rec: rec.update(table=None))
+        code = cli_main(["profile-cost", "--corpus", str(tmp_path / "c"),
+                         "--run-dir", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IngestError: ")
+        assert "corpus.jsonl:4: bad record" in err
+
+
+class TestLoadExample:
+    def test_every_id_equals_load_corpus(self, pinned_corpus):
+        full = load_corpus(pinned_corpus)
+        assert len(full) == 42
+        for ref in full:
+            ex = load_example(pinned_corpus, ref.id)
+            assert _without_embedding(ex) == _without_embedding(ref)
+            assert ex.embedding.dtype == ref.embedding.dtype
+            assert ex.embedding.shape == (INPUT_DIM,)
+            assert ex.embedding.tobytes() == ref.embedding.tobytes()
+            assert not ex.embedding.flags.writeable
+
+    def test_unknown_id_is_none(self, pinned_corpus):
+        assert load_example(pinned_corpus, "syn-00000") is None
+        assert load_example(pinned_corpus, "") is None
+        assert load_example(pinned_corpus, "wtq") is None
+
+    def test_id_that_prefixes_another_id(self, tmp_path):
+        base, _ = make_separable_corpus(SeparableCorpusConfig(n_train=3, n_val=0, seed=2))
+        decoy_table = Table(columns=("ref",), rows=(("x-1",), ("x-10",)))
+        examples = [
+            dataclasses.replace(base[0], id="a-decoy", table=decoy_table,
+                                question='Which of "x-1" and "x-10" comes first?'),
+            dataclasses.replace(base[1], id="x-1"),
+            dataclasses.replace(base[2], id="x-10"),
+        ]
+        write_corpus(tmp_path, examples)
+        full = {ex.id: ex for ex in load_corpus(tmp_path)}
+        for example_id in ("x-1", "x-10", "a-decoy"):
+            ex = load_example(tmp_path, example_id)
+            assert ex.id == example_id
+            assert ex.question == full[example_id].question
+            assert ex.embedding.tobytes() == full[example_id].embedding.tobytes()
+        assert load_example(tmp_path, "x-") is None
+
+    def test_blank_lines_keep_the_row_index(self, pinned_corpus, tmp_path):
+        spaced = tmp_path / "spaced"
+        shutil.copytree(pinned_corpus, spaced)
+        lines = (spaced / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        padded = ["\n"] + [line + ("\n" if i % 3 == 0 else "  \n" if i % 3 == 1 else "")
+                          for i, line in enumerate(lines)] + ["\n"]
+        (spaced / "corpus.jsonl").write_text("".join(padded), encoding="utf-8")
+        for ref in load_corpus(pinned_corpus):
+            ex = load_example(spaced, ref.id)
+            assert _without_embedding(ex) == _without_embedding(ref)
+            assert ex.embedding.tobytes() == ref.embedding.tobytes()
+
+    def test_sidecar_size_mismatch(self, pinned_corpus, tmp_path):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        sidecar = tmp_path / "c" / "embeddings.bin"
+        blob = sidecar.read_bytes()
+        first_id = load_corpus(pinned_corpus)[0].id
+        for damaged in (blob[:-4], blob + b"\0" * 4, blob[:-INPUT_DIM * 4]):
+            sidecar.write_bytes(damaged)
+            for example_id in (first_id, "not-an-id"):
+                with pytest.raises(IngestError, match="embeddings.bin"):
+                    load_example(tmp_path / "c", example_id)
+
+    def test_missing_files(self, pinned_corpus, tmp_path):
+        with pytest.raises(IngestError, match="no corpus file"):
+            load_example(tmp_path, "syn-000000")
+        shutil.copy(pinned_corpus / "corpus.jsonl", tmp_path / "corpus.jsonl")
+        with pytest.raises(IngestError, match="missing embedding sidecar"):
+            load_example(tmp_path, "syn-000000")
+
+    @pytest.mark.parametrize("command", ["route", "infer"])
+    def test_cli_unknown_id_exits_2(self, pinned_corpus, tmp_path, capsys, command):
+        ckpt = tmp_path / "gate.ckpt"
+        save_checkpoint(ckpt, init_gate(seed=3))
+        code = cli_main([command, "--corpus", str(pinned_corpus), "--checkpoint", str(ckpt),
+                         "--id", "syn-00000"])
+        assert code == 2
+        assert "example id 'syn-00000' not in corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--non-adaptive"]], ids=["adaptive", "non-adaptive"])
+    def test_infer_stdout_equals_full_corpus_backends(self, pinned_corpus, tmp_path, capsys,
+                                                      monkeypatch, mode):
+        ckpt = tmp_path / "gate.ckpt"
+        save_checkpoint(ckpt, init_gate(seed=3))
+        full = load_corpus(pinned_corpus)
+        ids = [sorted(e.id for e in full if e.dataset == tag)[0] for tag in KNOWN_DATASETS]
+        assert len(ids) == 7
+
+        def infer_stdout():
+            outs = []
+            for example_id in ids:
+                capsys.readouterr()
+                assert cli_main(["infer", "--corpus", str(pinned_corpus), "--checkpoint",
+                                 str(ckpt), "--id", example_id, "--seed", "7", *mode]) == 0
+                outs.append(capsys.readouterr().out)
+            return outs
+
+        single = infer_stdout()
+        monkeypatch.setattr(cli_module, "backends_from_corpus",
+                            lambda cfg, _examples: runconfig.backends_from_corpus(cfg, full))
+        assert infer_stdout() == single

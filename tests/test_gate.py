@@ -353,3 +353,61 @@ class TestCheckpoint:
 
     def test_canonical_dims_constant(self):
         assert CANONICAL_DIMS == (10112, 256, 3)
+
+
+def small_checkpoint(path, seed=0, second_moment=0.25):
+    """A checkpoint with moments for a 16-16-3 gate; returns the parameter count."""
+    params = init_gate(seed=seed, input_dim=16, hidden_dim=16)
+    opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
+    opt.first_moment[:] = np.arange(params.param_count)
+    opt.second_moment[:] = second_moment
+    save_checkpoint(path, params, opt, {"note": "mapped"})
+    return params.param_count
+
+
+class TestCheckpointMapping:
+    """`load_checkpoint` maps the file read-only and runs the CRC over the mapping."""
+
+    @pytest.mark.parametrize("blob", [b"", b"TRG"], ids=["empty", "3-bytes"])
+    def test_short_file_is_integrity_error(self, tmp_path, blob):
+        path = tmp_path / "gate.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointIntegrityError, match="not a gate checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["first-m", "mid-m", "mid-v", "last-v"])
+    def test_flip_in_moments_is_integrity_error(self, tmp_path, where):
+        path = tmp_path / "gate.ckpt"
+        n = small_checkpoint(path)
+        blob = bytearray(path.read_bytes())
+        # the body ends: m (8n bytes), v (8n), u64 step, 4 doubles; then the u32 CRC
+        m_start = len(blob) - 4 - 40 - 16 * n
+        offset = {"first-m": m_start, "mid-m": m_start + 4 * n,
+                  "mid-v": m_start + 12 * n, "last-v": m_start + 16 * n - 1}[where]
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointIntegrityError, match="checksum"):
+            load_checkpoint(path, expected_dims=None)
+
+    @pytest.mark.parametrize("offset", [8, (1 << 22) - 1, 1 << 22, -5])
+    def test_flip_across_crc_chunks_is_integrity_error(self, tmp_path, offset):
+        path = tmp_path / "gate.ckpt"
+        save_checkpoint(path, init_gate(seed=0, input_dim=INPUT_DIM, hidden_dim=128))
+        blob = bytearray(path.read_bytes())
+        assert len(blob) > 1 << 22  # the CRC reads it in 4 MiB chunks
+        load_checkpoint(path, expected_dims=None)
+        blob[offset] ^= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointIntegrityError, match="checksum"):
+            load_checkpoint(path, expected_dims=None)
+
+    def test_moments_keep_the_replaced_file(self, tmp_path):
+        path = tmp_path / "gate.ckpt"
+        n = small_checkpoint(path, seed=0, second_moment=0.25)
+        _, opt, _ = load_checkpoint(path, expected_dims=None)
+        small_checkpoint(path, seed=1, second_moment=0.75)
+        assert not opt.first_moment.flags.writeable
+        np.testing.assert_array_equal(opt.first_moment, np.arange(n))
+        assert (opt.second_moment == 0.25).all()
+        _, fresh, _ = load_checkpoint(path, expected_dims=None)
+        assert (fresh.second_moment == 0.75).all()
