@@ -250,6 +250,19 @@ class TestEvaluateBytesPin:
         assert digests == PINNED_EVALUATE_SHA256
 
 
+# sha256 of the `config.snapshot.json` that `train --corpus corpus --run-dir run
+# --seed 7` writes with no config file: it pins every default of the run config.
+PINNED_DEFAULT_SNAPSHOT_SHA256 = "5b672b9b5325931455a9bdeca892cdc47d70c7fe4b7e552da4e2302a8a365ab9"
+
+
+class TestDefaultSnapshotPin:
+    def test_default_snapshot_pinned(self, workdir):
+        make_corpus(workdir, n=40)
+        assert run("train", "--corpus", "corpus", "--run-dir", "run", "--seed", 7) == 0
+        snapshot = (workdir / "run" / "config.snapshot.json").read_bytes()
+        assert hashlib.sha256(snapshot).hexdigest() == PINNED_DEFAULT_SNAPSHOT_SHA256
+
+
 # Runs one CLI command in a fresh interpreter, then prints the tableroute modules it loaded.
 _MODULES_AFTER = """
 import json, sys
