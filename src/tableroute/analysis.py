@@ -44,15 +44,6 @@ class CasePartition:
     both_wrong_rescued: float
     both_wrong_unsolved: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.both_correct,
-            self.only_text,
-            self.only_image,
-            self.both_wrong_rescued,
-            self.both_wrong_unsolved,
-        )
-
 
 def case_partition(records: Sequence[OutcomeRecord]) -> CasePartition:
     """Partition instances by which path(s) produced a correct answer."""

@@ -19,9 +19,9 @@ from pathlib import Path
 
 from . import engine
 from .corpus import load_corpus, load_example, split_by_dataset, stratified_split
-from .errors import ConfigError, TableRouteError, UndefinedRateError
+from .errors import ConfigError, IngestError, TableRouteError, UndefinedRateError
 from .gate import compute_params, load_checkpoint, save_checkpoint
-from .paths import KNOWN_DATASETS, TRAINING_DATASETS
+from .paths import KNOWN_DATASETS, N_PATHS, TRAINING_DATASETS
 from .runconfig import (
     RunConfig,
     backends_from_corpus,
@@ -117,9 +117,18 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise ConfigError(f"raw corpus not found: {raw_path}")
     raws = read_raw_records(raw_path)
 
-    labels_text = {str(r.get("id")): int(r.get("path_labels", [0, 0, 0])[0]) for r in raws}
-    labels_image = {str(r.get("id")): int(r.get("path_labels", [0, 0, 0])[1]) for r in raws}
-    labels_fusion = {str(r.get("id")): int(r.get("path_labels", [0, 0, 0])[2]) for r in raws}
+    labels_text, labels_image, labels_fusion = labels = ({}, {}, {})
+    for r in raws:
+        rid, row = str(r.get("id")), r.get("path_labels", [0, 0, 0])
+        try:
+            if len(row) != N_PATHS:
+                raise ValueError
+            for per_path, value in zip(labels, row):
+                per_path[rid] = int(value)
+        except (TypeError, ValueError):
+            raise IngestError(
+                f"record {rid}: path_labels must be {N_PATHS} integers, got {row!r}"
+            ) from None
     tags = sorted({str(r.get("dataset")) for r in raws if r.get("dataset")})
     backends = build_backends(cfg, labels_text, labels_image, tags=tags)
     agent = build_agent(cfg, labels_fusion)

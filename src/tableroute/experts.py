@@ -56,25 +56,6 @@ class ExpertOutput:
             raise InvalidArgumentError(f"output_tokens must be >= 0, got {self.output_tokens}")
 
 
-@dataclass(frozen=True)
-class BackendDescriptor:
-    kind: str  # "simulated" | "remote"
-    modality: str  # "question" | "text" | "vision"
-    embedding_dim: int
-    endpoint: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("simulated", "remote"):
-            raise InvalidArgumentError(f"unknown backend kind {self.kind!r}")
-        expected = EMBED_DIMS.get(self.modality)
-        if expected is None:
-            raise InvalidArgumentError(f"unknown modality {self.modality!r}")
-        if self.embedding_dim != expected:
-            raise InvalidArgumentError(
-                f"{self.modality} backend must be {expected}-dim, got {self.embedding_dim}"
-            )
-
-
 def stable_digest64(*parts: str | bytes | int) -> int:
     """Stable 64-bit digest of a heterogeneous key. Pure integer path."""
     h = hashlib.blake2b(digest_size=8)

@@ -86,18 +86,6 @@ class GateGradients:
 
 
 @dataclass
-class ForwardCache:
-    """Everything backward needs from one forward call."""
-
-    x: np.ndarray            # [input] float64
-    pre_activation: np.ndarray  # [hidden] pre-ReLU
-    dropped: np.ndarray      # [hidden] post-ReLU, post-dropout-scale
-    mask_scale: np.ndarray   # [hidden] 0 or 1/keep in train mode, ones in eval
-    mode: str
-    input_crc: int
-
-
-@dataclass
 class BatchCache:
     X: np.ndarray
     pre: np.ndarray
@@ -218,39 +206,17 @@ def backward_batch(params: GateParameters, cache: BatchCache, dZ: np.ndarray) ->
     return GateGradients(dW1, db1, dW2, db2)
 
 
+# Kept only for perfbench/tracer.py, which hooks `gate.forward` by name.
 def forward(
     params: GateParameters,
     x: np.ndarray,
     mode: str = "eval",
     rng_seed: int = 0,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Single-instance forward. Eval mode ignores `rng_seed` entirely."""
-    x = np.asarray(x, dtype=np.float64).ravel()
+) -> tuple[np.ndarray, BatchCache]:
+    """One row through `forward_batch`: (logits [out], its B=1 cache)."""
     seeds = [rng_seed] if mode == "train" else None
-    Z, bc = forward_batch(params, x[None, :], mode=mode, rng_seeds=seeds)
-    cache = ForwardCache(
-        x=bc.X[0],
-        pre_activation=bc.pre[0],
-        dropped=bc.dropped[0],
-        mask_scale=bc.mask_scale[0],
-        mode=mode,
-        input_crc=zlib.crc32(bc.X[0].tobytes()),
-    )
+    Z, cache = forward_batch(params, np.ravel(x)[None, :], mode=mode, rng_seeds=seeds)
     return Z[0], cache
-
-
-def backward(params: GateParameters, cache: ForwardCache, dL_dz: np.ndarray) -> GateGradients:
-    """Analytic parameter gradients chain-ruled with dL_dz for one instance."""
-    if zlib.crc32(cache.x.tobytes()) != cache.input_crc:
-        raise InvalidArgumentError("backward: cache input was mutated since forward")
-    bc = BatchCache(
-        X=cache.x[None, :],
-        pre=cache.pre_activation[None, :],
-        dropped=cache.dropped[None, :],
-        mask_scale=cache.mask_scale[None, :],
-        mode=cache.mode,
-    )
-    return backward_batch(params, bc, np.asarray(dL_dz, dtype=np.float64)[None, :])
 
 
 def pack_parameters(params: GateParameters) -> np.ndarray:
@@ -277,6 +243,7 @@ def unpack_parameters(flat: np.ndarray, dims: tuple[int, int, int]) -> GateParam
     return GateParameters(*out)
 
 
+# The tests' flat reference for gradients; perfbench/tracer.py hooks it by name.
 def pack_gradients(grads: GateGradients) -> np.ndarray:
     return np.concatenate([
         grads.dW1.ravel(), grads.db1.ravel(), grads.dW2.ravel(), grads.db2.ravel(),

@@ -1,4 +1,4 @@
-"""Math kernel for the gate: softmax, KL divergence, optimizer, LR schedule.
+"""Math kernel for the gate: softmax, optimizer, LR schedule.
 
 All functions compute in float64. Two of them mutate their arguments:
 `adamw_step` updates `params` and the moment buffers of the state it is
@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-# Floor on predicted probabilities inside the KL; keeps the log finite when
-# the gate saturates to a near-one-hot distribution.
+# Floor on predicted probabilities inside the training loss's KL; keeps the
+# log finite when the gate saturates to a near-one-hot distribution.
 KL_FLOOR = 1e-12
 
 ADAM_BETA1 = 0.9
@@ -39,24 +39,6 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     scaled = scaled - scaled.max(axis=-1, keepdims=True)
     e = np.exp(scaled)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def kl_div(target, predicted) -> float:
-    """KL(target || predicted) with the 0*log(0) = 0 convention.
-
-    Predicted entries are floored at KL_FLOOR before the log. Result is
-    clamped at 0 to absorb float round-off on near-identical inputs.
-    """
-    t = np.asarray(target, dtype=np.float64)
-    p = np.asarray(predicted, dtype=np.float64)
-    if np.isnan(t).any() or np.isnan(p).any():
-        raise InvalidArgumentError("kl_div: NaN input")
-    if t.shape != p.shape:
-        raise InvalidArgumentError(f"kl_div: shape mismatch {t.shape} vs {p.shape}")
-    p = np.maximum(p, KL_FLOOR)
-    mask = t > 0
-    val = float(np.sum(t[mask] * np.log(t[mask] / p[mask])))
-    return max(val, 0.0)
 
 
 @dataclass

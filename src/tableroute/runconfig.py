@@ -4,7 +4,7 @@ input paths must exist at load time."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -17,27 +17,27 @@ from .experts import (
     TokensModel,
 )
 from .fusion import ScriptedAgent
-from .paths import PathCostVector, TRAINING_DATASETS
+from .paths import DEFAULT_PATH_COSTS, PathCostVector, TRAINING_DATASETS
 from .trainer import TrainConfig
+
+
+def _field_defaults(cls, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
+    """The dataclass's field defaults by name, except the `exclude`d fields."""
+    return {f.name: f.default for f in fields(cls) if f.name not in exclude}
+
+
+# The train and engine keys that map one to one onto dataclass fields. The
+# train `seed` is the top-level one; the engine takes `gate_temperature` from
+# the train section.
+_TRAIN_DEFAULTS = _field_defaults(TrainConfig, ("seed",))
+_ENGINE_DEFAULTS = _field_defaults(EngineConfig, ("gate_temperature",))
 
 _DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "corpus_dir": None,
     "run_dir": "runs/latest",
-    "train": {
-        "lr_max": 1e-4,
-        "batch_size": 8,
-        "grad_accum_steps": 4,
-        "weight_decay": 0.01,
-        "clip_norm": 1.0,
-        "target_temperature": 0.3,
-        "gate_temperature": 1.0,
-        "resource_weight": 0.15,
-        "warmup_ratio": 0.05,
-        "epochs": 1,
-        "val_fraction": 0.15,
-    },
-    "cost_vector": [0.73, 0.81, 0.96],
+    "train": {**_TRAIN_DEFAULTS, "val_fraction": 0.15},
+    "cost_vector": list(DEFAULT_PATH_COSTS.costs),
     "backends": {
         "kind": "simulated",
         "embedding_seed": 0,
@@ -63,12 +63,8 @@ _DEFAULTS: dict[str, Any] = {
         "max_retries": 2,
         "backoff_s": 0.5,
     },
-    "engine": {
-        "gate_latency_s": 0.001,
-        "fusion_api_overhead_s": 0.3,
-        "timing": "configured",
-    },
-    "bench": {"n_per_dataset": 50, "seeds": [0, 1, 2]},
+    "engine": _ENGINE_DEFAULTS,
+    "bench": _field_defaults(BenchConfig),
     "profile": {"samples_per_dataset": 10, "warmup_runs": 5, "timed_runs": 10},
     "ingest": {"skip_threshold": 0.2},
     "sweep": {"resource_weights": [0.0, 0.05, 0.1, 0.15, 1.0]},
@@ -110,19 +106,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         t = self.data["train"]
-        return TrainConfig(
-            lr_max=t["lr_max"],
-            batch_size=t["batch_size"],
-            grad_accum_steps=t["grad_accum_steps"],
-            weight_decay=t["weight_decay"],
-            clip_norm=t["clip_norm"],
-            target_temperature=t["target_temperature"],
-            gate_temperature=t["gate_temperature"],
-            resource_weight=t["resource_weight"],
-            warmup_ratio=t["warmup_ratio"],
-            epochs=t["epochs"],
-            seed=self.seed,
-        )
+        return TrainConfig(**{k: t[k] for k in _TRAIN_DEFAULTS}, seed=self.seed)
 
     def cost_vector(self) -> PathCostVector:
         return PathCostVector(tuple(float(c) for c in self.data["cost_vector"]))
@@ -130,9 +114,7 @@ class RunConfig:
     def engine_config(self) -> EngineConfig:
         e = self.data["engine"]
         return EngineConfig(
-            gate_latency_s=e["gate_latency_s"],
-            fusion_api_overhead_s=e["fusion_api_overhead_s"],
-            timing=e["timing"],
+            **{k: e[k] for k in _ENGINE_DEFAULTS},
             gate_temperature=self.data["train"]["gate_temperature"],
         )
 

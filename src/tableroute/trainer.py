@@ -73,18 +73,16 @@ def build_target(path_scores, temperature: float) -> np.ndarray:
     return softmax(np.asarray(path_scores, dtype=np.float64), temperature)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    task: float
-    resource: float
-    grad_z: np.ndarray
-
-
-def _loss_batch(
+def loss_batch(
     Z: np.ndarray, S: np.ndarray, cost: np.ndarray, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized loss over a batch. Returns (total, task, resource, dZ)."""
+    """Loss over a batch of logits Z [B, 3] and path scores S [B, 3].
+
+    Returns per-row (total, task, resource) and dZ, the gradient of each
+    row's total w.r.t. its logits. The task term is KL(target || predicted)
+    with 0 * log(0) = 0, predicted entries floored at KL_FLOOR, and round-off
+    clamped at 0.
+    """
     tau, tau_g, lam = cfg.target_temperature, cfg.gate_temperature, cfg.resource_weight
     T = softmax(S, tau)
     P = softmax(Z, tau_g)
@@ -95,18 +93,6 @@ def _loss_batch(
     total = task + lam * resource
     dZ = (P - T) / tau_g + lam * P * (cost[None, :] - resource[:, None]) / tau_g
     return total, task, resource, dZ
-
-
-def total_loss(
-    z, path_scores, cost: PathCostVector, cfg: TrainConfig
-) -> LossBreakdown:
-    """Composite loss and its analytic gradient w.r.t. the logits."""
-    Z = np.asarray(z, dtype=np.float64)[None, :]
-    S = np.asarray(path_scores, dtype=np.float64)[None, :]
-    total, task, resource, dZ = _loss_batch(Z, S, cost.as_array(), cfg)
-    return LossBreakdown(
-        total=float(total[0]), task=float(task[0]), resource=float(resource[0]), grad_z=dZ[0]
-    )
 
 
 @dataclass(frozen=True)
@@ -226,7 +212,7 @@ def train(
                     for j in range(len(batch_idx))
                 ]
                 Z, cache = forward_batch(params_view, X[batch_idx], mode="train", rng_seeds=seeds)
-                total, task, resource, dZ = _loss_batch(Z, S[batch_idx], cost_arr, cfg)
+                total, task, resource, dZ = loss_batch(Z, S[batch_idx], cost_arr, cfg)
                 grads = backward_batch(params_view, cache, dZ)
                 grad_views.W1 += grads.dW1
                 grad_views.b1 += grads.db1

@@ -21,15 +21,15 @@ from tableroute.engine import (
 )
 from tableroute.fusion import build_fusion_prompt
 from tableroute.gate import (
-    forward,
+    backward_batch,
+    forward_batch,
     init_gate,
     pack_gradients,
     unpack_parameters,
-    backward,
 )
 from tableroute.paths import DEFAULT_PATH_COSTS, KNOWN_DATASETS
 from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
-from tableroute.trainer import TrainConfig, build_target, total_loss, train
+from tableroute.trainer import TrainConfig, build_target, loss_batch, train
 
 from test_engine import forced_gate, make_example, make_stack
 from test_fusion import GOLDEN_DIR, sample_request
@@ -70,25 +70,30 @@ def test_criterion_2_cost_formula():
     report(2, "cost-formula reproduction")
 
 
+COSTS = DEFAULT_PATH_COSTS.as_array()
+
+
+def _total(Z, S, cfg) -> float:
+    """Total loss of the one row of logits Z [1, 3] against scores S [1, 3]."""
+    return float(loss_batch(Z, S, COSTS, cfg)[0][0])
+
+
 def _loss_grad_check(rng) -> float:
     z = rng.normal(scale=2.0, size=3)
-    s = rng.integers(0, 2, size=3).astype(float)
+    S = rng.integers(0, 2, size=(1, 3)).astype(float)
     cfg = TrainConfig(
         target_temperature=float(rng.uniform(0.1, 2.0)),
         gate_temperature=float(rng.uniform(0.5, 2.0)),
         resource_weight=float(rng.uniform(0.0, 1.0)),
     )
-    analytic = total_loss(z, s, DEFAULT_PATH_COSTS, cfg).grad_z
+    analytic = loss_batch(z[None, :], S, COSTS, cfg)[3][0]
     h = 1e-6
     worst = 0.0
     for j in range(3):
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
-        fd = (
-            total_loss(zp, s, DEFAULT_PATH_COSTS, cfg).total
-            - total_loss(zm, s, DEFAULT_PATH_COSTS, cfg).total
-        ) / (2 * h)
+        fd = (_total(zp[None, :], S, cfg) - _total(zm[None, :], S, cfg)) / (2 * h)
         worst = max(worst, abs(analytic[j] - fd) / max(abs(fd), 1e-8))
     return worst
 
@@ -98,18 +103,17 @@ def _gate_grad_check(rng) -> float:
     d_h = int(rng.integers(4, 10))
     flat = rng.normal(scale=0.5, size=d_h * d_in + d_h + 3 * d_h + 3)
     params = unpack_parameters(flat, (d_in, d_h, 3))
-    x = rng.normal(size=d_in)
-    s = rng.integers(0, 2, size=3).astype(float)
+    X = rng.normal(size=(1, d_in))
+    S = rng.integers(0, 2, size=(1, 3)).astype(float)
     cfg = TrainConfig(resource_weight=float(rng.uniform(0.0, 1.0)))
 
     def composite(theta):
-        p = unpack_parameters(theta, (d_in, d_h, 3))
-        z, _ = forward(p, x, mode="eval")
-        return total_loss(z, s, DEFAULT_PATH_COSTS, cfg).total
+        Z, _ = forward_batch(unpack_parameters(theta, (d_in, d_h, 3)), X, mode="eval")
+        return _total(Z, S, cfg)
 
-    z, cache = forward(params, x, mode="eval")
-    dl_dz = total_loss(z, s, DEFAULT_PATH_COSTS, cfg).grad_z
-    analytic = pack_gradients(backward(params, cache, dl_dz))
+    Z, cache = forward_batch(params, X, mode="eval")
+    dZ = loss_batch(Z, S, COSTS, cfg)[3]
+    analytic = pack_gradients(backward_batch(params, cache, dZ))
 
     h = 1e-5
     worst = 0.0

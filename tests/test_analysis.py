@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +65,7 @@ class TestCasePartition:
             + [rec(9, False, False, fusion=True)]
         )
         part = case_partition(records)
-        assert part.as_tuple() == (60.0, 10.0, 20.0, 10.0, 0.0)
+        assert astuple(part) == (60.0, 10.0, 20.0, 10.0, 0.0)
 
     def test_buckets_sum_to_100(self):
         rng = np.random.default_rng(0)
@@ -71,7 +73,7 @@ class TestCasePartition:
             rec(i, bool(rng.integers(2)), bool(rng.integers(2)), fusion=bool(rng.integers(2)))
             for i in range(137)
         ]
-        assert sum(case_partition(records).as_tuple()) == pytest.approx(100.0, abs=1e-9)
+        assert sum(astuple(case_partition(records))) == pytest.approx(100.0, abs=1e-9)
 
     def test_missing_fusion_label_names_record(self):
         records = [rec(0, False, False, fusion=None)]
@@ -85,7 +87,7 @@ class TestCasePartition:
             for i in range(64)
         ]
         part = case_partition(records)
-        total_counted = round(sum(part.as_tuple()) * len(records) / 100)
+        total_counted = round(sum(astuple(part)) * len(records) / 100)
         assert total_counted == len(records)
 
 

@@ -115,6 +115,21 @@ class TestExitCodes:
         assert f"{raw}:3:" in err
         assert not (workdir / "corpus").exists()
 
+    @pytest.mark.parametrize("labels", [None, [1], ["x", 0, 0]],
+                             ids=["null", "one-entry", "not-a-number"])
+    def test_ingest_bad_path_labels_exits_1(self, workdir, capsys, labels):
+        raw = workdir / "raw.jsonl"
+        assert run("make-synthetic", "--out", raw, "--n", 5) == 0
+        records = [json.loads(ln) for ln in raw.read_text().splitlines()]
+        records[1]["path_labels"] = labels
+        raw.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        code = run("ingest", "--raw", raw, "--out", workdir / "corpus")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IngestError: ")
+        assert f"record {records[1]['id']}: path_labels" in err
+        assert not (workdir / "corpus").exists()
+
 
 class TestPipeline:
     def test_make_synthetic_writes_jsonl(self, workdir):

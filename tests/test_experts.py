@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableroute.errors import ConfigurationError, InvalidArgumentError
+from tableroute.errors import ConfigurationError
 from tableroute.experts import (
-    BackendDescriptor,
     LatencyModel,
     SimulatedEmbeddingBackend,
     SimulatedGenerationBackend,
@@ -152,19 +151,6 @@ class TestGenerationBackend:
         assert a.latency_seconds == b.latency_seconds
         assert a.latency_seconds != c.latency_seconds
         assert 0.8 <= a.latency_seconds <= 1.2
-
-
-class TestDescriptor:
-    def test_valid(self):
-        BackendDescriptor("simulated", "question", 384)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            BackendDescriptor("simulated", "question", 100)
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidArgumentError):
-            BackendDescriptor("magic", "question", 384)
 
 
 def test_whitespace_token_count():

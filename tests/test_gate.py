@@ -16,11 +16,9 @@ from tableroute.errors import (
 from tableroute.gate import (
     CANONICAL_DIMS,
     GateParameters,
-    backward,
     backward_batch,
     compute_params,
     concat_input,
-    forward,
     forward_batch,
     init_gate,
     load_checkpoint,
@@ -91,29 +89,29 @@ class TestForward:
         params = GateParameters(
             np.zeros((6, 20)), np.zeros(6), np.zeros((3, 6)), np.zeros(3)
         )
-        z, _ = forward(params, np.random.default_rng(0).normal(size=20))
-        np.testing.assert_array_equal(z, np.zeros(3))
+        Z, _ = forward_batch(params, np.random.default_rng(0).normal(size=(1, 20)))
+        np.testing.assert_array_equal(Z, np.zeros((1, 3)))
 
     def test_eval_deterministic_and_seed_independent(self):
         params = toy_params()
-        x = np.random.default_rng(1).normal(size=20)
-        z1, _ = forward(params, x, mode="eval", rng_seed=1)
-        z2, _ = forward(params, x, mode="eval", rng_seed=999)
-        np.testing.assert_array_equal(z1, z2)
+        X = np.random.default_rng(1).normal(size=(1, 20))
+        Z1, _ = forward_batch(params, X, mode="eval", rng_seeds=[1])
+        Z2, _ = forward_batch(params, X, mode="eval", rng_seeds=[999])
+        np.testing.assert_array_equal(Z1, Z2)
 
     def test_train_seeded_determinism(self):
         params = toy_params()
-        x = np.random.default_rng(2).normal(size=20)
-        z1, c1 = forward(params, x, mode="train", rng_seed=7)
-        z2, c2 = forward(params, x, mode="train", rng_seed=7)
-        np.testing.assert_array_equal(z1, z2)
+        X = np.random.default_rng(2).normal(size=(1, 20))
+        Z1, c1 = forward_batch(params, X, mode="train", rng_seeds=[7])
+        Z2, c2 = forward_batch(params, X, mode="train", rng_seeds=[7])
+        np.testing.assert_array_equal(Z1, Z2)
         np.testing.assert_array_equal(c1.mask_scale, c2.mask_scale)
 
     def test_train_masks_vary_with_seed(self):
         params = toy_params(d_h=64)
-        x = np.random.default_rng(3).normal(size=20)
-        _, c1 = forward(params, x, mode="train", rng_seed=1)
-        _, c2 = forward(params, x, mode="train", rng_seed=2)
+        X = np.random.default_rng(3).normal(size=(1, 20))
+        _, c1 = forward_batch(params, X, mode="train", rng_seeds=[1])
+        _, c2 = forward_batch(params, X, mode="train", rng_seeds=[2])
         assert not np.array_equal(c1.mask_scale, c2.mask_scale)
 
     def test_batch_matches_single(self):
@@ -121,12 +119,12 @@ class TestForward:
         X = np.random.default_rng(4).normal(size=(5, 20))
         Z, _ = forward_batch(params, X, mode="eval")
         for i in range(5):
-            z, _ = forward(params, X[i])
-            np.testing.assert_allclose(Z[i], z, rtol=1e-12)
+            z, _ = forward_batch(params, X[i:i + 1])
+            np.testing.assert_allclose(Z[i], z[0], rtol=1e-12)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            forward(toy_params(), np.zeros(21))
+            forward_batch(toy_params(), np.zeros((1, 21)))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
@@ -147,11 +145,11 @@ def finite_difference_grads(params, x, dl_dz, mode="eval", rng_seed=0, h=1e-5):
             bumped = flat.copy()
             bumped[i] += sign * h
             p = unpack_parameters(bumped, dims)
-            z, _ = forward(p, x, mode=mode, rng_seed=rng_seed)
+            Z, _ = forward_batch(p, x[None, :], mode=mode, rng_seeds=[rng_seed])
             if sign > 0:
-                up = float(np.dot(dl_dz, z))
+                up = float(np.dot(dl_dz, Z[0]))
             else:
-                down = float(np.dot(dl_dz, z))
+                down = float(np.dot(dl_dz, Z[0]))
         grads[i] = (up - down) / (2 * h)
     return grads
 
@@ -238,17 +236,17 @@ class TestAllocation:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params = toy_params()
-        x = np.random.default_rng(5).normal(size=20)
-        _, cache = forward(params, x)
-        grads = backward(params, cache, np.zeros(3))
+        X = np.random.default_rng(5).normal(size=(1, 20))
+        _, cache = forward_batch(params, X)
+        grads = backward_batch(params, cache, np.zeros((1, 3)))
         assert not pack_gradients(grads).any()
 
     def test_output_bias_gradient_is_upstream(self):
         params = toy_params()
-        x = np.random.default_rng(6).normal(size=20)
-        _, cache = forward(params, x)
+        X = np.random.default_rng(6).normal(size=(1, 20))
+        _, cache = forward_batch(params, X)
         dl_dz = np.array([0.3, -1.2, 0.9])
-        grads = backward(params, cache, dl_dz)
+        grads = backward_batch(params, cache, dl_dz[None, :])
         np.testing.assert_array_equal(grads.db2, dl_dz)
 
     @pytest.mark.parametrize("mode,rng_seed", [("eval", 0), ("train", 11)])
@@ -256,21 +254,13 @@ class TestBackward:
         params = toy_params(seed=8)
         x = np.random.default_rng(9).normal(size=20)
         dl_dz = np.array([0.7, -0.2, 0.5])
-        _, cache = forward(params, x, mode=mode, rng_seed=rng_seed)
-        analytic = pack_gradients(backward(params, cache, dl_dz))
+        _, cache = forward_batch(params, x[None, :], mode=mode, rng_seeds=[rng_seed])
+        analytic = pack_gradients(backward_batch(params, cache, dl_dz[None, :]))
         numeric = finite_difference_grads(params, x, dl_dz, mode=mode, rng_seed=rng_seed)
         denom = np.maximum(np.abs(numeric), 1e-8)
         rel = np.abs(analytic - numeric) / denom
         mask = np.abs(numeric) > 1e-10
         assert rel[mask].max() < 1e-4
-
-    def test_mutated_cache_rejected(self):
-        params = toy_params()
-        x = np.random.default_rng(10).normal(size=20)
-        _, cache = forward(params, x)
-        cache.x[0] += 1.0
-        with pytest.raises(InvalidArgumentError, match="mutated"):
-            backward(params, cache, np.ones(3))
 
     def test_batch_backward_sums_singles(self):
         params = toy_params()
@@ -280,8 +270,8 @@ class TestBackward:
         batch = pack_gradients(backward_batch(params, cache, dZ))
         acc = np.zeros_like(batch)
         for i in range(4):
-            _, c = forward(params, X[i])
-            acc += pack_gradients(backward(params, c, dZ[i]))
+            _, c = forward_batch(params, X[i:i + 1])
+            acc += pack_gradients(backward_batch(params, c, dZ[i:i + 1]))
         np.testing.assert_allclose(batch, acc, rtol=1e-10, atol=1e-12)
 
 

@@ -17,10 +17,11 @@ from tableroute.numerics import (
     ScheduleConfig,
     adamw_step,
     clip_grad_norm,
-    kl_div,
     lr_at,
     softmax,
 )
+from tableroute.paths import DEFAULT_PATH_COSTS
+from tableroute.trainer import TrainConfig, loss_batch
 
 
 def reference_softmax(logits, temperature):
@@ -75,33 +76,52 @@ class TestSoftmax:
         np.testing.assert_allclose(out[1], reference_softmax([1, 0, 0], 0.3), atol=1e-12)
 
 
+def task_kl(scores, logits, target_temperature=1.0, gate_temperature=1.0):
+    """The task term of `loss_batch` for one row: KL(softmax(scores / tau) ||
+    softmax(logits / tau_g)), the only KL the package computes."""
+    cfg = TrainConfig(target_temperature=target_temperature, gate_temperature=gate_temperature)
+    S = np.asarray(scores, dtype=np.float64)[None, :]
+    Z = np.asarray(logits, dtype=np.float64)[None, :]
+    total, task, resource, dZ = loss_batch(Z, S, DEFAULT_PATH_COSTS.as_array(), cfg)
+    assert np.isfinite(dZ).all()
+    return float(task[0])
+
+
 class TestKlDiv:
     def test_identity_is_zero(self):
-        p = softmax([0.3, -1.2, 0.8], 1.0)
-        assert kl_div(p, p) == 0.0
+        z = [0.3, -1.2, 0.8]
+        assert task_kl(z, z, 0.7, 0.7) == 0.0
 
     def test_one_hot_vs_uniform_closed_form(self):
-        # sum p ln(p/q) collapses to ln 3 for a one-hot target
-        val = kl_div([1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3])
+        # the target softmax underflows to exactly one-hot; sum p ln(p/q) is ln 3
+        val = task_kl([1000.0, 0.0, 0.0], [0.0, 0.0, 0.0], target_temperature=0.3)
         assert abs(val - math.log(3)) <= 1e-6
+
+    def test_zero_target_entry_contributes_nothing(self):
+        # with target (1, 0, 0) only -ln q_0 remains, however q splits the rest
+        a = task_kl([1000.0, 0.0, 0.0], [0.0, 5.0, -5.0], target_temperature=0.3)
+        b = task_kl([1000.0, 0.0, 0.0], [0.0, -5.0, 5.0], target_temperature=0.3)
+        assert a == b
+        assert a == pytest.approx(-math.log(softmax([0.0, 5.0, -5.0])[0]), rel=1e-12)
 
     def test_nonnegative_over_random_pairs(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
-            p = softmax(rng.normal(size=3), 1.0)
-            q = softmax(rng.normal(size=3), 1.0)
-            assert kl_div(p, q) >= 0.0
+            s, z = rng.normal(size=3), rng.normal(size=3)
+            tau, tau_g = rng.uniform(0.1, 2.0, size=2)
+            assert task_kl(s, z, tau, tau_g) >= 0.0
 
     def test_survives_near_one_hot_prediction(self):
-        # flooring keeps the log finite
-        val = kl_div([0.5, 0.5, 0.0], [1.0, 0.0, 0.0])
+        # target (0.5, 0.5, 0) against a prediction saturated to (1, 0, 0):
+        # flooring at KL_FLOOR keeps the log finite
+        val = task_kl([0.0, 0.0, -1000.0], [1000.0, 0.0, 0.0], target_temperature=0.3)
         assert np.isfinite(val) and val > 0
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidArgumentError):
-            kl_div([np.nan, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3])
+            task_kl([np.nan, 0.5, 0.5], [0.0, 0.0, 0.0])
         with pytest.raises(InvalidArgumentError):
-            kl_div([1 / 3, 1 / 3, 1 / 3], [np.nan, 0.5, 0.5])
+            task_kl([0.0, 0.0, 0.0], [np.nan, 0.5, 0.5])
 
 
 class TestAdamW:

@@ -18,8 +18,8 @@ from tableroute.trainer import (
     _eval_logits,
     build_target,
     evaluate_policy,
+    loss_batch,
     planned_optimizer_steps,
-    total_loss,
     train,
 )
 
@@ -41,15 +41,22 @@ class TestBuildTarget:
         np.testing.assert_allclose(out, [0.93340, 0.03330, 0.03330], atol=1e-5)
 
 
+def row_loss(z, s, cfg, cost=DEFAULT_PATH_COSTS):
+    """`loss_batch` on one row: that row's (total, task, resource, dZ)."""
+    Z = np.asarray(z, dtype=np.float64)[None, :]
+    S = np.asarray(s, dtype=np.float64)[None, :]
+    return tuple(a[0] for a in loss_batch(Z, S, cost.as_array(), cfg))
+
+
 class TestTotalLoss:
     def test_zero_weight_reduces_to_task(self):
         cfg = TrainConfig(resource_weight=0.0)
-        out = total_loss([0.5, -0.2, 0.1], [1, 0, 0], DEFAULT_PATH_COSTS, cfg)
-        assert out.total == pytest.approx(out.task)
+        total, task, _, _ = row_loss([0.5, -0.2, 0.1], [1, 0, 0], cfg)
+        assert total == pytest.approx(task)
 
     def test_uniform_logits_resource_is_mean_cost(self):
-        out = total_loss([0.0, 0.0, 0.0], [1, 0, 0], DEFAULT_PATH_COSTS, CFG)
-        assert out.resource == pytest.approx((0.73 + 0.81 + 0.96) / 3, abs=1e-5)
+        _, _, resource, _ = row_loss([0.0, 0.0, 0.0], [1, 0, 0], CFG)
+        assert resource == pytest.approx((0.73 + 0.81 + 0.96) / 3, abs=1e-5)
 
     def test_matching_logits_zero_task(self):
         # with gate temperature = target temperature, logits matching the
@@ -57,8 +64,8 @@ class TestTotalLoss:
         cfg = TrainConfig(target_temperature=0.3, gate_temperature=0.3)
         s = np.array([1.0, 0.0, 0.0])
         z = s + 5.0
-        out = total_loss(z, s, DEFAULT_PATH_COSTS, cfg)
-        assert out.task == pytest.approx(0.0, abs=1e-12)
+        _, task, _, _ = row_loss(z, s, cfg)
+        assert task == pytest.approx(0.0, abs=1e-12)
 
     def test_task_nonneg_resource_bounded(self):
         rng = np.random.default_rng(0)
@@ -66,9 +73,9 @@ class TestTotalLoss:
         for _ in range(200):
             z = rng.normal(scale=2, size=3)
             s = rng.integers(0, 2, size=3)
-            out = total_loss(z, s, c, CFG)
-            assert out.task >= 0.0
-            assert min(c.costs) - 1e-12 <= out.resource <= max(c.costs) + 1e-12
+            _, task, resource, _ = row_loss(z, s, CFG, c)
+            assert task >= 0.0
+            assert min(c.costs) - 1e-12 <= resource <= max(c.costs) + 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -80,17 +87,17 @@ class TestTotalLoss:
                 gate_temperature=float(rng.uniform(0.5, 2.0)),
                 resource_weight=float(rng.uniform(0.0, 1.0)),
             )
-            out = total_loss(z, s, DEFAULT_PATH_COSTS, cfg)
+            grad_z = row_loss(z, s, cfg)[3]
             h = 1e-6
             for j in range(3):
                 zp, zm = z.copy(), z.copy()
                 zp[j] += h
                 zm[j] -= h
-                up = total_loss(zp, s, DEFAULT_PATH_COSTS, cfg).total
-                down = total_loss(zm, s, DEFAULT_PATH_COSTS, cfg).total
+                up = row_loss(zp, s, cfg)[0]
+                down = row_loss(zm, s, cfg)[0]
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), 1e-8)
-                assert abs(out.grad_z[j] - fd) / denom < 1e-5
+                assert abs(grad_z[j] - fd) / denom < 1e-5
 
 
 def toy_example(i, dataset, scores, coord, d_small=False):
