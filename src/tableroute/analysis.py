@@ -9,6 +9,7 @@ import numpy as np
 
 from .corpus import RoutingExample, split_by_dataset
 from .errors import IncompleteDataError, InvalidArgumentError, UndefinedRateError
+from .fileio import write_lines
 from .gate import GateParameters
 from .paths import PATH_NAMES, PathCostVector
 from .trainer import PolicyEval, TrainConfig, evaluate_policy, routed_paths, train
@@ -181,8 +182,7 @@ def write_path_distribution_csv(rows: Sequence[SweepRow], path) -> None:
     for r in rows:
         d = r.path_distribution
         lines.append(f"{r.resource_weight!r},{d[0]!r},{d[1]!r},{d[2]!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_alignment_csv(rows: Sequence[SweepRow], path) -> None:
@@ -195,5 +195,4 @@ def write_alignment_csv(rows: Sequence[SweepRow], path) -> None:
             f"{r.resource_weight!r},{r.heuristic_alignment_pct!r},"
             f"{r.mean_task_performance!r},{r.routing_accuracy!r},{r.expected_cost!r}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -15,31 +15,22 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import engine
 from .corpus import load_corpus, load_example, split_by_dataset, stratified_split
 from .errors import ConfigError, IngestError, TableRouteError, UndefinedRateError
+from .fileio import write_lines
 from .gate import compute_params, load_checkpoint, save_checkpoint
 from .paths import KNOWN_DATASETS, N_PATHS, TRAINING_DATASETS
-from .runconfig import (
-    RunConfig,
-    backends_from_corpus,
-    build_agent,
-    build_backends,
-    load_runconfig,
-)
+from .runconfig import RunConfig, backends_from_corpus, build_stack, load_runconfig
 from .trainer import train
 
 log = logging.getLogger("tableroute")
 
 CONFIG_ENV_VAR = "TABLEROUTE_CONFIG"
 SNAPSHOT_NAME = "config.snapshot.json"
-
-
-def _write_snapshot(cfg: RunConfig, run_dir: Path) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / SNAPSHOT_NAME).write_text(cfg.snapshot_json(), encoding="utf-8")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -54,9 +45,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "resource_weight", None) is not None:
         overrides["train"] = {"resource_weight": args.resource_weight}
     if getattr(args, "lambdas", None):
-        overrides["sweep"] = {
-            "resource_weights": [float(x) for x in args.lambdas.split(",") if x.strip()]
-        }
+        try:
+            weights = [float(x) for x in args.lambdas.split(",") if x.strip()]
+        except ValueError as e:
+            raise ConfigError(f"--lambdas must be comma-separated numbers: {e}",
+                              key="sweep.resource_weights") from None
+        overrides["sweep"] = {"resource_weights": weights}
     return load_runconfig(config_path, overrides)
 
 
@@ -67,8 +61,14 @@ def _corpus_dir(cfg: RunConfig) -> str:
     return cfg.corpus_dir
 
 
-def _require_corpus(cfg: RunConfig):
-    return load_corpus(_corpus_dir(cfg))
+def _start_run(args: argparse.Namespace):
+    """The resolved config and run directory, after writing the config
+    snapshot there, and the corpus."""
+    cfg = _resolve_config(args)
+    run_dir = Path(cfg.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_lines(run_dir / SNAPSHOT_NAME, [cfg.snapshot_json()])
+    return cfg, run_dir, load_corpus(_corpus_dir(cfg))
 
 
 def _require_example(cfg: RunConfig, example_id: str):
@@ -83,14 +83,11 @@ def _split(cfg: RunConfig, examples):
     return stratified_split(examples, val_fraction, cfg.seed)
 
 
-def _history_csv(history) -> str:
-    lines = ["step,lr,loss_total,loss_task,loss_resource,grad_norm"]
+def _history_lines(history):
+    yield "step,lr,loss_total,loss_task,loss_resource,grad_norm"
     for h in history:
-        lines.append(
-            f"{h.step},{h.lr!r},{h.loss_total!r},{h.loss_task!r},"
-            f"{h.loss_resource!r},{h.grad_norm!r}"
-        )
-    return "\n".join(lines) + "\n"
+        yield (f"{h.step},{h.lr!r},{h.loss_total!r},{h.loss_task!r},"
+               f"{h.loss_resource!r},{h.grad_norm!r}")
 
 
 def cmd_make_synthetic(args: argparse.Namespace) -> int:
@@ -101,9 +98,7 @@ def cmd_make_synthetic(args: argparse.Namespace) -> int:
     records = make_raw_records(args.n, seed=cfg.seed, tags=tags)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    write_lines(out, (json.dumps(rec, ensure_ascii=False, sort_keys=True) for rec in records))
     print(f"wrote {len(records)} raw records to {out}")
     return 0
 
@@ -117,21 +112,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise ConfigError(f"raw corpus not found: {raw_path}")
     raws = read_raw_records(raw_path)
 
-    labels_text, labels_image, labels_fusion = labels = ({}, {}, {})
+    labels = {}
     for r in raws:
         rid, row = str(r.get("id")), r.get("path_labels", [0, 0, 0])
         try:
             if len(row) != N_PATHS:
                 raise ValueError
-            for per_path, value in zip(labels, row):
-                per_path[rid] = int(value)
+            labels[rid] = tuple(map(int, row))
         except (TypeError, ValueError):
             raise IngestError(
                 f"record {rid}: path_labels must be {N_PATHS} integers, got {row!r}"
             ) from None
     tags = sorted({str(r.get("dataset")) for r in raws if r.get("dataset")})
-    backends = build_backends(cfg, labels_text, labels_image, tags=tags)
-    agent = build_agent(cfg, labels_fusion)
+    backends, agent = build_stack(cfg, labels, tags)
     result = run_ingest(
         raws, backends, agent, args.out, skip_threshold=float(cfg["ingest"]["skip_threshold"])
     )
@@ -141,30 +134,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    run_dir = Path(cfg.run_dir)
-    _write_snapshot(cfg, run_dir)
-    examples = _require_corpus(cfg)
+    cfg, run_dir, examples = _start_run(args)
     train_set, val_set = _split(cfg, examples)
     result = train(train_set, val_set, cfg.train_config(), cfg.cost_vector())
-    (run_dir / "history.csv").write_text(_history_csv(result.history), encoding="utf-8")
+    write_lines(run_dir / "history.csv", _history_lines(result.history))
     metadata = {"seed": str(cfg.seed), "resource_weight": str(cfg["train"]["resource_weight"])}
     if result.val_metrics:
         metadata["val_routing_accuracy"] = repr(result.val_metrics.routing_accuracy)
-        (run_dir / "val_metrics.json").write_text(
-            json.dumps(
-                {
-                    "routing_accuracy": result.val_metrics.routing_accuracy,
-                    "expected_cost": result.val_metrics.expected_cost,
-                    "path_distribution": list(result.val_metrics.path_distribution),
-                    "n_examples": result.val_metrics.n_examples,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        write_lines(run_dir / "val_metrics.json",
+                    [json.dumps(asdict(result.val_metrics), indent=2, sort_keys=True)])
     save_checkpoint(run_dir / "gate.ckpt", result.params, result.optimizer_state, metadata)
     acc = result.val_metrics.routing_accuracy if result.val_metrics else float("nan")
     print(f"trained {result.total_steps} steps; best val routing accuracy {acc:.4f}; "
@@ -205,26 +183,12 @@ def cmd_infer(args: argparse.Namespace) -> int:
         ex, params, backends, agent, cfg.cost_vector(), cfg.engine_config(),
         mode=engine.MODE_NON_ADAPTIVE if args.non_adaptive else engine.MODE_ADAPTIVE,
     )
-    print(json.dumps({
-        "example_id": record.example_id,
-        "chosen_path": record.chosen_path,
-        "t_phase1": record.t_phase1,
-        "t_phase2": record.t_phase2,
-        "t_phase3": record.t_phase3,
-        "parallel_latency": record.parallel_latency,
-        "final_answer": record.final_answer,
-        "output_tokens": record.output_tokens,
-        "fusion_role": record.fusion_role,
-        "degraded": record.degraded,
-    }))
+    print(json.dumps(asdict(record)))
     return 0
 
 
 def cmd_profile_cost(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    run_dir = Path(cfg.run_dir)
-    _write_snapshot(cfg, run_dir)
-    examples = _require_corpus(cfg)
+    cfg, run_dir, examples = _start_run(args)
     backends, _ = backends_from_corpus(cfg, examples)
     per_dataset = int(cfg["profile"]["samples_per_dataset"])
     testbed = []
@@ -239,17 +203,14 @@ def cmd_profile_cost(args: argparse.Namespace) -> int:
     lines = ["path,avg_latency_s,avg_tps,cost"]
     for m in measurements:
         lines.append(f"{m.path},{m.avg_latency_seconds!r},{m.avg_tps!r},{m.cost!r}")
-    (run_dir / "costs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(run_dir / "costs.csv", lines)
     print(f"measured path costs {tuple(round(c, 4) for c in costs.costs)} "
           f"over {len(testbed)} samples; CSV at {run_dir / 'costs.csv'}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    run_dir = Path(cfg.run_dir)
-    _write_snapshot(cfg, run_dir)
-    examples = _require_corpus(cfg)
+    cfg, run_dir, examples = _start_run(args)
     params, _ = _load_gate(args)
     backends, agent = backends_from_corpus(cfg, examples)
     report = engine.run_efficiency_bench(
@@ -266,10 +227,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     from . import analysis
 
-    cfg = _resolve_config(args)
-    run_dir = Path(cfg.run_dir)
-    _write_snapshot(cfg, run_dir)
-    examples = _require_corpus(cfg)
+    cfg, run_dir, examples = _start_run(args)
     train_set, val_set = _split(cfg, examples)
     rows = analysis.lambda_sweep(
         train_set, val_set,
@@ -285,10 +243,7 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analysis
 
-    cfg = _resolve_config(args)
-    run_dir = Path(cfg.run_dir)
-    _write_snapshot(cfg, run_dir)
-    examples = _require_corpus(cfg)
+    cfg, run_dir, examples = _start_run(args)
     params, _ = _load_gate(args)
     records = analysis.outcome_records(params, examples, cfg.cost_vector())
     partition = analysis.case_partition(records)
@@ -308,7 +263,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"both_wrong_rescued_pct,{partition.both_wrong_rescued!r}",
         f"both_wrong_unsolved_pct,{partition.both_wrong_unsolved!r}",
     ]
-    (run_dir / "analysis.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(run_dir / "analysis.csv", lines)
     print(f"analysis of {len(records)} records written to {run_dir / 'analysis.csv'}")
     return 0
 

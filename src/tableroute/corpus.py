@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,6 +99,21 @@ class RoutingExample:
             raise InvalidArgumentError(
                 f"example {self.id}: path_scores must be three 0/1 entries"
             )
+
+
+def example_from_raw(raw: Mapping, path_scores: Sequence[int]) -> RoutingExample:
+    """The example a raw (pre-ingest) record describes, with `path_scores`
+    and no embedding yet."""
+    table = Table.from_json(raw["table"])
+    return RoutingExample(
+        id=str(raw["id"]),
+        dataset=raw["dataset"],
+        question=str(raw["question"]),
+        table=table,
+        table_markdown=table.to_markdown(),
+        path_scores=tuple(path_scores),
+        gold_answer=str(raw["gold_answer"]),
+    )
 
 
 def _example_to_json(ex: RoutingExample) -> dict:

@@ -26,8 +26,9 @@ from .errors import (
     InvalidArgumentError,
     TransportError,
 )
-from .experts import EmbeddingBackend, GenerationBackend, stable_digest64
-from .fusion import AgentBackend, FusionRequest, fuse
+from .experts import EmbeddingBackend, ExpertOutput, GenerationBackend, stable_digest64
+from .fileio import write_lines
+from .fusion import AgentBackend, FusionRequest, FusionResult, fuse
 from .gate import GateParameters, concat_input, forward_batch
 from .numerics import softmax
 from .paths import (
@@ -63,6 +64,10 @@ class EngineBackends:
     vision_embedder: EmbeddingBackend
     text_generator: GenerationBackend
     image_generator: GenerationBackend
+
+    @property
+    def embedders(self) -> tuple[EmbeddingBackend, EmbeddingBackend, EmbeddingBackend]:
+        return self.question_embedder, self.text_embedder, self.vision_embedder
 
 
 @dataclass(frozen=True)
@@ -131,21 +136,23 @@ def route(
     return route_batch(gate, np.ravel(x)[None, :], costs, gate_temperature)[0]
 
 
-def _embed_phase(
-    example: RoutingExample, backends: EngineBackends, nonce: int
+def embed_example(
+    example: RoutingExample, embedders: Sequence[EmbeddingBackend], nonce: int = 0
 ) -> tuple[np.ndarray, float]:
+    """The example's gate input row and its phase-1 time, the slowest of the
+    three embedding calls. `embedders` are the question, text and vision
+    embedders, in that order."""
     serialized = example.table.serialize()
-    e_q, t_q = backends.question_embedder.embed_timed(example.question, tag=example.dataset, nonce=nonce)
-    e_t, t_t = backends.text_embedder.embed_timed(serialized, tag=example.dataset, nonce=nonce)
-    e_v, t_v = backends.vision_embedder.embed_timed(
-        serialized.encode("utf-8"), tag=example.dataset, nonce=nonce
-    )
+    question, text, vision = embedders
+    e_q, t_q = question.embed_timed(example.question, tag=example.dataset, nonce=nonce)
+    e_t, t_t = text.embed_timed(serialized, tag=example.dataset, nonce=nonce)
+    e_v, t_v = vision.embed_timed(serialized.encode("utf-8"), tag=example.dataset, nonce=nonce)
     return concat_input(e_q, e_t, e_v), max(t_q, t_t, t_v)
 
 
 def _generate(
     backend: GenerationBackend, example: RoutingExample, nonce: int
-):
+) -> ExpertOutput:
     return backend.generate(
         example.table_markdown,
         example.question,
@@ -156,8 +163,32 @@ def _generate(
     )
 
 
-def _agent_context(example: RoutingExample) -> dict:
-    return {"example_id": example.id, "gold_answer": example.gold_answer}
+def generate_both(
+    example: RoutingExample, backends: EngineBackends, nonce: int = 0
+) -> tuple[ExpertOutput, ExpertOutput]:
+    """The text expert's output, then the image expert's."""
+    return (
+        _generate(backends.text_generator, example, nonce),
+        _generate(backends.image_generator, example, nonce),
+    )
+
+
+def fuse_outputs(
+    example: RoutingExample,
+    text_output: ExpertOutput,
+    vision_output: ExpertOutput,
+    agent: AgentBackend,
+) -> FusionResult:
+    """The fusion agent's answer to the example from both expert outputs."""
+    request = FusionRequest(
+        question=example.question,
+        table_markdown=example.table_markdown,
+        text_output=text_output,
+        vision_output=vision_output,
+        dataset_tag=example.dataset,
+    )
+    context = {"example_id": example.id, "gold_answer": example.gold_answer}
+    return fuse(request, agent, context=context)
 
 
 def infer(
@@ -201,7 +232,7 @@ def infer_batch(
     if not examples:
         return []
 
-    embedded = [_embed_phase(ex, backends, nonce) for ex in examples]
+    embedded = [embed_example(ex, backends.embedders, nonce) for ex in examples]
 
     if mode == MODE_ADAPTIVE:
         start = time.monotonic()
@@ -246,18 +277,10 @@ def _generate_phase(
             final = out.answer
             tokens = out.output_tokens
         else:
-            out_t = _generate(backends.text_generator, example, nonce)
-            out_v = _generate(backends.image_generator, example, nonce)
-            req = FusionRequest(
-                question=example.question,
-                table_markdown=example.table_markdown,
-                text_output=out_t,
-                vision_output=out_v,
-                dataset_tag=example.dataset,
-            )
+            out_t, out_v = generate_both(example, backends, nonce)
             gen_time = max(out_t.latency_seconds, out_v.latency_seconds)
             try:
-                fres = fuse(req, agent, context=_agent_context(example))
+                fres = fuse_outputs(example, out_t, out_v, agent)
                 t3 = gen_time + fres.api_latency_seconds
                 final = fres.final_answer
                 tokens = fres.output_tokens
@@ -328,6 +351,10 @@ def fusion_cost_inputs(
     return latency, tps
 
 
+def _tps(out: ExpertOutput) -> float:
+    return out.output_tokens / out.latency_seconds
+
+
 def measure_cost(
     path: str,
     testbed: Sequence[RoutingExample],
@@ -350,23 +377,22 @@ def measure_cost(
     if timed_runs <= 0 or warmup_runs < 0:
         raise InvalidArgumentError("measure_cost: need timed_runs > 0 and warmup_runs >= 0")
 
+    generators = {"text": backends.text_generator, "image": backends.image_generator}
     run_latency: list[float] = []
     run_tps: list[float] = []
     for run in range(warmup_runs + timed_runs):
         lats, tpss = [], []
         for ex in testbed:
-            if path == "text":
-                out = _generate(backends.text_generator, ex, run)
-                lat, tps = out.latency_seconds, out.output_tokens / out.latency_seconds
-            elif path == "image":
-                out = _generate(backends.image_generator, ex, run)
-                lat, tps = out.latency_seconds, out.output_tokens / out.latency_seconds
+            if path == "fusion":
+                out_t, out_v = generate_both(ex, backends, run)
+                lat, tps = fusion_cost_inputs(
+                    out_t.latency_seconds, _tps(out_t),
+                    out_v.latency_seconds, _tps(out_v),
+                    api_overhead_s,
+                )
             else:
-                out_t = _generate(backends.text_generator, ex, run)
-                out_v = _generate(backends.image_generator, ex, run)
-                slower = out_v if out_v.latency_seconds >= out_t.latency_seconds else out_t
-                lat = max(out_t.latency_seconds, out_v.latency_seconds) + api_overhead_s
-                tps = slower.output_tokens / slower.latency_seconds
+                out = _generate(generators[path], ex, run)
+                lat, tps = out.latency_seconds, _tps(out)
             lats.append(lat)
             tpss.append(tps)
         if run >= warmup_runs:
@@ -417,6 +443,10 @@ class BenchReport:
 class BenchConfig:
     n_per_dataset: int = 50
     seeds: tuple[int, ...] = (0, 1, 2)
+
+    def __post_init__(self):
+        if self.n_per_dataset < 1:
+            raise InvalidArgumentError(f"n_per_dataset must be >= 1, got {self.n_per_dataset}")
 
 
 def run_efficiency_bench(
@@ -476,5 +506,4 @@ def write_bench_csv(report: BenchReport, path) -> None:
         lines.append(
             f"{row.dataset},{row.mode},{row.seed},{row.mean_latency_s!r},{row.mean_tps!r}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

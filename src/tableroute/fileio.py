@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 
 @contextmanager
@@ -39,3 +39,11 @@ def atomic_open(path: str | Path, mode: str = "wb", **kwargs) -> Iterator[IO]:
     with staged(path) as (tmp,):
         with open(tmp, mode, **kwargs) as fh:
             yield fh
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace `path` with `lines` as UTF-8 text, each ended by "\\n", through
+    `atomic_open`: an exception while `lines` is consumed leaves `path` as it was."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")

@@ -8,12 +8,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import RoutingExample, Table, write_corpus
-from .engine import EngineBackends
+from .corpus import RoutingExample, example_from_raw, write_corpus
+from .engine import EngineBackends, embed_example, fuse_outputs, generate_both
 from .errors import IngestError, TableRouteError
 from .experts import answers_match
-from .fusion import AgentBackend, FusionRequest, fuse
-from .gate import concat_input
+from .fusion import AgentBackend
 from .paths import KNOWN_DATASETS
 
 log = logging.getLogger(__name__)
@@ -106,47 +105,15 @@ def ingest(
 
 
 def _ingest_one(raw: Mapping, backends: EngineBackends, agent: AgentBackend) -> RoutingExample:
-    table = Table.from_json(raw["table"])
-    markdown = table.to_markdown()
-    serialized = table.serialize()
-    tag = raw["dataset"]
-    gold = str(raw["gold_answer"])
-    example_id = str(raw["id"])
-
-    embedding = concat_input(
-        backends.question_embedder.embed(raw["question"], tag=tag),
-        backends.text_embedder.embed(serialized, tag=tag),
-        backends.vision_embedder.embed(serialized.encode("utf-8"), tag=tag),
-    )
-
-    kwargs = dict(example_id=example_id, gold_answer=gold, dataset_tag=tag)
-    out_t = backends.text_generator.generate(markdown, raw["question"], **kwargs)
-    out_v = backends.image_generator.generate(markdown, raw["question"], **kwargs)
-    fres = fuse(
-        FusionRequest(
-            question=raw["question"],
-            table_markdown=markdown,
-            text_output=out_t,
-            vision_output=out_v,
-            dataset_tag=tag,
-        ),
-        agent,
-        context={"example_id": example_id, "gold_answer": gold},
-    )
-
-    scores = (
+    example = example_from_raw(raw, (0, 0, 0))  # scored below, once all paths ran
+    example.embedding, _ = embed_example(example, backends.embedders)
+    out_t, out_v = generate_both(example, backends)
+    fres = fuse_outputs(example, out_t, out_v, agent)
+    gold = example.gold_answer
+    example.path_scores = (
         int(answers_match(out_t.answer, gold)),
         int(answers_match(out_v.answer, gold)),
         int(answers_match(fres.final_answer, gold)),
     )
-    return RoutingExample(
-        id=example_id,
-        dataset=tag,
-        question=str(raw["question"]),
-        table=table,
-        table_markdown=markdown,
-        path_scores=scores,
-        gold_answer=gold,
-        embedding=embedding,
-        cached_expert_outputs={"text": out_t, "image": out_v},
-    )
+    example.cached_expert_outputs = {"text": out_t, "image": out_v}
+    return example

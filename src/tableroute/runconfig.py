@@ -4,6 +4,7 @@ input paths must exist at load time."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -16,8 +17,8 @@ from .experts import (
     SimulatedGenerationBackend,
     TokensModel,
 )
-from .fusion import ScriptedAgent
-from .paths import DEFAULT_PATH_COSTS, PathCostVector, TRAINING_DATASETS
+from .fusion import AgentBackend, ScriptedAgent
+from .paths import DEFAULT_PATH_COSTS, MODALITIES, PATH_FUSION, PATH_NAMES, PathCostVector
 from .trainer import TrainConfig
 
 
@@ -120,10 +121,12 @@ class RunConfig:
 
     def bench_config(self) -> BenchConfig:
         b = self.data["bench"]
-        return BenchConfig(n_per_dataset=int(b["n_per_dataset"]), seeds=tuple(b["seeds"]))
+        return BenchConfig(
+            n_per_dataset=int(b["n_per_dataset"]), seeds=tuple(int(s) for s in b["seeds"])
+        )
 
     def snapshot_json(self) -> str:
-        return json.dumps(self.data, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.data, ensure_ascii=False, sort_keys=True, indent=2)
 
 
 def load_runconfig(
@@ -162,18 +165,23 @@ def _validate(cfg: RunConfig) -> None:
     if corpus_dir is not None and not Path(corpus_dir).exists():
         raise ConfigError(f"corpus_dir does not exist: {corpus_dir}", key="corpus_dir")
     # Exercise the typed views so bad values fail at load, naming the section.
-    try:
-        cfg.train_config()
-    except Exception as e:
-        raise ConfigError(f"bad train section: {e}", key="train") from e
-    try:
-        cfg.cost_vector()
-    except Exception as e:
-        raise ConfigError(f"bad cost_vector: {e}", key="cost_vector") from e
-    try:
-        cfg.engine_config()
-    except Exception as e:
-        raise ConfigError(f"bad engine section: {e}", key="engine") from e
+    views = (("train", cfg.train_config), ("cost_vector", cfg.cost_vector),
+             ("engine", cfg.engine_config), ("bench", cfg.bench_config))
+    for key, view in views:
+        try:
+            view()
+        except Exception as e:
+            raise ConfigError(f"bad {key} section: {e}", key=key) from e
+    weights = cfg.data["sweep"]["resource_weights"]
+    if not isinstance(weights, list) or not weights or not all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) and 0 <= w < math.inf
+        for w in weights
+    ):
+        raise ConfigError(
+            f"sweep.resource_weights must be a non-empty list of finite numbers >= 0, "
+            f"got {weights!r}",
+            key="sweep.resource_weights",
+        )
 
 
 def _latency(pair: Sequence[float]) -> LatencyModel:
@@ -184,93 +192,62 @@ def _tokens(pair: Sequence[float]) -> TokensModel:
     return TokensModel(float(pair[0]), float(pair[1]))
 
 
-def build_backends(
-    cfg: RunConfig,
-    labels_text: Mapping[str, int],
-    labels_image: Mapping[str, int],
-    tags: Sequence[str] | None = None,
-) -> EngineBackends:
-    """Simulated backend stack from config plus per-example labels.
+def build_stack(
+    cfg: RunConfig, labels: Mapping[str, Sequence[int]], tags: Sequence[str]
+) -> tuple[EngineBackends, AgentBackend]:
+    """The expert backends and the fusion agent that `cfg` configures.
 
-    Remote stacks are built lazily here too so the CLI works against real
-    servers with the same call sites.
+    Simulated generators and the scripted agent replay `labels`, each
+    example's (text, image, fusion) correctness by id; simulated embedders
+    carry a bias for each dataset tag in `tags`.
     """
+
+    def remote_client(section: str, what: str):
+        from .remote import RemoteClient
+
+        c = cfg.data[section]
+        if not c["endpoint"]:
+            raise ConfigError(f"{section}.endpoint required for {what}", key=f"{section}.endpoint")
+        return RemoteClient(c["endpoint"], timeout_s=c["timeout_s"],
+                            max_retries=int(c["max_retries"]), backoff_s=c["backoff_s"])
+
     b = cfg.data["backends"]
     if b["kind"] == "remote":
-        from .remote import RemoteClient, RemoteEmbeddingBackend, RemoteGenerationBackend
+        from .remote import RemoteEmbeddingBackend, RemoteGenerationBackend
 
-        if not b["endpoint"]:
-            raise ConfigError("backends.endpoint required for remote backends", key="backends.endpoint")
-        client = RemoteClient(
-            b["endpoint"],
-            timeout_s=b["timeout_s"],
-            max_retries=int(b["max_retries"]),
-            backoff_s=b["backoff_s"],
-        )
-        return EngineBackends(
-            question_embedder=RemoteEmbeddingBackend(client, "question"),
-            text_embedder=RemoteEmbeddingBackend(client, "text"),
-            vision_embedder=RemoteEmbeddingBackend(client, "vision"),
-            text_generator=RemoteGenerationBackend(client, "text"),
-            image_generator=RemoteGenerationBackend(client, "image"),
-        )
+        client = remote_client("backends", "remote backends")
+        embedders = [RemoteEmbeddingBackend(client, m) for m in MODALITIES]
+        generators = [RemoteGenerationBackend(client, p) for p in PATH_NAMES[:2]]
+    else:
+        from .synthetic import biased_embedders
 
-    from .synthetic import biased_embedders
+        seed = int(b["embedding_seed"])
+        latencies = {m: _latency(b[f"{m}_embed_latency"]) for m in MODALITIES}
+        embedders = biased_embedders(tags, float(b["embedding_bias_scale"]), seed, latencies).values()
+        generators = [
+            SimulatedGenerationBackend(
+                p, {k: row[i] for k, row in labels.items()},
+                _latency(b[f"{p}_gen_latency"]), _tokens(b[f"{p}_gen_tokens"]), seed,
+            )
+            for i, p in enumerate(PATH_NAMES[:2])
+        ]
+    backends = EngineBackends(*embedders, *generators)
 
-    seed = int(b["embedding_seed"])
-    tags = tuple(tags) if tags is not None else TRAINING_DATASETS
-    embedders = biased_embedders(
-        tags,
-        float(b["embedding_bias_scale"]),
-        seed,
-        latencies={
-            "question": _latency(b["question_embed_latency"]),
-            "text": _latency(b["text_embed_latency"]),
-            "vision": _latency(b["vision_embed_latency"]),
-        },
-    )
-    return EngineBackends(
-        question_embedder=embedders["question"],
-        text_embedder=embedders["text"],
-        vision_embedder=embedders["vision"],
-        text_generator=SimulatedGenerationBackend(
-            "text", labels_text, _latency(b["text_gen_latency"]), _tokens(b["text_gen_tokens"]), seed
-        ),
-        image_generator=SimulatedGenerationBackend(
-            "image", labels_image, _latency(b["image_gen_latency"]), _tokens(b["image_gen_tokens"]), seed
-        ),
-    )
-
-
-def build_agent(cfg: RunConfig, fusion_labels: Mapping[str, int]):
     a = cfg.data["agent"]
     if a["kind"] == "remote":
-        from .remote import RemoteAgentBackend, RemoteClient
+        from .remote import RemoteAgentBackend
 
-        if not a["endpoint"]:
-            raise ConfigError("agent.endpoint required for a remote agent", key="agent.endpoint")
-        return RemoteAgentBackend(
-            RemoteClient(
-                a["endpoint"],
-                timeout_s=a["timeout_s"],
-                max_retries=int(a["max_retries"]),
-                backoff_s=a["backoff_s"],
-            )
-        )
-    return ScriptedAgent.from_labels(
-        fusion_labels,
+        return backends, RemoteAgentBackend(remote_client("agent", "a remote agent"))
+    agent = ScriptedAgent.from_labels(
+        {k: row[PATH_FUSION] for k, row in labels.items()},
         latency=_latency(a["latency"]),
         tokens=_tokens(a["tokens"]),
         seed=cfg.seed,
     )
+    return backends, agent
 
 
 def backends_from_corpus(cfg: RunConfig, examples: Sequence[RoutingExample]):
     """Backend stack whose generation labels replay the corpus path scores."""
-    labels_text = {ex.id: ex.path_scores[0] for ex in examples}
-    labels_image = {ex.id: ex.path_scores[1] for ex in examples}
-    labels_fusion = {ex.id: ex.path_scores[2] for ex in examples}
-    tags = sorted({ex.dataset for ex in examples})
-    backends = build_backends(cfg, labels_text, labels_image, tags=tags)
-    agent = build_agent(cfg, labels_fusion)
-    return backends, agent
+    return build_stack(cfg, {ex.id: ex.path_scores for ex in examples},
+                       sorted({ex.dataset for ex in examples}))

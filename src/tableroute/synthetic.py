@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import RoutingExample, Table, stratified_split
+from .corpus import RoutingExample, Table, example_from_raw, stratified_split
+from .engine import embed_example
 from .errors import InvalidArgumentError
 from .experts import LatencyModel, SimulatedEmbeddingBackend, stable_digest64
-from .gate import concat_input
 from .paths import EMBED_DIMS, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
 
 # Per-tag correctness profile: (text, image, fusion).
@@ -116,28 +116,12 @@ def make_separable_corpus(
     """
     total = cfg.n_train + cfg.n_val
     raws = make_raw_records(total, seed=cfg.seed, tags=cfg.tags)
-    embedders = biased_embedders(cfg.tags, cfg.bias_scale, cfg.seed)
+    embedders = tuple(biased_embedders(cfg.tags, cfg.bias_scale, cfg.seed).values())
     examples = []
     for raw in raws:
-        table = Table.from_json(raw["table"])
-        serialized = table.serialize()
-        embedding = concat_input(
-            embedders["question"].embed(raw["question"], tag=raw["dataset"]),
-            embedders["text"].embed(serialized, tag=raw["dataset"]),
-            embedders["vision"].embed(serialized.encode("utf-8"), tag=raw["dataset"]),
-        )
-        examples.append(
-            RoutingExample(
-                id=raw["id"],
-                dataset=raw["dataset"],
-                question=raw["question"],
-                table=table,
-                table_markdown=table.to_markdown(),
-                path_scores=tuple(raw["path_labels"]),
-                gold_answer=raw["gold_answer"],
-                embedding=embedding,
-            )
-        )
+        example = example_from_raw(raw, raw["path_labels"])
+        example.embedding, _ = embed_example(example, embedders)
+        examples.append(example)
     val_fraction = cfg.n_val / total
     train, val = stratified_split(examples, val_fraction, cfg.seed)
     return train, val

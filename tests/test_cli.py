@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tableroute
+from tableroute import fileio
 from tableroute.cli import main
 from tableroute.errors import ConfigError
 from tableroute.gate import init_gate, save_checkpoint
@@ -129,6 +130,68 @@ class TestExitCodes:
         assert err.startswith("error: IngestError: ")
         assert f"record {records[1]['id']}: path_labels" in err
         assert not (workdir / "corpus").exists()
+
+    @pytest.mark.parametrize("command,extra,config,key", [
+        ("sweep-lambda", ["--lambdas", "0,abc"], None, "sweep.resource_weights"),
+        ("sweep-lambda", ["--lambdas", "0,-1"], None, "sweep.resource_weights"),
+        ("sweep-lambda", ["--lambdas", "0,nan"], None, "sweep.resource_weights"),
+        ("sweep-lambda", [], {"sweep": {"resource_weights": ["x"]}}, "sweep.resource_weights"),
+        ("sweep-lambda", [], {"sweep": {"resource_weights": []}}, "sweep.resource_weights"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": "x"}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 0}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": ["x"]}}, "bench"),
+    ], ids=["lambda-not-a-number", "lambda-negative", "lambda-nan", "weight-string",
+            "no-weights", "n-not-a-number", "n-zero", "seed-not-a-number"])
+    def test_bad_sweep_or_bench_exits_2_before_writing(
+        self, workdir, capsys, command, extra, config, key
+    ):
+        (workdir / "corpus").mkdir()
+        args = [command, "--corpus", workdir / "corpus", "--run-dir", workdir / "run", *extra]
+        if config is not None:
+            (workdir / "cfg.json").write_text(json.dumps(config))
+            args += ["--config", workdir / "cfg.json"]
+        assert run(*args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"(key: {key})" in err
+        assert not (workdir / "run").exists()
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("target", ["config.snapshot.json", "bench.csv"])
+    def test_failed_write_keeps_previous_outputs(self, workdir, monkeypatch, target):
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return HalfWriter(fh) if target in Path(path).name else fh
+
+        corpus = make_corpus(workdir, n=40)
+        rd = workdir / "run"
+        save_checkpoint(workdir / "gate.ckpt", init_gate(seed=0))
+        (workdir / "bench.json").write_text(json.dumps({"bench": {"n_per_dataset": 4}}))
+        bench = ["bench", "--config", workdir / "bench.json", "--corpus", corpus,
+                 "--checkpoint", workdir / "gate.ckpt", "--run-dir", rd, "--seed", 3]
+        assert run(*bench) == 0
+        before = {p.name: p.read_bytes() for p in rd.iterdir()}
+        assert set(before) == {"config.snapshot.json", "bench.csv"}
+        monkeypatch.setattr(fileio, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run(*bench)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in rd.iterdir()} == before
 
 
 class TestPipeline:

@@ -356,6 +356,24 @@ class TestIngest:
         for name in ("corpus.jsonl", "embeddings.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_agrees_with_separable_corpus(self, tmp_path):
+        # Ingest runs all three paths on the stack the default config builds;
+        # the separable corpus takes its labels from the tag profiles. Both
+        # embed through the engine's one embedding step.
+        raws = make_raw_records(40, seed=0)
+        labels = {r["id"]: tuple(r["path_labels"]) for r in raws}
+        backends, agent = runconfig.build_stack(
+            runconfig.load_runconfig(None), labels, sorted({r["dataset"] for r in raws})
+        )
+        ingested = ingest(raws, backends, agent, tmp_path).examples
+        train, val = make_separable_corpus(SeparableCorpusConfig(n_train=30, n_val=10, seed=0))
+        separable = sorted(train + val, key=lambda e: e.id)
+        assert [e.id for e in ingested] == [e.id for e in separable]
+        for got, want in zip(ingested, separable):
+            assert got.embedding.dtype == want.embedding.dtype == np.float32
+            assert got.embedding.tobytes() == want.embedding.tobytes()
+            assert got.path_scores == want.path_scores == TAG_PROFILES[got.dataset]
+
     def test_cached_expert_outputs_persisted(self, tmp_path):
         raws = make_raw_records(4, seed=9)
         backends, agent = build_sim_stack(raws, seed=9)

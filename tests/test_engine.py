@@ -244,6 +244,28 @@ class TestMeasureCost:
         assert fusion.avg_latency_seconds == pytest.approx(image.avg_latency_seconds + 0.3)
         assert fusion.avg_tps == pytest.approx(image.avg_tps)
 
+    @pytest.mark.parametrize("text_latency,image_latency", [(1.445, 1.559), (1.9, 1.559)],
+                             ids=["image-slower", "text-slower"])
+    def test_fusion_row_follows_fusion_cost_inputs(self, text_latency, image_latency):
+        examples = [make_example(i) for i in range(6)]
+        backends, _ = make_stack(
+            examples,
+            text_latency=(text_latency, 0.0), image_latency=(image_latency, 0.0),
+            text_tokens=(64, 0), image_tokens=(29, 0),
+        )
+        text, image, fusion = (
+            measure_cost(p, examples, backends, api_overhead_s=0.3)
+            for p in ("text", "image", "fusion")
+        )
+        latency, tps = fusion_cost_inputs(
+            text.avg_latency_seconds, text.avg_tps,
+            image.avg_latency_seconds, image.avg_tps, api_overhead_s=0.3,
+        )
+        assert fusion.avg_latency_seconds == pytest.approx(latency)
+        assert fusion.avg_tps == pytest.approx(tps)
+        slower = text if text_latency > image_latency else image
+        assert fusion.avg_tps == pytest.approx(slower.avg_tps)
+
     def test_measure_all_costs_vector(self):
         examples, backends = self._stack()
         costs, measurements = measure_all_costs(examples, backends)

@@ -6,6 +6,7 @@ import pytest
 import requests
 
 from tableroute.errors import (
+    ConfigError,
     ConnectionFailedError,
     ContractViolationError,
     MalformedResponseError,
@@ -17,6 +18,7 @@ from tableroute.remote import (
     RemoteEmbeddingBackend,
     RemoteGenerationBackend,
 )
+from tableroute.runconfig import build_stack, load_runconfig
 
 
 class FakeResponse:
@@ -159,3 +161,35 @@ class TestRemoteAgent:
         agent = RemoteAgentBackend(client)
         with pytest.raises(MalformedResponseError):
             agent.complete("prompt")
+
+
+class TestBuildStack:
+    """The remote stack that `runconfig.build_stack` builds from a config.
+    Building it sends no request."""
+
+    def test_backends_share_one_client_and_agent_has_its_own(self):
+        cfg = load_runconfig(None, {
+            "backends": {"kind": "remote", "endpoint": "http://localhost:9/", "max_retries": 4},
+            "agent": {"kind": "remote", "endpoint": "http://localhost:8", "timeout_s": 3.0},
+        })
+        backends, agent = build_stack(cfg, {}, [])
+        experts = [*backends.embedders, backends.text_generator, backends.image_generator]
+        assert all(isinstance(e, RemoteEmbeddingBackend) for e in experts[:3])
+        assert all(isinstance(e, RemoteGenerationBackend) for e in experts[3:])
+        assert [e.modality for e in experts[:3]] == ["question", "text", "vision"]
+        assert [e.path for e in experts[3:]] == ["text", "image"]
+        client = experts[0].client
+        assert all(e.client is client for e in experts)
+        assert (client.endpoint, client.max_retries, client.timeout_s) == ("http://localhost:9", 4, 10.0)
+        assert isinstance(agent, RemoteAgentBackend)
+        assert (agent.client.endpoint, agent.client.timeout_s) == ("http://localhost:8", 3.0)
+
+    @pytest.mark.parametrize("section,message", [
+        ("backends", "backends.endpoint required for remote backends"),
+        ("agent", "agent.endpoint required for a remote agent"),
+    ])
+    def test_missing_endpoint_is_config_error(self, section, message):
+        cfg = load_runconfig(None, {section: {"kind": "remote"}})
+        with pytest.raises(ConfigError, match=message) as err:
+            build_stack(cfg, {}, [])
+        assert err.value.key == f"{section}.endpoint"
