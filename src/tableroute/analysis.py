@@ -161,9 +161,11 @@ def lambda_sweep(
     rows = []
     for weight in resource_weights:
         cfg = replace(base_cfg, resource_weight=float(weight))
-        result = train(train_examples, val_examples, cfg, costs)
-        policy: PolicyEval = evaluate_policy(result.params, val_examples, costs)
-        records = outcome_records(result.params, val_examples, costs)
+        # Only the weights are kept, so the optimizer moments of one gate
+        # are freed before the next gate trains.
+        params = train(train_examples, val_examples, cfg, costs).params
+        policy: PolicyEval = evaluate_policy(params, val_examples, costs)
+        records = outcome_records(params, val_examples, costs)
         rows.append(
             SweepRow(
                 resource_weight=float(weight),

@@ -192,18 +192,34 @@ def forward_batch(
     return Z, BatchCache(X=X, pre=pre, dropped=dropped, mask_scale=mask_scale, mode=mode)
 
 
-def backward_batch(params: GateParameters, cache: BatchCache, dZ: np.ndarray) -> GateGradients:
-    """Gradients of sum_b dZ[b] . z[b] w.r.t. parameters (summed over the batch)."""
+def backward_batch(
+    params: GateParameters, cache: BatchCache, dZ: np.ndarray, out: GateGradients | None = None
+) -> GateGradients:
+    """Gradients of sum_b dZ[b] . z[b] w.r.t. parameters (summed over the batch).
+
+    With `out`, the four gradients are written into its float64 arrays (for
+    instance views of one flat buffer) and `out` is returned; otherwise they
+    are written into new arrays. Both give the same bits.
+    """
     dZ = np.asarray(dZ, dtype=np.float64)
     if dZ.shape != (cache.X.shape[0], params.dims[2]):
         raise DimensionMismatchError(f"dZ: expected {(cache.X.shape[0], params.dims[2])}, got {dZ.shape}")
-    dW2 = dZ.T @ cache.dropped
-    db2 = dZ.sum(axis=0)
+    shapes = (params.W1.shape, params.b1.shape, params.W2.shape, params.b2.shape)
+    if out is None:
+        out = GateGradients(*(np.empty(shape) for shape in shapes))
+    for name, shape in zip(("dW1", "db1", "dW2", "db2"), shapes):
+        arr = getattr(out, name)
+        if arr.shape != shape or arr.dtype != np.float64:
+            raise DimensionMismatchError(
+                f"out.{name}: expected float64 {shape}, got {arr.dtype} {arr.shape}"
+            )
+    np.matmul(dZ.T, cache.dropped, out=out.dW2)
+    np.sum(dZ, axis=0, out=out.db2)
     dDropped = dZ @ np.asarray(params.W2, dtype=np.float64)
     dPre = dDropped * cache.mask_scale * (cache.pre > 0)
-    dW1 = dPre.T @ cache.X
-    db1 = dPre.sum(axis=0)
-    return GateGradients(dW1, db1, dW2, db2)
+    np.matmul(dPre.T, cache.X, out=out.dW1)
+    np.sum(dPre, axis=0, out=out.db1)
+    return out
 
 
 # Kept only for perfbench/tracer.py, which hooks `gate.forward` by name.
@@ -267,42 +283,51 @@ def save_checkpoint(
     optimizer_state: OptimizerState | None = None,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    d_in, d_h, d_out = params.dims
-    flags = 1 if optimizer_state is not None else 0
-    body = bytearray()
-    body += struct.pack("<5I", _CKPT_VERSION, d_in, d_h, d_out, flags)
+    """Write `params` (as <f4), the optional optimizer state and `metadata`
+    atomically.
 
+    The header and each array's buffer are written in turn under a running
+    CRC32, so no copy of the file is built in memory; float32 parameters and
+    float64 moments are written straight from their own buffers.
+    """
+    d_in, d_h, d_out = params.dims
+    n = d_h * d_in + d_h + d_out * d_h + d_out
+    if optimizer_state is not None and optimizer_state.first_moment.size != n:
+        raise InvalidArgumentError(
+            f"optimizer state covers {optimizer_state.first_moment.size} params, gate has {n}"
+        )
+    flags = 1 if optimizer_state is not None else 0
+    header = bytearray(struct.pack("<5I", _CKPT_VERSION, d_in, d_h, d_out, flags))
     meta = {str(k): str(v) for k, v in (metadata or {}).items()}
-    body += struct.pack("<I", len(meta))
+    header += struct.pack("<I", len(meta))
     for k in sorted(meta):
         kb, vb = k.encode("utf-8"), meta[k].encode("utf-8")
-        body += struct.pack("<I", len(kb)) + kb
-        body += struct.pack("<I", len(vb)) + vb
+        header += struct.pack("<I", len(kb)) + kb
+        header += struct.pack("<I", len(vb)) + vb
 
-    for arr in (params.W1, params.b1, params.W2, params.b2):
-        body += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-
-    if optimizer_state is not None:
-        n = d_h * d_in + d_h + d_out * d_h + d_out
-        if optimizer_state.first_moment.size != n:
-            raise InvalidArgumentError(
-                f"optimizer state covers {optimizer_state.first_moment.size} params, gate has {n}"
+    def parts():
+        yield header
+        for arr in (params.W1, params.b1, params.W2, params.b2):
+            yield np.ascontiguousarray(arr, dtype="<f4")
+        if optimizer_state is not None:
+            yield np.ascontiguousarray(optimizer_state.first_moment, dtype="<f8")
+            yield np.ascontiguousarray(optimizer_state.second_moment, dtype="<f8")
+            yield struct.pack("<Q", optimizer_state.step_count) + struct.pack(
+                "<4d",
+                optimizer_state.weight_decay,
+                optimizer_state.beta1,
+                optimizer_state.beta2,
+                optimizer_state.epsilon,
             )
-        body += np.ascontiguousarray(optimizer_state.first_moment, dtype="<f8").tobytes()
-        body += np.ascontiguousarray(optimizer_state.second_moment, dtype="<f8").tobytes()
-        body += struct.pack("<Q", optimizer_state.step_count)
-        body += struct.pack(
-            "<4d",
-            optimizer_state.weight_decay,
-            optimizer_state.beta1,
-            optimizer_state.beta2,
-            optimizer_state.epsilon,
-        )
 
+    crc = 0
     with atomic_open(path) as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+        for part in parts():
+            view = memoryview(part).cast("B")
+            crc = zlib.crc32(view, crc)
+            fh.write(view)
+        fh.write(struct.pack("<I", crc))
 
 
 class _Cursor:

@@ -59,6 +59,14 @@ def _validate_raw(raw: Mapping) -> str | None:
             return f"missing field {name!r}"
     if raw["dataset"] not in KNOWN_DATASETS:
         return f"unknown dataset tag {raw['dataset']!r}"
+    table = raw["table"]
+    if not (
+        isinstance(table, dict)
+        and isinstance(table.get("columns"), list)
+        and isinstance(table.get("rows"), list)
+        and all(isinstance(row, list) for row in table["rows"])
+    ):
+        return "field 'table' is not an object with a 'columns' list and a list of 'rows' lists"
     return None
 
 

@@ -158,19 +158,23 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
     return cfg.lr_max * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
-def clip_grad_norm(grads, max_norm: float) -> tuple[np.ndarray, float]:
+def clip_grad_norm(
+    grads, max_norm: float, work: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Scale `grads` in place so the global L2 norm is at most `max_norm`.
 
     Input that is not a float64 array is converted first, and the converted
     copy is scaled. Returns (the possibly rescaled gradients, observed
     pre-clip norm). The norm is `sqrt(sum(g * g))`, not `np.dot(g, g)`: the
     two sum in different orders and differ in the last bits, and the norm is
-    part of the training history.
+    part of the training history. The squares go to `work` when it is given
+    (a C-contiguous float64 array of the gradients' shape, overwritten), to
+    a new array otherwise; the norm is the same either way.
     """
     if not (np.isfinite(max_norm) and max_norm > 0):
         raise InvalidArgumentError(f"max_norm must be > 0, got {max_norm}")
     g = np.asarray(grads, dtype=np.float64)
-    norm = float(np.sqrt(np.sum(g * g)))
+    norm = float(np.sqrt(np.sum(np.multiply(g, g, out=work))))
     if norm > max_norm:
         g *= max_norm / norm
     return g, norm

@@ -10,7 +10,7 @@ expected per-path cost of the predicted distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .errors import IngestError, InvalidArgumentError
 from .experts import stable_digest64
 from .gate import (
     HIDDEN_DIM,
+    GateGradients,
     GateParameters,
     backward_batch,
     compute_params,
@@ -127,21 +128,31 @@ class TrainResult:
 EVAL_BLOCK_ROWS = 256
 
 
-def _embedding_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
-    """Gather the examples' float32 rows into one float32 matrix.
+def _embedding_rows(examples: Sequence[RoutingExample]) -> list[np.ndarray]:
+    """The examples' float32 rows where they lie, each checked for non-finite
+    entries.
 
-    `forward_batch` casts the rows it is given to float64, which is exact.
-    Only the gathered rows are checked for non-finite entries, so a stored
-    corpus is never scanned as a whole.
+    For a loaded corpus the rows are read-only views of the memory-mapped
+    sidecar, so nothing is copied; a row held in another dtype is cast to
+    float32, as it would be stored. Callers gather the rows they route
+    straight into float64, the form `forward_batch` computes in (the cast
+    is exact).
     """
+    rows = []
     for ex in examples:
         if ex.embedding is None:
             raise IngestError(f"example {ex.id}: embeddings not resolved")
-    X = np.stack([ex.embedding for ex in examples], dtype=np.float32)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise IngestError(f"example {examples[int(np.argmin(finite))].id}: non-finite embedding")
-    return X
+        row = np.asarray(ex.embedding, dtype=np.float32)
+        if not np.isfinite(row).all():
+            raise IngestError(f"example {ex.id}: non-finite embedding")
+        rows.append(row)
+    return rows
+
+
+def _gradient_views(flat: np.ndarray, dims: tuple[int, int, int]) -> GateGradients:
+    """Views into `flat` shaped as the gradients of a gate of `dims`."""
+    p = unpack_parameters(flat, dims)
+    return GateGradients(p.W1, p.b1, p.W2, p.b2)
 
 
 def _score_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
@@ -174,18 +185,23 @@ def train(
     if not train_examples:
         raise InvalidArgumentError("training set is empty after filtering excluded datasets")
 
-    X = _embedding_matrix(train_examples)
+    rows = _embedding_rows(train_examples)
     S = _score_matrix(train_examples)
-    X_val = _embedding_matrix(val) if val else None
+    val_rows = _embedding_rows(val)
     S_val = _score_matrix(val) if val else None
 
-    n = len(train_examples)
-    dims = (X.shape[1], HIDDEN_DIM, N_PATHS)
+    n = len(rows)
+    dims = (rows[0].shape[0], HIDDEN_DIM, N_PATHS)
     init = init_gate(cfg.seed, *dims)
-    master = pack_parameters(init)  # float64 master copy; float32 at rest
+    # Fixed float64 buffers of one parameter vector each, written in place:
+    # the master copy (float32 at rest), the cycle's accumulated gradient,
+    # the two AdamW moments, and a work buffer that holds a batch's
+    # gradients and then the squares of the clipping norm.
+    master = pack_parameters(init)
     params_view = unpack_parameters(master, dims)
-    grad = np.empty_like(master)  # the cycle's accumulated gradient
-    grad_views = unpack_parameters(grad, dims)
+    grad = np.empty_like(master)
+    work = np.empty_like(master)
+    grad_views, work_views = _gradient_views(grad, dims), _gradient_views(work, dims)
     opt = OptimizerState.for_size(master.size, weight_decay=cfg.weight_decay)
     total_steps = planned_optimizer_steps(n, cfg)
     sched = ScheduleConfig(lr_max=cfg.lr_max, warmup_ratio=cfg.warmup_ratio, total_steps=total_steps)
@@ -203,7 +219,6 @@ def train(
         cycle = cfg.batch_size * cfg.grad_accum_steps
         for start in range(0, n, cycle):
             cycle_idx = order[start:start + cycle]
-            grad.fill(0.0)
             sums = np.zeros(3)  # total, task, resource
             for b in range(0, len(cycle_idx), cfg.batch_size):
                 batch_idx = cycle_idx[b:b + cfg.batch_size]
@@ -211,17 +226,21 @@ def train(
                     _dropout_seed(cfg.seed, epoch, int(start + b + j))
                     for j in range(len(batch_idx))
                 ]
-                Z, cache = forward_batch(params_view, X[batch_idx], mode="train", rng_seeds=seeds)
+                X = np.stack([rows[i] for i in batch_idx], dtype=np.float64)
+                Z, cache = forward_batch(params_view, X, mode="train", rng_seeds=seeds)
                 total, task, resource, dZ = loss_batch(Z, S[batch_idx], cost_arr, cfg)
-                grads = backward_batch(params_view, cache, dZ)
-                grad_views.W1 += grads.dW1
-                grad_views.b1 += grads.db1
-                grad_views.W2 += grads.dW2
-                grad_views.b2 += grads.db2
+                # The cycle's first batch writes the gradient, so it is never
+                # zeroed; 0.0 + g would only turn a -0.0 into +0.0, which
+                # changes no value after it.
+                if b == 0:
+                    backward_batch(params_view, cache, dZ, out=grad_views)
+                else:
+                    backward_batch(params_view, cache, dZ, out=work_views)
+                    grad += work
                 sums += (total.sum(), task.sum(), resource.sum())
             n_cycle = len(cycle_idx)
             grad /= n_cycle
-            _, norm = clip_grad_norm(grad, cfg.clip_norm)
+            _, norm = clip_grad_norm(grad, cfg.clip_norm, work=work)
             lr = lr_at(step_idx, sched)
             adamw_step(master, grad, opt, lr)
             history.append(
@@ -236,24 +255,22 @@ def train(
             )
             step_idx += 1
 
-        if X_val is not None:
+        if val_rows:
             # One call, not blocks: with the master's [out, in] W1 layout a
             # row's logits differ in the last bits between calls of fewer
             # and more than about 400 rows, so blocks would change
-            # val_metrics.json on larger validation splits.
-            Z_val, _ = forward_batch(params_view, X_val, mode="eval")
+            # val_metrics.json on larger validation splits. The gathered
+            # rows are freed before training goes on.
+            Z_val = forward_batch(params_view, np.stack(val_rows, dtype=np.float64), mode="eval")[0]
             metrics = _evaluate_arrays(Z_val, S_val, cost, cfg.gate_temperature)
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
                 best_val = metrics
                 best_params = params_view.astype(np.float32)
-                best_opt = OptimizerState(
-                    opt.first_moment.copy(),
-                    opt.second_moment.copy(),
-                    opt.step_count,
-                    opt.weight_decay,
-                    opt.beta1,
-                    opt.beta2,
-                    opt.epsilon,
+                # Only a later epoch could still move the moments.
+                last = epoch == cfg.epochs - 1
+                best_opt = opt if last else replace(
+                    opt, first_moment=opt.first_moment.copy(),
+                    second_moment=opt.second_moment.copy(),
                 )
 
     if best_params is None:
@@ -286,7 +303,8 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
         hi = lo + EVAL_BLOCK_ROWS
         if len(data) - hi <= 1:
             hi = len(data)
-        Z[lo:hi] = forward_batch(gate, _embedding_matrix(data[lo:hi]), mode="eval")[0]
+        rows = _embedding_rows(data[lo:hi])
+        Z[lo:hi] = forward_batch(gate, np.stack(rows, dtype=np.float64), mode="eval")[0]
         lo = hi
     return Z
 

@@ -131,6 +131,23 @@ class TestExitCodes:
         assert f"record {records[1]['id']}: path_labels" in err
         assert not (workdir / "corpus").exists()
 
+    @pytest.mark.parametrize("table", [{"cols": []}, "| a | b |", {"columns": ["a"], "rows": "1"}],
+                             ids=["missing-key", "string-table", "string-rows"])
+    def test_ingest_bad_table_is_one_skip(self, workdir, capsys, caplog, table):
+        raw = workdir / "raw.jsonl"
+        assert run("make-synthetic", "--out", raw, "--n", 10) == 0
+        records = [json.loads(ln) for ln in raw.read_text().splitlines()]
+        records[1]["table"] = table
+        raw.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        assert run("ingest", "--raw", raw, "--out", workdir / "corpus") == 0
+        assert "(1 skipped)" in capsys.readouterr().out
+        assert f"skipping {records[1]['id']}: field 'table'" in caplog.text
+        assert len((workdir / "corpus" / "corpus.jsonl").read_text().splitlines()) == 9
+        # The same skip among 4 records is 25%, over the 20% threshold.
+        raw.write_text("\n".join(json.dumps(r) for r in records[:4]) + "\n")
+        assert run("ingest", "--raw", raw, "--out", workdir / "corpus4") == 1
+        assert "skipped 1 of 4 records" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,extra,config,key", [
         ("sweep-lambda", ["--lambdas", "0,abc"], None, "sweep.resource_weights"),
         ("sweep-lambda", ["--lambdas", "0,-1"], None, "sweep.resource_weights"),

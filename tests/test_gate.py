@@ -15,6 +15,7 @@ from tableroute.errors import (
 )
 from tableroute.gate import (
     CANONICAL_DIMS,
+    GateGradients,
     GateParameters,
     backward_batch,
     compute_params,
@@ -215,6 +216,17 @@ class TestAllocation:
         size = path.stat().st_size
         assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 2.25 * size
 
+    def test_save_checkpoint_with_moments_under_1mb(self, tmp_path):
+        # A 51.8 MB file: building it in memory would take at least that much.
+        params = init_gate(seed=0)
+        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
+        opt.second_moment[:] = 0.5
+        path = tmp_path / "gate.ckpt"
+        assert traced_peak_bytes(lambda: save_checkpoint(path, params, opt, {"note": "peak"})) < 1_000_000
+        loaded, loaded_opt, meta = load_checkpoint(path)
+        assert pack_parameters(loaded).tobytes() == pack_parameters(params).tobytes()
+        assert (loaded_opt.second_moment == 0.5).all() and meta == {"note": "peak"}
+
     def test_load_checkpoint_with_moments_within_1_3x_file_size(self, tmp_path):
         params = init_gate(seed=0)
         opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
@@ -273,6 +285,50 @@ class TestBackward:
             _, c = forward_batch(params, X[i:i + 1])
             acc += pack_gradients(backward_batch(params, c, dZ[i:i + 1]))
         np.testing.assert_allclose(batch, acc, rtol=1e-10, atol=1e-12)
+
+
+def reference_backward(params, cache, dZ):
+    """The allocating expressions `backward_batch` computed before it took `out`."""
+    dPre = (dZ @ params.W2) * cache.mask_scale * (cache.pre > 0)
+    return GateGradients(dPre.T @ cache.X, dPre.sum(axis=0), dZ.T @ cache.dropped, dZ.sum(axis=0))
+
+
+class TestBackwardOut:
+    """`backward_batch(out=)` writes the gradients into given arrays."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # Canonical dims in the trainer's layout: float64 master views, train mode, B=8.
+        master = pack_parameters(init_gate(seed=2))
+        params = unpack_parameters(master, CANONICAL_DIMS)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(8, CANONICAL_DIMS[0]))
+        _, cache = forward_batch(params, X, mode="train", rng_seeds=list(range(8)))
+        return params, cache, rng.normal(size=(8, CANONICAL_DIMS[2]))
+
+    def test_out_bitwise_equal_to_allocating_form(self, batch):
+        params, cache, dZ = batch
+        flat = np.full(params.param_count, np.nan)
+        views = unpack_parameters(flat, CANONICAL_DIMS)
+        out = GateGradients(views.W1, views.b1, views.W2, views.b2)
+        returned = backward_batch(params, cache, dZ, out=out)
+        assert returned is out
+        assert returned.dW1 is views.W1 and returned.db2 is views.b2
+        reference = pack_gradients(reference_backward(params, cache, dZ))
+        assert flat.tobytes() == reference.tobytes()
+        assert pack_gradients(backward_batch(params, cache, dZ)).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype"])
+    def test_wrong_out_rejected(self, bad):
+        params = toy_params()
+        _, cache = forward_batch(params, np.ones((2, 20)))
+        out = GateGradients(np.empty((6, 20)), np.empty(6), np.empty((3, 6)), np.empty(3))
+        if bad == "shape":
+            out.dW1 = np.empty((20, 6))
+        else:
+            out.dW2 = np.empty((3, 6), dtype=np.float32)
+        with pytest.raises(DimensionMismatchError, match="out.dW"):
+            backward_batch(params, cache, np.ones((2, 3)), out=out)
 
 
 class TestCheckpoint:

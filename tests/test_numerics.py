@@ -299,6 +299,10 @@ class TestClip:
             clip_grad_norm(np.ones(2), 0.0)
 
 
+_D_IN, _D_H, _D_OUT = CANONICAL_DIMS
+CANONICAL_PARAM_COUNT = _D_H * _D_IN + _D_H + _D_OUT * _D_H + _D_OUT
+
+
 class TestClipInPlace:
     def test_scales_in_place(self):
         g = np.array([3.0, 4.0])
@@ -314,3 +318,17 @@ class TestClipInPlace:
             expected = float(np.sqrt(np.sum(g * g)))
             _, norm = clip_grad_norm(g, 1e9)
             assert norm == expected
+
+    @pytest.mark.parametrize("size", [10_001, CANONICAL_PARAM_COUNT], ids=["small", "canonical"])
+    def test_work_buffer_gives_the_same_bits(self, size):
+        rng = np.random.default_rng(size)
+        g = rng.normal(scale=1e-3, size=size)
+        squares = g * g
+        g_work, work = g.copy(), np.full(size, np.nan)
+        _, norm = clip_grad_norm(g, 0.01)
+        out, norm_work = clip_grad_norm(g_work, 0.01, work=work)
+        assert norm > 0.01  # so both calls rescale
+        assert norm_work == norm
+        assert out is g_work
+        assert g_work.tobytes() == g.tobytes()
+        assert work.tobytes() == squares.tobytes()

@@ -1,0 +1,49 @@
+"""perfbench/tracer.py hooks program functions by name and reads some of
+their positional arguments, so a rename in src/ would quietly break
+`perfbench/run.py --trace 1`. These tests load the tracer without running
+it and check that what it names is still there."""
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # Compiled from its source, so no bytecode file is written beside it;
+    # running the module only defines names and patches nothing.
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER_PATH.read_text(encoding="utf-8"), str(TRACER_PATH), "exec"), vars(module))
+    return module
+
+
+def test_every_traced_name_resolves(tracer):
+    missing = []
+    for module_name, attr in tracer.TRACED:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing
+
+
+# (module, function, position, name) of each positional argument an observer
+# reads from `args`.
+OBSERVED_ARGUMENTS = [
+    ("tableroute.gate", "forward_batch", 1, "X"),
+    ("tableroute.numerics", "adamw_step", 0, "params"),
+]
+
+
+@pytest.mark.parametrize("module_name,func,position,name", OBSERVED_ARGUMENTS)
+def test_observed_positional_arguments_in_place(tracer, module_name, func, position, name):
+    assert f"{module_name.split('.')[-1]}.{func}" in tracer.OBSERVERS
+    fn = getattr(importlib.import_module(module_name), func)
+    params = list(inspect.signature(fn).parameters.values())
+    assert params[position].name == name
+    assert params[position].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -6,16 +6,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tableroute import trainer as trainer_module
 from tableroute.cli import main as cli_main
 from tableroute.corpus import RoutingExample, Table
 from tableroute.errors import IngestError, InvalidArgumentError
-from tableroute.gate import GateParameters, compute_params, concat_input, forward_batch, init_gate
+from tableroute.gate import (
+    CANONICAL_DIMS,
+    GateParameters,
+    backward_batch,
+    compute_params,
+    concat_input,
+    forward_batch,
+    init_gate,
+    pack_parameters,
+    unpack_parameters,
+)
+from tableroute.numerics import OptimizerState, adamw_step, clip_grad_norm
 from tableroute.paths import DEFAULT_PATH_COSTS, INPUT_DIM
 from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
 from tableroute.trainer import (
     EVAL_BLOCK_ROWS,
+    PolicyEval,
     TrainConfig,
     _eval_logits,
+    _gradient_views,
     build_target,
     evaluate_policy,
     loss_batch,
@@ -227,7 +241,7 @@ class TestBlockedEval:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block_rows = (EVAL_BLOCK_ROWS + 1) * INPUT_DIM * (4 + 8)  # float32 gather + float64 copy
+        block_rows = (EVAL_BLOCK_ROWS + 1) * INPUT_DIM * 8  # one float64 gather
         assert peak < block_rows + 4_000_000
 
 
@@ -251,3 +265,151 @@ class TestTrainingBytesPin:
                          "--seed", "7"]) == 0
         for name, digest in PINNED_TRAIN_SHA256.items():
             assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestFixedBuffers:
+    """`train` runs in fixed float64 buffers and reads rows where they lie."""
+
+    def test_first_write_then_add_matches_fill_then_add(self):
+        # The trainer writes each cycle's first batch straight into the
+        # gradient instead of adding it to zeros. 0.0 + g differs from g
+        # only for g = -0.0, so the two gradients must be equal in value,
+        # and the sign of a zero gradient must not reach the optimizer.
+        # Rows dropped out in full give zero gradients: every batch of
+        # cycles 0 and 2 is dropped out, and cycle 1's first batch.
+        dims = CANONICAL_DIMS
+        rng = np.random.default_rng(7)
+        master = {k: pack_parameters(init_gate(seed=7)) for k in ("fill", "write")}
+        params = {k: unpack_parameters(v, dims) for k, v in master.items()}
+        opt = {k: OptimizerState.for_size(v.size, weight_decay=0.01) for k, v in master.items()}
+        grad = {k: np.empty_like(v) for k, v in master.items()}
+        work = np.empty_like(master["write"])
+        for cycle in range(3):
+            batches = []
+            for b in range(4):
+                X = rng.normal(size=(8, dims[0]))
+                seeds = [cycle * 100 + b * 8 + j for j in range(8)]
+                batches.append((X, seeds, rng.normal(size=(8, dims[2])), cycle != 1 or b == 0))
+            grad["fill"].fill(0.0)
+            for k in ("fill", "write"):
+                views = _gradient_views(grad[k], dims)
+                for b, (X, seeds, dZ, dropped) in enumerate(batches):
+                    _, cache = forward_batch(params[k], X, mode="train", rng_seeds=seeds)
+                    if dropped:
+                        cache.mask_scale[:] = 0.0
+                        cache.dropped[:] = 0.0
+                    if k == "fill":
+                        grads = backward_batch(params[k], cache, dZ)
+                        for name, acc in zip(("dW1", "db1", "dW2", "db2"),
+                                             (views.dW1, views.db1, views.dW2, views.db2)):
+                            acc += getattr(grads, name)
+                    elif b == 0:
+                        backward_batch(params[k], cache, dZ, out=views)
+                    else:
+                        backward_batch(params[k], cache, dZ, out=_gradient_views(work, dims))
+                        grad[k] += work
+            np.testing.assert_array_equal(grad["write"], grad["fill"])
+            # The worst case for the step: every zero of the gradient is
+            # -0.0. (numpy's sums and BLAS start from +0.0, so none arise
+            # by themselves; they are planted.)
+            zeros = grad["write"] == 0
+            assert zeros.sum() >= (dims[1] * dims[0] if cycle != 1 else 0)
+            grad["write"][zeros] = -0.0
+            norms = {}
+            for k in ("fill", "write"):
+                grad[k] /= 32
+                norms[k] = clip_grad_norm(grad[k], 1e-3, work=work)[1]
+                adamw_step(master[k], grad[k], opt[k], 1e-3)
+            assert norms["write"] == norms["fill"]
+            assert master["write"].tobytes() == master["fill"].tobytes()
+            assert opt["write"].first_moment.tobytes() == opt["fill"].first_moment.tobytes()
+            assert opt["write"].second_moment.tobytes() == opt["fill"].second_moment.tobytes()
+
+    def test_peak_does_not_grow_with_training_rows(self):
+        # A float32 copy of the training rows would grow by 7.8 MB here.
+        train_set, val_set = make_separable_corpus(
+            SeparableCorpusConfig(n_train=256, n_val=16, seed=2)
+        )
+        cfg = TrainConfig(seed=2)
+        peaks = []
+        for n in (64, 256):
+            subset = train_set[:n]
+            tracemalloc.start()
+            try:
+                train(subset, val_set, cfg, DEFAULT_PATH_COSTS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(train_set) >= 256
+        assert peaks[1] - peaks[0] < 1_000_000
+
+    @staticmethod
+    def _two_epoch_run(monkeypatch, accuracies):
+        """Train 2 epochs of 2 steps with the given per-epoch val accuracies;
+        returns the result, the live optimizer state and a snapshot
+        (params, m, v) after each step."""
+        train_set, val_set = make_separable_corpus(
+            SeparableCorpusConfig(n_train=64, n_val=16, seed=6)
+        )
+        scores = iter(accuracies)
+
+        def fake_evaluate(Z, S, cost, gate_temperature):
+            return PolicyEval(next(scores), 0.0, (1.0, 0.0, 0.0), len(Z))
+
+        snapshots, live = [], []
+
+        def recording_step(params, grads, state, lr):
+            out = adamw_step(params, grads, state, lr)
+            live.append(state)
+            snapshots.append((params.astype(np.float32), state.first_moment.copy(),
+                              state.second_moment.copy()))
+            return out
+
+        monkeypatch.setattr(trainer_module, "_evaluate_arrays", fake_evaluate)
+        monkeypatch.setattr(trainer_module, "adamw_step", recording_step)
+        result = train(train_set, val_set, TrainConfig(seed=6, epochs=2), DEFAULT_PATH_COSTS)
+        assert len(snapshots) == result.total_steps == 2 * planned_optimizer_steps(
+            len(train_set), TrainConfig(epochs=1)
+        )
+        return result, live[-1], snapshots
+
+    def test_first_epoch_best_returns_its_moment_snapshot(self, monkeypatch):
+        result, live, snapshots = self._two_epoch_run(monkeypatch, [0.75, 0.5])
+        epoch_end = result.total_steps // 2
+        params, m, v = snapshots[epoch_end - 1]
+        state = result.optimizer_state
+        assert state is not live
+        assert state.step_count == epoch_end
+        assert state.first_moment.tobytes() == m.tobytes()
+        assert state.second_moment.tobytes() == v.tobytes()
+        assert state.first_moment.tobytes() != live.first_moment.tobytes()
+        assert pack_parameters(result.params).astype(np.float32).tobytes() == params.tobytes()
+
+    def test_last_epoch_best_returns_the_live_state(self, monkeypatch):
+        result, live, snapshots = self._two_epoch_run(monkeypatch, [0.5, 0.75])
+        assert result.optimizer_state is live
+        assert live.step_count == result.total_steps
+        assert pack_parameters(result.params).astype(np.float32).tobytes() == snapshots[-1][0].tobytes()
+
+
+# sha256 of a 2-epoch `train` on `make_separable_corpus(n_train=150, n_val=40,
+# seed=4)`: 5 accumulation cycles per epoch, the last of 3 batches with a
+# 6-row batch at its end, and the best validation in the first epoch. Taken
+# before training ran in fixed buffers; it pins the floating-point order
+# across cycles, which the single-cycle CLI pin above does not reach.
+PINNED_MULTI_CYCLE_SHA256 = "5eb4c4d51afcb07afb6d8a274467bee14911d19e54ceaeb0745ca68107aa299a"
+
+
+def test_multi_cycle_training_pinned():
+    train_set, val_set = make_separable_corpus(
+        SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
+    )
+    result = train(train_set, val_set, TrainConfig(seed=4, epochs=2), DEFAULT_PATH_COSTS)
+    assert (len(train_set), len(result.history), result.optimizer_state.step_count) == (150, 10, 5)
+    digest = hashlib.sha256()
+    digest.update(repr(result.history).encode())
+    digest.update(repr(result.val_metrics).encode())
+    digest.update(pack_parameters(result.params).tobytes())
+    digest.update(result.optimizer_state.first_moment.tobytes())
+    digest.update(result.optimizer_state.second_moment.tobytes())
+    assert digest.hexdigest() == PINNED_MULTI_CYCLE_SHA256
