@@ -12,7 +12,7 @@ from .errors import IncompleteDataError, InvalidArgumentError, UndefinedRateErro
 from .fileio import write_lines
 from .gate import GateParameters
 from .paths import PATH_NAMES, PathCostVector
-from .trainer import PolicyEval, TrainConfig, evaluate_policy, routed_paths, train
+from .trainer import TrainConfig, route_split, routed_paths, train
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,11 @@ def outcome_records(
     costs: PathCostVector,
 ) -> list[OutcomeRecord]:
     """Route `data` with the gate and join with the per-path score labels."""
-    chosen = routed_paths(gate, data, costs)
+    return _join_outcomes(data, routed_paths(gate, data, costs))
+
+
+def _join_outcomes(data: Sequence[RoutingExample], chosen: Sequence[int]) -> list[OutcomeRecord]:
+    """One record per example, with the path index chosen for it."""
     out = []
     for ex, idx in zip(data, chosen):
         s = ex.path_scores
@@ -164,8 +168,8 @@ def lambda_sweep(
         # Only the weights are kept, so the optimizer moments of one gate
         # are freed before the next gate trains.
         params = train(train_examples, val_examples, cfg, costs).params
-        policy: PolicyEval = evaluate_policy(params, val_examples, costs)
-        records = outcome_records(params, val_examples, costs)
+        policy, chosen = route_split(params, val_examples, costs)
+        records = _join_outcomes(val_examples, chosen)
         rows.append(
             SweepRow(
                 resource_weight=float(weight),

@@ -12,7 +12,9 @@ left by older writers is ignored.
 """
 from __future__ import annotations
 
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -76,8 +78,9 @@ class Table:
 class RoutingExample:
     """One table-query instance with per-path correctness scores.
 
-    `embedding` is the float32 [10112] gate input row; a loaded corpus sets
-    it to a read-only view of the memory-mapped sidecar.
+    `embedding` is the float32 [10112] gate input row; a loaded corpus sets it
+    to a read-only view of the mapped sidecar and `sidecar_row` to (open
+    sidecar, row index, that view), which `read_rows` reads from instead.
     """
 
     id: str
@@ -89,6 +92,7 @@ class RoutingExample:
     gold_answer: str
     embedding: np.ndarray | None = None
     cached_expert_outputs: dict[str, ExpertOutput] = field(default_factory=dict)
+    sidecar_row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dataset not in KNOWN_DATASETS:
@@ -193,18 +197,26 @@ def _record_lines(corpus_path: Path) -> Iterator[tuple[int, bytes]]:
                 yield line_no, line
 
 
-def _sidecar(directory: Path, n_records: int) -> Path:
-    """The sidecar path, after checking that it holds exactly one row per record."""
+class _Sidecar(io.FileIO):
+    """An open sidecar, closed when the last example that reads from it goes."""
+
+    def __del__(self):
+        self.close()
+
+
+def _open_sidecar(directory: Path, n_records: int) -> _Sidecar:
+    """The sidecar, opened, after checking that it holds exactly one row per record."""
     sidecar_path = directory / SIDECAR_FILE
     if not sidecar_path.exists():
         raise IngestError(f"missing embedding sidecar {sidecar_path}")
-    size = sidecar_path.stat().st_size
+    sidecar = _Sidecar(sidecar_path)
+    size = os.fstat(sidecar.fileno()).st_size
     if size != n_records * _ROW_BYTES:
         raise IngestError(
             f"embedding sidecar {sidecar_path} has {size} bytes, expected "
             f"{n_records * _ROW_BYTES} for {n_records} records"
         )
-    return sidecar_path
+    return sidecar
 
 
 def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
@@ -243,16 +255,18 @@ def load_corpus(directory: str | Path) -> list[RoutingExample]:
     """Load a corpus; each example's `embedding` is its row of the sidecar.
 
     The sidecar must hold exactly one row per record, or IngestError is
-    raised. It is memory-mapped read-only, so rows are read when used.
+    raised. It is memory-mapped read-only, and `read_rows` reads rows from
+    the same open file even after a new sidecar is renamed over its path.
     """
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
     examples = [_parse_record(corpus_path, *where) for where in _record_lines(corpus_path)]
-    sidecar_path = _sidecar(directory, len(examples))
+    sidecar = _open_sidecar(directory, len(examples))
     if examples:
-        matrix = np.memmap(sidecar_path, dtype="<f4", mode="r", shape=(len(examples), INPUT_DIM))
-        for ex, row in zip(examples, np.asarray(matrix)):
+        matrix = np.memmap(sidecar, dtype="<f4", mode="r", shape=(len(examples), INPUT_DIM))
+        for i, (ex, row) in enumerate(zip(examples, np.asarray(matrix))):
             ex.embedding = row
+            ex.sidecar_row = (sidecar, i, row)
     return examples
 
 
@@ -277,14 +291,55 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
             if ex is not None:
                 found = (n_records, ex)
         n_records += 1
-    sidecar_path = _sidecar(directory, n_records)
+    sidecar = _open_sidecar(directory, n_records)
     if found is None:
         return None
-    row, ex = found
+    i, ex = found
     ex.embedding = np.asarray(np.memmap(
-        sidecar_path, dtype="<f4", mode="r", offset=row * _ROW_BYTES, shape=(INPUT_DIM,)
+        sidecar, dtype="<f4", mode="r", offset=i * _ROW_BYTES, shape=(INPUT_DIM,)
     ))
+    ex.sidecar_row = (sidecar, i, ex.embedding)
     return ex
+
+
+# Rows staged as float32 per block in `read_rows` (16 rows are 647 KB).
+_STAGE_ROWS = 16
+
+
+def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray:
+    """Fill `out[:len(examples)]`, a float64 buffer, with the examples' rows
+    and return that slice.
+
+    Rows are staged as float32, _STAGE_ROWS at a time: a loaded row is read
+    from its open sidecar, one positional read per run of consecutive rows,
+    and any other row is copied. A non-finite entry raises IngestError
+    naming the example; the cast to float64 is exact.
+    """
+    stage = np.empty((min(len(examples), _STAGE_ROWS), out.shape[1]), dtype="<f4")
+    for lo in range(0, len(examples), _STAGE_ROWS):
+        block = examples[lo:lo + _STAGE_ROWS]
+        sources = [ex.sidecar_row[:2] if ex.sidecar_row and ex.sidecar_row[2] is ex.embedding
+                   else None for ex in block]
+        k = 0
+        while k < len(block):
+            end = k + 1
+            if sources[k] is None:
+                if block[k].embedding is None:
+                    raise IngestError(f"example {block[k].id}: embeddings not resolved")
+                stage[k] = block[k].embedding
+            else:
+                sidecar, row = sources[k]
+                while end < len(block) and sources[end] == (sidecar, row + end - k):
+                    end += 1
+                n_bytes = os.preadv(sidecar.fileno(), [stage[k:end]], row * _ROW_BYTES)
+                if n_bytes != (end - k) * _ROW_BYTES:
+                    raise IngestError(f"embedding sidecar {sidecar.name} ended before row {row}")
+            k = end
+        finite = np.isfinite(stage[:len(block)]).all(axis=1)
+        if not finite.all():
+            raise IngestError(f"example {block[int(np.argmin(finite))].id}: non-finite embedding")
+        out[lo:lo + len(block)] = stage[:len(block)]
+    return out[:len(examples)]
 
 
 def split_by_dataset(examples: Iterable[RoutingExample]) -> dict[str, list[RoutingExample]]:

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RoutingExample
-from .errors import IngestError, InvalidArgumentError
+from .corpus import RoutingExample, read_rows
+from .errors import InvalidArgumentError
 from .experts import stable_digest64
 from .gate import (
     HIDDEN_DIM,
@@ -40,6 +40,7 @@ from .numerics import (
 )
 from .paths import (
     EXCLUDED_FROM_TRAINING,
+    INPUT_DIM,
     N_PATHS,
     PathCostVector,
     argmax_with_tiebreak,
@@ -124,29 +125,8 @@ class TrainResult:
 
 
 # Rows per gate call when `evaluate_policy` and `routed_paths` route a whole
-# split: bounds the rows gathered and cast to float64 at once.
+# split: bounds the rows read into float64 at once.
 EVAL_BLOCK_ROWS = 256
-
-
-def _embedding_rows(examples: Sequence[RoutingExample]) -> list[np.ndarray]:
-    """The examples' float32 rows where they lie, each checked for non-finite
-    entries.
-
-    For a loaded corpus the rows are read-only views of the memory-mapped
-    sidecar, so nothing is copied; a row held in another dtype is cast to
-    float32, as it would be stored. Callers gather the rows they route
-    straight into float64, the form `forward_batch` computes in (the cast
-    is exact).
-    """
-    rows = []
-    for ex in examples:
-        if ex.embedding is None:
-            raise IngestError(f"example {ex.id}: embeddings not resolved")
-        row = np.asarray(ex.embedding, dtype=np.float32)
-        if not np.isfinite(row).all():
-            raise IngestError(f"example {ex.id}: non-finite embedding")
-        rows.append(row)
-    return rows
 
 
 def _gradient_views(flat: np.ndarray, dims: tuple[int, int, int]) -> GateGradients:
@@ -185,13 +165,17 @@ def train(
     if not train_examples:
         raise InvalidArgumentError("training set is empty after filtering excluded datasets")
 
-    rows = _embedding_rows(train_examples)
+    # Every row is read once up front, so a bad row fails before any step;
+    # then each batch is read into X and the validation rows once per pass.
+    X = np.empty((cfg.batch_size, INPUT_DIM))
+    for examples in (train_examples, val):
+        for lo in range(0, len(examples), cfg.batch_size):
+            read_rows(examples[lo:lo + cfg.batch_size], X)
     S = _score_matrix(train_examples)
-    val_rows = _embedding_rows(val)
     S_val = _score_matrix(val) if val else None
 
-    n = len(rows)
-    dims = (rows[0].shape[0], HIDDEN_DIM, N_PATHS)
+    n = len(train_examples)
+    dims = (INPUT_DIM, HIDDEN_DIM, N_PATHS)
     init = init_gate(cfg.seed, *dims)
     # Fixed float64 buffers of one parameter vector each, written in place:
     # the master copy (float32 at rest), the cycle's accumulated gradient,
@@ -226,8 +210,8 @@ def train(
                     _dropout_seed(cfg.seed, epoch, int(start + b + j))
                     for j in range(len(batch_idx))
                 ]
-                X = np.stack([rows[i] for i in batch_idx], dtype=np.float64)
-                Z, cache = forward_batch(params_view, X, mode="train", rng_seeds=seeds)
+                batch = read_rows([train_examples[i] for i in batch_idx], X)
+                Z, cache = forward_batch(params_view, batch, mode="train", rng_seeds=seeds)
                 total, task, resource, dZ = loss_batch(Z, S[batch_idx], cost_arr, cfg)
                 # The cycle's first batch writes the gradient, so it is never
                 # zeroed; 0.0 + g would only turn a -0.0 into +0.0, which
@@ -255,13 +239,15 @@ def train(
             )
             step_idx += 1
 
-        if val_rows:
+        if val:
             # One call, not blocks: with the master's [out, in] W1 layout a
             # row's logits differ in the last bits between calls of fewer
             # and more than about 400 rows, so blocks would change
-            # val_metrics.json on larger validation splits. The gathered
-            # rows are freed before training goes on.
-            Z_val = forward_batch(params_view, np.stack(val_rows, dtype=np.float64), mode="eval")[0]
+            # val_metrics.json on larger validation splits. The rows read
+            # are freed before training goes on.
+            Z_val = forward_batch(
+                params_view, read_rows(val, np.empty((len(val), INPUT_DIM))), mode="eval"
+            )[0]
             metrics = _evaluate_arrays(Z_val, S_val, cost, cfg.gate_temperature)
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
                 best_val = metrics
@@ -287,8 +273,8 @@ def train(
 
 
 def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.ndarray:
-    """Eval-mode logits for `data`, gathered and routed EVAL_BLOCK_ROWS rows
-    at a time through the compute form of `gate`.
+    """Eval-mode logits for `data`, read into one float64 buffer and routed
+    EVAL_BLOCK_ROWS rows at a time through the compute form of `gate`.
 
     Blocks start at multiples of EVAL_BLOCK_ROWS, which is a multiple of the
     BLAS kernels' row tiles, so with that weight layout every row is computed
@@ -298,13 +284,13 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
     """
     gate = compute_params(gate)
     Z = np.empty((len(data), gate.dims[2]))
+    X = np.empty((min(len(data), EVAL_BLOCK_ROWS + 1), gate.dims[0]))
     lo = 0
     while lo < len(data):
         hi = lo + EVAL_BLOCK_ROWS
         if len(data) - hi <= 1:
             hi = len(data)
-        rows = _embedding_rows(data[lo:hi])
-        Z[lo:hi] = forward_batch(gate, np.stack(rows, dtype=np.float64), mode="eval")[0]
+        Z[lo:hi] = forward_batch(gate, read_rows(data[lo:hi], X), mode="eval")[0]
         lo = hi
     return Z
 
@@ -328,6 +314,17 @@ def _evaluate_arrays(
     )
 
 
+def route_split(gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector,
+                gate_temperature: float = 1.0) -> tuple[PolicyEval, list[int]]:
+    """`evaluate_policy` and `routed_paths` of `data` from one routing pass."""
+    if not data:
+        raise InvalidArgumentError("evaluate_policy: empty dataset")
+    Z = _eval_logits(gate, data)
+    cost_arr = cost.as_array()
+    return (_evaluate_arrays(Z, _score_matrix(data), cost, gate_temperature),
+            [argmax_with_tiebreak(z, cost_arr) for z in Z])
+
+
 def evaluate_policy(
     gate: GateParameters,
     data: Sequence[RoutingExample],
@@ -335,9 +332,7 @@ def evaluate_policy(
     gate_temperature: float = 1.0,
 ) -> PolicyEval:
     """Argmax-routing accuracy, expected soft cost, and the chosen-path mix."""
-    if not data:
-        raise InvalidArgumentError("evaluate_policy: empty dataset")
-    return _evaluate_arrays(_eval_logits(gate, data), _score_matrix(data), cost, gate_temperature)
+    return route_split(gate, data, cost, gate_temperature)[0]
 
 
 def routed_paths(

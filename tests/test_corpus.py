@@ -17,6 +17,7 @@ from tableroute.corpus import (
     Table,
     load_corpus,
     load_example,
+    read_rows,
     split_by_dataset,
     stratified_split,
     write_corpus,
@@ -27,7 +28,7 @@ from tableroute.experts import (
     SimulatedGenerationBackend,
 )
 from tableroute.fusion import ScriptedAgent
-from tableroute.gate import init_gate, save_checkpoint
+from tableroute.gate import init_gate, pack_parameters, save_checkpoint
 from tableroute.ingest import ingest
 from tableroute.paths import (
     DEFAULT_PATH_COSTS,
@@ -43,7 +44,7 @@ from tableroute.synthetic import (
     make_raw_records,
     make_separable_corpus,
 )
-from tableroute.trainer import TrainConfig, train
+from tableroute.trainer import TrainConfig, _eval_logits, evaluate_policy, train
 
 # sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
 # `ingest --seed 7` write; they pin the on-disk corpus format.
@@ -569,3 +570,127 @@ class TestLoadExample:
         monkeypatch.setattr(cli_module, "backends_from_corpus",
                             lambda cfg, _examples: runconfig.backends_from_corpus(cfg, full))
         assert infer_stdout() == single
+
+
+def _random_examples(n, seed):
+    """`n` canonical-dim examples with random float32 rows and path scores."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, INPUT_DIM)).astype(np.float32)
+    scores = rng.integers(0, 2, size=(n, 3))
+    t = Table(columns=("a",), rows=(("1",),))
+    return [RoutingExample(f"r-{i:04d}", "wtq", "q", t, t.to_markdown(),
+                           tuple(int(s) for s in scores[i]), "g", embedding=rows[i])
+            for i in range(n)]
+
+
+def _stacked(examples):
+    """The reference gather: each row as float32, stacked into float64."""
+    return np.stack([np.asarray(e.embedding, dtype=np.float32) for e in examples],
+                    dtype=np.float64)
+
+
+def _mapped_rss_kb(path):
+    """Total `Rss` of this process's mappings of `path`, in kB, and their count."""
+    rss, count, inside = 0, 0, False
+    with open("/proc/self/smaps", encoding="utf-8") as fh:
+        for line in fh:
+            head = line.split()
+            if not head[0].endswith(":"):  # a mapping's header line
+                inside = len(head) >= 6 and head[5] == str(path)
+                count += inside
+            elif inside and head[0] == "Rss:":
+                rss += int(head[1])
+    return rss, count
+
+
+class TestReadRows:
+    N = 40  # rows in the corpus on disk: 2.5 staging blocks
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        write_corpus(tmp_path, _random_examples(self.N, seed=3))
+        return load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("picks", [
+        range(3, 11),                         # one run of consecutive rows
+        range(40),                            # runs that cross staging blocks
+        [9, 2, 17, 5, 30, 31, 0, 39, 18],     # scattered rows
+        [20, 20, 21],                         # a row twice
+    ], ids=["run", "all", "scattered", "repeat"])
+    def test_sidecar_rows_bitwise_equal_to_stack(self, loaded, picks):
+        examples = [loaded[i] for i in picks]
+        out = np.full((len(examples) + 2, INPUT_DIM), 7.0)
+        got = read_rows(examples, out)
+        assert got.base is out and got.shape == (len(examples), INPUT_DIM)
+        assert got.tobytes() == _stacked(examples).tobytes()
+        assert (out[len(examples):] == 7.0).all()
+
+    def test_in_memory_rows_mixed_with_sidecar_rows(self, loaded):
+        held = _random_examples(5, seed=4)
+        held[1].embedding = held[1].embedding.astype(np.float64) / 3.0  # cast to float32 first
+        examples = [loaded[0], held[0], loaded[1], loaded[2], held[1], held[2], loaded[7],
+                    held[3], held[4], loaded[8]]
+        got = read_rows(examples, np.empty((len(examples), INPUT_DIM)))
+        assert got.tobytes() == _stacked(examples).tobytes()
+
+    def test_reassigned_embedding_is_the_one_read(self, loaded):
+        loaded[4].embedding = np.ones(INPUT_DIM, dtype=np.float32)
+        got = read_rows(loaded[3:6], np.empty((3, INPUT_DIM)))
+        assert got.tobytes() == _stacked(loaded[3:6]).tobytes()
+        assert (got[1] == 1.0).all()
+
+    def test_row_from_load_example(self, loaded, tmp_path):
+        for i in (0, 13, self.N - 1):
+            ex = load_example(tmp_path, loaded[i].id)
+            got = read_rows([ex, loaded[i]], np.empty((2, INPUT_DIM)))
+            assert got.tobytes() == _stacked([loaded[i], loaded[i]]).tobytes()
+
+    def test_non_finite_row_names_its_example(self, tmp_path):
+        write_corpus(tmp_path, _random_examples(self.N, seed=3))
+        matrix = np.fromfile(tmp_path / "embeddings.bin", dtype="<f4").reshape(-1, INPUT_DIM)
+        matrix[21, 9000] = np.nan  # inside the second staging block of a full read
+        matrix.tofile(tmp_path / "embeddings.bin")
+        loaded = load_corpus(tmp_path)
+        bad = loaded[21].id
+        with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
+            read_rows(loaded, np.empty((self.N, INPUT_DIM)))
+        with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
+            train(loaded, [], TrainConfig(), DEFAULT_PATH_COSTS)
+        with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
+            train(loaded[:8], loaded[8:], TrainConfig(), DEFAULT_PATH_COSTS)
+        with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
+            _eval_logits(init_gate(seed=0), loaded)
+        _eval_logits(init_gate(seed=0), loaded[:21])
+
+    def test_sidecar_cut_short_after_load(self, loaded, tmp_path):
+        with open(tmp_path / "embeddings.bin", "r+b") as fh:
+            fh.truncate(10 * INPUT_DIM * 4)
+        read_rows(loaded[:10], np.empty((10, INPUT_DIM)))
+        with pytest.raises(IngestError, match="embeddings.bin ended before row 8"):
+            read_rows(loaded[8:12], np.empty((4, INPUT_DIM)))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_training_and_evaluation_leave_the_mapping_unread(self, tmp_path):
+        write_corpus(tmp_path, _random_examples(300, seed=5))
+        loaded = load_corpus(tmp_path)
+        params = train(loaded[:250], loaded[250:], TrainConfig(), DEFAULT_PATH_COSTS).params
+        evaluate_policy(params, loaded, DEFAULT_PATH_COSTS)
+        rss_kb, n_maps = _mapped_rss_kb((tmp_path / "embeddings.bin").resolve())
+        assert n_maps == 1
+        # The file is 12.1 MB; reading rows through the mapping leaves all
+        # of it resident.
+        assert rss_kb <= corpus_module._STAGE_ROWS * INPUT_DIM * 4 // 1024
+
+    def test_rows_come_from_the_file_that_was_loaded(self, tmp_path):
+        old, new = _random_examples(64, seed=6), _random_examples(64, seed=7)
+        write_corpus(tmp_path / "kept", old)
+        write_corpus(tmp_path / "replaced", old)
+        kept, replaced = load_corpus(tmp_path / "kept"), load_corpus(tmp_path / "replaced")
+        write_corpus(tmp_path / "replaced", new)  # same size, other rows
+        assert load_corpus(tmp_path / "replaced")[0].embedding.tobytes() != \
+            kept[0].embedding.tobytes()
+        cfg = TrainConfig(epochs=2)
+        a = train(kept[:48], kept[48:], cfg, DEFAULT_PATH_COSTS)
+        b = train(replaced[:48], replaced[48:], cfg, DEFAULT_PATH_COSTS)
+        assert a.history == b.history and a.val_metrics == b.val_metrics
+        assert pack_parameters(a.params).tobytes() == pack_parameters(b.params).tobytes()
