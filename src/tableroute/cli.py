@@ -143,7 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         metadata["val_routing_accuracy"] = repr(result.val_metrics.routing_accuracy)
         write_lines(run_dir / "val_metrics.json",
                     [json.dumps(asdict(result.val_metrics), indent=2, sort_keys=True)])
-    save_checkpoint(run_dir / "gate.ckpt", result.params, result.optimizer_state, metadata)
+    save_checkpoint(run_dir / "gate.ckpt", result.params, None, metadata)
     acc = result.val_metrics.routing_accuracy if result.val_metrics else float("nan")
     print(f"trained {result.total_steps} steps; best val routing accuracy {acc:.4f}; "
           f"checkpoint at {run_dir / 'gate.ckpt'}")

@@ -15,9 +15,10 @@ from __future__ import annotations
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -219,55 +220,69 @@ def _open_sidecar(directory: Path, n_records: int) -> _Sidecar:
     return sidecar
 
 
-def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
-    """Write the embedding sidecar and the records to temp files, then rename
-    both into place, sidecar first.
+@contextmanager
+def corpus_writer(directory: str | Path) -> Iterator[Callable[[RoutingExample], None]]:
+    """Stage a corpus in `directory` one example at a time.
 
-    Every record is validated and serialized before either file is touched,
-    and an exception while writing leaves the previous pair as it was. The
-    previous `corpus.jsonl` is removed just before the first rename, so a
-    process killed between the renames leaves a directory that `load_corpus`
-    rejects, never a new sidecar beside the previous records.
+    Yields `add(example)`, which writes the example's row and record to temp
+    files at once; ids must ascend. When the body returns, the previous
+    `corpus.jsonl` is removed and both temp files are renamed into place,
+    sidecar first, so a process killed between the renames leaves a
+    directory that `load_corpus` rejects, never a new sidecar beside the
+    previous records. An exception leaves the previous pair as it was.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(examples, key=lambda e: e.id)
-    ids = [e.id for e in ordered]
-    if len(set(ids)) != len(ids):
-        raise IngestError("duplicate example ids in corpus")
-    lines = []
-    for ex in ordered:
-        if ex.embedding is None or np.shape(ex.embedding) != (INPUT_DIM,):
-            raise IngestError(f"example {ex.id} has no {INPUT_DIM}-dim embedding to write")
-        lines.append(json.dumps(_example_to_json(ex), ensure_ascii=False, sort_keys=True) + "\n")
-
     corpus_path = directory / CORPUS_FILE
+    last_id: str | None = None
     with staged(directory / SIDECAR_FILE, corpus_path) as (sidecar_tmp, corpus_tmp):
-        with open(sidecar_tmp, "wb") as fh:
-            for ex in ordered:
-                fh.write(np.ascontiguousarray(ex.embedding, dtype="<f4").tobytes())
-        with open(corpus_tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
+        with open(sidecar_tmp, "wb") as rows, \
+                open(corpus_tmp, "w", encoding="utf-8", newline="\n") as records:
+            def add(ex: RoutingExample) -> None:
+                nonlocal last_id
+                if ex.embedding is None or np.shape(ex.embedding) != (INPUT_DIM,):
+                    raise IngestError(f"example {ex.id} has no {INPUT_DIM}-dim embedding to write")
+                if last_id is not None and ex.id <= last_id:
+                    raise IngestError(f"duplicate example ids in corpus, or out of order: {ex.id}")
+                records.write(json.dumps(_example_to_json(ex), ensure_ascii=False,
+                                         sort_keys=True) + "\n")
+                rows.write(np.ascontiguousarray(ex.embedding, dtype="<f4"))
+                last_id = ex.id
+
+            yield add
         corpus_path.unlink(missing_ok=True)
 
 
-def load_corpus(directory: str | Path) -> list[RoutingExample]:
-    """Load a corpus; each example's `embedding` is its row of the sidecar.
+def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
+    """Write `examples` in id order through `corpus_writer`."""
+    with corpus_writer(directory) as add:
+        for ex in sorted(examples, key=lambda e: e.id):
+            add(ex)
 
-    The sidecar must hold exactly one row per record, or IngestError is
-    raised. It is memory-mapped read-only, and `read_rows` reads rows from
-    the same open file even after a new sidecar is renamed over its path.
-    """
+
+def load_corpus(directory: str | Path) -> list[RoutingExample]:
+    """Load a corpus; each example's `embedding` is its sidecar row (`attach_sidecar`)."""
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
     examples = [_parse_record(corpus_path, *where) for where in _record_lines(corpus_path)]
-    sidecar = _open_sidecar(directory, len(examples))
+    attach_sidecar(directory, examples)
+    return examples
+
+
+def attach_sidecar(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
+    """Point each example's `embedding` at its row of `directory`'s sidecar,
+    row i for `examples[i]`.
+
+    The sidecar must hold exactly one row per example, or IngestError is
+    raised. It is memory-mapped read-only, and `read_rows` reads rows from
+    the same open file even after a new sidecar is renamed over its path.
+    """
+    sidecar = _open_sidecar(Path(directory), len(examples))
     if examples:
         matrix = np.memmap(sidecar, dtype="<f4", mode="r", shape=(len(examples), INPUT_DIM))
         for i, (ex, row) in enumerate(zip(examples, np.asarray(matrix))):
             ex.embedding = row
             ex.sidecar_row = (sidecar, i, row)
-    return examples
 
 
 def load_example(directory: str | Path, example_id: str) -> RoutingExample | None:
@@ -302,22 +317,26 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
     return ex
 
 
-# Rows staged as float32 per block in `read_rows` (16 rows are 647 KB).
+# Rows read per block in `read_rows` (16 float32 rows are 647 KB).
 _STAGE_ROWS = 16
 
 
 def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray:
-    """Fill `out[:len(examples)]`, a float64 buffer, with the examples' rows
-    and return that slice.
+    """Fill `out[:len(examples)]`, a C-contiguous float32 or float64 buffer,
+    with the examples' rows and return that slice.
 
-    Rows are staged as float32, _STAGE_ROWS at a time: a loaded row is read
-    from its open sidecar, one positional read per run of consecutive rows,
-    and any other row is copied. A non-finite entry raises IngestError
-    naming the example; the cast to float64 is exact.
+    Rows go _STAGE_ROWS at a time, straight into a float32 `out` or staged as
+    float32 and cast (exactly) into a float64 one: a loaded row is read from
+    its open sidecar, one positional read per run of consecutive rows, and
+    any other row is copied. A non-finite entry raises IngestError naming
+    the example.
     """
-    stage = np.empty((min(len(examples), _STAGE_ROWS), out.shape[1]), dtype="<f4")
+    direct = out.dtype == np.float32
+    stage = None if direct else np.empty(
+        (min(len(examples), _STAGE_ROWS), out.shape[1]), dtype=np.float32)
     for lo in range(0, len(examples), _STAGE_ROWS):
         block = examples[lo:lo + _STAGE_ROWS]
+        dest = out[lo:lo + len(block)] if direct else stage[:len(block)]
         sources = [ex.sidecar_row[:2] if ex.sidecar_row and ex.sidecar_row[2] is ex.embedding
                    else None for ex in block]
         k = 0
@@ -326,19 +345,20 @@ def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray
             if sources[k] is None:
                 if block[k].embedding is None:
                     raise IngestError(f"example {block[k].id}: embeddings not resolved")
-                stage[k] = block[k].embedding
+                dest[k] = block[k].embedding
             else:
                 sidecar, row = sources[k]
                 while end < len(block) and sources[end] == (sidecar, row + end - k):
                     end += 1
-                n_bytes = os.preadv(sidecar.fileno(), [stage[k:end]], row * _ROW_BYTES)
+                n_bytes = os.preadv(sidecar.fileno(), [dest[k:end]], row * _ROW_BYTES)
                 if n_bytes != (end - k) * _ROW_BYTES:
                     raise IngestError(f"embedding sidecar {sidecar.name} ended before row {row}")
             k = end
-        finite = np.isfinite(stage[:len(block)]).all(axis=1)
+        finite = np.isfinite(dest).all(axis=1)
         if not finite.all():
             raise IngestError(f"example {block[int(np.argmin(finite))].id}: non-finite embedding")
-        out[lo:lo + len(block)] = stage[:len(block)]
+        if not direct:
+            out[lo:lo + len(block)] = dest
     return out[:len(examples)]
 
 

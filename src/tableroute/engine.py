@@ -29,7 +29,7 @@ from .errors import (
 from .experts import EmbeddingBackend, ExpertOutput, GenerationBackend, stable_digest64
 from .fileio import write_lines
 from .fusion import AgentBackend, FusionRequest, FusionResult, fuse
-from .gate import GateParameters, concat_input, forward_batch
+from .gate import GateParameters, compute_params, concat_input, forward_batch
 from .numerics import softmax
 from .paths import (
     PATH_FUSION,
@@ -108,12 +108,12 @@ def route_batch(
     gate_temperature: float = 1.0,
 ) -> list[RouteDecision]:
     """Pick a path for each row of the [B, 10,112] gate input `X` with one
-    gate call, by argmax over that row's logits; ties go to the cheaper path.
-    Non-finite inputs are rejected."""
+    float64 gate call (`compute_params`), by argmax over that row's logits;
+    ties go to the cheaper path. Non-finite inputs are rejected."""
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise InvalidArgumentError("gate input: non-finite entries")
-    Z, _ = forward_batch(gate, X, mode="eval")
+    Z, _ = forward_batch(compute_params(gate), X, mode="eval")
     decisions = []
     for z in Z:
         idx = argmax_with_tiebreak(z, costs)

@@ -6,16 +6,17 @@ Uses inverted dropout (surviving units scaled by 1/keep at train time), so
 eval-mode forward is the identity on the dropout stage.
 
 Dtype contract: weights live as float32 at rest (checkpoints, `init_gate`,
-`TrainResult.params`); forward/backward math runs in float64. The one cast
-between the two is `compute_params`. It stores W1 and W2 as transposed views
-of C-contiguous `[in, out]` float64 buffers, the operand layout numpy builds
-itself when it promotes a float32 `W.T` inside `X @ W.T`, so logits from the
-cast weights are bitwise equal to logits from the float32 weights. A plain
-`astype(np.float64)` keeps the `[out, in]` layout, which takes a different
-BLAS path and differs in the last bits. `forward_batch` casts on entry (a
-no-op for float64 params); callers that route many times, such as the CLI
-commands, cast once after loading so no call repeats the 2.59M-weight
-promotion.
+`TrainResult.params`). `forward_batch` and `backward_batch` compute in the
+dtype of the params they are given:
+- Training is float32, the one training dtype, after Micikevicius et al.,
+  *Mixed Precision Training* (arXiv:1710.03740): master weights, AdamW
+  moments, gradients and the batch forward/backward (sgemm). Only the loss
+  on the [B, 3] logits is float64.
+- Inference and validation are float64, on `compute_params(params)`. It
+  stores W1 and W2 as transposed views of C-contiguous `[in, out]` float64
+  buffers, the layout numpy builds when it promotes a float32 `W.T` in
+  `X @ W.T`, so logits are bitwise those of that product; `astype` keeps
+  `[out, in]`, takes another BLAS path and differs in the last bits.
 """
 from __future__ import annotations
 
@@ -67,12 +68,6 @@ class GateParameters:
     def param_count(self) -> int:
         return self.W1.size + self.b1.size + self.W2.size + self.b2.size
 
-    def astype(self, dtype) -> "GateParameters":
-        return GateParameters(
-            self.W1.astype(dtype), self.b1.astype(dtype),
-            self.W2.astype(dtype), self.b2.astype(dtype),
-        )
-
     def copy(self) -> "GateParameters":
         return GateParameters(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
 
@@ -118,7 +113,7 @@ def concat_input(question, text, vision) -> np.ndarray:
     """Validate three backend embeddings and concatenate question || text ||
     vision into the float32 10,112-dim gate input row.
 
-    Rows are float32 at rest; `forward_batch` computes in float64.
+    Rows are float32 at rest; `forward_batch` computes in the params' dtype.
     """
     parts = (
         ("question_embedding", question, QUESTION_DIM),
@@ -167,13 +162,12 @@ def forward_batch(
 ) -> tuple[np.ndarray, BatchCache]:
     """Batched forward pass. X: [B, input]. Returns (logits [B, out], cache).
 
-    Computes in float64 through `compute_params`; pass params that are already
-    in compute form when calling repeatedly.
+    Computes in the dtype of `params` (X is cast to it): pass
+    `compute_params(params)` for float64 inference.
     """
     if mode not in ("train", "eval"):
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
-    params = compute_params(params)
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=params.W1.dtype)
     if X.ndim != 2 or X.shape[1] != params.dims[0]:
         raise DimensionMismatchError(
             f"input: expected [B, {params.dims[0]}], got {X.shape}"
@@ -184,9 +178,10 @@ def forward_batch(
     if mode == "train":
         if rng_seeds is None or len(rng_seeds) != X.shape[0]:
             raise InvalidArgumentError("train mode needs one rng seed per row")
-        mask_scale = np.stack([_dropout_mask_scale(int(s), hidden_dim) for s in rng_seeds])
+        masks = [_dropout_mask_scale(int(s), hidden_dim) for s in rng_seeds]
+        mask_scale = np.stack(masks).astype(X.dtype, copy=False)
     else:
-        mask_scale = np.ones((X.shape[0], hidden_dim), dtype=np.float64)
+        mask_scale = np.ones((X.shape[0], hidden_dim), dtype=X.dtype)
     dropped = relu * mask_scale
     Z = dropped @ params.W2.T + params.b2
     return Z, BatchCache(X=X, pre=pre, dropped=dropped, mask_scale=mask_scale, mode=mode)
@@ -197,25 +192,27 @@ def backward_batch(
 ) -> GateGradients:
     """Gradients of sum_b dZ[b] . z[b] w.r.t. parameters (summed over the batch).
 
-    With `out`, the four gradients are written into its float64 arrays (for
-    instance views of one flat buffer) and `out` is returned; otherwise they
-    are written into new arrays. Both give the same bits.
+    Computes in the dtype of `params` (and of `cache`); `dZ` is cast to it.
+    With `out`, the gradients are written into its arrays of that dtype (for
+    instance views of one flat buffer) and `out` is returned; otherwise into
+    new arrays. Both give the same bits.
     """
-    dZ = np.asarray(dZ, dtype=np.float64)
+    dtype = params.W1.dtype
+    dZ = np.asarray(dZ, dtype=dtype)
     if dZ.shape != (cache.X.shape[0], params.dims[2]):
         raise DimensionMismatchError(f"dZ: expected {(cache.X.shape[0], params.dims[2])}, got {dZ.shape}")
     shapes = (params.W1.shape, params.b1.shape, params.W2.shape, params.b2.shape)
     if out is None:
-        out = GateGradients(*(np.empty(shape) for shape in shapes))
+        out = GateGradients(*(np.empty(shape, dtype=dtype) for shape in shapes))
     for name, shape in zip(("dW1", "db1", "dW2", "db2"), shapes):
         arr = getattr(out, name)
-        if arr.shape != shape or arr.dtype != np.float64:
+        if arr.shape != shape or arr.dtype != dtype:
             raise DimensionMismatchError(
-                f"out.{name}: expected float64 {shape}, got {arr.dtype} {arr.shape}"
+                f"out.{name}: expected {dtype} {shape}, got {arr.dtype} {arr.shape}"
             )
     np.matmul(dZ.T, cache.dropped, out=out.dW2)
     np.sum(dZ, axis=0, out=out.db2)
-    dDropped = dZ @ np.asarray(params.W2, dtype=np.float64)
+    dDropped = dZ @ params.W2
     dPre = dDropped * cache.mask_scale * (cache.pre > 0)
     np.matmul(dPre.T, cache.X, out=out.dW1)
     np.sum(dPre, axis=0, out=out.db1)
@@ -235,13 +232,10 @@ def forward(
     return Z[0], cache
 
 
-def pack_parameters(params: GateParameters) -> np.ndarray:
-    """Flatten to a single float64 vector (W1, b1, W2, b2 order)."""
+def pack_parameters(params: GateParameters, dtype=np.float64) -> np.ndarray:
+    """Flatten to a single vector of `dtype` (W1, b1, W2, b2 order)."""
     return np.concatenate([
-        np.asarray(params.W1, dtype=np.float64).ravel(),
-        np.asarray(params.b1, dtype=np.float64).ravel(),
-        np.asarray(params.W2, dtype=np.float64).ravel(),
-        np.asarray(params.b2, dtype=np.float64).ravel(),
+        np.asarray(a, dtype=dtype).ravel() for a in (params.W1, params.b1, params.W2, params.b2)
     ])
 
 

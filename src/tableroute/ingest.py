@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import RoutingExample, example_from_raw, write_corpus
+from .corpus import RoutingExample, attach_sidecar, corpus_writer, example_from_raw
 from .engine import EngineBackends, embed_example, fuse_outputs, generate_both
 from .errors import IngestError, TableRouteError
 from .experts import answers_match
@@ -82,33 +82,38 @@ def ingest(
     For each record: compute the three embeddings, run the text and image
     experts plus the fusion path, and score each against the gold answer.
     Bad records are skipped with a logged reason; if the skip rate exceeds
-    `skip_threshold` the whole ingest fails. Deterministic per backend seeds.
+    `skip_threshold` the whole ingest fails and the previous corpus stays.
+    Each row is written as soon as it is embedded, and the returned examples
+    read theirs from the written sidecar. Deterministic per backend seeds.
     """
     result = IngestResult()
-    for raw in sorted(raw_records, key=lambda r: str(r.get("id", ""))):
-        raw_id = str(raw.get("id", "<missing id>"))
-        reason = _validate_raw(raw)
-        if reason is not None:
-            log.warning("skipping %s: %s", raw_id, reason)
-            result.skipped.append((raw_id, reason))
-            continue
-        try:
-            example = _ingest_one(raw, backends, agent)
-        except TableRouteError as e:
-            log.warning("skipping %s: %s", raw_id, e)
-            result.skipped.append((raw_id, str(e)))
-            continue
-        result.examples.append(example)
+    with corpus_writer(out_dir) as add:
+        for raw in sorted(raw_records, key=lambda r: str(r.get("id", ""))):
+            raw_id = str(raw.get("id", "<missing id>"))
+            reason = _validate_raw(raw)
+            if reason is not None:
+                log.warning("skipping %s: %s", raw_id, reason)
+                result.skipped.append((raw_id, reason))
+                continue
+            try:
+                example = _ingest_one(raw, backends, agent)
+            except TableRouteError as e:
+                log.warning("skipping %s: %s", raw_id, e)
+                result.skipped.append((raw_id, str(e)))
+                continue
+            add(example)
+            example.embedding = None
+            result.examples.append(example)
 
-    if result.skip_rate > skip_threshold:
-        raise IngestError(
-            f"ingest skipped {len(result.skipped)} of "
-            f"{len(result.examples) + len(result.skipped)} records "
-            f"(threshold {skip_threshold:.0%})"
-        )
-    if not result.examples:
-        raise IngestError("ingest produced no examples")
-    write_corpus(out_dir, result.examples)
+        if result.skip_rate > skip_threshold:
+            raise IngestError(
+                f"ingest skipped {len(result.skipped)} of "
+                f"{len(result.examples) + len(result.skipped)} records "
+                f"(threshold {skip_threshold:.0%})"
+            )
+        if not result.examples:
+            raise IngestError("ingest produced no examples")
+    attach_sidecar(out_dir, result.examples)
     return result
 
 

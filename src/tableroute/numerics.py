@@ -1,9 +1,9 @@
 """Math kernel for the gate: softmax, optimizer, LR schedule.
 
-All functions compute in float64. Two of them mutate their arguments:
-`adamw_step` updates `params` and the moment buffers of the state it is
-handed in place, and `clip_grad_norm` rescales `grads` in place. The rest
-are pure.
+`softmax` computes in float64; `adamw_step` and `clip_grad_norm` compute in
+the dtype they are handed (float32 in training, see `gate`). Those two
+mutate their arguments: `adamw_step` updates `params` and the state's
+moments in place, and `clip_grad_norm` rescales `grads`. The rest are pure.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# Elements per block of the in-place AdamW update: two 32K-element float64
-# scratch buffers (256 KB each) hold a block's temporaries while it is in
+# Elements per block of the in-place AdamW update: two 32K-element scratch
+# buffers (at most 256 KB each) hold a block's temporaries while it is in
 # cache, instead of full-size temporaries streamed through memory.
 ADAMW_BLOCK = 32768
 
@@ -54,10 +54,11 @@ class OptimizerState:
     epsilon: float = ADAM_EPSILON
 
     @classmethod
-    def for_size(cls, n_params: int, weight_decay: float = 0.0, **kwargs) -> "OptimizerState":
+    def for_size(cls, n_params: int, weight_decay: float = 0.0, dtype=np.float64,
+                 **kwargs) -> "OptimizerState":
         return cls(
-            first_moment=np.zeros(n_params, dtype=np.float64),
-            second_moment=np.zeros(n_params, dtype=np.float64),
+            first_moment=np.zeros(n_params, dtype=dtype),
+            second_moment=np.zeros(n_params, dtype=dtype),
             weight_decay=weight_decay,
             **kwargs,
         )
@@ -68,24 +69,27 @@ def adamw_step(params, grads, state: OptimizerState, lr: float) -> np.ndarray:
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
 
-    `params` and the moments must be writable C-contiguous float64 arrays:
-    they are updated in place, and `state.step_count` is incremented. The
-    arrays are walked in blocks of ADAMW_BLOCK elements; every element sees
-    the same IEEE operations in the same order as the unblocked expression
-    above, so results are bitwise those of the out-of-place form.
+    `params` and the moments must be writable C-contiguous arrays of one
+    dtype, float32 or float64, which the step computes in. They are updated
+    in place, and `state.step_count` is incremented. The arrays are walked
+    in blocks of ADAMW_BLOCK elements; every element sees the same IEEE
+    operations in the same order as the unblocked expression above, so
+    results are bitwise those of the out-of-place form.
     """
     m, v = state.first_moment, state.second_moment
+    dtype = getattr(params, "dtype", None)
     for name, arr in (("params", params), ("first_moment", m), ("second_moment", v)):
         if not (
             isinstance(arr, np.ndarray)
-            and arr.dtype == np.float64
+            and arr.dtype in (np.float32, np.float64)
+            and arr.dtype == dtype
             and arr.flags.c_contiguous
             and arr.flags.writeable
         ):
             raise InvalidArgumentError(
-                f"adamw_step: {name} must be a writable C-contiguous float64 array"
+                f"adamw_step: {name} must be a writable C-contiguous float32/float64 array"
             )
-    g = np.asarray(grads, dtype=np.float64)
+    g = np.asarray(grads, dtype=dtype)
     if not (params.shape == g.shape == m.shape == v.shape):
         raise InvalidArgumentError(
             f"adamw_step: shape mismatch params {params.shape}, grads {g.shape}, "
@@ -99,7 +103,7 @@ def adamw_step(params, grads, state: OptimizerState, lr: float) -> np.ndarray:
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     p, g, m, v = params.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-    scratch = np.empty((2, min(p.size, ADAMW_BLOCK)))
+    scratch = np.empty((2, min(p.size, ADAMW_BLOCK)), dtype=dtype)
     for lo in range(0, p.size, ADAMW_BLOCK):
         hi = min(lo + ADAMW_BLOCK, p.size)
         pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
@@ -163,17 +167,19 @@ def clip_grad_norm(
 ) -> tuple[np.ndarray, float]:
     """Scale `grads` in place so the global L2 norm is at most `max_norm`.
 
-    Input that is not a float64 array is converted first, and the converted
-    copy is scaled. Returns (the possibly rescaled gradients, observed
-    pre-clip norm). The norm is `sqrt(sum(g * g))`, not `np.dot(g, g)`: the
-    two sum in different orders and differ in the last bits, and the norm is
-    part of the training history. The squares go to `work` when it is given
-    (a C-contiguous float64 array of the gradients' shape, overwritten), to
-    a new array otherwise; the norm is the same either way.
+    A float32 array is handled in float32; other input that is not a float64
+    array is converted to float64 first, and the converted copy is scaled.
+    Returns (the possibly rescaled gradients, observed pre-clip norm). The
+    norm is `sqrt(sum(g * g))`, not `np.dot(g, g)`: the two sum in different
+    orders and differ in the last bits, and the norm is part of the training
+    history. The squares go to `work` when it is given (a C-contiguous array
+    of the gradients' shape and dtype, overwritten), to a new array
+    otherwise; the norm is the same either way.
     """
     if not (np.isfinite(max_norm) and max_norm > 0):
         raise InvalidArgumentError(f"max_norm must be > 0, got {max_norm}")
-    g = np.asarray(grads, dtype=np.float64)
+    float32 = getattr(grads, "dtype", None) == np.float32
+    g = grads if float32 else np.asarray(grads, dtype=np.float64)
     norm = float(np.sqrt(np.sum(np.multiply(g, g, out=work))))
     if norm > max_norm:
         g *= max_norm / norm

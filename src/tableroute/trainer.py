@@ -10,7 +10,7 @@ expected per-path cost of the predicted distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,7 +120,6 @@ class TrainResult:
     params: GateParameters
     history: list[HistoryRecord]
     val_metrics: PolicyEval | None
-    optimizer_state: OptimizerState
     total_steps: int
 
 
@@ -165,28 +164,23 @@ def train(
     if not train_examples:
         raise InvalidArgumentError("training set is empty after filtering excluded datasets")
 
-    # Every row is read once up front, so a bad row fails before any step;
-    # then each batch is read into X and the validation rows once per pass.
-    X = np.empty((cfg.batch_size, INPUT_DIM))
-    for examples in (train_examples, val):
-        for lo in range(0, len(examples), cfg.batch_size):
-            read_rows(examples[lo:lo + cfg.batch_size], X)
+    # `read_rows` rejects a non-finite row as it reads it: a training row in
+    # the first epoch's batches, a validation row in the first validation.
+    X = np.empty((cfg.batch_size, INPUT_DIM), dtype=np.float32)
     S = _score_matrix(train_examples)
-    S_val = _score_matrix(val) if val else None
 
     n = len(train_examples)
     dims = (INPUT_DIM, HIDDEN_DIM, N_PATHS)
-    init = init_gate(cfg.seed, *dims)
-    # Fixed float64 buffers of one parameter vector each, written in place:
-    # the master copy (float32 at rest), the cycle's accumulated gradient,
-    # the two AdamW moments, and a work buffer that holds a batch's
-    # gradients and then the squares of the clipping norm.
-    master = pack_parameters(init)
+    # Fixed float32 buffers of one parameter vector each, written in place:
+    # the master copy, the cycle's accumulated gradient, the two AdamW
+    # moments, and a work buffer that holds a batch's gradients and then
+    # the squares of the clipping norm.
+    master = pack_parameters(init_gate(cfg.seed, *dims), np.float32)
     params_view = unpack_parameters(master, dims)
     grad = np.empty_like(master)
     work = np.empty_like(master)
     grad_views, work_views = _gradient_views(grad, dims), _gradient_views(work, dims)
-    opt = OptimizerState.for_size(master.size, weight_decay=cfg.weight_decay)
+    opt = OptimizerState.for_size(master.size, cfg.weight_decay, dtype=master.dtype)
     total_steps = planned_optimizer_steps(n, cfg)
     sched = ScheduleConfig(lr_max=cfg.lr_max, warmup_ratio=cfg.warmup_ratio, total_steps=total_steps)
     cost_arr = cost.as_array()
@@ -194,7 +188,6 @@ def train(
     shuffle_rng = np.random.Generator(np.random.PCG64(stable_digest64("shuffle", cfg.seed)))
     history: list[HistoryRecord] = []
     best_params: GateParameters | None = None
-    best_opt: OptimizerState | None = None
     best_val: PolicyEval | None = None
     step_idx = 0
 
@@ -240,34 +233,16 @@ def train(
             step_idx += 1
 
         if val:
-            # One call, not blocks: with the master's [out, in] W1 layout a
-            # row's logits differ in the last bits between calls of fewer
-            # and more than about 400 rows, so blocks would change
-            # val_metrics.json on larger validation splits. The rows read
-            # are freed before training goes on.
-            Z_val = forward_batch(
-                params_view, read_rows(val, np.empty((len(val), INPUT_DIM))), mode="eval"
-            )[0]
-            metrics = _evaluate_arrays(Z_val, S_val, cost, cfg.gate_temperature)
+            # Exactly what `evaluate_policy` gives for the saved checkpoint.
+            metrics = evaluate_policy(params_view, val, cost, cfg.gate_temperature)
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
                 best_val = metrics
-                best_params = params_view.astype(np.float32)
-                # Only a later epoch could still move the moments.
-                last = epoch == cfg.epochs - 1
-                best_opt = opt if last else replace(
-                    opt, first_moment=opt.first_moment.copy(),
-                    second_moment=opt.second_moment.copy(),
-                )
+                best_params = params_view.copy()
 
-    if best_params is None:
-        best_params = params_view.astype(np.float32)
-        best_opt = opt
-    assert best_opt is not None
     return TrainResult(
-        params=best_params,
+        params=best_params if best_params is not None else params_view,
         history=history,
         val_metrics=best_val,
-        optimizer_state=best_opt,
         total_steps=total_steps,
     )
 

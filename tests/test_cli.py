@@ -12,6 +12,7 @@ from tableroute import fileio
 from tableroute.cli import main
 from tableroute.errors import ConfigError
 from tableroute.gate import init_gate, save_checkpoint
+from tableroute.numerics import OptimizerState
 from tableroute.runconfig import load_runconfig
 
 
@@ -313,10 +314,12 @@ class TestPipeline:
 # sha256 of what `make-synthetic --n 42 --all-tags --seed 1`, then `ingest`,
 # `train`, `bench` and `analyze` with `--seed 7` write, and of the `route` and
 # `infer --id syn-000000` stdout on that run; they pin the evaluate outputs.
+# The `route` digest was retaken when the gate began training in float32: its
+# probabilities moved, while bench.csv, analysis.csv and infer kept their bytes.
 PINNED_EVALUATE_SHA256 = {
     "bench.csv": "9f4ede956eaf3cf88f3e2f65e35028fb8b1c790c554d50e558baa6477b902971",
     "analysis.csv": "d7fd926c78cac10a1f56d9962b21f0638d07614fd07247dec36e255a446cc982",
-    "route": "10e2405ad89302ec2214e4a930572c1d5aa94265013658e43e8414b6eaa6f39d",
+    "route": "2c2bf101c7a94dd419e79348180607d3af36d0f4d13a9a74e6be00f8598bf166",
     "infer": "da6e4bbe3d1a70092358a2435ddad5ceed5bca2e79cb0603797ce4b540ad819f",
 }
 
@@ -343,6 +346,27 @@ class TestEvaluateBytesPin:
                        "--id", "syn-000000", "--seed", 7) == 0
             digests[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digests == PINNED_EVALUATE_SHA256
+
+
+class TestCheckpointWithMoments:
+    def test_route_reads_a_checkpoint_that_carries_moments(self, workdir, capsys):
+        # `train` writes no AdamW moments; a checkpoint written with them
+        # (as `train` did before) still loads and routes the same.
+        corpus = make_corpus(workdir, n=8)
+        params = init_gate(seed=0)
+        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
+        opt.second_moment[:] = 0.5
+        save_checkpoint(workdir / "moments.ckpt", params, opt)
+        save_checkpoint(workdir / "plain.ckpt", params)
+        extra = (workdir / "moments.ckpt").stat().st_size - (workdir / "plain.ckpt").stat().st_size
+        assert extra == 2 * 8 * params.param_count + 8 + 32
+        stdout = {}
+        for name in ("moments", "plain"):
+            capsys.readouterr()
+            assert run("route", "--corpus", corpus, "--checkpoint", workdir / f"{name}.ckpt",
+                       "--id", "syn-000003") == 0
+            stdout[name] = capsys.readouterr().out
+        assert stdout["moments"] == stdout["plain"]
 
 
 # sha256 of the `config.snapshot.json` that `train --corpus corpus --run-dir run

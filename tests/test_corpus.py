@@ -625,6 +625,16 @@ class TestReadRows:
         assert got.tobytes() == _stacked(examples).tobytes()
         assert (out[len(examples):] == 7.0).all()
 
+    def test_float32_out_is_read_into(self, loaded):
+        # The trainer's batch buffer: rows land in it with no staging or cast.
+        held = _random_examples(2, seed=6)
+        examples = [loaded[9], loaded[2], loaded[3], held[0], loaded[4], loaded[30], held[1]]
+        out = np.full((len(examples) + 1, INPUT_DIM), 7.0, dtype=np.float32)
+        got = read_rows(examples, out)
+        assert got.base is out and got.dtype == np.float32
+        assert got.tobytes() == _stacked(examples).astype(np.float32).tobytes()
+        assert (out[len(examples):] == 7.0).all()
+
     def test_in_memory_rows_mixed_with_sidecar_rows(self, loaded):
         held = _random_examples(5, seed=4)
         held[1].embedding = held[1].embedding.astype(np.float64) / 3.0  # cast to float32 first

@@ -289,8 +289,19 @@ class TestBackward:
 
 def reference_backward(params, cache, dZ):
     """The allocating expressions `backward_batch` computed before it took `out`."""
+    dZ = dZ.astype(params.W2.dtype)
     dPre = (dZ @ params.W2) * cache.mask_scale * (cache.pre > 0)
     return GateGradients(dPre.T @ cache.X, dPre.sum(axis=0), dZ.T @ cache.dropped, dZ.sum(axis=0))
+
+
+def trainer_batch(dtype=np.float32, seed=2):
+    """Canonical dims in the trainer's layout: master views of `dtype` (the
+    float32 init weights), float32 rows, train mode, B=8, and a float64 dZ."""
+    params = unpack_parameters(pack_parameters(init_gate(seed=seed), dtype), CANONICAL_DIMS)
+    rng = np.random.default_rng(seed + 1)
+    X = rng.normal(size=(8, CANONICAL_DIMS[0])).astype(np.float32)
+    _, cache = forward_batch(params, X, mode="train", rng_seeds=list(range(8)))
+    return params, cache, rng.normal(size=(8, CANONICAL_DIMS[2]))
 
 
 class TestBackwardOut:
@@ -298,17 +309,12 @@ class TestBackwardOut:
 
     @pytest.fixture(scope="class")
     def batch(self):
-        # Canonical dims in the trainer's layout: float64 master views, train mode, B=8.
-        master = pack_parameters(init_gate(seed=2))
-        params = unpack_parameters(master, CANONICAL_DIMS)
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(8, CANONICAL_DIMS[0]))
-        _, cache = forward_batch(params, X, mode="train", rng_seeds=list(range(8)))
-        return params, cache, rng.normal(size=(8, CANONICAL_DIMS[2]))
+        return trainer_batch()
 
     def test_out_bitwise_equal_to_allocating_form(self, batch):
         params, cache, dZ = batch
-        flat = np.full(params.param_count, np.nan)
+        assert cache.X.dtype == cache.dropped.dtype == np.float32
+        flat = np.full(params.param_count, np.nan, dtype=np.float32)
         views = unpack_parameters(flat, CANONICAL_DIMS)
         out = GateGradients(views.W1, views.b1, views.W2, views.b2)
         returned = backward_batch(params, cache, dZ, out=out)
@@ -329,6 +335,29 @@ class TestBackwardOut:
             out.dW2 = np.empty((3, 6), dtype=np.float32)
         with pytest.raises(DimensionMismatchError, match="out.dW"):
             backward_batch(params, cache, np.ones((2, 3)), out=out)
+
+
+FLOAT32_EPS = float(np.finfo(np.float32).eps)
+
+
+class TestFloat32AgainstFloat64:
+    """The float32 training pass stays within float32 round-off of the same
+    pass in float64 on the same weights and rows. The bounds are set from
+    float32's epsilon: logits sum 10,112 products per entry, and gradients
+    are compared as whole vectors."""
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_forward_and_backward_within_tolerance(self, seed):
+        p32, c32, dZ = trainer_batch(np.float32, seed)
+        p64, c64, _ = trainer_batch(np.float64, seed)
+        assert (c32.X.astype(np.float64) == c64.X).all()
+        g32 = pack_gradients(backward_batch(p32, c32, dZ))
+        g64 = pack_gradients(backward_batch(p64, c64, dZ))
+        assert g32.dtype == np.float32 and g64.dtype == np.float64
+        assert np.linalg.norm(g32 - g64) <= 8 * FLOAT32_EPS * np.linalg.norm(g64)
+        z32 = c32.dropped @ p32.W2.T + p32.b2
+        z64 = c64.dropped @ p64.W2.T + p64.b2
+        assert np.abs(z32 - z64).max() <= 32 * FLOAT32_EPS * np.abs(z64).max()
 
 
 class TestCheckpoint:

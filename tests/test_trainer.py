@@ -1,14 +1,20 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tableroute
 from tableroute import trainer as trainer_module
 from tableroute.cli import main as cli_main
-from tableroute.corpus import RoutingExample, Table
+from tableroute.corpus import RoutingExample, Table, load_corpus, stratified_split
 from tableroute.errors import IngestError, InvalidArgumentError
 from tableroute.gate import (
     CANONICAL_DIMS,
@@ -18,11 +24,13 @@ from tableroute.gate import (
     concat_input,
     forward_batch,
     init_gate,
+    load_checkpoint,
     pack_parameters,
     unpack_parameters,
 )
 from tableroute.numerics import OptimizerState, adamw_step, clip_grad_norm
 from tableroute.paths import DEFAULT_PATH_COSTS, INPUT_DIM
+from tableroute.runconfig import load_runconfig
 from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
 from tableroute.trainer import (
     EVAL_BLOCK_ROWS,
@@ -246,29 +254,68 @@ class TestBlockedEval:
 
 
 # sha256 of what `train --seed 7` writes for the corpus of `make-synthetic
-# --n 42 --all-tags --seed 1` + `ingest --seed 7`, taken before the optimizer
-# step became in place; they pin the training step's floating-point order.
+# --n 42 --all-tags --seed 1` + `ingest --seed 7`, taken when training moved
+# to float32 and the checkpoint stopped carrying optimizer moments; they pin
+# the training step's floating-point order.
 PINNED_TRAIN_SHA256 = {
-    "gate.ckpt": "fb28dfc65e4dcd4462452ecf4d46a77f08f0ccc52169242fc1ee615e1d065751",
-    "history.csv": "b6054a0e4f0bc510ab97eba69174f6fb16d24468b7fedb93e6195cfa59611724",
-    "val_metrics.json": "d3f51b8e6d64343b8ed519b2f644e39f1ccf43b4d9617bd9ae9f30f98cd66c42",
+    "gate.ckpt": "ae010a33523fa19a27682464450f41957676dd1e4e6ccc9b1dae970c6b9f176e",
+    "history.csv": "86f8dcbfb9815c21f4ab8665123d37fb785817eba34fbd0f790734ef5c5544cf",
+    "val_metrics.json": "bd9c41e0f9d52df95fdf1de38a189218627c155cf4d367505e8297ba0b6fa695",
 }
 
 
 class TestTrainingBytesPin:
-    def test_cli_training_bytes_pinned(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def cli_run(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("train")
         raw, corpus, run = tmp_path / "raw.jsonl", tmp_path / "corpus", tmp_path / "run"
         assert cli_main(["make-synthetic", "--out", str(raw), "--n", "42", "--all-tags",
                          "--seed", "1"]) == 0
         assert cli_main(["ingest", "--raw", str(raw), "--out", str(corpus), "--seed", "7"]) == 0
         assert cli_main(["train", "--corpus", str(corpus), "--run-dir", str(run),
                          "--seed", "7"]) == 0
+        return corpus, run
+
+    def test_cli_training_bytes_pinned(self, cli_run):
+        _, run = cli_run
         for name, digest in PINNED_TRAIN_SHA256.items():
             assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
 
+    def test_val_metrics_are_those_of_the_saved_gate(self, cli_run):
+        corpus, run = cli_run
+        params, opt, _ = load_checkpoint(run / "gate.ckpt")
+        assert opt is None
+        cfg = load_runconfig(run / "config.snapshot.json")
+        _, val = stratified_split(load_corpus(corpus), cfg["train"]["val_fraction"], cfg.seed)
+        metrics = evaluate_policy(params, val, cfg.cost_vector(),
+                                  cfg.train_config().gate_temperature)
+        expected = json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n"
+        assert (run / "val_metrics.json").read_text() == expected
+
+
+def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
+    # One and two BLAS threads, set in each child's environment only, must
+    # give the same checkpoint and history: sgemm/dgemm results may not
+    # depend on how the product is split across threads.
+    raw, corpus = tmp_path / "raw.jsonl", tmp_path / "corpus"
+    assert cli_main(["make-synthetic", "--out", str(raw), "--n", "300", "--seed", "2"]) == 0
+    assert cli_main(["ingest", "--raw", str(raw), "--out", str(corpus), "--seed", "2"]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "TABLEROUTE_CONFIG"}
+    env["PYTHONPATH"] = str(Path(tableroute.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        run = tmp_path / f"run-{threads}"
+        subprocess.run([sys.executable, "-m", "tableroute.cli", "train", "--corpus", str(corpus),
+                        "--run-dir", str(run), "--seed", "2"],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=300)
+        outputs[threads] = [(run / name).read_bytes() for name in ("gate.ckpt", "history.csv")]
+    assert len(outputs["1"][1].splitlines()) > 2  # more than one optimizer step
+    assert outputs["1"] == outputs["2"]
+
 
 class TestFixedBuffers:
-    """`train` runs in fixed float64 buffers and reads rows where they lie."""
+    """`train` runs in fixed float32 buffers and reads rows where they lie."""
 
     def test_first_write_then_add_matches_fill_then_add(self):
         # The trainer writes each cycle's first batch straight into the
@@ -277,17 +324,20 @@ class TestFixedBuffers:
         # and the sign of a zero gradient must not reach the optimizer.
         # Rows dropped out in full give zero gradients: every batch of
         # cycles 0 and 2 is dropped out, and cycle 1's first batch.
+        # Buffers, rows and moments are float32, as in `train`; dZ is
+        # float64, as the loss gives it.
         dims = CANONICAL_DIMS
         rng = np.random.default_rng(7)
-        master = {k: pack_parameters(init_gate(seed=7)) for k in ("fill", "write")}
+        master = {k: pack_parameters(init_gate(seed=7), np.float32) for k in ("fill", "write")}
         params = {k: unpack_parameters(v, dims) for k, v in master.items()}
-        opt = {k: OptimizerState.for_size(v.size, weight_decay=0.01) for k, v in master.items()}
+        opt = {k: OptimizerState.for_size(v.size, 0.01, dtype=np.float32)
+               for k, v in master.items()}
         grad = {k: np.empty_like(v) for k, v in master.items()}
         work = np.empty_like(master["write"])
         for cycle in range(3):
             batches = []
             for b in range(4):
-                X = rng.normal(size=(8, dims[0]))
+                X = rng.normal(size=(8, dims[0])).astype(np.float32)
                 seeds = [cycle * 100 + b * 8 + j for j in range(8)]
                 batches.append((X, seeds, rng.normal(size=(8, dims[2])), cycle != 1 or b == 0))
             grad["fill"].fill(0.0)
@@ -346,8 +396,7 @@ class TestFixedBuffers:
     @staticmethod
     def _two_epoch_run(monkeypatch, accuracies):
         """Train 2 epochs of 2 steps with the given per-epoch val accuracies;
-        returns the result, the live optimizer state and a snapshot
-        (params, m, v) after each step."""
+        returns the result and a copy of the float32 master after each step."""
         train_set, val_set = make_separable_corpus(
             SeparableCorpusConfig(n_train=64, n_val=16, seed=6)
         )
@@ -356,13 +405,11 @@ class TestFixedBuffers:
         def fake_evaluate(Z, S, cost, gate_temperature):
             return PolicyEval(next(scores), 0.0, (1.0, 0.0, 0.0), len(Z))
 
-        snapshots, live = [], []
+        snapshots = []
 
         def recording_step(params, grads, state, lr):
             out = adamw_step(params, grads, state, lr)
-            live.append(state)
-            snapshots.append((params.astype(np.float32), state.first_moment.copy(),
-                              state.second_moment.copy()))
+            snapshots.append(params.copy())
             return out
 
         monkeypatch.setattr(trainer_module, "_evaluate_arrays", fake_evaluate)
@@ -371,33 +418,27 @@ class TestFixedBuffers:
         assert len(snapshots) == result.total_steps == 2 * planned_optimizer_steps(
             len(train_set), TrainConfig(epochs=1)
         )
-        return result, live[-1], snapshots
+        assert all(p.dtype == np.float32 for p in snapshots)
+        return result, snapshots
 
-    def test_first_epoch_best_returns_its_moment_snapshot(self, monkeypatch):
-        result, live, snapshots = self._two_epoch_run(monkeypatch, [0.75, 0.5])
-        epoch_end = result.total_steps // 2
-        params, m, v = snapshots[epoch_end - 1]
-        state = result.optimizer_state
-        assert state is not live
-        assert state.step_count == epoch_end
-        assert state.first_moment.tobytes() == m.tobytes()
-        assert state.second_moment.tobytes() == v.tobytes()
-        assert state.first_moment.tobytes() != live.first_moment.tobytes()
-        assert pack_parameters(result.params).astype(np.float32).tobytes() == params.tobytes()
+    def test_first_epoch_best_returns_its_params_snapshot(self, monkeypatch):
+        result, snapshots = self._two_epoch_run(monkeypatch, [0.75, 0.5])
+        params = pack_parameters(result.params, np.float32).tobytes()
+        assert params == snapshots[result.total_steps // 2 - 1].tobytes()
+        assert params != snapshots[-1].tobytes()
 
-    def test_last_epoch_best_returns_the_live_state(self, monkeypatch):
-        result, live, snapshots = self._two_epoch_run(monkeypatch, [0.5, 0.75])
-        assert result.optimizer_state is live
-        assert live.step_count == result.total_steps
-        assert pack_parameters(result.params).astype(np.float32).tobytes() == snapshots[-1][0].tobytes()
+    def test_last_epoch_best_returns_the_final_params(self, monkeypatch):
+        result, snapshots = self._two_epoch_run(monkeypatch, [0.5, 0.75])
+        assert pack_parameters(result.params, np.float32).tobytes() == snapshots[-1].tobytes()
 
 
 # sha256 of a 2-epoch `train` on `make_separable_corpus(n_train=150, n_val=40,
 # seed=4)`: 5 accumulation cycles per epoch, the last of 3 batches with a
-# 6-row batch at its end, and the best validation in the first epoch. Taken
-# before training ran in fixed buffers; it pins the floating-point order
-# across cycles, which the single-cycle CLI pin above does not reach.
-PINNED_MULTI_CYCLE_SHA256 = "5eb4c4d51afcb07afb6d8a274467bee14911d19e54ceaeb0745ca68107aa299a"
+# 6-row batch at its end, and the best validation in the first epoch (both
+# epochs score 1.0 and the first is kept). Taken when training moved to
+# float32; it pins the floating-point order across cycles, which the
+# single-cycle CLI pin above does not reach.
+PINNED_MULTI_CYCLE_SHA256 = "36a40a5a88229429077232eb6167102ade202c6820a18bf9e8b8dda8e84cbd0b"
 
 
 def test_multi_cycle_training_pinned():
@@ -405,11 +446,9 @@ def test_multi_cycle_training_pinned():
         SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
     )
     result = train(train_set, val_set, TrainConfig(seed=4, epochs=2), DEFAULT_PATH_COSTS)
-    assert (len(train_set), len(result.history), result.optimizer_state.step_count) == (150, 10, 5)
+    assert (len(train_set), len(result.history)) == (150, 10)
     digest = hashlib.sha256()
     digest.update(repr(result.history).encode())
     digest.update(repr(result.val_metrics).encode())
-    digest.update(pack_parameters(result.params).tobytes())
-    digest.update(result.optimizer_state.first_moment.tobytes())
-    digest.update(result.optimizer_state.second_moment.tobytes())
+    digest.update(pack_parameters(result.params, np.float32).tobytes())
     assert digest.hexdigest() == PINNED_MULTI_CYCLE_SHA256
