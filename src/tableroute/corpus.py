@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import IngestError, InvalidArgumentError
-from .experts import ExpertOutput
 from .fileio import staged
 from .paths import INPUT_DIM, KNOWN_DATASETS
 
@@ -92,7 +91,6 @@ class RoutingExample:
     path_scores: tuple[int, int, int]
     gold_answer: str
     embedding: np.ndarray | None = None
-    cached_expert_outputs: dict[str, ExpertOutput] = field(default_factory=dict)
     sidecar_row: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -122,7 +120,7 @@ def example_from_raw(raw: Mapping, path_scores: Sequence[int]) -> RoutingExample
 
 
 def _example_to_json(ex: RoutingExample) -> dict:
-    rec = {
+    return {
         "id": ex.id,
         "dataset": ex.dataset,
         "question": ex.question,
@@ -131,28 +129,11 @@ def _example_to_json(ex: RoutingExample) -> dict:
         "path_scores": list(ex.path_scores),
         "gold_answer": ex.gold_answer,
     }
-    if ex.cached_expert_outputs:
-        rec["expert_outputs"] = {
-            path: {
-                "answer": out.answer,
-                "explanation": out.explanation,
-                "latency_seconds": out.latency_seconds,
-                "output_tokens": out.output_tokens,
-            }
-            for path, out in sorted(ex.cached_expert_outputs.items())
-        }
-    return rec
 
 
 def _example_from_json(rec: dict) -> RoutingExample:
-    outputs = {}
-    for path, out in rec.get("expert_outputs", {}).items():
-        outputs[path] = ExpertOutput(
-            answer=out["answer"],
-            explanation=out["explanation"],
-            latency_seconds=out["latency_seconds"],
-            output_tokens=out["output_tokens"],
-        )
+    """The example of one record; keys it does not name, such as the
+    `expert_outputs` that older writers cached, are ignored."""
     return RoutingExample(
         id=rec["id"],
         dataset=rec["dataset"],
@@ -161,7 +142,6 @@ def _example_from_json(rec: dict) -> RoutingExample:
         table_markdown=rec["table_markdown"],
         path_scores=tuple(rec["path_scores"]),
         gold_answer=rec["gold_answer"],
-        cached_expert_outputs=outputs,
     )
 
 

@@ -231,9 +231,23 @@ def infer_batch(
         raise InvalidArgumentError("adaptive mode needs a trained gate")
     if not examples:
         return []
-
     embedded = [embed_example(ex, backends.embedders, nonce) for ex in examples]
+    return _infer_embedded(examples, embedded, gate, backends, agent, costs, cfg, mode, nonce)
 
+
+def _infer_embedded(
+    examples: Sequence[RoutingExample],
+    embedded: Sequence[tuple[np.ndarray, float]],
+    gate: GateParameters | None,
+    backends: EngineBackends,
+    agent: AgentBackend,
+    costs: PathCostVector,
+    cfg: EngineConfig,
+    mode: str,
+    nonce: int,
+) -> list[InferenceRecord]:
+    """`infer_batch` after the embedding step: `embedded` holds each
+    example's `embed_example` row and phase-1 time."""
     if mode == MODE_ADAPTIVE:
         start = time.monotonic()
         decisions = route_batch(
@@ -482,9 +496,11 @@ def run_efficiency_bench(
             rng = np.random.Generator(np.random.PCG64(stable_digest64("bench", seed, dataset)))
             idx = rng.choice(len(pool), size=n, replace=False)
             sample = [pool[i] for i in sorted(idx.tolist())]
+            # Both modes embed the sample alike, so it is embedded once.
+            embedded = [embed_example(ex, backends.embedders, seed) for ex in sample]
             for mode in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
-                records = infer_batch(
-                    sample, gate, backends, agent, costs, engine_cfg, mode=mode, nonce=seed
+                records = _infer_embedded(
+                    sample, embedded, gate, backends, agent, costs, engine_cfg, mode, seed
                 )
                 mean_latency = float(np.mean([r.parallel_latency for r in records]))
                 mean_tps = float(

@@ -128,5 +128,4 @@ def _ingest_one(raw: Mapping, backends: EngineBackends, agent: AgentBackend) -> 
         int(answers_match(out_v.answer, gold)),
         int(answers_match(fres.final_answer, gold)),
     )
-    example.cached_expert_outputs = {"text": out_t, "image": out_v}
     return example

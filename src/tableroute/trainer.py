@@ -124,8 +124,8 @@ class TrainResult:
 
 
 # Rows per gate call when `evaluate_policy` and `routed_paths` route a whole
-# split: bounds the rows read into float64 at once.
-EVAL_BLOCK_ROWS = 256
+# split: bounds the rows read into float64 at once (64 rows are 5.2 MB).
+EVAL_BLOCK_ROWS = 64
 
 
 def _gradient_views(flat: np.ndarray, dims: tuple[int, int, int]) -> GateGradients:
@@ -143,8 +143,7 @@ def _dropout_seed(base_seed: int, epoch: int, position: int) -> int:
 
 
 def planned_optimizer_steps(n_examples: int, cfg: TrainConfig) -> int:
-    batches = math.ceil(n_examples / cfg.batch_size)
-    return cfg.epochs * math.ceil(batches / cfg.grad_accum_steps)
+    return cfg.epochs * math.ceil(n_examples / (cfg.batch_size * cfg.grad_accum_steps))
 
 
 def train(
@@ -164,22 +163,24 @@ def train(
     if not train_examples:
         raise InvalidArgumentError("training set is empty after filtering excluded datasets")
 
+    n = len(train_examples)
+    # One optimizer step per cycle of `cycle` rows, run as one batch; only
+    # the product of the two config keys matters.
+    cycle = cfg.batch_size * cfg.grad_accum_steps
     # `read_rows` rejects a non-finite row as it reads it: a training row in
-    # the first epoch's batches, a validation row in the first validation.
-    X = np.empty((cfg.batch_size, INPUT_DIM), dtype=np.float32)
+    # the first epoch's cycles, a validation row in the first validation.
+    X = np.empty((min(cycle, n), INPUT_DIM), dtype=np.float32)
     S = _score_matrix(train_examples)
 
-    n = len(train_examples)
     dims = (INPUT_DIM, HIDDEN_DIM, N_PATHS)
     # Fixed float32 buffers of one parameter vector each, written in place:
-    # the master copy, the cycle's accumulated gradient, the two AdamW
-    # moments, and a work buffer that holds a batch's gradients and then
-    # the squares of the clipping norm.
+    # the master copy, the cycle's gradient, the two AdamW moments, and a
+    # work buffer for the squares of the clipping norm.
     master = pack_parameters(init_gate(cfg.seed, *dims), np.float32)
     params_view = unpack_parameters(master, dims)
     grad = np.empty_like(master)
     work = np.empty_like(master)
-    grad_views, work_views = _gradient_views(grad, dims), _gradient_views(work, dims)
+    grad_views = _gradient_views(grad, dims)
     opt = OptimizerState.for_size(master.size, cfg.weight_decay, dtype=master.dtype)
     total_steps = planned_optimizer_steps(n, cfg)
     sched = ScheduleConfig(lr_max=cfg.lr_max, warmup_ratio=cfg.warmup_ratio, total_steps=total_steps)
@@ -193,30 +194,16 @@ def train(
 
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
-        cycle = cfg.batch_size * cfg.grad_accum_steps
         for start in range(0, n, cycle):
-            cycle_idx = order[start:start + cycle]
-            sums = np.zeros(3)  # total, task, resource
-            for b in range(0, len(cycle_idx), cfg.batch_size):
-                batch_idx = cycle_idx[b:b + cfg.batch_size]
-                seeds = [
-                    _dropout_seed(cfg.seed, epoch, int(start + b + j))
-                    for j in range(len(batch_idx))
-                ]
-                batch = read_rows([train_examples[i] for i in batch_idx], X)
-                Z, cache = forward_batch(params_view, batch, mode="train", rng_seeds=seeds)
-                total, task, resource, dZ = loss_batch(Z, S[batch_idx], cost_arr, cfg)
-                # The cycle's first batch writes the gradient, so it is never
-                # zeroed; 0.0 + g would only turn a -0.0 into +0.0, which
-                # changes no value after it.
-                if b == 0:
-                    backward_batch(params_view, cache, dZ, out=grad_views)
-                else:
-                    backward_batch(params_view, cache, dZ, out=work_views)
-                    grad += work
-                sums += (total.sum(), task.sum(), resource.sum())
-            n_cycle = len(cycle_idx)
-            grad /= n_cycle
+            idx = order[start:start + cycle]
+            seeds = [_dropout_seed(cfg.seed, epoch, start + j) for j in range(len(idx))]
+            batch = read_rows([train_examples[i] for i in idx], X)
+            Z, cache = forward_batch(params_view, batch, mode="train", rng_seeds=seeds)
+            total, task, resource, dZ = loss_batch(Z, S[idx], cost_arr, cfg)
+            # The gradient of the cycle's mean loss. Dividing the [rows, 3] dZ
+            # costs less than dividing the 2.59M-element gradient, and for a
+            # power-of-two cycle it gives the same bits.
+            backward_batch(params_view, cache, dZ / len(idx), out=grad_views)
             _, norm = clip_grad_norm(grad, cfg.clip_norm, work=work)
             lr = lr_at(step_idx, sched)
             adamw_step(master, grad, opt, lr)
@@ -224,9 +211,9 @@ def train(
                 HistoryRecord(
                     step=step_idx,
                     lr=lr,
-                    loss_total=float(sums[0] / n_cycle),
-                    loss_task=float(sums[1] / n_cycle),
-                    loss_resource=float(sums[2] / n_cycle),
+                    loss_total=float(total.mean()),
+                    loss_task=float(task.mean()),
+                    loss_resource=float(resource.mean()),
                     grad_norm=norm,
                 )
             )
@@ -253,7 +240,8 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
 
     Blocks start at multiples of EVAL_BLOCK_ROWS, which is a multiple of the
     BLAS kernels' row tiles, so with that weight layout every row is computed
-    as in one call over all rows and the logits are bitwise the same. A
+    as in one call over all rows and the logits are bitwise the same (blocks
+    of 16 to 512 rows agree bit for bit; blocks of 1 or 7 rows do not). A
     one-row call would take numpy's matrix-vector path instead, so a last
     block of one row joins the block before it.
     """

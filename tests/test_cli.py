@@ -314,12 +314,13 @@ class TestPipeline:
 # sha256 of what `make-synthetic --n 42 --all-tags --seed 1`, then `ingest`,
 # `train`, `bench` and `analyze` with `--seed 7` write, and of the `route` and
 # `infer --id syn-000000` stdout on that run; they pin the evaluate outputs.
-# The `route` digest was retaken when the gate began training in float32: its
-# probabilities moved, while bench.csv, analysis.csv and infer kept their bytes.
+# The `route` digest was retaken when the gate began training in float32 and
+# again when each training cycle became one batch: its probabilities moved,
+# while bench.csv, analysis.csv and infer kept their bytes.
 PINNED_EVALUATE_SHA256 = {
     "bench.csv": "9f4ede956eaf3cf88f3e2f65e35028fb8b1c790c554d50e558baa6477b902971",
     "analysis.csv": "d7fd926c78cac10a1f56d9962b21f0638d07614fd07247dec36e255a446cc982",
-    "route": "2c2bf101c7a94dd419e79348180607d3af36d0f4d13a9a74e6be00f8598bf166",
+    "route": "b92e77a3f641c86c8b464c8c27c46f73bfa6786d585eb2bf4fef1a6073e9927e",
     "infer": "da6e4bbe3d1a70092358a2435ddad5ceed5bca2e79cb0603797ce4b540ad819f",
 }
 

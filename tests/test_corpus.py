@@ -47,9 +47,10 @@ from tableroute.synthetic import (
 from tableroute.trainer import TrainConfig, _eval_logits, evaluate_policy, train
 
 # sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
-# `ingest --seed 7` write; they pin the on-disk corpus format.
+# `ingest --seed 7` write; they pin the on-disk corpus format. The records'
+# digest was retaken when they stopped carrying the experts' outputs.
 PINNED_CORPUS_SHA256 = {
-    "corpus.jsonl": "2391d1c9c961090d971fe784e093fe10594c70fce15d2a5c0f4926775f766c23",
+    "corpus.jsonl": "3c0ae2b496a8f871518ed69ee3e8eaeaf28d8aaf67a216b04b5908cc0bcc6bd9",
     "embeddings.bin": "b16e1c8509544b3ca09d09f2faaf777a6bfb7d7036c132a081a4a48fdc181edd",
 }
 # sha256 of the per-id offset manifest that earlier writers put beside them.
@@ -375,13 +376,23 @@ class TestIngest:
             assert got.embedding.tobytes() == want.embedding.tobytes()
             assert got.path_scores == want.path_scores == TAG_PROFILES[got.dataset]
 
-    def test_cached_expert_outputs_persisted(self, tmp_path):
-        raws = make_raw_records(4, seed=9)
-        backends, agent = build_sim_stack(raws, seed=9)
-        ingest(raws, backends, agent, tmp_path)
-        loaded = load_corpus(tmp_path)
-        for ex in loaded:
-            assert set(ex.cached_expert_outputs) == {"text", "image"}
+    def test_legacy_expert_outputs_key_is_ignored(self, pinned_corpus, tmp_path):
+        # Ingest no longer writes the experts' outputs into each record; a
+        # corpus written when it did still loads, the key unread.
+        assert b"expert_outputs" not in (pinned_corpus / "corpus.jsonl").read_bytes()
+        legacy = tmp_path / "legacy"
+        shutil.copytree(pinned_corpus, legacy)
+        output = {"answer": "42", "explanation": "sum", "latency_seconds": 1.5,
+                  "output_tokens": 64}
+        for line_no in range(1, 43):
+            _edit_line(legacy, line_no,
+                       lambda rec: rec.update(expert_outputs={"image": output, "text": output}))
+        fresh = load_corpus(pinned_corpus)
+        loaded = load_corpus(legacy)
+        assert [_without_embedding(e) for e in loaded] == [_without_embedding(e) for e in fresh]
+        one = load_example(legacy, fresh[3].id)
+        assert _without_embedding(one) == _without_embedding(fresh[3])
+        assert one.embedding.tobytes() == fresh[3].embedding.tobytes()
 
 
 class TestFormatPin:
@@ -416,7 +427,6 @@ BAD_FIELDS = [
     pytest.param(lambda rec: rec.update(table={"columns": 3, "rows": []}), id="columns-int"),
     pytest.param(lambda rec: rec["table"].update(rows=[5]), id="row-int"),
     pytest.param(lambda rec: rec.update(path_scores=7), id="scores-int"),
-    pytest.param(lambda rec: rec.update(expert_outputs={"text": None}), id="output-null"),
     pytest.param(lambda rec: rec.update(dataset="nope"), id="unknown-tag"),
     pytest.param(lambda rec: rec.pop("question"), id="missing-field"),
 ]

@@ -429,6 +429,36 @@ class TestBatched:
         # 3 seeds x 2 datasets adaptive sets of 4; the non-adaptive sets add none
         assert rows_per_call == [4] * 6
 
+    def test_bench_embeds_each_sample_once(self, monkeypatch):
+        # Both modes embed a seed's sample with the same nonce, which gives
+        # the same rows and phase-1 times, so bench shares one embedding.
+        examples = self._corpus(n_per=5)
+        backends, agent = self._jittered_stack(examples)
+        gate = compute_params(init_gate(seed=3))
+        calls = []
+        real_embed, real_infer = engine.embed_example, engine._infer_embedded
+
+        def counting_embed(example, embedders, nonce=0):
+            calls.append(example.id)
+            return real_embed(example, embedders, nonce)
+
+        def embedding_per_mode(examples, embedded, gate, backends, *rest):
+            fresh = [engine.embed_example(ex, backends.embedders, rest[-1]) for ex in examples]
+            return real_infer(examples, fresh, gate, backends, *rest)
+
+        def bench():
+            calls.clear()
+            return run_efficiency_bench(examples, gate, backends, agent, DEFAULT_PATH_COSTS,
+                                        BenchConfig(n_per_dataset=4, seeds=(0, 1)))
+
+        monkeypatch.setattr(engine, "embed_example", counting_embed)
+        shared = bench()
+        assert len(calls) == 2 * 2 * 4  # seeds x datasets x samples
+        monkeypatch.setattr(engine, "_infer_embedded", embedding_per_mode)
+        per_mode = bench()
+        assert len(calls) == 3 * 2 * 2 * 4  # the shared embedding, then one per mode
+        assert shared.rows == per_mode.rows and shared.summary == per_mode.summary
+
     def test_generation_failure_names_its_example(self):
         examples = self._corpus()
         backends, agent = make_stack(examples)

@@ -360,6 +360,31 @@ class TestFloat32AgainstFloat64:
         assert np.abs(z32 - z64).max() <= 32 * FLOAT32_EPS * np.abs(z64).max()
 
 
+class TestOneBatchPerCycle:
+    """The trainer runs a 32-row cycle as one batch where it ran four 8-row
+    batches. Each row keeps its dropout mask, so the gradient moves only by
+    float32 summation order; the bound is float32's epsilon, normwise, as in
+    `TestFloat32AgainstFloat64`."""
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_32_row_backward_matches_four_8_row_ones(self, seed):
+        params = unpack_parameters(pack_parameters(init_gate(seed=seed), np.float32),
+                                   CANONICAL_DIMS)
+        rng = np.random.default_rng(seed + 1)
+        X = rng.normal(size=(32, CANONICAL_DIMS[0])).astype(np.float32)
+        dZ = rng.normal(size=(32, CANONICAL_DIMS[2]))
+        seeds = list(range(100, 132))
+        _, cache = forward_batch(params, X, mode="train", rng_seeds=seeds)
+        one = pack_gradients(backward_batch(params, cache, dZ))
+        four = np.zeros_like(one)
+        for lo in range(0, 32, 8):
+            _, part = forward_batch(params, X[lo:lo + 8], mode="train", rng_seeds=seeds[lo:lo + 8])
+            assert part.mask_scale.tobytes() == cache.mask_scale[lo:lo + 8].tobytes()
+            four += pack_gradients(backward_batch(params, part, dZ[lo:lo + 8]))
+        assert one.dtype == four.dtype == np.float32
+        assert np.linalg.norm(one - four) <= 8 * FLOAT32_EPS * np.linalg.norm(four)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         params = init_gate(seed=5)

@@ -231,8 +231,8 @@ class TestBlockedEval:
         base = toy_example(0, "wtq", (1, 0, 0), 0.0)
         return [replace(base, id=f"row-{i}", embedding=rows[i]) for i in range(n)], rows
 
-    # 600 ends on a short block; 513 = 256 + 257 folds a one-row tail.
-    @pytest.mark.parametrize("n", [600, 2 * EVAL_BLOCK_ROWS + 1])
+    # 600 ends on a short block; 513 = 7 * 64 + 65 folds a one-row tail.
+    @pytest.mark.parametrize("n", [600, 8 * EVAL_BLOCK_ROWS + 1])
     def test_logits_bitwise_equal_to_one_call(self, n):
         gate = init_gate(seed=4)
         examples, rows = self._examples(n)
@@ -254,13 +254,12 @@ class TestBlockedEval:
 
 
 # sha256 of what `train --seed 7` writes for the corpus of `make-synthetic
-# --n 42 --all-tags --seed 1` + `ingest --seed 7`, taken when training moved
-# to float32 and the checkpoint stopped carrying optimizer moments; they pin
-# the training step's floating-point order.
+# --n 42 --all-tags --seed 1` + `ingest --seed 7`, taken when each training
+# cycle became one batch; they pin the training step's floating-point order.
 PINNED_TRAIN_SHA256 = {
-    "gate.ckpt": "ae010a33523fa19a27682464450f41957676dd1e4e6ccc9b1dae970c6b9f176e",
-    "history.csv": "86f8dcbfb9815c21f4ab8665123d37fb785817eba34fbd0f790734ef5c5544cf",
-    "val_metrics.json": "bd9c41e0f9d52df95fdf1de38a189218627c155cf4d367505e8297ba0b6fa695",
+    "gate.ckpt": "255d7cebd304bbc57e9a84acf3a7f46bdca3f4341819073f565be2775ad7c612",
+    "history.csv": "41acc110baebd4df53d4ea714f29d7bea89f37173d66ada5e05a2617d577601f",
+    "val_metrics.json": "3bfd9d4b697aae1b74e226505c0decd1a83d611bc6010949b2b388162f798867",
 }
 
 
@@ -293,6 +292,46 @@ class TestTrainingBytesPin:
         assert (run / "val_metrics.json").read_text() == expected
 
 
+    # Only the product of the two keys, the rows of one optimizer step,
+    # reaches the training step: each cycle runs as one batch.
+    @pytest.mark.parametrize("batch_size,grad_accum_steps", [(32, 1), (4, 8)])
+    def test_cycle_split_does_not_change_the_bytes(self, cli_run, tmp_path,
+                                                   batch_size, grad_accum_steps):
+        corpus, run = cli_run
+        config = tmp_path / "split.json"
+        config.write_text(json.dumps({"train": {"batch_size": batch_size,
+                                                "grad_accum_steps": grad_accum_steps}}))
+        other = tmp_path / "run"
+        assert cli_main(["train", "--config", str(config), "--corpus", str(corpus),
+                         "--run-dir", str(other), "--seed", "7"]) == 0
+        for name in ("gate.ckpt", "history.csv"):
+            assert (other / name).read_bytes() == (run / name).read_bytes(), name
+
+
+def test_one_train_forward_per_optimizer_step(monkeypatch):
+    # 150 rows: four 32-row cycles and a 22-row one per epoch.
+    train_set, val_set = make_separable_corpus(
+        SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
+    )
+    train_rows, steps = [], []
+    real_forward, real_step = trainer_module.forward_batch, trainer_module.adamw_step
+
+    def counting_forward(params, X, mode="eval", rng_seeds=None):
+        if mode == "train":
+            train_rows.append(len(X))
+        return real_forward(params, X, mode, rng_seeds)
+
+    def counting_step(params, grads, state, lr):
+        steps.append(len(train_rows))
+        return real_step(params, grads, state, lr)
+
+    monkeypatch.setattr(trainer_module, "forward_batch", counting_forward)
+    monkeypatch.setattr(trainer_module, "adamw_step", counting_step)
+    result = train(train_set, val_set, TrainConfig(seed=4, epochs=2), DEFAULT_PATH_COSTS)
+    assert train_rows == [32, 32, 32, 32, 22] * 2
+    assert steps == list(range(1, 11)) and len(result.history) == 10
+
+
 def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
     # One and two BLAS threads, set in each child's environment only, must
     # give the same checkpoint and history: sgemm/dgemm results may not
@@ -317,63 +356,45 @@ def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
 class TestFixedBuffers:
     """`train` runs in fixed float32 buffers and reads rows where they lie."""
 
-    def test_first_write_then_add_matches_fill_then_add(self):
-        # The trainer writes each cycle's first batch straight into the
-        # gradient instead of adding it to zeros. 0.0 + g differs from g
-        # only for g = -0.0, so the two gradients must be equal in value,
-        # and the sign of a zero gradient must not reach the optimizer.
-        # Rows dropped out in full give zero gradients: every batch of
-        # cycles 0 and 2 is dropped out, and cycle 1's first batch.
-        # Buffers, rows and moments are float32, as in `train`; dZ is
+    def test_scaling_dz_matches_scaling_the_gradient(self):
+        # The trainer scales each cycle's [32, 3] dZ by 1/32 instead of
+        # dividing the 2.59M-element gradient. A power of two scales every
+        # product and sum exactly, so on a full cycle both give the same
+        # bits. Buffers, rows and moments are float32, as in `train`; dZ is
         # float64, as the loss gives it.
         dims = CANONICAL_DIMS
         rng = np.random.default_rng(7)
-        master = {k: pack_parameters(init_gate(seed=7), np.float32) for k in ("fill", "write")}
-        params = {k: unpack_parameters(v, dims) for k, v in master.items()}
-        opt = {k: OptimizerState.for_size(v.size, 0.01, dtype=np.float32)
-               for k, v in master.items()}
-        grad = {k: np.empty_like(v) for k, v in master.items()}
-        work = np.empty_like(master["write"])
-        for cycle in range(3):
-            batches = []
-            for b in range(4):
-                X = rng.normal(size=(8, dims[0])).astype(np.float32)
-                seeds = [cycle * 100 + b * 8 + j for j in range(8)]
-                batches.append((X, seeds, rng.normal(size=(8, dims[2])), cycle != 1 or b == 0))
-            grad["fill"].fill(0.0)
-            for k in ("fill", "write"):
-                views = _gradient_views(grad[k], dims)
-                for b, (X, seeds, dZ, dropped) in enumerate(batches):
-                    _, cache = forward_batch(params[k], X, mode="train", rng_seeds=seeds)
-                    if dropped:
-                        cache.mask_scale[:] = 0.0
-                        cache.dropped[:] = 0.0
-                    if k == "fill":
-                        grads = backward_batch(params[k], cache, dZ)
-                        for name, acc in zip(("dW1", "db1", "dW2", "db2"),
-                                             (views.dW1, views.db1, views.dW2, views.db2)):
-                            acc += getattr(grads, name)
-                    elif b == 0:
-                        backward_batch(params[k], cache, dZ, out=views)
-                    else:
-                        backward_batch(params[k], cache, dZ, out=_gradient_views(work, dims))
-                        grad[k] += work
-            np.testing.assert_array_equal(grad["write"], grad["fill"])
-            # The worst case for the step: every zero of the gradient is
-            # -0.0. (numpy's sums and BLAS start from +0.0, so none arise
-            # by themselves; they are planted.)
-            zeros = grad["write"] == 0
-            assert zeros.sum() >= (dims[1] * dims[0] if cycle != 1 else 0)
-            grad["write"][zeros] = -0.0
-            norms = {}
-            for k in ("fill", "write"):
-                grad[k] /= 32
-                norms[k] = clip_grad_norm(grad[k], 1e-3, work=work)[1]
-                adamw_step(master[k], grad[k], opt[k], 1e-3)
-            assert norms["write"] == norms["fill"]
-            assert master["write"].tobytes() == master["fill"].tobytes()
-            assert opt["write"].first_moment.tobytes() == opt["fill"].first_moment.tobytes()
-            assert opt["write"].second_moment.tobytes() == opt["fill"].second_moment.tobytes()
+        master = pack_parameters(init_gate(seed=7), np.float32)
+        params = unpack_parameters(master, dims)
+        X = rng.normal(size=(32, dims[0])).astype(np.float32)
+        dZ = rng.normal(size=(32, dims[2]))
+        _, cache = forward_batch(params, X, mode="train", rng_seeds=list(range(32)))
+        # 16 hidden units dropped out in every row give zero gradients.
+        cache.mask_scale[:, :16] = 0.0
+        cache.dropped[:, :16] = 0.0
+        grad = {k: np.empty_like(master) for k in ("dz", "gradient")}
+        backward_batch(params, cache, dZ / 32, out=_gradient_views(grad["dz"], dims))
+        backward_batch(params, cache, dZ, out=_gradient_views(grad["gradient"], dims))
+        grad["gradient"] /= 32
+        assert grad["dz"].tobytes() == grad["gradient"].tobytes()
+        # Backward writes the gradient in place and nothing zeroes it, so the
+        # sign of a zero gradient must not reach the optimizer. The worst
+        # case: every zero is -0.0. (numpy's sums and BLAS start from +0.0,
+        # so none arise by themselves; they are planted.)
+        zeros = grad["dz"] == 0
+        assert zeros.sum() >= 16 * dims[0]
+        grad["dz"][zeros] = -0.0
+        work = np.empty_like(master)
+        norms, steps = {}, {}
+        for k in ("dz", "gradient"):
+            opt = OptimizerState.for_size(master.size, 0.01, dtype=np.float32)
+            steps[k] = master.copy()
+            norms[k] = clip_grad_norm(grad[k], 1e-3, work=work)[1]
+            adamw_step(steps[k], grad[k], opt, 1e-3)
+            steps[k] = (steps[k], opt.first_moment, opt.second_moment)
+        assert norms["dz"] == norms["gradient"]
+        for a, b in zip(steps["dz"], steps["gradient"]):
+            assert a.tobytes() == b.tobytes()
 
     def test_peak_does_not_grow_with_training_rows(self):
         # A float32 copy of the training rows would grow by 7.8 MB here.
@@ -433,12 +454,12 @@ class TestFixedBuffers:
 
 
 # sha256 of a 2-epoch `train` on `make_separable_corpus(n_train=150, n_val=40,
-# seed=4)`: 5 accumulation cycles per epoch, the last of 3 batches with a
-# 6-row batch at its end, and the best validation in the first epoch (both
-# epochs score 1.0 and the first is kept). Taken when training moved to
-# float32; it pins the floating-point order across cycles, which the
-# single-cycle CLI pin above does not reach.
-PINNED_MULTI_CYCLE_SHA256 = "36a40a5a88229429077232eb6167102ade202c6820a18bf9e8b8dda8e84cbd0b"
+# seed=4)`: five cycles per epoch, the last of 22 rows, and the best
+# validation in the first epoch (both epochs score 1.0 and the first is
+# kept). Taken when each training cycle became one batch; it pins the
+# floating-point order across cycles, which the single-cycle CLI pin above
+# does not reach.
+PINNED_MULTI_CYCLE_SHA256 = "efeac70953b42e601ff0cb94334c243f5a8f0ede2086765f260add1c5b2953d3"
 
 
 def test_multi_cycle_training_pinned():
