@@ -40,21 +40,10 @@ from .paths import (
     PathCostVector,
     argmax_with_tiebreak,
 )
+from .runconfig import BenchConfig, EngineConfig
 
 MODE_ADAPTIVE = "adaptive"
 MODE_NON_ADAPTIVE = "non_adaptive"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    gate_latency_s: float = 0.001
-    fusion_api_overhead_s: float = 0.3
-    timing: str = "configured"  # "configured" keeps benches deterministic; "wallclock" measures
-    gate_temperature: float = 1.0
-
-    def __post_init__(self):
-        if self.timing not in ("configured", "wallclock"):
-            raise InvalidArgumentError(f"timing must be 'configured' or 'wallclock', got {self.timing!r}")
 
 
 @dataclass
@@ -353,7 +342,7 @@ def path_cost(avg_latency_seconds: float, avg_tps: float) -> float:
 
 def fusion_cost_inputs(
     text_latency: float, text_tps: float, image_latency: float, image_tps: float,
-    api_overhead_s: float = 0.3,
+    api_overhead_s: float = EngineConfig.fusion_api_overhead_s,
 ) -> tuple[float, float]:
     """Fusion (latency, TPS) derived from the unimodal measurements.
 
@@ -375,7 +364,7 @@ def measure_cost(
     backends: EngineBackends,
     warmup_runs: int = 5,
     timed_runs: int = 10,
-    api_overhead_s: float = 0.3,
+    api_overhead_s: float = EngineConfig.fusion_api_overhead_s,
 ) -> CostMeasurement:
     """Measure one path's average latency and TPS over the testbed.
 
@@ -451,16 +440,6 @@ class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     summary: list[BenchRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    n_per_dataset: int = 50
-    seeds: tuple[int, ...] = (0, 1, 2)
-
-    def __post_init__(self):
-        if self.n_per_dataset < 1:
-            raise InvalidArgumentError(f"n_per_dataset must be >= 1, got {self.n_per_dataset}")
 
 
 def run_efficiency_bench(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Mapping, Protocol
 
 import numpy as np
 
@@ -131,7 +131,6 @@ class TokensModel:
         return max(0, int(round(self.mean + self.jitter * unit_draw(*key))))
 
 
-@runtime_checkable
 class EmbeddingBackend(Protocol):
     modality: str
     dim: int
@@ -143,7 +142,6 @@ class EmbeddingBackend(Protocol):
     ) -> tuple[np.ndarray, float]: ...
 
 
-@runtime_checkable
 class GenerationBackend(Protocol):
     path: str
 

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Mapping, Protocol
 
 from .errors import (
     ConfigurationError,
@@ -84,7 +84,6 @@ class AgentReply:
     output_tokens: int | None = None
 
 
-@runtime_checkable
 class AgentBackend(Protocol):
     def complete(self, prompt: str, *, context: Mapping[str, Any] | None = None) -> AgentReply: ...
 

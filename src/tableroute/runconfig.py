@@ -1,25 +1,67 @@
 """Run configuration: a JSON file of known sections overlaying built-in
 defaults. Unknown keys are rejected with the offending key path; referenced
-input paths must exist at load time."""
+input paths must exist at load time. The `train`, `engine` and `bench`
+dataclasses live here, so loading a config imports no trainer or engine."""
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .corpus import RoutingExample
-from .engine import BenchConfig, EngineBackends, EngineConfig
-from .errors import ConfigError
-from .experts import (
-    LatencyModel,
-    SimulatedGenerationBackend,
-    TokensModel,
-)
-from .fusion import AgentBackend, ScriptedAgent
+from .errors import ConfigError, InvalidArgumentError
 from .paths import DEFAULT_PATH_COSTS, MODALITIES, PATH_FUSION, PATH_NAMES, PathCostVector
-from .trainer import TrainConfig
+
+if TYPE_CHECKING:
+    from .corpus import RoutingExample
+    from .engine import EngineBackends
+    from .fusion import AgentBackend
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    lr_max: float = 1e-4
+    batch_size: int = 8
+    grad_accum_steps: int = 4
+    weight_decay: float = 0.01
+    clip_norm: float = 1.0
+    target_temperature: float = 0.3
+    gate_temperature: float = 1.0
+    resource_weight: float = 0.15
+    warmup_ratio: float = 0.05
+    epochs: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size <= 0 or self.grad_accum_steps <= 0 or self.epochs <= 0:
+            raise InvalidArgumentError("batch size, accumulation steps and epochs must be > 0")
+        if self.target_temperature <= 0 or self.gate_temperature <= 0:
+            raise InvalidArgumentError("temperatures must be > 0")
+        if self.lr_max < 0 or self.weight_decay < 0 or self.resource_weight < 0:
+            raise InvalidArgumentError("lr, weight decay and resource weight must be >= 0")
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    gate_latency_s: float = 0.001
+    fusion_api_overhead_s: float = 0.3
+    timing: str = "configured"  # "configured" keeps benches deterministic; "wallclock" measures
+    gate_temperature: float = 1.0
+
+    def __post_init__(self):
+        if self.timing not in ("configured", "wallclock"):
+            raise InvalidArgumentError(f"timing must be 'configured' or 'wallclock', got {self.timing!r}")
+
+
+@dataclass(frozen=True)
+class BenchConfig:
+    n_per_dataset: int = 50
+    seeds: tuple[int, ...] = (0, 1, 2)
+
+    def __post_init__(self):
+        if self.n_per_dataset < 1:
+            raise InvalidArgumentError(f"n_per_dataset must be >= 1, got {self.n_per_dataset}")
 
 
 def _field_defaults(cls, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
@@ -184,14 +226,6 @@ def _validate(cfg: RunConfig) -> None:
         )
 
 
-def _latency(pair: Sequence[float]) -> LatencyModel:
-    return LatencyModel(float(pair[0]), float(pair[1]))
-
-
-def _tokens(pair: Sequence[float]) -> TokensModel:
-    return TokensModel(float(pair[0]), float(pair[1]))
-
-
 def build_stack(
     cfg: RunConfig, labels: Mapping[str, Sequence[int]], tags: Sequence[str]
 ) -> tuple[EngineBackends, AgentBackend]:
@@ -201,6 +235,15 @@ def build_stack(
     example's (text, image, fusion) correctness by id; simulated embedders
     carry a bias for each dataset tag in `tags`.
     """
+    from .engine import EngineBackends
+    from .experts import LatencyModel, SimulatedGenerationBackend, TokensModel
+    from .fusion import ScriptedAgent
+
+    def _latency(pair: Sequence[float]) -> LatencyModel:
+        return LatencyModel(float(pair[0]), float(pair[1]))
+
+    def _tokens(pair: Sequence[float]) -> TokensModel:
+        return TokensModel(float(pair[0]), float(pair[1]))
 
     def remote_client(section: str, what: str):
         from .remote import RemoteClient

@@ -45,29 +45,7 @@ from .paths import (
     PathCostVector,
     argmax_with_tiebreak,
 )
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr_max: float = 1e-4
-    batch_size: int = 8
-    grad_accum_steps: int = 4
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
-    target_temperature: float = 0.3
-    gate_temperature: float = 1.0
-    resource_weight: float = 0.15
-    warmup_ratio: float = 0.05
-    epochs: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.batch_size <= 0 or self.grad_accum_steps <= 0 or self.epochs <= 0:
-            raise InvalidArgumentError("batch size, accumulation steps and epochs must be > 0")
-        if self.target_temperature <= 0 or self.gate_temperature <= 0:
-            raise InvalidArgumentError("temperatures must be > 0")
-        if self.lr_max < 0 or self.weight_decay < 0 or self.resource_weight < 0:
-            raise InvalidArgumentError("lr, weight decay and resource weight must be >= 0")
+from .runconfig import TrainConfig
 
 
 def build_target(path_scores, temperature: float) -> np.ndarray:

@@ -117,8 +117,12 @@ class TestExitCodes:
         assert f"{raw}:3:" in err
         assert not (workdir / "corpus").exists()
 
-    @pytest.mark.parametrize("labels", [None, [1], ["x", 0, 0]],
-                             ids=["null", "one-entry", "not-a-number"])
+    @pytest.mark.parametrize(
+        "labels",
+        [None, [1], ["x", 0, 0], "101", [1.7, 0, 0], [2, 0, 0], [-1, 0, 1], [True, 0, 0],
+         [1.0, 0, 0]],
+        ids=["null", "one-entry", "not-a-number", "string", "fraction", "two", "negative",
+             "bool", "float"])
     def test_ingest_bad_path_labels_exits_1(self, workdir, capsys, labels):
         raw = workdir / "raw.jsonl"
         assert run("make-synthetic", "--out", raw, "--n", 5) == 0
@@ -383,17 +387,23 @@ class TestDefaultSnapshotPin:
         assert hashlib.sha256(snapshot).hexdigest() == PINNED_DEFAULT_SNAPSHOT_SHA256
 
 
-# Runs one CLI command in a fresh interpreter, then prints the tableroute modules it loaded.
+# Imports tableroute in a fresh interpreter, runs the CLI command given as
+# arguments (if any), then prints the tableroute modules loaded.
 _MODULES_AFTER = """
 import json, sys
-from tableroute import cli
-assert cli.main(sys.argv[1:]) == 0
+import tableroute
+if sys.argv[1:]:
+    from tableroute import cli
+    assert cli.main(sys.argv[1:]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("tableroute"))))
 """
 
+TRAINER = {"tableroute.trainer"}
+INFERENCE = {"tableroute.engine", "tableroute.fusion"}
+
 
 class TestCommandImports:
-    """`route` and `infer` import only the modules they call."""
+    """Each command imports only the modules it calls."""
 
     @pytest.fixture()
     def tiny(self, workdir):
@@ -408,12 +418,21 @@ class TestCommandImports:
                              env=env, capture_output=True, text=True, check=True).stdout
         return set(json.loads(out.splitlines()[-1]))
 
+    def test_bare_import_loads_no_submodule(self):
+        assert self.modules_after() == {"tableroute"}
+
+    def test_make_synthetic(self, workdir):
+        loaded = self.modules_after("make-synthetic", "--out", workdir / "raw.jsonl", "--n", 3)
+        assert loaded == {f"tableroute{m}" for m in (
+            "", ".cli", ".errors", ".experts", ".fileio", ".paths", ".runconfig", ".synthetic")}
+
     def test_route(self, tiny):
         corpus, ckpt = tiny
         loaded = self.modules_after("route", "--corpus", corpus, "--checkpoint", ckpt,
                                     "--id", "syn-000003")
         assert "tableroute.gate" in loaded
         assert not loaded & {"tableroute.analysis", "tableroute.ingest", "tableroute.synthetic"}
+        assert not loaded & TRAINER
 
     def test_infer(self, tiny):
         corpus, ckpt = tiny
@@ -421,3 +440,26 @@ class TestCommandImports:
                                     "--id", "syn-000003")
         assert "tableroute.engine" in loaded
         assert not loaded & {"tableroute.analysis", "tableroute.ingest"}
+        assert not loaded & TRAINER
+
+    @pytest.mark.parametrize("command", ["ingest", "profile-cost", "bench"])
+    def test_no_trainer(self, tiny, workdir, command):
+        corpus, ckpt = tiny
+        argv = {
+            "ingest": ["--raw", workdir / "raw.jsonl", "--out", workdir / "corpus2"],
+            "profile-cost": ["--corpus", corpus, "--run-dir", workdir / "run"],
+            "bench": ["--corpus", corpus, "--checkpoint", ckpt, "--run-dir", workdir / "run"],
+        }[command]
+        loaded = self.modules_after(command, *argv)
+        assert "tableroute.engine" in loaded
+        assert not loaded & TRAINER
+
+    @pytest.mark.parametrize("command", ["train", "analyze"])
+    def test_no_inference(self, tiny, workdir, command):
+        corpus, ckpt = tiny
+        argv = ["--corpus", corpus, "--run-dir", workdir / "run"]
+        if command == "analyze":
+            argv += ["--checkpoint", ckpt]
+        loaded = self.modules_after(command, *argv)
+        assert "tableroute.trainer" in loaded
+        assert not loaded & INFERENCE
