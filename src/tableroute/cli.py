@@ -5,8 +5,10 @@ file via --config or the TABLEROUTE_CONFIG env var, then CLI overrides),
 writes its outputs into the run directory next to a resolved config
 snapshot, and exits 0 on success, 2 on config errors, 1 on runtime errors.
 
-Each command imports the modules it calls inside its own function, so no
-command pays to import (and, without bytecode caching, compile) the others.
+The synthetic, ingest and analysis modules are imported inside the commands
+that call them, so `route` and `infer` do not pay to import them. The
+engine, corpus, gate and trainer stay imported here: `perfbench/tracer.py`
+patches traced functions only in the modules that importing this one loads.
 """
 from __future__ import annotations
 
@@ -18,10 +20,14 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from . import engine
+from .corpus import load_corpus, load_example, split_by_dataset, stratified_split
 from .errors import ConfigError, IngestError, TableRouteError, UndefinedRateError
 from .fileio import write_lines
+from .gate import compute_params, load_checkpoint, save_checkpoint
 from .paths import KNOWN_DATASETS, N_PATHS, TRAINING_DATASETS
 from .runconfig import RunConfig, backends_from_corpus, build_stack, load_runconfig
+from .trainer import train
 
 log = logging.getLogger("tableroute")
 
@@ -60,8 +66,6 @@ def _corpus_dir(cfg: RunConfig) -> str:
 def _start_run(args: argparse.Namespace):
     """The resolved config and run directory, after writing the config
     snapshot there, and the corpus."""
-    from .corpus import load_corpus
-
     cfg = _resolve_config(args)
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -70,8 +74,6 @@ def _start_run(args: argparse.Namespace):
 
 
 def _require_example(cfg: RunConfig, example_id: str):
-    from .corpus import load_example
-
     ex = load_example(_corpus_dir(cfg), example_id)
     if ex is None:
         raise ConfigError(f"example id {example_id!r} not in corpus")
@@ -79,8 +81,6 @@ def _require_example(cfg: RunConfig, example_id: str):
 
 
 def _split(cfg: RunConfig, examples):
-    from .corpus import stratified_split
-
     val_fraction = float(cfg["train"]["val_fraction"])
     return stratified_split(examples, val_fraction, cfg.seed)
 
@@ -136,9 +136,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .gate import save_checkpoint
-    from .trainer import train
-
     cfg, run_dir, examples = _start_run(args)
     train_set, val_set = _split(cfg, examples)
     result = train(train_set, val_set, cfg.train_config(), cfg.cost_vector())
@@ -156,8 +153,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_gate(args: argparse.Namespace):
-    from .gate import compute_params, load_checkpoint
-
     ckpt = getattr(args, "checkpoint", None)
     if not ckpt:
         raise ConfigError("pass --checkpoint <gate.ckpt>")
@@ -169,8 +164,6 @@ def _load_gate(args: argparse.Namespace):
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from . import engine
-
     cfg = _resolve_config(args)
     params, _ = _load_gate(args)
     ex = _require_example(cfg, args.id)
@@ -184,8 +177,6 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    from . import engine
-
     cfg = _resolve_config(args)
     params, _ = _load_gate(args)
     ex = _require_example(cfg, args.id)
@@ -199,9 +190,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_profile_cost(args: argparse.Namespace) -> int:
-    from . import engine
-    from .corpus import split_by_dataset
-
     cfg, run_dir, examples = _start_run(args)
     backends, _ = backends_from_corpus(cfg, examples)
     per_dataset = int(cfg["profile"]["samples_per_dataset"])
@@ -224,8 +212,6 @@ def cmd_profile_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from . import engine
-
     cfg, run_dir, examples = _start_run(args)
     params, _ = _load_gate(args)
     backends, agent = backends_from_corpus(cfg, examples)

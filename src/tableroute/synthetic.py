@@ -9,16 +9,14 @@ tag, which guarantees a linear routing solution exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .corpus import RoutingExample, Table, example_from_raw, stratified_split
+from .engine import embed_example
 from .errors import InvalidArgumentError
 from .experts import LatencyModel, SimulatedEmbeddingBackend, stable_digest64
 from .paths import EMBED_DIMS, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
-
-if TYPE_CHECKING:
-    from .corpus import RoutingExample
 
 # Per-tag correctness profile: (text, image, fusion).
 TAG_PROFILES: dict[str, tuple[int, int, int]] = {
@@ -57,17 +55,17 @@ def biased_embedders(
     return backends
 
 
-def _make_table(rng: np.random.Generator) -> tuple[dict, str, str]:
-    """A small deterministic table's JSON object, a question and its gold answer."""
+def _make_table(rng: np.random.Generator) -> tuple[Table, str, str]:
+    """A small deterministic table plus a question and its gold answer."""
     items = rng.choice(len(_ITEMS), size=3, replace=False)
     rows = []
     for i in items:
         value = int(rng.integers(10, 500))
         year = int(rng.integers(1990, 2025))
-        rows.append([_ITEMS[i], str(value), str(year)])
+        rows.append((_ITEMS[i], str(value), str(year)))
     target = rows[int(rng.integers(0, 3))]
     question = f"What is the recorded value for {target[0]}?"
-    return {"columns": ["item", "value", "year"], "rows": rows}, question, target[1]
+    return Table(columns=("item", "value", "year"), rows=tuple(rows)), question, target[1]
 
 
 def make_raw_records(
@@ -91,7 +89,7 @@ def make_raw_records(
                 "id": f"syn-{i:06d}",
                 "dataset": tag,
                 "question": question,
-                "table": table,
+                "table": table.to_json(),
                 "gold_answer": gold,
                 "path_labels": list(TAG_PROFILES[tag]),
             }
@@ -116,9 +114,6 @@ def make_separable_corpus(
     Path labels are taken directly from the tag profiles (running the
     simulated experts would reproduce them exactly, by construction).
     """
-    from .corpus import example_from_raw, stratified_split
-    from .engine import embed_example
-
     total = cfg.n_train + cfg.n_val
     raws = make_raw_records(total, seed=cfg.seed, tags=cfg.tags)
     embedders = tuple(biased_embedders(cfg.tags, cfg.bias_scale, cfg.seed).values())

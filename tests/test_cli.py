@@ -387,23 +387,28 @@ class TestDefaultSnapshotPin:
         assert hashlib.sha256(snapshot).hexdigest() == PINNED_DEFAULT_SNAPSHOT_SHA256
 
 
-# Imports tableroute in a fresh interpreter, runs the CLI command given as
-# arguments (if any), then prints the tableroute modules loaded.
+# Imports the module named by the first argument in a fresh interpreter, runs
+# the CLI command given by the rest (if any), then prints the tableroute
+# modules loaded.
 _MODULES_AFTER = """
-import json, sys
-import tableroute
-if sys.argv[1:]:
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
     from tableroute import cli
-    assert cli.main(sys.argv[1:]) == 0
+    assert cli.main(sys.argv[2:]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("tableroute"))))
 """
 
-TRAINER = {"tableroute.trainer"}
-INFERENCE = {"tableroute.engine", "tableroute.fusion"}
+# What `import tableroute.cli` loads. perfbench/tracer.py patches traced
+# functions only in the modules loaded by then, so the CLI imports the traced
+# layers at module level.
+CLI_MODULES = {f"tableroute{m}" for m in (
+    "", ".cli", ".corpus", ".engine", ".errors", ".experts", ".fileio", ".fusion", ".gate",
+    ".numerics", ".paths", ".runconfig", ".trainer")}
 
 
 class TestCommandImports:
-    """Each command imports only the modules it calls."""
+    """Each command loads the CLI's layers and only the other modules it calls."""
 
     @pytest.fixture()
     def tiny(self, workdir):
@@ -411,55 +416,38 @@ class TestCommandImports:
         save_checkpoint(workdir / "gate.ckpt", init_gate(seed=0))
         return corpus, workdir / "gate.ckpt"
 
-    def modules_after(self, *argv):
+    def modules_after(self, module, *argv):
         env = {k: v for k, v in os.environ.items() if k != "TABLEROUTE_CONFIG"}
         env["PYTHONPATH"] = str(Path(tableroute.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, *map(str, argv)],
+        out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, module, *map(str, argv)],
                              env=env, capture_output=True, text=True, check=True).stdout
         return set(json.loads(out.splitlines()[-1]))
 
     def test_bare_import_loads_no_submodule(self):
-        assert self.modules_after() == {"tableroute"}
+        assert self.modules_after("tableroute") == {"tableroute"}
+
+    def test_runconfig_loads_only_errors_and_paths(self):
+        assert self.modules_after("tableroute.runconfig") == {
+            "tableroute", "tableroute.errors", "tableroute.paths", "tableroute.runconfig"}
+
+    def test_cli_loads_the_traced_layers(self):
+        assert self.modules_after("tableroute.cli") == CLI_MODULES
 
     def test_make_synthetic(self, workdir):
-        loaded = self.modules_after("make-synthetic", "--out", workdir / "raw.jsonl", "--n", 3)
-        assert loaded == {f"tableroute{m}" for m in (
-            "", ".cli", ".errors", ".experts", ".fileio", ".paths", ".runconfig", ".synthetic")}
+        loaded = self.modules_after("tableroute.cli", "make-synthetic",
+                                    "--out", workdir / "raw.jsonl", "--n", 3)
+        assert loaded == CLI_MODULES | {"tableroute.synthetic"}
 
     def test_route(self, tiny):
         corpus, ckpt = tiny
-        loaded = self.modules_after("route", "--corpus", corpus, "--checkpoint", ckpt,
-                                    "--id", "syn-000003")
+        loaded = self.modules_after("tableroute.cli", "route", "--corpus", corpus,
+                                    "--checkpoint", ckpt, "--id", "syn-000003")
         assert "tableroute.gate" in loaded
         assert not loaded & {"tableroute.analysis", "tableroute.ingest", "tableroute.synthetic"}
-        assert not loaded & TRAINER
 
     def test_infer(self, tiny):
         corpus, ckpt = tiny
-        loaded = self.modules_after("infer", "--corpus", corpus, "--checkpoint", ckpt,
-                                    "--id", "syn-000003")
+        loaded = self.modules_after("tableroute.cli", "infer", "--corpus", corpus,
+                                    "--checkpoint", ckpt, "--id", "syn-000003")
         assert "tableroute.engine" in loaded
         assert not loaded & {"tableroute.analysis", "tableroute.ingest"}
-        assert not loaded & TRAINER
-
-    @pytest.mark.parametrize("command", ["ingest", "profile-cost", "bench"])
-    def test_no_trainer(self, tiny, workdir, command):
-        corpus, ckpt = tiny
-        argv = {
-            "ingest": ["--raw", workdir / "raw.jsonl", "--out", workdir / "corpus2"],
-            "profile-cost": ["--corpus", corpus, "--run-dir", workdir / "run"],
-            "bench": ["--corpus", corpus, "--checkpoint", ckpt, "--run-dir", workdir / "run"],
-        }[command]
-        loaded = self.modules_after(command, *argv)
-        assert "tableroute.engine" in loaded
-        assert not loaded & TRAINER
-
-    @pytest.mark.parametrize("command", ["train", "analyze"])
-    def test_no_inference(self, tiny, workdir, command):
-        corpus, ckpt = tiny
-        argv = ["--corpus", corpus, "--run-dir", workdir / "run"]
-        if command == "analyze":
-            argv += ["--checkpoint", ckpt]
-        loaded = self.modules_after(command, *argv)
-        assert "tableroute.trainer" in loaded
-        assert not loaded & INFERENCE
