@@ -148,12 +148,6 @@ def compute_params(params: GateParameters) -> GateParameters:
     )
 
 
-def _dropout_mask_scale(seed: int, hidden_dim: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    mask = rng.random(hidden_dim) < DROPOUT_KEEP
-    return mask.astype(np.float64) / DROPOUT_KEEP
-
-
 def forward_batch(
     params: GateParameters,
     X: np.ndarray,
@@ -178,8 +172,11 @@ def forward_batch(
     if mode == "train":
         if rng_seeds is None or len(rng_seeds) != X.shape[0]:
             raise InvalidArgumentError("train mode needs one rng seed per row")
-        masks = [_dropout_mask_scale(int(s), hidden_dim) for s in rng_seeds]
-        mask_scale = np.stack(masks).astype(X.dtype, copy=False)
+        # One generator per row seed, so a row's mask does not depend on the
+        # rows batched with it; 1 / DROPOUT_KEEP is rounded once to X's dtype.
+        keep = [np.random.Generator(np.random.PCG64(int(s))).random(hidden_dim) < DROPOUT_KEEP
+                for s in rng_seeds]
+        mask_scale = np.stack(keep) * X.dtype.type(1.0 / DROPOUT_KEEP)
     else:
         mask_scale = np.ones((X.shape[0], hidden_dim), dtype=X.dtype)
     dropped = relu * mask_scale

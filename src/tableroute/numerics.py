@@ -1,9 +1,11 @@
 """Math kernel for the gate: softmax, optimizer, LR schedule.
 
 `softmax` computes in float64; `adamw_step` and `clip_grad_norm` compute in
-the dtype they are handed (float32 in training, see `gate`). Those two
-mutate their arguments: `adamw_step` updates `params` and the state's
-moments in place, and `clip_grad_norm` rescales `grads`. The rest are pure.
+the dtype they are handed (float32 in training, see `gate`). Only
+`adamw_step` mutates its arguments: it updates `params` and the state's
+moments in place. `clip_grad_norm` leaves the gradient as it is and returns
+the scale that clipping calls for, which `adamw_step` applies block by block
+as it reads the gradient (`grad_scale`). The rest are pure.
 """
 from __future__ import annotations
 
@@ -22,9 +24,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# Elements per block of the in-place AdamW update: two 32K-element scratch
-# buffers (at most 256 KB each) hold a block's temporaries while it is in
-# cache, instead of full-size temporaries streamed through memory.
+# Elements per block of the in-place AdamW update and per leaf of the
+# clipping norm: 32K-element scratch buffers (at most 256 KB each) hold a
+# block's temporaries while it is in cache, instead of full-size temporaries
+# streamed through memory.
 ADAMW_BLOCK = 32768
 
 
@@ -64,7 +67,9 @@ class OptimizerState:
         )
 
 
-def adamw_step(params, grads, state: OptimizerState, lr: float) -> np.ndarray:
+def adamw_step(
+    params, grads, state: OptimizerState, lr: float, grad_scale: float | None = None
+) -> np.ndarray:
     """One Adam step with decoupled weight decay, in place; returns `params`.
 
     p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
@@ -75,6 +80,11 @@ def adamw_step(params, grads, state: OptimizerState, lr: float) -> np.ndarray:
     in blocks of ADAMW_BLOCK elements; every element sees the same IEEE
     operations in the same order as the unblocked expression above, so
     results are bitwise those of the out-of-place form.
+
+    With `grad_scale` (the scale `clip_grad_norm` returns), each block of
+    the gradient is first multiplied by it in the step's dtype, into
+    scratch: the same multiply as `grads *= grad_scale`, so the step is
+    bitwise that of a prescaled gradient, and `grads` is left as it is.
     """
     m, v = state.first_moment, state.second_moment
     dtype = getattr(params, "dtype", None)
@@ -97,17 +107,23 @@ def adamw_step(params, grads, state: OptimizerState, lr: float) -> np.ndarray:
         )
     if not (np.isfinite(lr) and lr >= 0):
         raise InvalidArgumentError(f"adamw_step: lr must be >= 0, got {lr}")
+    if grad_scale is not None:
+        if not np.isfinite(grad_scale):
+            raise InvalidArgumentError(f"adamw_step: grad_scale must be finite, got {grad_scale}")
+        grad_scale = params.dtype.type(grad_scale)
 
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     p, g, m, v = params.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-    scratch = np.empty((2, min(p.size, ADAMW_BLOCK)), dtype=dtype)
+    scratch = np.empty((2 if grad_scale is None else 3, min(p.size, ADAMW_BLOCK)), dtype=dtype)
     for lo in range(0, p.size, ADAMW_BLOCK):
         hi = min(lo + ADAMW_BLOCK, p.size)
         pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
         a, b = scratch[0, : hi - lo], scratch[1, : hi - lo]
+        if grad_scale is not None:
+            gb = np.multiply(gb, grad_scale, out=scratch[2, : hi - lo])
         mb *= b1
         np.multiply(1.0 - b1, gb, out=a)
         mb += a
@@ -162,25 +178,43 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
     return cfg.lr_max * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
-def clip_grad_norm(
-    grads, max_norm: float, work: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Scale `grads` in place so the global L2 norm is at most `max_norm`.
+def _sum_of_squares(g: np.ndarray, scratch: np.ndarray):
+    """`np.sum(g * g)` bit for bit, squaring ADAMW_BLOCK elements at a time.
 
-    A float32 array is handled in float32; other input that is not a float64
-    array is converted to float64 first, and the converted copy is scaled.
-    Returns (the possibly rescaled gradients, observed pre-clip norm). The
-    norm is `sqrt(sum(g * g))`, not `np.dot(g, g)`: the two sum in different
-    orders and differ in the last bits, and the norm is part of the training
-    history. The squares go to `work` when it is given (a C-contiguous array
-    of the gradients' shape and dtype, overwritten), to a new array
-    otherwise; the norm is the same either way.
+    numpy sums a contiguous array pairwise: it splits n elements at n // 2,
+    rounded down to a multiple of 8, until a piece has at most 128. This
+    takes the same splits down to pieces of at most ADAMW_BLOCK elements,
+    sums each piece's squares in `scratch` with `np.add.reduce` (the loop
+    behind `np.sum`, without its Python wrapper), and adds the partial sums
+    back up the same tree in g's dtype. (`np.sum` also adds its 0.0 start to
+    the total, which changes no sum of squares.)
+    """
+    n = g.size
+    if n <= ADAMW_BLOCK:
+        return np.add.reduce(np.multiply(g, g, out=scratch[:n]))
+    half = n // 2
+    half -= half % 8
+    return _sum_of_squares(g[:half], scratch) + _sum_of_squares(g[half:], scratch)
+
+
+def clip_grad_norm(grads, max_norm: float) -> tuple[float | None, float]:
+    """The global L2 norm of `grads` and the scale that clips it to `max_norm`.
+
+    Returns (scale, observed norm): scale is `max_norm / norm` when the norm
+    exceeds `max_norm` and None otherwise; pass it to `adamw_step` as
+    `grad_scale`. `grads` is not modified. A float32 array is handled in
+    float32, anything else in float64. The norm is `sqrt(sum(g * g))` with
+    numpy's summation order, not `np.dot(g, g)`: the two differ in the last
+    bits, and the norm is part of the training history. The squares are
+    formed and summed ADAMW_BLOCK elements at a time, in one block-sized
+    scratch buffer, with bitwise the same result as the full-size `g * g`.
+    A norm that is not finite is returned as it is; callers check it before
+    they step.
     """
     if not (np.isfinite(max_norm) and max_norm > 0):
         raise InvalidArgumentError(f"max_norm must be > 0, got {max_norm}")
-    float32 = getattr(grads, "dtype", None) == np.float32
-    g = grads if float32 else np.asarray(grads, dtype=np.float64)
-    norm = float(np.sqrt(np.sum(np.multiply(g, g, out=work))))
-    if norm > max_norm:
-        g *= max_norm / norm
-    return g, norm
+    dtype = np.float32 if getattr(grads, "dtype", None) == np.float32 else np.float64
+    g = np.ascontiguousarray(grads, dtype=dtype).reshape(-1)
+    scratch = np.empty(min(g.size, ADAMW_BLOCK), dtype=dtype)
+    norm = float(np.sqrt(_sum_of_squares(g, scratch)))
+    return (max_norm / norm if norm > max_norm else None), norm

@@ -152,12 +152,10 @@ def train(
 
     dims = (INPUT_DIM, HIDDEN_DIM, N_PATHS)
     # Fixed float32 buffers of one parameter vector each, written in place:
-    # the master copy, the cycle's gradient, the two AdamW moments, and a
-    # work buffer for the squares of the clipping norm.
+    # the master copy, the cycle's gradient and the two AdamW moments.
     master = pack_parameters(init_gate(cfg.seed, *dims), np.float32)
     params_view = unpack_parameters(master, dims)
     grad = np.empty_like(master)
-    work = np.empty_like(master)
     grad_views = _gradient_views(grad, dims)
     opt = OptimizerState.for_size(master.size, cfg.weight_decay, dtype=master.dtype)
     total_steps = planned_optimizer_steps(n, cfg)
@@ -182,9 +180,13 @@ def train(
             # costs less than dividing the 2.59M-element gradient, and for a
             # power-of-two cycle it gives the same bits.
             backward_batch(params_view, cache, dZ / len(idx), out=grad_views)
-            _, norm = clip_grad_norm(grad, cfg.clip_norm, work=work)
+            scale, norm = clip_grad_norm(grad, cfg.clip_norm)
+            if not math.isfinite(norm):
+                raise InvalidArgumentError(
+                    f"step {step_idx} (epoch {epoch}): gradient norm is {norm}"
+                )
             lr = lr_at(step_idx, sched)
-            adamw_step(master, grad, opt, lr)
+            adamw_step(master, grad, opt, lr, grad_scale=scale)
             history.append(
                 HistoryRecord(
                     step=step_idx,
@@ -236,14 +238,21 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
     return Z
 
 
+def _chosen_paths(Z: np.ndarray, cost: PathCostVector) -> list[int]:
+    cost_arr = cost.as_array()
+    return [argmax_with_tiebreak(z, cost_arr) for z in Z]
+
+
 def _evaluate_arrays(
     Z: np.ndarray,
     S: np.ndarray,
     cost: PathCostVector,
     gate_temperature: float,
+    chosen: list[int],
 ) -> PolicyEval:
+    """The `PolicyEval` of logits `Z`, given their `_chosen_paths`."""
     cost_arr = cost.as_array()
-    chosen = np.asarray([argmax_with_tiebreak(z, cost_arr) for z in Z])
+    chosen = np.asarray(chosen)
     hits = S[np.arange(len(chosen)), chosen] == 1
     P = softmax(Z, gate_temperature)
     counts = np.bincount(chosen, minlength=N_PATHS).astype(np.float64)
@@ -261,9 +270,8 @@ def route_split(gate: GateParameters, data: Sequence[RoutingExample], cost: Path
     if not data:
         raise InvalidArgumentError("evaluate_policy: empty dataset")
     Z = _eval_logits(gate, data)
-    cost_arr = cost.as_array()
-    return (_evaluate_arrays(Z, _score_matrix(data), cost, gate_temperature),
-            [argmax_with_tiebreak(z, cost_arr) for z in Z])
+    chosen = _chosen_paths(Z, cost)
+    return _evaluate_arrays(Z, _score_matrix(data), cost, gate_temperature, chosen), chosen
 
 
 def evaluate_policy(
@@ -280,5 +288,4 @@ def routed_paths(
     gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector
 ) -> list[int]:
     """Chosen path index per example under eval-mode argmax routing."""
-    cost_arr = cost.as_array()
-    return [argmax_with_tiebreak(z, cost_arr) for z in _eval_logits(gate, data)]
+    return _chosen_paths(_eval_logits(gate, data), cost)

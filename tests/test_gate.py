@@ -15,6 +15,7 @@ from tableroute.errors import (
 )
 from tableroute.gate import (
     CANONICAL_DIMS,
+    DROPOUT_KEEP,
     GateGradients,
     GateParameters,
     backward_batch,
@@ -114,6 +115,22 @@ class TestForward:
         _, c1 = forward_batch(params, X, mode="train", rng_seeds=[1])
         _, c2 = forward_batch(params, X, mode="train", rng_seeds=[2])
         assert not np.array_equal(c1.mask_scale, c2.mask_scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_train_masks_bitwise_equal_to_float64_reference(self, dtype):
+        # Reference: each row's float64 mask divided by DROPOUT_KEEP, then
+        # cast to the compute dtype, one PCG64 generator per row seed.
+        params = toy_params(d_h=256, dtype=dtype)
+        seeds = list(range(100))
+        X = np.zeros((len(seeds), 20), dtype=dtype)
+        _, cache = forward_batch(params, X, mode="train", rng_seeds=seeds)
+        expected = np.stack([
+            (np.random.Generator(np.random.PCG64(s)).random(256) < DROPOUT_KEEP)
+            .astype(np.float64) / DROPOUT_KEEP
+            for s in seeds
+        ]).astype(dtype)
+        assert cache.mask_scale.dtype == dtype
+        assert cache.mask_scale.tobytes() == expected.tobytes()
 
     def test_batch_matches_single(self):
         params = toy_params()

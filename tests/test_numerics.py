@@ -274,24 +274,27 @@ class TestSchedule:
 class TestClip:
     def test_below_threshold_unchanged(self):
         g = np.array([0.3, 0.4])  # norm 0.5
-        out, norm = clip_grad_norm(g, 1.0)
-        np.testing.assert_array_equal(out, g)
+        scale, norm = clip_grad_norm(g, 1.0)
+        assert scale is None
+        np.testing.assert_array_equal(g, [0.3, 0.4])
         assert norm == pytest.approx(0.5)
 
     def test_exact_scaling(self):
-        out, norm = clip_grad_norm(np.array([3.0, 4.0]), 1.0)
-        np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-15)
+        scale, norm = clip_grad_norm(np.array([3.0, 4.0]), 1.0)
         assert norm == pytest.approx(5.0)
+        np.testing.assert_allclose(np.array([3.0, 4.0]) * scale, [0.6, 0.8], atol=1e-15)
 
     def test_zero_grads(self):
-        out, norm = clip_grad_norm(np.zeros(4), 1.0)
-        np.testing.assert_array_equal(out, np.zeros(4))
+        scale, norm = clip_grad_norm(np.zeros(4), 1.0)
+        assert scale is None
         assert norm == 0.0
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=16))
     @settings(max_examples=200)
     def test_output_norm_bounded(self, values):
-        out, _ = clip_grad_norm(np.array(values), 1.0)
+        g = np.array(values)
+        scale, _ = clip_grad_norm(g, 1.0)
+        out = g if scale is None else g * scale
         assert np.sqrt(np.sum(out * out)) <= 1.0 + 1e-9
 
     def test_rejects_nonpositive_max(self):
@@ -304,12 +307,11 @@ CANONICAL_PARAM_COUNT = _D_H * _D_IN + _D_H + _D_OUT * _D_H + _D_OUT
 
 
 class TestClipInPlace:
-    def test_scales_in_place(self):
+    def test_leaves_the_gradient_as_it_is(self):
         g = np.array([3.0, 4.0])
-        out, norm = clip_grad_norm(g, 1.0)
-        assert out is g
-        np.testing.assert_allclose(g, [0.6, 0.8], atol=1e-15)
-        assert norm == 5.0
+        scale, norm = clip_grad_norm(g, 1.0)
+        np.testing.assert_array_equal(g, [3.0, 4.0])
+        assert (scale, norm) == (1.0 / 5.0, 5.0)
 
     def test_norm_is_sqrt_of_sum_of_squares(self):
         rng = np.random.default_rng(11)
@@ -319,16 +321,76 @@ class TestClipInPlace:
             _, norm = clip_grad_norm(g, 1e9)
             assert norm == expected
 
-    @pytest.mark.parametrize("size", [10_001, CANONICAL_PARAM_COUNT], ids=["small", "canonical"])
-    def test_work_buffer_gives_the_same_bits(self, size):
+    @pytest.mark.parametrize(
+        "size", [1, 7, 129, 10_001, 3 * ADAMW_BLOCK + 5, CANONICAL_PARAM_COUNT]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_leaf_tree_norm_gives_the_bits_of_np_sum(self, dtype, size):
+        # The norm squares and sums ADAMW_BLOCK elements at a time; the full-size
+        # `g * g` and numpy's pairwise sum of it are the oracle. Entries spread
+        # over six decades make the last bits depend on where the tree splits.
         rng = np.random.default_rng(size)
-        g = rng.normal(scale=1e-3, size=size)
-        squares = g * g
-        g_work, work = g.copy(), np.full(size, np.nan)
-        _, norm = clip_grad_norm(g, 0.01)
-        out, norm_work = clip_grad_norm(g_work, 0.01, work=work)
-        assert norm > 0.01  # so both calls rescale
-        assert norm_work == norm
-        assert out is g_work
-        assert g_work.tobytes() == g.tobytes()
-        assert work.tobytes() == squares.tobytes()
+        for _ in range(8):
+            g = (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)).astype(dtype)
+            expected = float(np.sqrt(np.sum(g * g)))
+            before = g.tobytes()
+            scale, norm = clip_grad_norm(g, 1e-9)
+            assert norm == expected
+            assert scale == 1e-9 / expected
+            assert g.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_canonical_norm_and_step_allocate_under_1mb(self, dtype):
+        # The squares alone would be one more full-size buffer (10.4 MB in float32).
+        rng = np.random.default_rng(0)
+        params = rng.normal(size=CANONICAL_PARAM_COUNT).astype(dtype)
+        grads = rng.normal(size=CANONICAL_PARAM_COUNT).astype(dtype)
+        state = OptimizerState.for_size(CANONICAL_PARAM_COUNT, weight_decay=0.01, dtype=dtype)
+
+        def step():
+            scale, _ = clip_grad_norm(grads, 1.0)
+            assert scale is not None
+            adamw_step(params, grads, state, lr=1e-4, grad_scale=scale)
+
+        step()  # warm up
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestAdamWGradScale:
+    @pytest.mark.parametrize("scale", [None, 0.37], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_bitwise_equal_to_reference_on_prescaled_gradient(self, dtype, scale):
+        size = 3 * ADAMW_BLOCK + 5
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=size).astype(dtype)
+        state = OptimizerState.for_size(size, weight_decay=0.01, dtype=dtype)
+        p_ref, m_ref, v_ref = params.copy(), np.zeros(size, dtype), np.zeros(size, dtype)
+        for t in range(1, 4):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=size).astype(dtype)
+            g[rng.integers(0, size, size=64)] = -0.0
+            before = g.tobytes()
+            # the prescaled gradient, as `g *= scale` gives it
+            g_ref = g.copy()
+            if scale is not None:
+                g_ref *= scale
+            p_ref, m_ref, v_ref = reference_adamw(p_ref, g_ref, m_ref, v_ref, t, 1e-3, 0.01)
+            adamw_step(params, g, state, 1e-3, grad_scale=scale)
+            assert g.tobytes() == before
+            assert params.tobytes() == p_ref.tobytes()
+            assert state.first_moment.tobytes() == m_ref.tobytes()
+            assert state.second_moment.tobytes() == v_ref.tobytes()
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf])
+    def test_rejects_non_finite_scale(self, scale):
+        state = OptimizerState.for_size(4)
+        params = np.ones(4)
+        with pytest.raises(InvalidArgumentError):
+            adamw_step(params, np.ones(4), state, lr=1e-3, grad_scale=scale)
+        assert state.step_count == 0
+        np.testing.assert_array_equal(params, np.ones(4))

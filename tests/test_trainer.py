@@ -42,6 +42,8 @@ from tableroute.trainer import (
     evaluate_policy,
     loss_batch,
     planned_optimizer_steps,
+    route_split,
+    routed_paths,
     train,
 )
 
@@ -221,6 +223,21 @@ class TestEvaluatePolicy:
         with pytest.raises(InvalidArgumentError):
             evaluate_policy(self._gate_forcing(0), [], DEFAULT_PATH_COSTS)
 
+    def test_route_split_runs_the_argmax_once_per_row(self, monkeypatch):
+        examples = [toy_example(i, "wtq", (0, 1, 0), 0.5) for i in range(8)]
+        gate = init_gate(seed=3)
+        real_argmax, calls = trainer_module.argmax_with_tiebreak, []
+
+        def counting_argmax(z, costs):
+            calls.append(1)
+            return real_argmax(z, costs)
+
+        monkeypatch.setattr(trainer_module, "argmax_with_tiebreak", counting_argmax)
+        policy, chosen = route_split(gate, examples, DEFAULT_PATH_COSTS)
+        assert len(calls) == len(examples)
+        assert chosen == routed_paths(gate, examples, DEFAULT_PATH_COSTS)
+        assert policy == evaluate_policy(gate, examples, DEFAULT_PATH_COSTS)
+
 
 class TestBlockedEval:
     """`evaluate_policy` and `routed_paths` route EVAL_BLOCK_ROWS rows per call."""
@@ -321,15 +338,67 @@ def test_one_train_forward_per_optimizer_step(monkeypatch):
             train_rows.append(len(X))
         return real_forward(params, X, mode, rng_seeds)
 
-    def counting_step(params, grads, state, lr):
+    def counting_step(params, grads, state, lr, grad_scale=None):
         steps.append(len(train_rows))
-        return real_step(params, grads, state, lr)
+        return real_step(params, grads, state, lr, grad_scale)
 
     monkeypatch.setattr(trainer_module, "forward_batch", counting_forward)
     monkeypatch.setattr(trainer_module, "adamw_step", counting_step)
     result = train(train_set, val_set, TrainConfig(seed=4, epochs=2), DEFAULT_PATH_COSTS)
     assert train_rows == [32, 32, 32, 32, 22] * 2
     assert steps == list(range(1, 11)) and len(result.history) == 10
+
+
+class TestNonFiniteGradient:
+    """A gradient norm that is not finite stops `train` at its step, before
+    `adamw_step` writes the weights or the moments."""
+
+    @staticmethod
+    def _plant(monkeypatch, value, at_call):
+        """Make the `at_call`-th `backward_batch` of `train` (from 0) write
+        `value` into one weight's gradient."""
+        real_backward, calls = trainer_module.backward_batch, []
+
+        def planting_backward(params, cache, dZ, out=None):
+            grads = real_backward(params, cache, dZ, out=out)
+            if len(calls) == at_call:
+                grads.dW1[0, 0] = value
+            calls.append(1)
+            return grads
+
+        monkeypatch.setattr(trainer_module, "backward_batch", planting_backward)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_train_raises_at_the_step(self, monkeypatch, value):
+        train_set, val_set = make_separable_corpus(
+            SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
+        )
+        self._plant(monkeypatch, value, at_call=2)
+        steps, real_step = [], trainer_module.adamw_step
+
+        def counting_step(params, grads, state, lr, grad_scale=None):
+            steps.append(state.step_count)
+            return real_step(params, grads, state, lr, grad_scale)
+
+        monkeypatch.setattr(trainer_module, "adamw_step", counting_step)
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"step 2 \(epoch 0\): gradient norm is {float(value)}"):
+            train(train_set, val_set, TrainConfig(seed=4), DEFAULT_PATH_COSTS)
+        assert steps == [0, 1]
+
+    def test_cli_train_exits_1_without_a_checkpoint(self, tmp_path, monkeypatch, capsys):
+        # Without validation the NaN weights would otherwise reach gate.ckpt.
+        raw, corpus, run = tmp_path / "raw.jsonl", tmp_path / "corpus", tmp_path / "run"
+        assert cli_main(["make-synthetic", "--out", str(raw), "--n", "42", "--seed", "1"]) == 0
+        assert cli_main(["ingest", "--raw", str(raw), "--out", str(corpus), "--seed", "7"]) == 0
+        config = tmp_path / "no-val.json"
+        config.write_text(json.dumps({"train": {"val_fraction": 0.0}}))
+        self._plant(monkeypatch, np.nan, at_call=0)
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(config), "--corpus", str(corpus),
+                         "--run-dir", str(run), "--seed", "7"]) == 1
+        assert "step 0 (epoch 0): gradient norm is nan" in capsys.readouterr().err
+        assert not (run / "gate.ckpt").exists()
 
 
 def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
@@ -384,13 +453,12 @@ class TestFixedBuffers:
         zeros = grad["dz"] == 0
         assert zeros.sum() >= 16 * dims[0]
         grad["dz"][zeros] = -0.0
-        work = np.empty_like(master)
         norms, steps = {}, {}
         for k in ("dz", "gradient"):
             opt = OptimizerState.for_size(master.size, 0.01, dtype=np.float32)
             steps[k] = master.copy()
-            norms[k] = clip_grad_norm(grad[k], 1e-3, work=work)[1]
-            adamw_step(steps[k], grad[k], opt, 1e-3)
+            scale, norms[k] = clip_grad_norm(grad[k], 1e-3)
+            adamw_step(steps[k], grad[k], opt, 1e-3, grad_scale=scale)
             steps[k] = (steps[k], opt.first_moment, opt.second_moment)
         assert norms["dz"] == norms["gradient"]
         for a, b in zip(steps["dz"], steps["gradient"]):
@@ -423,13 +491,13 @@ class TestFixedBuffers:
         )
         scores = iter(accuracies)
 
-        def fake_evaluate(Z, S, cost, gate_temperature):
+        def fake_evaluate(Z, S, cost, gate_temperature, chosen):
             return PolicyEval(next(scores), 0.0, (1.0, 0.0, 0.0), len(Z))
 
         snapshots = []
 
-        def recording_step(params, grads, state, lr):
-            out = adamw_step(params, grads, state, lr)
+        def recording_step(params, grads, state, lr, grad_scale=None):
+            out = adamw_step(params, grads, state, lr, grad_scale)
             snapshots.append(params.copy())
             return out
 
