@@ -168,7 +168,7 @@ def lambda_sweep(
         # Only the weights are kept, so the optimizer moments of one gate
         # are freed before the next gate trains.
         params = train(train_examples, val_examples, cfg, costs).params
-        policy, chosen = route_split(params, val_examples, costs)
+        policy, chosen = route_split(params, val_examples, costs, base_cfg.gate_temperature)
         records = _join_outcomes(val_examples, chosen)
         rows.append(
             SweepRow(

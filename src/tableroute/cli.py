@@ -145,7 +145,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         metadata["val_routing_accuracy"] = repr(result.val_metrics.routing_accuracy)
         write_lines(run_dir / "val_metrics.json",
                     [json.dumps(asdict(result.val_metrics), indent=2, sort_keys=True)])
-    save_checkpoint(run_dir / "gate.ckpt", result.params, None, metadata)
+    save_checkpoint(run_dir / "gate.ckpt", result.params, metadata)
     acc = result.val_metrics.routing_accuracy if result.val_metrics else float("nan")
     print(f"trained {result.total_steps} steps; best val routing accuracy {acc:.4f}; "
           f"checkpoint at {run_dir / 'gate.ckpt'}")
@@ -158,14 +158,12 @@ def _load_gate(args: argparse.Namespace):
         raise ConfigError("pass --checkpoint <gate.ckpt>")
     if not Path(ckpt).exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
-    params, opt, meta = load_checkpoint(ckpt)
-    del opt  # its moments are views of the whole file's bytes: free them before the cast
-    return compute_params(params), meta
+    return compute_params(load_checkpoint(ckpt)[0])
 
 
 def cmd_route(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    params, _ = _load_gate(args)
+    params = _load_gate(args)
     ex = _require_example(cfg, args.id)
     decision = engine.route(params, ex.embedding, cfg.cost_vector(),
                             cfg.engine_config().gate_temperature)
@@ -178,7 +176,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    params, _ = _load_gate(args)
+    params = _load_gate(args)
     ex = _require_example(cfg, args.id)
     backends, agent = backends_from_corpus(cfg, [ex])
     record = engine.infer(
@@ -213,7 +211,7 @@ def cmd_profile_cost(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg, run_dir, examples = _start_run(args)
-    params, _ = _load_gate(args)
+    params = _load_gate(args)
     backends, agent = backends_from_corpus(cfg, examples)
     report = engine.run_efficiency_bench(
         examples, params, backends, agent, cfg.cost_vector(),
@@ -246,7 +244,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analysis
 
     cfg, run_dir, examples = _start_run(args)
-    params, _ = _load_gate(args)
+    params = _load_gate(args)
     records = analysis.outcome_records(params, examples, cfg.cost_vector())
     partition = analysis.case_partition(records)
     try:

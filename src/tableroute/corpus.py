@@ -357,10 +357,8 @@ def stratified_split(
         raise InvalidArgumentError(f"val_fraction must be in [0, 1), got {val_fraction}")
     train: list[RoutingExample] = []
     val: list[RoutingExample] = []
-    for dataset in sorted(split_by_dataset(examples)):
-        group = sorted(
-            (e for e in examples if e.dataset == dataset), key=lambda e: e.id
-        )
+    for dataset, group in sorted(split_by_dataset(examples).items()):
+        group = sorted(group, key=lambda e: e.id)
         rng = np.random.Generator(np.random.PCG64(seed ^ hash_tag(dataset)))
         order = rng.permutation(len(group))
         n_val = int(round(val_fraction * len(group)))

@@ -135,8 +135,6 @@ class EmbeddingBackend(Protocol):
     modality: str
     dim: int
 
-    def embed(self, payload: str | bytes, tag: str | None = None) -> np.ndarray: ...
-
     def embed_timed(
         self, payload: str | bytes, tag: str | None = None, nonce: int = 0
     ) -> tuple[np.ndarray, float]: ...

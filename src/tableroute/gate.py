@@ -37,7 +37,6 @@ from .errors import (
     InvalidArgumentError,
 )
 from .fileio import atomic_open
-from .numerics import OptimizerState
 from .paths import INPUT_DIM, N_PATHS, QUESTION_DIM, TEXT_DIM, VISION_DIM
 
 HIDDEN_DIM = 256
@@ -260,10 +259,10 @@ def pack_gradients(grads: GateGradients) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Checkpoint format (version 1, little-endian):
 #   magic "TRGCKPT1"
-#   u32 version | u32 input_dim | u32 hidden_dim | u32 output_dim | u32 flags
+#   u32 version | u32 input_dim | u32 hidden_dim | u32 output_dim | u32 flags (written as 0)
 #   metadata: u32 count, then per entry u32 len + utf8 key, u32 len + utf8 val
 #   parameters as <f4 blobs: W1, b1, W2, b2
-#   if flags & 1: optimizer state: <f8 m, <f8 v, u64 step, <f8 wd/beta1/beta2/eps
+#   flags & 1 (older files; skipped on load): <f8 m, <f8 v, u64 step, <f8 wd/beta1/beta2/eps
 #   u32 crc32 over everything after the magic
 # --------------------------------------------------------------------------
 
@@ -271,24 +270,16 @@ def pack_gradients(grads: GateGradients) -> np.ndarray:
 def save_checkpoint(
     path: str | Path,
     params: GateParameters,
-    optimizer_state: OptimizerState | None = None,
     metadata: Mapping[str, str] | None = None,
 ) -> None:
-    """Write `params` (as <f4), the optional optimizer state and `metadata`
-    atomically.
+    """Write `params` (as <f4) and `metadata` atomically.
 
     The header and each array's buffer are written in turn under a running
-    CRC32, so no copy of the file is built in memory; float32 parameters and
-    float64 moments are written straight from their own buffers.
+    CRC32, so no copy of the file is built in memory; float32 parameters are
+    written straight from their own buffers.
     """
     d_in, d_h, d_out = params.dims
-    n = d_h * d_in + d_h + d_out * d_h + d_out
-    if optimizer_state is not None and optimizer_state.first_moment.size != n:
-        raise InvalidArgumentError(
-            f"optimizer state covers {optimizer_state.first_moment.size} params, gate has {n}"
-        )
-    flags = 1 if optimizer_state is not None else 0
-    header = bytearray(struct.pack("<5I", _CKPT_VERSION, d_in, d_h, d_out, flags))
+    header = bytearray(struct.pack("<5I", _CKPT_VERSION, d_in, d_h, d_out, 0))
     meta = {str(k): str(v) for k, v in (metadata or {}).items()}
     header += struct.pack("<I", len(meta))
     for k in sorted(meta):
@@ -300,16 +291,6 @@ def save_checkpoint(
         yield header
         for arr in (params.W1, params.b1, params.W2, params.b2):
             yield np.ascontiguousarray(arr, dtype="<f4")
-        if optimizer_state is not None:
-            yield np.ascontiguousarray(optimizer_state.first_moment, dtype="<f8")
-            yield np.ascontiguousarray(optimizer_state.second_moment, dtype="<f8")
-            yield struct.pack("<Q", optimizer_state.step_count) + struct.pack(
-                "<4d",
-                optimizer_state.weight_decay,
-                optimizer_state.beta1,
-                optimizer_state.beta2,
-                optimizer_state.epsilon,
-            )
 
     crc = 0
     with atomic_open(path) as fh:
@@ -358,16 +339,14 @@ def _crc32_releasing(mapped: mmap.mmap, start: int, end: int) -> int:
 def load_checkpoint(
     path: str | Path,
     expected_dims: tuple[int, int, int] | None = CANONICAL_DIMS,
-) -> tuple[GateParameters, OptimizerState | None, dict[str, str]]:
-    """Load a checkpoint; verifies integrity first, then dimension compatibility.
+) -> tuple[GateParameters, dict[str, str]]:
+    """Load a checkpoint's parameters and metadata; verifies integrity
+    first, then dimension compatibility.
 
     Pass `expected_dims=None` to accept any recorded dimensions. The file is
-    memory-mapped read-only, so no copy of it is made. Parameters are copied
-    out of the mapping; the optimizer moments are read-only views of it, so
-    commands that only route never copy the moments, and `adamw_step`
-    refuses to update them in place. Checkpoints are only ever replaced by
-    rename, never rewritten in place, so the mapping keeps the file that was
-    opened.
+    memory-mapped read-only and the parameters are copied out of the
+    mapping. Older files with flag 1 also carry AdamW moments: the checksum
+    covers them, and then they are skipped unread.
     """
     with open(path, "rb") as fh:
         # mmap rejects an empty file; a file this short is no checkpoint anyway
@@ -405,16 +384,8 @@ def load_checkpoint(
         W2=read_f4((d_out, d_h)),
         b2=read_f4((d_out,)),
     )
-
-    opt = None
     if flags & 1:
-        n = d_h * d_in + d_h + d_out * d_h + d_out
-        m = np.frombuffer(cur.take(8 * n), dtype="<f8")
-        v = np.frombuffer(cur.take(8 * n), dtype="<f8")
-        step = struct.unpack("<Q", cur.take(8))[0]
-        wd, beta1, beta2, eps = struct.unpack("<4d", cur.take(32))
-        opt = OptimizerState(m, v, step, wd, beta1, beta2, eps)
-
+        cur.take(16 * params.param_count + 40)
     if cur.pos != len(body):
         raise CheckpointIntegrityError("trailing bytes in checkpoint body")
-    return params, opt, meta
+    return params, meta

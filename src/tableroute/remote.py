@@ -93,9 +93,6 @@ class RemoteEmbeddingBackend:
         self.modality = modality
         self.dim = EMBED_DIMS[modality]
 
-    def embed(self, payload: str | bytes, tag: str | None = None) -> np.ndarray:
-        return self.embed_timed(payload, tag)[0]
-
     def embed_timed(
         self, payload: str | bytes, tag: str | None = None, nonce: int = 0
     ) -> tuple[np.ndarray, float]:

@@ -36,10 +36,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size <= 0 or self.grad_accum_steps <= 0 or self.epochs <= 0:
             raise InvalidArgumentError("batch size, accumulation steps and epochs must be > 0")
-        if self.target_temperature <= 0 or self.gate_temperature <= 0:
-            raise InvalidArgumentError("temperatures must be > 0")
-        if self.lr_max < 0 or self.weight_decay < 0 or self.resource_weight < 0:
-            raise InvalidArgumentError("lr, weight decay and resource weight must be >= 0")
+        # A NaN, which Python's json parses, fails every one of these tests.
+        for name, ok, wanted in (
+            ("lr_max", 0 <= self.lr_max < math.inf, "finite and >= 0"),
+            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("resource_weight", 0 <= self.resource_weight < math.inf, "finite and >= 0"),
+            ("clip_norm", 0 < self.clip_norm < math.inf, "finite and > 0"),
+            ("target_temperature", 0 < self.target_temperature < math.inf, "finite and > 0"),
+            ("gate_temperature", 0 < self.gate_temperature < math.inf, "finite and > 0"),
+            ("warmup_ratio", 0 <= self.warmup_ratio < 1, "in [0, 1)"),
+        ):
+            if not ok:
+                raise InvalidArgumentError(f"{name} must be {wanted}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +222,10 @@ def _validate(cfg: RunConfig) -> None:
             view()
         except Exception as e:
             raise ConfigError(f"bad {key} section: {e}", key=key) from e
+    val_fraction = cfg.data["train"]["val_fraction"]
+    if not (isinstance(val_fraction, (int, float)) and 0 <= val_fraction < 1):
+        raise ConfigError(f"train.val_fraction must be in [0, 1), got {val_fraction!r}",
+                          key="train.val_fraction")
     weights = cfg.data["sweep"]["resource_weights"]
     if not isinstance(weights, list) or not weights or not all(
         isinstance(w, (int, float)) and not isinstance(w, bool) and 0 <= w < math.inf

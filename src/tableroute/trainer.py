@@ -101,7 +101,7 @@ class TrainResult:
     total_steps: int
 
 
-# Rows per gate call when `evaluate_policy` and `routed_paths` route a whole
+# Rows per gate call when `route_split` and `routed_paths` route a whole
 # split: bounds the rows read into float64 at once (64 rows are 5.2 MB).
 EVAL_BLOCK_ROWS = 64
 
@@ -200,8 +200,8 @@ def train(
             step_idx += 1
 
         if val:
-            # Exactly what `evaluate_policy` gives for the saved checkpoint.
-            metrics = evaluate_policy(params_view, val, cost, cfg.gate_temperature)
+            # Exactly what `route_split` gives for the saved checkpoint.
+            metrics = route_split(params_view, val, cost, cfg.gate_temperature)[0]
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
                 best_val = metrics
                 best_params = params_view.copy()
@@ -266,22 +266,14 @@ def _evaluate_arrays(
 
 def route_split(gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector,
                 gate_temperature: float = 1.0) -> tuple[PolicyEval, list[int]]:
-    """`evaluate_policy` and `routed_paths` of `data` from one routing pass."""
+    """The policy's metrics on `data` (argmax-routing accuracy, expected soft
+    cost, chosen-path mix) and its chosen path per example, from one routing
+    pass."""
     if not data:
-        raise InvalidArgumentError("evaluate_policy: empty dataset")
+        raise InvalidArgumentError("route_split: empty dataset")
     Z = _eval_logits(gate, data)
     chosen = _chosen_paths(Z, cost)
     return _evaluate_arrays(Z, _score_matrix(data), cost, gate_temperature, chosen), chosen
-
-
-def evaluate_policy(
-    gate: GateParameters,
-    data: Sequence[RoutingExample],
-    cost: PathCostVector,
-    gate_temperature: float = 1.0,
-) -> PolicyEval:
-    """Argmax-routing accuracy, expected soft cost, and the chosen-path mix."""
-    return route_split(gate, data, cost, gate_temperature)[0]
 
 
 def routed_paths(

@@ -187,6 +187,15 @@ class TestLambdaSweep:
         b = lambda_sweep(train_set, val_set, [0.0, 1.0], TrainConfig(seed=11), DEFAULT_PATH_COSTS)
         assert a == b
 
+    def test_row_is_the_train_val_metrics_at_the_configured_temperature(self, small_corpus):
+        train_set, val_set = small_corpus
+        cfg = TrainConfig(seed=11, gate_temperature=2.0, resource_weight=0.15)
+        [row] = lambda_sweep(train_set, val_set, [0.15], cfg, DEFAULT_PATH_COSTS)
+        metrics = train(train_set, val_set, cfg, DEFAULT_PATH_COSTS).val_metrics
+        assert row.expected_cost == metrics.expected_cost
+        assert row.routing_accuracy == metrics.routing_accuracy
+        assert row.path_distribution == metrics.path_distribution
+
     def test_empty_weights_rejected(self, small_corpus):
         train_set, val_set = small_corpus
         with pytest.raises(InvalidArgumentError):

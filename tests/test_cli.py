@@ -12,8 +12,9 @@ from tableroute import fileio
 from tableroute.cli import main
 from tableroute.errors import ConfigError
 from tableroute.gate import init_gate, save_checkpoint
-from tableroute.numerics import OptimizerState
 from tableroute.runconfig import load_runconfig
+
+from test_gate import write_legacy_checkpoint
 
 
 @pytest.fixture()
@@ -176,6 +177,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert f"(key: {key})" in err
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("val_fraction", 1.5), ("val_fraction", -0.1), ("val_fraction", float("nan")),
+        ("warmup_ratio", 1.5), ("warmup_ratio", 1.0), ("warmup_ratio", -0.1),
+        ("warmup_ratio", float("nan")), ("clip_norm", 0), ("clip_norm", -1.0),
+        ("clip_norm", float("nan")), ("lr_max", float("nan")), ("lr_max", float("inf")),
+        ("weight_decay", float("nan")), ("resource_weight", float("inf")),
+        ("gate_temperature", float("nan")), ("target_temperature", float("nan")),
+        ("gate_temperature", float("inf")),
+    ])
+    def test_bad_train_value_exits_2_before_writing(self, workdir, capsys, field, value):
+        # Python's json writes and reads NaN and Infinity.
+        (workdir / "cfg.json").write_text(json.dumps({"train": {field: value}}))
+        make_corpus(workdir, n=8)
+        assert run("train", "--corpus", "corpus", "--run-dir", "run",
+                   "--config", "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "(key: train" in err
+        assert f"{field} must be" in err
         assert not (workdir / "run").exists()
 
 
@@ -359,9 +380,7 @@ class TestCheckpointWithMoments:
         # (as `train` did before) still loads and routes the same.
         corpus = make_corpus(workdir, n=8)
         params = init_gate(seed=0)
-        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
-        opt.second_moment[:] = 0.5
-        save_checkpoint(workdir / "moments.ckpt", params, opt)
+        write_legacy_checkpoint(workdir / "moments.ckpt", params)
         save_checkpoint(workdir / "plain.ckpt", params)
         extra = (workdir / "moments.ckpt").stat().st_size - (workdir / "plain.ckpt").stat().st_size
         assert extra == 2 * 8 * params.param_count + 8 + 32

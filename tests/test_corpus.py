@@ -44,7 +44,7 @@ from tableroute.synthetic import (
     make_raw_records,
     make_separable_corpus,
 )
-from tableroute.trainer import TrainConfig, _eval_logits, evaluate_policy, train
+from tableroute.trainer import TrainConfig, _eval_logits, route_split, train
 
 # sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
 # `ingest --seed 7` write; they pin the on-disk corpus format. The records'
@@ -694,7 +694,7 @@ class TestReadRows:
         write_corpus(tmp_path, _random_examples(300, seed=5))
         loaded = load_corpus(tmp_path)
         params = train(loaded[:250], loaded[250:], TrainConfig(), DEFAULT_PATH_COSTS).params
-        evaluate_policy(params, loaded, DEFAULT_PATH_COSTS)
+        route_split(params, loaded, DEFAULT_PATH_COSTS)
         rss_kb, n_maps = _mapped_rss_kb((tmp_path / "embeddings.bin").resolve())
         assert n_maps == 1
         # The file is 12.1 MB; reading rows through the mapping leaves all

@@ -1,5 +1,7 @@
 import io
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from tableroute.gate import (
     save_checkpoint,
     unpack_parameters,
 )
-from tableroute.numerics import OptimizerState, adamw_step, softmax
+from tableroute.numerics import softmax
 from tableroute.paths import INPUT_DIM, QUESTION_DIM, TEXT_DIM, VISION_DIM
 
 
@@ -205,6 +207,29 @@ class TestComputeParams:
             np.testing.assert_array_equal(a, b)
 
 
+def write_legacy_checkpoint(path, params, metadata=None, second_moment=0.5):
+    """Write a flags-1 checkpoint, as `train` once did: the version-1 layout in
+    the `gate.py` comment, byte for byte, with AdamW moments after the <f4
+    parameters (m = 0, 1, 2, ...; v = `second_moment`; step 17)."""
+    n = params.param_count
+    meta = {str(k): str(v) for k, v in (metadata or {}).items()}
+    header = struct.pack("<5I", 1, *params.dims, 1) + struct.pack("<I", len(meta))
+    for key in sorted(meta):
+        for text in (key.encode("utf-8"), meta[key].encode("utf-8")):
+            header += struct.pack("<I", len(text)) + text
+    parts = [header, *(np.ascontiguousarray(a, dtype="<f4")
+                       for a in (params.W1, params.b1, params.W2, params.b2)),
+             np.arange(n, dtype="<f8"), np.full(n, second_moment, dtype="<f8"),
+             struct.pack("<Q", 17) + struct.pack("<4d", 0.01, 0.9, 0.999, 1e-8)]
+    crc = 0
+    with open(path, "wb") as fh:
+        fh.write(b"TRGCKPT1")
+        for part in parts:
+            crc = zlib.crc32(memoryview(part).cast("B"), crc)
+            fh.write(memoryview(part).cast("B"))
+        fh.write(struct.pack("<I", crc))
+
+
 def traced_peak_bytes(fn):
     """Peak bytes traced by tracemalloc while `fn()` runs."""
     tracemalloc.start()
@@ -226,40 +251,30 @@ class TestAllocation:
 
     def test_load_checkpoint_peak_within_2_25x_file_size(self, tmp_path):
         params = init_gate(seed=0)
-        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
         path = tmp_path / "gate.ckpt"
-        save_checkpoint(path, params, opt, {"note": "peak"})
-        del params, opt
+        save_checkpoint(path, params, {"note": "peak"})
+        del params
         size = path.stat().st_size
         assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 2.25 * size
 
-    def test_save_checkpoint_with_moments_under_1mb(self, tmp_path):
-        # A 51.8 MB file: building it in memory would take at least that much.
+    def test_save_checkpoint_under_1mb(self, tmp_path):
+        # A 10.4 MB file: building it in memory would take at least that much.
         params = init_gate(seed=0)
-        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
-        opt.second_moment[:] = 0.5
         path = tmp_path / "gate.ckpt"
-        assert traced_peak_bytes(lambda: save_checkpoint(path, params, opt, {"note": "peak"})) < 1_000_000
-        loaded, loaded_opt, meta = load_checkpoint(path)
+        assert traced_peak_bytes(lambda: save_checkpoint(path, params, {"note": "peak"})) < 1_000_000
+        loaded, meta = load_checkpoint(path)
         assert pack_parameters(loaded).tobytes() == pack_parameters(params).tobytes()
-        assert (loaded_opt.second_moment == 0.5).all() and meta == {"note": "peak"}
+        assert meta == {"note": "peak"}
 
-    def test_load_checkpoint_with_moments_within_1_3x_file_size(self, tmp_path):
+    def test_load_legacy_checkpoint_within_1_3x_parameter_bytes(self, tmp_path):
+        # A 51.8 MB file, 41.4 MB of it moments, which the loader never reads.
         params = init_gate(seed=0)
-        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
-        opt.second_moment[:] = 0.5
         path = tmp_path / "gate.ckpt"
-        save_checkpoint(path, params, opt, {"note": "peak"})
-        del params, opt
-        size = path.stat().st_size
-        assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 1.3 * size
-
-        params, opt, _ = load_checkpoint(path)
-        assert not opt.first_moment.flags.writeable
-        assert not opt.second_moment.flags.writeable
-        assert (opt.second_moment == 0.5).all()
-        with pytest.raises(InvalidArgumentError, match="first_moment"):
-            adamw_step(pack_parameters(params), np.zeros(params.param_count), opt, lr=1e-3)
+        write_legacy_checkpoint(path, params, {"note": "peak"})
+        n = params.param_count
+        del params
+        assert path.stat().st_size > 4.9 * 4 * n
+        assert traced_peak_bytes(lambda: load_checkpoint(path)) <= 1.3 * 4 * n
 
 
 class TestBackward:
@@ -405,19 +420,28 @@ class TestOneBatchPerCycle:
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         params = init_gate(seed=5)
-        opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
-        opt.first_moment[:] = np.random.default_rng(0).normal(size=params.param_count)
-        opt.step_count = 17
         path = tmp_path / "gate.ckpt"
-        save_checkpoint(path, params, opt, {"note": "round trip"})
-        loaded, opt2, meta = load_checkpoint(path)
+        save_checkpoint(path, params, {"note": "round trip"})
+        loaded, meta = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.W1, params.W1)
         np.testing.assert_array_equal(loaded.b1, params.b1)
         np.testing.assert_array_equal(loaded.W2, params.W2)
         np.testing.assert_array_equal(loaded.b2, params.b2)
-        np.testing.assert_array_equal(opt2.first_moment, opt.first_moment)
-        assert opt2.step_count == 17
         assert meta == {"note": "round trip"}
+
+    def test_legacy_file_loads_as_its_weights_only_twin(self, tmp_path):
+        params = init_gate(seed=5, input_dim=16, hidden_dim=16)
+        save_checkpoint(tmp_path / "plain.ckpt", params, {"note": "twin"})
+        write_legacy_checkpoint(tmp_path / "legacy.ckpt", params, {"note": "twin"})
+        plain = (tmp_path / "plain.ckpt").read_bytes()
+        legacy = (tmp_path / "legacy.ckpt").read_bytes()
+        # The same bytes up to the flags, and after them up to the moments.
+        assert legacy[:24] == plain[:24] and legacy[28:len(plain) - 4] == plain[28:-4]
+        assert len(legacy) - len(plain) == 16 * params.param_count + 40
+        for name in ("plain", "legacy"):
+            loaded, meta = load_checkpoint(tmp_path / f"{name}.ckpt", expected_dims=None)
+            assert pack_parameters(loaded).tobytes() == pack_parameters(params).tobytes()
+            assert meta == {"note": "twin"}
 
     def test_truncated_file_is_integrity_error(self, tmp_path):
         path = tmp_path / "gate.ckpt"
@@ -443,7 +467,7 @@ class TestCheckpoint:
         with pytest.raises(IncompatibleCheckpointError):
             load_checkpoint(path)
         # explicit dims accept it
-        loaded, _, _ = load_checkpoint(path, expected_dims=(INPUT_DIM, 128, 3))
+        loaded, _ = load_checkpoint(path, expected_dims=(INPUT_DIM, 128, 3))
         assert loaded.dims == (INPUT_DIM, 128, 3)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
@@ -458,7 +482,7 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, init_gate(seed=1))
         monkeypatch.undo()
-        loaded, _, _ = load_checkpoint(path)
+        loaded, _ = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.W1, init_gate(seed=0).W1)
         assert [p.name for p in tmp_path.iterdir()] == ["gate.ckpt"]
 
@@ -472,13 +496,10 @@ class TestCheckpoint:
         assert CANONICAL_DIMS == (10112, 256, 3)
 
 
-def small_checkpoint(path, seed=0, second_moment=0.25):
-    """A checkpoint with moments for a 16-16-3 gate; returns the parameter count."""
-    params = init_gate(seed=seed, input_dim=16, hidden_dim=16)
-    opt = OptimizerState.for_size(params.param_count, weight_decay=0.01)
-    opt.first_moment[:] = np.arange(params.param_count)
-    opt.second_moment[:] = second_moment
-    save_checkpoint(path, params, opt, {"note": "mapped"})
+def small_checkpoint(path):
+    """A flags-1 checkpoint for a 16-16-3 gate; returns the parameter count."""
+    params = init_gate(seed=0, input_dim=16, hidden_dim=16)
+    write_legacy_checkpoint(path, params, {"note": "mapped"}, second_moment=0.25)
     return params.param_count
 
 
@@ -496,6 +517,7 @@ class TestCheckpointMapping:
     def test_flip_in_moments_is_integrity_error(self, tmp_path, where):
         path = tmp_path / "gate.ckpt"
         n = small_checkpoint(path)
+        load_checkpoint(path, expected_dims=None)
         blob = bytearray(path.read_bytes())
         # the body ends: m (8n bytes), v (8n), u64 step, 4 doubles; then the u32 CRC
         m_start = len(blob) - 4 - 40 - 16 * n
@@ -517,14 +539,3 @@ class TestCheckpointMapping:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointIntegrityError, match="checksum"):
             load_checkpoint(path, expected_dims=None)
-
-    def test_moments_keep_the_replaced_file(self, tmp_path):
-        path = tmp_path / "gate.ckpt"
-        n = small_checkpoint(path, seed=0, second_moment=0.25)
-        _, opt, _ = load_checkpoint(path, expected_dims=None)
-        small_checkpoint(path, seed=1, second_moment=0.75)
-        assert not opt.first_moment.flags.writeable
-        np.testing.assert_array_equal(opt.first_moment, np.arange(n))
-        assert (opt.second_moment == 0.25).all()
-        _, fresh, _ = load_checkpoint(path, expected_dims=None)
-        assert (fresh.second_moment == 0.75).all()

@@ -102,27 +102,27 @@ class TestRemoteEmbedding:
     def test_delivers_vector(self):
         client, session = make_client([FakeResponse({"embedding": [0.0] * 384})])
         backend = RemoteEmbeddingBackend(client, "question")
-        vec = backend.embed("what?")
+        vec = backend.embed_timed("what?")[0]
         assert vec.shape == (384,)
         assert session.calls[0]["json"] == {"modality": "question", "text": "what?"}
 
     def test_bytes_payload_base64(self):
         client, session = make_client([FakeResponse({"embedding": [0.0] * 6144})])
         backend = RemoteEmbeddingBackend(client, "vision")
-        backend.embed(b"\x00\x01")
+        backend.embed_timed(b"\x00\x01")
         assert "payload_b64" in session.calls[0]["json"]
 
     def test_wrong_dim_is_contract_violation(self):
         client, _ = make_client([FakeResponse({"embedding": [0.0] * 100})])
         backend = RemoteEmbeddingBackend(client, "question")
         with pytest.raises(ContractViolationError):
-            backend.embed("q")
+            backend.embed_timed("q")
 
     def test_missing_field_is_malformed(self):
         client, _ = make_client([FakeResponse({"vector": []})])
         backend = RemoteEmbeddingBackend(client, "question")
         with pytest.raises(MalformedResponseError):
-            backend.embed("q")
+            backend.embed_timed("q")
 
 
 class TestRemoteGeneration:

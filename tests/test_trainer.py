@@ -39,7 +39,6 @@ from tableroute.trainer import (
     _eval_logits,
     _gradient_views,
     build_target,
-    evaluate_policy,
     loss_batch,
     planned_optimizer_steps,
     route_split,
@@ -195,7 +194,7 @@ class TestEvaluatePolicy:
 
     def test_always_correct_gate(self):
         examples = [toy_example(i, "wtq", (1, 0, 0), 0.5) for i in range(8)]
-        out = evaluate_policy(self._gate_forcing(0), examples, DEFAULT_PATH_COSTS)
+        out = route_split(self._gate_forcing(0), examples, DEFAULT_PATH_COSTS)[0]
         assert out.routing_accuracy == 1.0
         assert out.path_distribution == (1.0, 0.0, 0.0)
 
@@ -207,7 +206,7 @@ class TestEvaluatePolicy:
             W2=np.zeros((3, 256), dtype=np.float32),
             b2=np.zeros(3, dtype=np.float32),
         )
-        out = evaluate_policy(zero_gate, examples, DEFAULT_PATH_COSTS)
+        out = route_split(zero_gate, examples, DEFAULT_PATH_COSTS)[0]
         assert out.path_distribution == (1.0, 0.0, 0.0)
         assert out.routing_accuracy == 0.0
 
@@ -216,12 +215,12 @@ class TestEvaluatePolicy:
             SeparableCorpusConfig(n_train=64, n_val=32, seed=1)
         )
         result = train(train_set, val_set, TrainConfig(seed=1), DEFAULT_PATH_COSTS)
-        out = evaluate_policy(result.params, val_set, DEFAULT_PATH_COSTS)
+        out = route_split(result.params, val_set, DEFAULT_PATH_COSTS)[0]
         assert sum(out.path_distribution) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            evaluate_policy(self._gate_forcing(0), [], DEFAULT_PATH_COSTS)
+            route_split(self._gate_forcing(0), [], DEFAULT_PATH_COSTS)
 
     def test_route_split_runs_the_argmax_once_per_row(self, monkeypatch):
         examples = [toy_example(i, "wtq", (0, 1, 0), 0.5) for i in range(8)]
@@ -236,11 +235,10 @@ class TestEvaluatePolicy:
         policy, chosen = route_split(gate, examples, DEFAULT_PATH_COSTS)
         assert len(calls) == len(examples)
         assert chosen == routed_paths(gate, examples, DEFAULT_PATH_COSTS)
-        assert policy == evaluate_policy(gate, examples, DEFAULT_PATH_COSTS)
 
 
 class TestBlockedEval:
-    """`evaluate_policy` and `routed_paths` route EVAL_BLOCK_ROWS rows per call."""
+    """`route_split` and `routed_paths` route EVAL_BLOCK_ROWS rows per call."""
 
     @staticmethod
     def _examples(n):
@@ -299,12 +297,11 @@ class TestTrainingBytesPin:
 
     def test_val_metrics_are_those_of_the_saved_gate(self, cli_run):
         corpus, run = cli_run
-        params, opt, _ = load_checkpoint(run / "gate.ckpt")
-        assert opt is None
+        params, _ = load_checkpoint(run / "gate.ckpt")
         cfg = load_runconfig(run / "config.snapshot.json")
         _, val = stratified_split(load_corpus(corpus), cfg["train"]["val_fraction"], cfg.seed)
-        metrics = evaluate_policy(params, val, cfg.cost_vector(),
-                                  cfg.train_config().gate_temperature)
+        metrics = route_split(params, val, cfg.cost_vector(),
+                              cfg.train_config().gate_temperature)[0]
         expected = json.dumps(asdict(metrics), indent=2, sort_keys=True) + "\n"
         assert (run / "val_metrics.json").read_text() == expected
 
