@@ -32,11 +32,14 @@ from .fusion import AgentBackend, FusionRequest, FusionResult, fuse
 from .gate import GateParameters, compute_params, concat_input, forward_batch
 from .numerics import softmax
 from .paths import (
+    INPUT_DIM,
     PATH_FUSION,
     PATH_IMAGE,
     PATH_NAMES,
     PATH_TEXT,
     DEFAULT_PATH_COSTS,
+    QUESTION_DIM,
+    TEXT_DIM,
     PathCostVector,
     argmax_with_tiebreak,
 )
@@ -125,18 +128,33 @@ def route(
     return route_batch(gate, np.ravel(x)[None, :], costs, gate_temperature)[0]
 
 
-def embed_example(
-    example: RoutingExample, embedders: Sequence[EmbeddingBackend], nonce: int = 0
-) -> tuple[np.ndarray, float]:
-    """The example's gate input row and its phase-1 time, the slowest of the
-    three embedding calls. `embedders` are the question, text and vision
-    embedders, in that order."""
-    serialized = example.table.serialize()
-    question, text, vision = embedders
-    e_q, t_q = question.embed_timed(example.question, tag=example.dataset, nonce=nonce)
-    e_t, t_t = text.embed_timed(serialized, tag=example.dataset, nonce=nonce)
-    e_v, t_v = vision.embed_timed(serialized.encode("utf-8"), tag=example.dataset, nonce=nonce)
-    return concat_input(e_q, e_t, e_v), max(t_q, t_t, t_v)
+# Rows per `embed_examples` call when a caller embeds a whole corpus: bounds
+# the float32 rows held at once (64 rows are 2.6 MB).
+EMBED_BLOCK_ROWS = 64
+
+
+def embed_examples(
+    examples: Sequence[RoutingExample],
+    embedders: Sequence[EmbeddingBackend],
+    nonce: int = 0,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[float]]:
+    """The examples' float32 gate input rows [B, 10,112], written into `out`
+    if given, and each one's phase-1 time, the slowest of its three
+    embedding calls. `embedders` are the question, text and vision
+    embedders, in that order; each embeds the whole batch in one call,
+    straight into its columns of the rows."""
+    X = np.empty((len(examples), INPUT_DIM), dtype=np.float32) if out is None else out
+    serialized = [ex.table.serialize() for ex in examples]
+    payloads = ([ex.question for ex in examples], serialized,
+                [s.encode("utf-8") for s in serialized])
+    tags = [ex.dataset for ex in examples]
+    columns = np.split(X, [QUESTION_DIM, QUESTION_DIM + TEXT_DIM], axis=1)
+    parts, times = zip(*(
+        embedder.embed_timed(p, tags, nonce, out=c)
+        for embedder, p, c in zip(embedders, payloads, columns, strict=True)
+    ))
+    return concat_input(*parts, out=X), [max(t) for t in zip(*times)]
 
 
 def _generate(
@@ -207,12 +225,12 @@ def infer_batch(
     """Run routed inferences and account each one's three-phase parallel
     latency.
 
-    Every example is embedded first, in order; adaptive mode then routes all
-    of them with one gate call; generation and fusion follow per example, in
-    order. `mode="non_adaptive"` bypasses the gate (phase 2 is zero) and
-    always takes the fusion path. In `wallclock` timing every example's
-    phase 2 is the wall time of the one gate call, which each of them waited
-    for.
+    Every example is embedded first, in one `embed_examples` call; adaptive
+    mode then routes all of them with one gate call; generation and fusion
+    follow per example, in order. `mode="non_adaptive"` bypasses the gate
+    (phase 2 is zero) and always takes the fusion path. In `wallclock`
+    timing every example's phase 2 is the wall time of the one gate call,
+    which each of them waited for.
     """
     if mode not in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
         raise InvalidArgumentError(f"unknown engine mode {mode!r}")
@@ -220,13 +238,14 @@ def infer_batch(
         raise InvalidArgumentError("adaptive mode needs a trained gate")
     if not examples:
         return []
-    embedded = [embed_example(ex, backends.embedders, nonce) for ex in examples]
-    return _infer_embedded(examples, embedded, gate, backends, agent, costs, cfg, mode, nonce)
+    X, t1 = embed_examples(examples, backends.embedders, nonce)
+    return _infer_embedded(examples, X, t1, gate, backends, agent, costs, cfg, mode, nonce)
 
 
 def _infer_embedded(
     examples: Sequence[RoutingExample],
-    embedded: Sequence[tuple[np.ndarray, float]],
+    X: np.ndarray,
+    t1: Sequence[float],
     gate: GateParameters | None,
     backends: EngineBackends,
     agent: AgentBackend,
@@ -235,13 +254,11 @@ def _infer_embedded(
     mode: str,
     nonce: int,
 ) -> list[InferenceRecord]:
-    """`infer_batch` after the embedding step: `embedded` holds each
-    example's `embed_example` row and phase-1 time."""
+    """`infer_batch` after the embedding step: `X` and `t1` are the
+    examples' `embed_examples` rows and phase-1 times."""
     if mode == MODE_ADAPTIVE:
         start = time.monotonic()
-        decisions = route_batch(
-            gate, np.stack([x for x, _ in embedded]), costs, cfg.gate_temperature
-        )
+        decisions = route_batch(gate, X, costs, cfg.gate_temperature)
         t2 = time.monotonic() - start if cfg.timing == "wallclock" else cfg.gate_latency_s
         path_indices = [d.path_index for d in decisions]
     else:
@@ -249,8 +266,8 @@ def _infer_embedded(
         path_indices = [PATH_FUSION] * len(examples)
 
     return [
-        _generate_phase(ex, path_idx, t1, t2, backends, agent, nonce)
-        for ex, (_, t1), path_idx in zip(examples, embedded, path_indices)
+        _generate_phase(ex, path_idx, t, t2, backends, agent, nonce)
+        for ex, t, path_idx in zip(examples, t1, path_indices)
     ]
 
 
@@ -476,10 +493,10 @@ def run_efficiency_bench(
             idx = rng.choice(len(pool), size=n, replace=False)
             sample = [pool[i] for i in sorted(idx.tolist())]
             # Both modes embed the sample alike, so it is embedded once.
-            embedded = [embed_example(ex, backends.embedders, seed) for ex in sample]
+            X, t1 = embed_examples(sample, backends.embedders, seed)
             for mode in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
                 records = _infer_embedded(
-                    sample, embedded, gate, backends, agent, costs, engine_cfg, mode, seed
+                    sample, X, t1, gate, backends, agent, costs, engine_cfg, mode, seed
                 )
                 mean_latency = float(np.mean([r.parallel_latency for r in records]))
                 mean_tps = float(

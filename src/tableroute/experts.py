@@ -8,10 +8,12 @@ configurable models so benches are deterministic.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, InvalidArgumentError
 from .paths import EMBED_DIMS, PATH_NAMES
@@ -75,26 +77,95 @@ def unit_draw(*parts) -> float:
     return 2.0 * u01 - 1.0
 
 
-def pseudo_embedding(
-    payload: str | bytes,
-    dim: int,
-    seed: int,
-    modality: str,
-    bias: np.ndarray | None = None,
-) -> np.ndarray:
-    """Deterministic stand-in embedding: hash-seeded uniforms in [-1, 1].
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); NEP 19
+# keeps its output stable across numpy versions.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
-    For a fixed (payload, seed, modality) the vector is bitwise stable
-    across runs and platforms.
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The first `n` values of one of SeedSequence's uint32 hash constants,
+    which start at `init` and are multiplied by `mult` after each use, as a
+    column [n, 1]."""
+    out = [init]
+    while len(out) < n:
+        out.append((out[-1] * mult) & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# One hashmix per pool word, one per ordered pair of pool words, and one
+# more constant for the last multiply; then 8 state words.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+
+
+def _hashmix(rows: np.ndarray, k: int, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 rows [m, N]: row i is the (k + i)-th
+    hashmix, as numpy's hash constant advances once per call."""
+    m = rows.shape[0]
+    rows = rows ^ constants[k:k + m]
+    rows *= constants[k + 1:k + m + 1]
+    rows ^= rows >> _SHIFT
+    return rows
+
+
+class _SeedWords(ISeedSequence):
+    """The four uint64 words SeedSequence(seed).generate_state(4, uint64)
+    gives, already computed; all that PCG64 reads from its seed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise InvalidArgumentError("precomputed seed words serve PCG64 only")
+        return self.words
+
+
+def seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
+    """`[np.random.Generator(np.random.PCG64(s)) for s in seeds]`, bit for bit.
+
+    SeedSequence's pool mixing and `generate_state(4, uint64)` run once, as
+    uint32 array operations over all seeds; each PCG64 then takes its four
+    words from a `_SeedWords`. A seed below 2**64 has at most two uint32
+    entropy words, and SeedSequence pads a shorter entropy with hashes of 0,
+    as here. Seeds must be integers in [0, 2**64).
     """
-    stream_seed = stable_digest64("embed", modality, seed, payload)
-    rng = np.random.Generator(np.random.PCG64(stream_seed))
-    vec = rng.uniform(-1.0, 1.0, dim)
-    if bias is not None:
-        if bias.shape != (dim,):
-            raise InvalidArgumentError(f"bias must be {dim}-dim, got {bias.shape}")
-        vec = vec + bias
-    return vec.astype(np.float32)
+    try:
+        ints = [operator.index(s) for s in seeds]
+    except TypeError as e:
+        raise InvalidArgumentError(f"seeds must be integers: {e}") from None
+    bad = [s for s in ints if not 0 <= s < 1 << 64]
+    if bad:
+        raise InvalidArgumentError(f"seeds must be in [0, 2**64), got {bad[0]}")
+    seeds64 = np.array(ints, dtype=np.uint64)
+    # The entropy words, low half first, padded with zeros to the pool size.
+    pool = np.zeros((_POOL_SIZE, len(ints)), dtype=np.uint32)
+    pool[0] = seeds64 & np.uint64(_MASK32)
+    pool[1] = seeds64 >> np.uint64(32)
+    pool = _hashmix(pool, 0, _HASH_A)
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L
+                mixed -= _hashmix(pool[src:src + 1], k, _HASH_A)[0] * _MIX_R
+                mixed ^= mixed >> _SHIFT
+                pool[dst] = mixed
+                k += 1
+    state = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], 0, _HASH_B)
+    state = state.astype(np.uint64)
+    # uint64 word j is uint32 words 2j (low half) and 2j + 1; PCG64 reads
+    # each seed's four words from one contiguous row.
+    words = np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 @dataclass(frozen=True)
@@ -136,8 +207,16 @@ class EmbeddingBackend(Protocol):
     dim: int
 
     def embed_timed(
-        self, payload: str | bytes, tag: str | None = None, nonce: int = 0
-    ) -> tuple[np.ndarray, float]: ...
+        self,
+        payloads: Sequence[str | bytes],
+        tags: Sequence[str | None] | None = None,
+        nonce: int = 0,
+        out: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list[float]]:
+        """The float32 embeddings [B, dim] of `payloads`, one per row, written
+        into `out` if given, and each row's embedding time; `tags` gives each
+        payload's dataset tag."""
+        ...
 
 
 class GenerationBackend(Protocol):
@@ -159,7 +238,9 @@ class SimulatedEmbeddingBackend:
     """Hash-based embeddings with an optional per-dataset-tag bias vector.
 
     The bias lets synthetic corpora carry a linearly separable signal while
-    keeping every embedding a pure function of (payload, seed, tag).
+    keeping every embedding a pure function of (payload, seed, tag): for a
+    fixed (payload, seed, modality, tag) the vector is bitwise stable across
+    runs and platforms.
     """
 
     def __init__(
@@ -176,17 +257,51 @@ class SimulatedEmbeddingBackend:
         self.seed = seed
         self.latency = latency or LatencyModel(0.05)
         self.bias_by_tag = dict(bias_by_tag or {})
+        for tag, bias in self.bias_by_tag.items():
+            if np.shape(bias) != (self.dim,):
+                raise InvalidArgumentError(
+                    f"bias for tag {tag!r} must be {self.dim}-dim, got {np.shape(bias)}"
+                )
 
-    def embed(self, payload: str | bytes, tag: str | None = None) -> np.ndarray:
-        bias = self.bias_by_tag.get(tag) if tag is not None else None
-        return pseudo_embedding(payload, self.dim, self.seed, self.modality, bias)
+    def embed(
+        self,
+        payloads: Sequence[str | bytes],
+        tags: Sequence[str | None] | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Hash-seeded uniforms in [-1, 1], plus the row's tag bias, as float32
+        [B, dim], written into `out` if given. Row b is `(uniform(-1, 1, dim)
+        + bias).astype(float32)` from the generator seeded by
+        `stable_digest64("embed", modality, seed, payload)`: each row is
+        computed in one float64 buffer that stays in cache, and `2 * u` is
+        exact, so the bits are the same."""
+        tags = [None] * len(payloads) if tags is None else tags
+        generators = seeded_generators(
+            [stable_digest64("embed", self.modality, self.seed, p) for p in payloads]
+        )
+        if out is None:
+            out = np.empty((len(payloads), self.dim), dtype=np.float32)
+        row = np.empty(self.dim)
+        for b, (rng, tag) in enumerate(zip(generators, tags, strict=True)):
+            rng.random(out=row)
+            row *= 2.0
+            row -= 1.0
+            bias = self.bias_by_tag.get(tag) if tag is not None else None
+            if bias is not None:
+                row += bias
+            out[b] = row
+        return out
 
     def embed_timed(
-        self, payload: str | bytes, tag: str | None = None, nonce: int = 0
-    ) -> tuple[np.ndarray, float]:
-        vec = self.embed(payload, tag)
-        lat = self.latency.draw("embed-lat", self.modality, self.seed, payload, nonce)
-        return vec, lat
+        self,
+        payloads: Sequence[str | bytes],
+        tags: Sequence[str | None] | None = None,
+        nonce: int = 0,
+        out: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list[float]]:
+        lats = [self.latency.draw("embed-lat", self.modality, self.seed, p, nonce)
+                for p in payloads]
+        return self.embed(payloads, tags, out), lats
 
 
 class SimulatedGenerationBackend:

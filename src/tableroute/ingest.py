@@ -8,12 +8,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import RoutingExample, attach_sidecar, corpus_writer, example_from_raw
-from .engine import EngineBackends, embed_example, fuse_outputs, generate_both
+from .engine import EMBED_BLOCK_ROWS, EngineBackends, embed_examples, fuse_outputs, generate_both
 from .errors import IngestError, TableRouteError
 from .experts import answers_match
 from .fusion import AgentBackend
-from .paths import KNOWN_DATASETS
+from .paths import INPUT_DIM, KNOWN_DATASETS
 
 log = logging.getLogger(__name__)
 
@@ -79,31 +81,30 @@ def ingest(
 ) -> IngestResult:
     """Build a corpus directory from raw records.
 
-    For each record: compute the three embeddings, run the text and image
-    experts plus the fusion path, and score each against the gold answer.
-    Bad records are skipped with a logged reason; if the skip rate exceeds
-    `skip_threshold` the whole ingest fails and the previous corpus stays.
-    Each row is written as soon as it is embedded, and the returned examples
-    read theirs from the written sidecar. Deterministic per backend seeds.
+    Records go in id order, in blocks of EMBED_BLOCK_ROWS: a block's three
+    embeddings are computed in one `embed_examples` call, then each record
+    runs the text and image experts plus the fusion path and is scored
+    against the gold answer. Bad records are skipped with a logged reason; if
+    the skip rate exceeds `skip_threshold` the whole ingest fails and the
+    previous corpus stays. Each row is written once its block is scored, and
+    the returned examples read theirs from the written sidecar.
+    Deterministic per backend seeds.
     """
     result = IngestResult()
+    raws = sorted(raw_records, key=lambda r: str(r.get("id", "")))
+    # One block of rows, rewritten by every block once its rows are written.
+    X = np.empty((EMBED_BLOCK_ROWS, INPUT_DIM), dtype=np.float32)
     with corpus_writer(out_dir) as add:
-        for raw in sorted(raw_records, key=lambda r: str(r.get("id", ""))):
-            raw_id = str(raw.get("id", "<missing id>"))
-            reason = _validate_raw(raw)
-            if reason is not None:
-                log.warning("skipping %s: %s", raw_id, reason)
-                result.skipped.append((raw_id, reason))
-                continue
-            try:
-                example = _ingest_one(raw, backends, agent)
-            except TableRouteError as e:
-                log.warning("skipping %s: %s", raw_id, e)
-                result.skipped.append((raw_id, str(e)))
-                continue
-            add(example)
-            example.embedding = None
-            result.examples.append(example)
+        for lo in range(0, len(raws), EMBED_BLOCK_ROWS):
+            block = raws[lo:lo + EMBED_BLOCK_ROWS]
+            for raw_id, outcome in _ingest_block(block, backends, agent, X):
+                if isinstance(outcome, str):
+                    log.warning("skipping %s: %s", raw_id, outcome)
+                    result.skipped.append((raw_id, outcome))
+                    continue
+                add(outcome)
+                outcome.embedding = None
+                result.examples.append(outcome)
 
         if result.skip_rate > skip_threshold:
             raise IngestError(
@@ -117,9 +118,50 @@ def ingest(
     return result
 
 
-def _ingest_one(raw: Mapping, backends: EngineBackends, agent: AgentBackend) -> RoutingExample:
-    example = example_from_raw(raw, (0, 0, 0))  # scored below, once all paths ran
-    example.embedding, _ = embed_example(example, backends.embedders)
+def _ingest_block(
+    raws: Sequence[Mapping], backends: EngineBackends, agent: AgentBackend, X: np.ndarray
+) -> list[tuple[str, RoutingExample | str]]:
+    """Each raw record's id and its scored example, or the reason it is
+    skipped, in order; an example's embedding is a row of `X`. The valid
+    records are embedded in one call; if that raises, each is embedded
+    alone before it is scored, so only the failing record is skipped."""
+    outcomes: list[tuple[str, RoutingExample | str]] = []
+    for raw in raws:
+        reason = _validate_raw(raw)
+        # path scores are set by `_score`, once all paths ran
+        outcome = reason if reason is not None else example_from_raw(raw, (0, 0, 0))
+        outcomes.append((str(raw.get("id", "<missing id>")), outcome))
+    try:
+        _embed_into([o for _, o in outcomes if not isinstance(o, str)], backends, X)
+        embedded = True
+    except TableRouteError:
+        embedded = False
+    for i, (raw_id, example) in enumerate(outcomes):
+        if isinstance(example, str):
+            continue
+        try:
+            if not embedded:
+                _embed_into([example], backends, X[i:i + 1])
+            _score(example, backends, agent)
+        except TableRouteError as e:
+            outcomes[i] = (raw_id, str(e))
+    return outcomes
+
+
+def _embed_into(
+    examples: Sequence[RoutingExample], backends: EngineBackends, X: np.ndarray
+) -> None:
+    """Embed `examples` into the leading rows of `X`, and point each
+    example's embedding at its row."""
+    if examples:
+        rows, _ = embed_examples(examples, backends.embedders, out=X[:len(examples)])
+        for example, x in zip(examples, rows):
+            example.embedding = x
+
+
+def _score(example: RoutingExample, backends: EngineBackends, agent: AgentBackend) -> None:
+    """Run the text and image experts and the fusion path on `example` and
+    set its path scores against the gold answer."""
     out_t, out_v = generate_both(example, backends)
     fres = fuse_outputs(example, out_t, out_v, agent)
     gold = example.gold_answer
@@ -128,4 +170,3 @@ def _ingest_one(raw: Mapping, backends: EngineBackends, agent: AgentBackend) -> 
         int(answers_match(out_v.answer, gold)),
         int(answers_match(fres.final_answer, gold)),
     )
-    return example

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import base64
 import time
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import requests
@@ -94,8 +94,23 @@ class RemoteEmbeddingBackend:
         self.dim = EMBED_DIMS[modality]
 
     def embed_timed(
-        self, payload: str | bytes, tag: str | None = None, nonce: int = 0
-    ) -> tuple[np.ndarray, float]:
+        self,
+        payloads: Sequence[str | bytes],
+        tags: Sequence[str | None] | None = None,
+        nonce: int = 0,
+        out: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list[float]]:
+        """One /embed request per payload, in order; `tags` and `nonce` are
+        not sent."""
+        if out is None:
+            out = np.empty((len(payloads), self.dim), dtype=np.float32)
+        times = []
+        for b, payload in enumerate(payloads):
+            out[b], elapsed = self._embed_one(payload)
+            times.append(elapsed)
+        return out, times
+
+    def _embed_one(self, payload: str | bytes) -> tuple[np.ndarray, float]:
         req: dict = {"modality": self.modality}
         if isinstance(payload, bytes):
             req["payload_b64"] = base64.b64encode(payload).decode("ascii")

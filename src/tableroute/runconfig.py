@@ -60,6 +60,11 @@ class EngineConfig:
     def __post_init__(self):
         if self.timing not in ("configured", "wallclock"):
             raise InvalidArgumentError(f"timing must be 'configured' or 'wallclock', got {self.timing!r}")
+        # A NaN fails this test as well.
+        for name in ("gate_latency_s", "fusion_api_overhead_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,12 @@ def _validate(cfg: RunConfig) -> None:
             view()
         except Exception as e:
             raise ConfigError(f"bad {key} section: {e}", key=key) from e
+    for name, minimum in (("samples_per_dataset", 1), ("warmup_runs", 0), ("timed_runs", 1)):
+        value = cfg.data["profile"][name]
+        # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
+        if type(value) is not int or value < minimum:
+            raise ConfigError(f"profile.{name} must be an integer >= {minimum}, got {value!r}",
+                              key=f"profile.{name}")
     val_fraction = cfg.data["train"]["val_fraction"]
     if not (isinstance(val_fraction, (int, float)) and 0 <= val_fraction < 1):
         raise ConfigError(f"train.val_fraction must be in [0, 1), got {val_fraction!r}",

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import RoutingExample, Table, example_from_raw, stratified_split
-from .engine import embed_example
+from .engine import EMBED_BLOCK_ROWS, embed_examples
 from .errors import InvalidArgumentError
-from .experts import LatencyModel, SimulatedEmbeddingBackend, stable_digest64
-from .paths import EMBED_DIMS, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
+from .experts import LatencyModel, SimulatedEmbeddingBackend, seeded_generators, stable_digest64
+from .paths import EMBED_DIMS, INPUT_DIM, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
 
 # Per-tag correctness profile: (text, image, fusion).
 TAG_PROFILES: dict[str, tuple[int, int, int]] = {
@@ -79,10 +79,12 @@ def make_raw_records(
     unknown = [t for t in tags if t not in KNOWN_DATASETS]
     if unknown:
         raise InvalidArgumentError(f"unknown dataset tags: {unknown}")
+    generators = seeded_generators(
+        [stable_digest64("syn-example", seed, i) for i in range(n_examples)]
+    )
     records = []
-    for i in range(n_examples):
+    for i, rng in enumerate(generators):
         tag = tags[i % len(tags)]
-        rng = np.random.Generator(np.random.PCG64(stable_digest64("syn-example", seed, i)))
         table, question, gold = _make_table(rng)
         records.append(
             {
@@ -117,11 +119,13 @@ def make_separable_corpus(
     total = cfg.n_train + cfg.n_val
     raws = make_raw_records(total, seed=cfg.seed, tags=cfg.tags)
     embedders = tuple(biased_embedders(cfg.tags, cfg.bias_scale, cfg.seed).values())
-    examples = []
-    for raw in raws:
-        example = example_from_raw(raw, raw["path_labels"])
-        example.embedding, _ = embed_example(example, embedders)
-        examples.append(example)
+    examples = [example_from_raw(raw, raw["path_labels"]) for raw in raws]
+    X = np.empty((total, INPUT_DIM), dtype=np.float32)
+    for lo in range(0, total, EMBED_BLOCK_ROWS):
+        hi = lo + EMBED_BLOCK_ROWS
+        embed_examples(examples[lo:hi], embedders, out=X[lo:hi])
+    for example, x in zip(examples, X):
+        example.embedding = x
     val_fraction = cfg.n_val / total
     train, val = stratified_split(examples, val_fraction, cfg.seed)
     return train, val

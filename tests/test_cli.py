@@ -200,6 +200,38 @@ class TestExitCodes:
         assert not (workdir / "run").exists()
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("samples_per_dataset", 0), ("samples_per_dataset", 2.5), ("samples_per_dataset", True),
+        ("samples_per_dataset", "10"), ("warmup_runs", -1), ("warmup_runs", 1.0),
+        ("warmup_runs", False), ("timed_runs", 0), ("timed_runs", float("nan")),
+        ("timed_runs", True), ("timed_runs", None),
+    ])
+    def test_bad_profile_value_exits_2_before_writing(self, workdir, capsys, field, value):
+        (workdir / "cfg.json").write_text(json.dumps({"profile": {field: value}}))
+        (workdir / "corpus").mkdir()
+        assert run("profile-cost", "--corpus", "corpus", "--run-dir", "run",
+                   "--config", "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: profile." + field)
+        assert f"(key: profile.{field})" in err
+        assert not (workdir / "run").exists()
+
+    @pytest.mark.parametrize("field", ["gate_latency_s", "fusion_api_overhead_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.001])
+    def test_bad_engine_latency_exits_2_before_writing(self, workdir, capsys, field, value):
+        (workdir / "cfg.json").write_text(json.dumps({"engine": {field: value}}))
+        (workdir / "corpus").mkdir()
+        assert run("bench", "--corpus", "corpus", "--run-dir", "run", "--checkpoint", "gate.ckpt",
+                   "--config", "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "(key: engine)" in err
+        assert f"{field} must be finite and >= 0" in err
+        assert not (workdir / "run").exists()
+
+    def test_zero_engine_latencies_load(self):
+        cfg = load_runconfig(None, {"engine": {"gate_latency_s": 0, "fusion_api_overhead_s": 0.0}})
+        assert cfg.engine_config().gate_latency_s == 0
+
 class TestAtomicOutputs:
     @pytest.mark.parametrize("target", ["config.snapshot.json", "bench.csv"])
     def test_failed_write_keeps_previous_outputs(self, workdir, monkeypatch, target):

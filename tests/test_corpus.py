@@ -23,7 +23,7 @@ from tableroute.corpus import (
     write_corpus,
 )
 from tableroute.engine import EngineBackends, route
-from tableroute.errors import IngestError, InvalidArgumentError
+from tableroute.errors import ContractViolationError, IngestError, InvalidArgumentError
 from tableroute.experts import (
     SimulatedGenerationBackend,
 )
@@ -52,6 +52,14 @@ from tableroute.trainer import TrainConfig, _eval_logits, route_split, train
 PINNED_CORPUS_SHA256 = {
     "corpus.jsonl": "3c0ae2b496a8f871518ed69ee3e8eaeaf28d8aaf67a216b04b5908cc0bcc6bd9",
     "embeddings.bin": "b16e1c8509544b3ca09d09f2faaf777a6bfb7d7036c132a081a4a48fdc181edd",
+}
+# sha256 of the same two files for `make-synthetic --n 130 --all-tags --seed 1`
+# then `ingest --seed 7`: two full embedding blocks of 64 rows and a partial
+# one. Taken from the record-at-a-time embedder before rows were embedded in
+# blocks.
+PINNED_CORPUS_130_SHA256 = {
+    "corpus.jsonl": "dd466d49be3639f5d43ce14903d4427e3c5cec40d2deab36aa2e8c49e12a8f4e",
+    "embeddings.bin": "630d88c1fa6813d4a9d93cdb2ba352fbca8d2262db67936d6b9edeb4a3090f89",
 }
 # sha256 of the per-id offset manifest that earlier writers put beside them.
 LEGACY_MANIFEST_SHA256 = "8a2a15897c0fb5a654f94df15953367fa96aacda28278a89dcb77fbe9d1dba93"
@@ -318,6 +326,19 @@ def build_sim_stack(raws, seed=0):
     return backends, ScriptedAgent.from_labels(labels_f)
 
 
+class _FailingEmbedder:
+    """Wraps an embedder; a batch holding `bad_payload` raises."""
+
+    def __init__(self, inner, bad_payload):
+        self.inner, self.bad_payload = inner, bad_payload
+        self.modality, self.dim = inner.modality, inner.dim
+
+    def embed_timed(self, payloads, tags=None, nonce=0, out=None):
+        if self.bad_payload in payloads:
+            raise ContractViolationError("no embedding for this payload")
+        return self.inner.embed_timed(payloads, tags, nonce, out)
+
+
 class TestIngest:
     def test_ten_record_smoke(self, tmp_path):
         raws = make_raw_records(10, seed=5)
@@ -376,6 +397,25 @@ class TestIngest:
             assert got.embedding.tobytes() == want.embedding.tobytes()
             assert got.path_scores == want.path_scores == TAG_PROFILES[got.dataset]
 
+    @pytest.mark.parametrize("bad", [5, 70, 129])
+    def test_embedding_failure_skips_only_its_record(self, tmp_path, bad):
+        # Record `bad` sits in the first, second or last (partial) block of 64.
+        raws = make_raw_records(130, seed=2)
+        raws[bad] = dict(raws[bad], question="Which question breaks the embedder?")
+        backends, agent = build_sim_stack(raws, seed=2)
+        backends.question_embedder = _FailingEmbedder(
+            backends.question_embedder, raws[bad]["question"]
+        )
+        result = ingest(raws, backends, agent, tmp_path / "got", skip_threshold=0.5)
+        assert result.skipped == [(raws[bad]["id"], "no embedding for this payload")]
+        assert [e.id for e in result.examples] == [r["id"] for r in raws if r is not raws[bad]]
+        # the other records' bytes are those of an ingest without the bad one
+        rest = [r for r in raws if r is not raws[bad]]
+        backends, agent = build_sim_stack(raws, seed=2)
+        ingest(rest, backends, agent, tmp_path / "want")
+        for name in ("corpus.jsonl", "embeddings.bin"):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
     def test_legacy_expert_outputs_key_is_ignored(self, pinned_corpus, tmp_path):
         # Ingest no longer writes the experts' outputs into each record; a
         # corpus written when it did still loads, the key unread.
@@ -400,6 +440,15 @@ class TestFormatPin:
         assert sorted(p.name for p in pinned_corpus.iterdir()) == sorted(PINNED_CORPUS_SHA256)
         for name, digest in PINNED_CORPUS_SHA256.items():
             assert _sha256(pinned_corpus / name) == digest, name
+
+    def test_cli_corpus_bytes_pinned_across_blocks(self, tmp_path):
+        raw, out = tmp_path / "raw.jsonl", tmp_path / "corpus"
+        assert cli_main(["make-synthetic", "--out", str(raw), "--n", "130", "--all-tags",
+                         "--seed", "1"]) == 0
+        assert cli_main(["ingest", "--raw", str(raw), "--out", str(out), "--seed", "7"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(PINNED_CORPUS_130_SHA256)
+        for name, digest in PINNED_CORPUS_130_SHA256.items():
+            assert _sha256(out / name) == digest, name
 
 
 def _without_embedding(ex):

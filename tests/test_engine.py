@@ -30,10 +30,12 @@ from tableroute.experts import (
     SimulatedEmbeddingBackend,
     SimulatedGenerationBackend,
     TokensModel,
+    stable_digest64,
 )
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import GateParameters, compute_params, concat_input, init_gate
 from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, argmax_with_tiebreak
+from tableroute.synthetic import biased_embedders
 
 
 def forced_gate(idx):
@@ -370,6 +372,65 @@ class TestBench:
         assert len(lines) == 1 + 4 + 4
 
 
+def _reference_row(example, embedders, nonce):
+    """One example's gate input row and phase-1 time as three one-payload
+    embeddings, each the PCG64(int) uniform expression, concatenated."""
+    serialized = example.table.serialize()
+    rows, times = [], []
+    for backend, payload in zip(embedders, (example.question, serialized,
+                                            serialized.encode("utf-8"))):
+        seed = stable_digest64("embed", backend.modality, backend.seed, payload)
+        vec = np.random.Generator(np.random.PCG64(seed)).uniform(-1.0, 1.0, backend.dim)
+        bias = backend.bias_by_tag.get(example.dataset)
+        rows.append((vec if bias is None else vec + bias).astype(np.float32))
+        times.append(backend.latency.draw("embed-lat", backend.modality, backend.seed,
+                                          payload, nonce))
+    return np.concatenate(rows), max(times)
+
+
+class TestEmbedExamples:
+    def _examples(self, n):
+        datasets = ("wtq", "tabmwp", "hitab")
+        return [dataclasses.replace(make_example(i, datasets[i % 3]),
+                                    question=f"What is the value for item {i}?")
+                for i in range(n)]
+
+    def _embedders(self):
+        embedders = biased_embedders(("wtq", "tabmwp"), 1.0, seed=4, latencies={
+            m: LatencyModel(mean, 0.02) for m, mean in
+            (("question", 0.05), ("text", 0.10), ("vision", 0.20))})
+        return tuple(embedders[m] for m in ("question", "text", "vision"))
+
+    @pytest.mark.parametrize("n", [1, 7, 65])
+    def test_rows_and_times_equal_the_per_example_reference(self, n):
+        examples, embedders = self._examples(n), self._embedders()
+        X, t1 = engine.embed_examples(examples, embedders, nonce=3)
+        assert X.shape == (n, 10112) and X.dtype == np.float32
+        for ex, x, t in zip(examples, X, t1):
+            ref_x, ref_t = _reference_row(ex, embedders, 3)
+            assert x.tobytes() == ref_x.tobytes()
+            assert t == ref_t
+
+    def test_out_is_filled_in_place(self):
+        examples, embedders = self._examples(5), self._embedders()
+        out = np.zeros((8, 10112), dtype=np.float32)
+        X, _ = engine.embed_examples(examples, embedders, out=out[2:7])
+        assert np.shares_memory(X, out)
+        assert out[2:7].tobytes() == engine.embed_examples(examples, embedders)[0].tobytes()
+        assert not out[:2].any() and not out[7:].any()
+
+    def test_non_finite_embedding_names_its_component(self):
+        class NanVision:
+            modality, dim = "vision", 6144
+
+            def embed_timed(self, payloads, tags=None, nonce=0, out=None):
+                return np.full((len(payloads), self.dim), np.nan, np.float32), [0.0] * len(payloads)
+
+        embedders = self._embedders()[:2] + (NanVision(),)
+        with pytest.raises(InvalidArgumentError, match="vision_embedding"):
+            engine.embed_examples(self._examples(3), embedders)
+
+
 class TestBatched:
     """One gate call per sample set, with the records of per-example calls."""
 
@@ -436,27 +497,27 @@ class TestBatched:
         backends, agent = self._jittered_stack(examples)
         gate = compute_params(init_gate(seed=3))
         calls = []
-        real_embed, real_infer = engine.embed_example, engine._infer_embedded
+        real_embed, real_infer = engine.embed_examples, engine._infer_embedded
 
-        def counting_embed(example, embedders, nonce=0):
-            calls.append(example.id)
-            return real_embed(example, embedders, nonce)
+        def counting_embed(examples, embedders, nonce=0, out=None):
+            calls.append(len(examples))
+            return real_embed(examples, embedders, nonce, out)
 
-        def embedding_per_mode(examples, embedded, gate, backends, *rest):
-            fresh = [engine.embed_example(ex, backends.embedders, rest[-1]) for ex in examples]
-            return real_infer(examples, fresh, gate, backends, *rest)
+        def embedding_per_mode(examples, X, t1, gate, backends, *rest):
+            fresh_X, fresh_t1 = engine.embed_examples(examples, backends.embedders, rest[-1])
+            return real_infer(examples, fresh_X, fresh_t1, gate, backends, *rest)
 
         def bench():
             calls.clear()
             return run_efficiency_bench(examples, gate, backends, agent, DEFAULT_PATH_COSTS,
                                         BenchConfig(n_per_dataset=4, seeds=(0, 1)))
 
-        monkeypatch.setattr(engine, "embed_example", counting_embed)
+        monkeypatch.setattr(engine, "embed_examples", counting_embed)
         shared = bench()
-        assert len(calls) == 2 * 2 * 4  # seeds x datasets x samples
+        assert calls == [4] * (2 * 2)  # one batch of 4 samples per seed x dataset
         monkeypatch.setattr(engine, "_infer_embedded", embedding_per_mode)
         per_mode = bench()
-        assert len(calls) == 3 * 2 * 2 * 4  # the shared embedding, then one per mode
+        assert calls == [4] * (3 * 2 * 2)  # the shared batch, then one per mode
         assert shared.rows == per_mode.rows and shared.summary == per_mode.summary
 
     def test_generation_failure_names_its_example(self):

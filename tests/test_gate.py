@@ -87,6 +87,32 @@ class TestConcat:
         with pytest.raises(InvalidArgumentError, match="vision_embedding"):
             concat_input(np.zeros(QUESTION_DIM), np.zeros(TEXT_DIM), vision)
 
+    def test_blocks_concatenate_row_by_row(self):
+        rng = np.random.default_rng(0)
+        parts = [rng.standard_normal((5, d)) for d in (QUESTION_DIM, TEXT_DIM, VISION_DIM)]
+        X = concat_input(*parts)
+        assert X.shape == (5, INPUT_DIM) and X.dtype == np.float32
+        for b in range(5):
+            assert X[b].tobytes() == concat_input(*(p[b] for p in parts)).tobytes()
+
+    def test_block_checks_name_the_component(self):
+        vision = np.zeros((4, VISION_DIM))
+        vision[3, 7] = np.inf
+        with pytest.raises(InvalidArgumentError, match="vision_embedding"):
+            concat_input(np.zeros((4, QUESTION_DIM)), np.zeros((4, TEXT_DIM)), vision)
+        with pytest.raises(DimensionMismatchError, match="text_embedding"):
+            concat_input(np.zeros((4, QUESTION_DIM)), np.zeros((3, TEXT_DIM)),
+                         np.zeros((4, VISION_DIM)))
+        with pytest.raises(DimensionMismatchError, match="question_embedding"):
+            concat_input(np.zeros((2, 4, QUESTION_DIM)), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
+
+    def test_parts_already_in_out_stay_in_place(self):
+        out = np.arange(3 * INPUT_DIM, dtype=np.float32).reshape(3, INPUT_DIM)
+        want = out.copy()
+        parts = np.split(out, [QUESTION_DIM, QUESTION_DIM + TEXT_DIM], axis=1)
+        assert concat_input(*parts, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
 
 class TestForward:
     def test_zero_params_give_zero_logits(self):

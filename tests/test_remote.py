@@ -102,27 +102,40 @@ class TestRemoteEmbedding:
     def test_delivers_vector(self):
         client, session = make_client([FakeResponse({"embedding": [0.0] * 384})])
         backend = RemoteEmbeddingBackend(client, "question")
-        vec = backend.embed_timed("what?")[0]
-        assert vec.shape == (384,)
+        vec = backend.embed_timed(["what?"])[0]
+        assert vec.shape == (1, 384)
         assert session.calls[0]["json"] == {"modality": "question", "text": "what?"}
 
     def test_bytes_payload_base64(self):
         client, session = make_client([FakeResponse({"embedding": [0.0] * 6144})])
         backend = RemoteEmbeddingBackend(client, "vision")
-        backend.embed_timed(b"\x00\x01")
+        backend.embed_timed([b"\x00\x01"])
         assert "payload_b64" in session.calls[0]["json"]
 
     def test_wrong_dim_is_contract_violation(self):
         client, _ = make_client([FakeResponse({"embedding": [0.0] * 100})])
         backend = RemoteEmbeddingBackend(client, "question")
         with pytest.raises(ContractViolationError):
-            backend.embed_timed("q")
+            backend.embed_timed(["q"])
 
     def test_missing_field_is_malformed(self):
         client, _ = make_client([FakeResponse({"vector": []})])
         backend = RemoteEmbeddingBackend(client, "question")
         with pytest.raises(MalformedResponseError):
-            backend.embed_timed("q")
+            backend.embed_timed(["q"])
+
+    def test_batch_is_one_request_per_payload_in_order(self):
+        client, session = make_client(
+            [FakeResponse({"embedding": [float(i)] * 384}) for i in range(3)]
+        )
+        backend = RemoteEmbeddingBackend(client, "question")
+        vecs, times = backend.embed_timed(["a", b"b", "c"], ["wtq"] * 3, nonce=4)
+        assert [c["json"] for c in session.calls] == [
+            {"modality": "question", "text": "a"},
+            {"modality": "question", "payload_b64": "Yg=="},
+            {"modality": "question", "text": "c"},
+        ]
+        assert [v[0] for v in vecs] == [0.0, 1.0, 2.0] and len(times) == 3
 
 
 class TestRemoteGeneration:
