@@ -110,11 +110,11 @@ def init_gate(
 
 
 def concat_input(question, text, vision, out: np.ndarray | None = None) -> np.ndarray:
-    """Validate three backend embeddings and concatenate question || text ||
-    vision into float32 gate input: one row [dim] each gives the 10,112-dim
-    row, blocks [B, dim] give [B, 10,112]. With `out`, the input is written
-    there; a part that already is its own column block of `out` (same data,
-    shape and strides) is validated but not copied again.
+    """Validate three backend embedding blocks [B, dim] and concatenate
+    question || text || vision into the float32 gate input [B, 10,112]. With
+    `out`, the input is written there; a part that already is its own column
+    block of `out` (same data, shape and strides) is validated but not
+    copied again.
 
     Rows are float32 at rest; `forward_batch` computes in the params' dtype.
     """
@@ -126,31 +126,25 @@ def concat_input(question, text, vision, out: np.ndarray | None = None) -> np.nd
     arrays = []
     for name, arr, dim in parts:
         a = np.asarray(arr, dtype=np.float32)
-        if a.ndim not in (1, 2) or a.shape[-1] != dim:
-            raise DimensionMismatchError(f"{name}: expected {dim} dims, got shape {a.shape}")
-        if arrays and a.shape[:-1] != arrays[0].shape[:-1]:
+        if a.ndim != 2 or a.shape[1] != dim:
+            raise DimensionMismatchError(f"{name}: expected [B, {dim}], got shape {a.shape}")
+        if arrays and len(a) != len(arrays[0]):
             raise DimensionMismatchError(
-                f"{name}: {a.shape[:-1]} rows, but question_embedding has {arrays[0].shape[:-1]}"
+                f"{name}: {len(a)} rows, but question_embedding has {len(arrays[0])}"
             )
         if not np.all(np.isfinite(a)):
             raise InvalidArgumentError(f"{name}: non-finite entries")
         arrays.append(a)
-    return np.concatenate(arrays, axis=-1, out=out)
+    return np.concatenate(arrays, axis=1, out=out)
 
 
-def compute_params(params: GateParameters, out: GateParameters | None = None) -> GateParameters:
+def compute_params(params: GateParameters) -> GateParameters:
     """The float64 compute form of `params`; float64 params come back as is.
 
     W1 and W2 become `.T` views of C-contiguous `[in, out]` float64 buffers
-    (see the module docstring for why this layout and not `astype`). With
-    `out`, an earlier compute form of a gate of the same dims, the weights
-    are copied into its buffers, which keep that layout, and `out` is
-    returned. The argument is never mutated.
+    (see the module docstring for why this layout and not `astype`). The
+    argument is never mutated.
     """
-    if out is not None:
-        for name in ("W1", "b1", "W2", "b2"):
-            np.copyto(getattr(out, name), getattr(params, name))
-        return out
     if all(a.dtype == np.float64 for a in (params.W1, params.b1, params.W2, params.b2)):
         return params
     return GateParameters(

@@ -125,12 +125,7 @@ def _ingest_block(
     skipped, in order; an example's embedding is a row of `X`. The valid
     records are embedded in one call; if that raises, each is embedded
     alone before it is scored, so only the failing record is skipped."""
-    outcomes: list[tuple[str, RoutingExample | str]] = []
-    for raw in raws:
-        reason = _validate_raw(raw)
-        # path scores are set by `_score`, once all paths ran
-        outcome = reason if reason is not None else example_from_raw(raw, (0, 0, 0))
-        outcomes.append((str(raw.get("id", "<missing id>")), outcome))
+    outcomes = [(str(raw.get("id", "<missing id>")), _example_or_reason(raw)) for raw in raws]
     try:
         _embed_into([o for _, o in outcomes if not isinstance(o, str)], backends, X)
         embedded = True
@@ -146,6 +141,19 @@ def _ingest_block(
         except TableRouteError as e:
             outcomes[i] = (raw_id, str(e))
     return outcomes
+
+
+def _example_or_reason(raw: Mapping) -> RoutingExample | str:
+    """The unscored example of `raw`, or why it is skipped: a failed field
+    check, or a table the example refuses (a ragged row, say)."""
+    reason = _validate_raw(raw)
+    if reason is not None:
+        return reason
+    try:
+        # path scores are set by `_score`, once all paths ran
+        return example_from_raw(raw, (0, 0, 0))
+    except TableRouteError as e:
+        return str(e)
 
 
 def _embed_into(

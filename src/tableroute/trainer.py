@@ -166,9 +166,6 @@ def train(
     history: list[HistoryRecord] = []
     best_params: GateParameters | None = None
     best_val: PolicyEval | None = None
-    # The float64 compute form that validation routes, refilled each epoch
-    # rather than allocated anew (20.7 MB for the canonical gate).
-    val_gate: GateParameters | None = None
     step_idx = 0
 
     for epoch in range(cfg.epochs):
@@ -204,10 +201,7 @@ def train(
 
         if val:
             # Exactly what `route_split` gives for the saved checkpoint.
-            val_gate = compute_params(params_view, out=val_gate)
-            metrics = route_split(val_gate, val, cost, cfg.gate_temperature)[0]
-            if epoch + 1 == cfg.epochs:
-                val_gate = None  # freed before the copy below, so it adds nothing to the peak
+            metrics = route_split(params_view, val, cost, cfg.gate_temperature)[0]
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
                 best_val = metrics
                 best_params = params_view.copy()

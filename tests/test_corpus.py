@@ -362,6 +362,21 @@ class TestIngest:
         assert result.skipped[0][0] == raws[3]["id"]
         assert "gold_answer" in result.skipped[0][1]
 
+    @pytest.mark.parametrize("bad", [5, 70, 129])
+    def test_ragged_table_skipped_with_reason(self, tmp_path, bad):
+        # The field check passes a ragged table; the example refuses it.
+        raws = make_raw_records(130, seed=3)
+        raws[bad] = dict(raws[bad], table={"columns": ["a", "b"], "rows": [["1"]]})
+        backends, agent = build_sim_stack(raws, seed=3)
+        result = ingest(raws, backends, agent, tmp_path / "got", skip_threshold=0.5)
+        assert result.skipped == [(raws[bad]["id"], "row width 1 does not match 2 columns")]
+        rest = [r for r in raws if r is not raws[bad]]
+        assert [e.id for e in result.examples] == [r["id"] for r in rest]
+        backends, agent = build_sim_stack(raws, seed=3)
+        ingest(rest, backends, agent, tmp_path / "want")
+        for name in ("corpus.jsonl", "embeddings.bin"):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
     def test_skip_rate_threshold(self, tmp_path):
         raws = make_raw_records(4, seed=7)
         for i in range(3):

@@ -98,16 +98,16 @@ class TestRoute:
         assert argmax_with_tiebreak([0.0, 1.0, 1.0], DEFAULT_PATH_COSTS) == 1
 
     def test_route_decision_fields(self):
-        x = concat_input(np.zeros(384), np.zeros(3584), np.zeros(6144))
+        x = concat_input(np.zeros((1, 384)), np.zeros((1, 3584)), np.zeros((1, 6144)))
         decision = route(forced_gate(2), x)
         assert decision.path == "fusion"
         assert decision.probabilities.sum() == pytest.approx(1.0)
 
     def test_choice_invariant_under_temperature(self):
         x = concat_input(
-            np.random.default_rng(0).normal(size=384),
-            np.zeros(3584),
-            np.zeros(6144),
+            np.random.default_rng(0).normal(size=(1, 384)),
+            np.zeros((1, 3584)),
+            np.zeros((1, 6144)),
         )
         params = forced_gate(1)
         picks = {route(params, x, gate_temperature=t).path for t in (0.1, 1.0, 5.0)}
@@ -115,7 +115,7 @@ class TestRoute:
 
     def test_route_on_compute_params_allocates_under_1mb(self):
         params = compute_params(init_gate(seed=0))
-        x = concat_input(np.zeros(384), np.zeros(3584), np.zeros(6144))
+        x = concat_input(np.zeros((1, 384)), np.zeros((1, 3584)), np.zeros((1, 6144)))
         route(params, x)  # warm up
         tracemalloc.start()
         try:

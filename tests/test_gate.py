@@ -67,25 +67,29 @@ class TestInit:
 
 class TestConcat:
     def test_zero_components(self):
-        x = concat_input(np.zeros(QUESTION_DIM), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
-        assert x.shape == (INPUT_DIM,)
+        x = concat_input(np.zeros((1, QUESTION_DIM)), np.zeros((1, TEXT_DIM)),
+                         np.zeros((1, VISION_DIM)))
+        assert x.shape == (1, INPUT_DIM)
         assert x.dtype == np.float32
         assert not x.any()
 
     def test_ordering_question_first(self):
-        x = concat_input(np.ones(QUESTION_DIM), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
-        assert x[:QUESTION_DIM].all()
-        assert not x[QUESTION_DIM:].any()
+        x = concat_input(np.ones((1, QUESTION_DIM)), np.zeros((1, TEXT_DIM)),
+                         np.zeros((1, VISION_DIM)))
+        assert x[:, :QUESTION_DIM].all()
+        assert not x[:, QUESTION_DIM:].any()
 
     def test_wrong_dim_names_component(self):
         with pytest.raises(DimensionMismatchError, match="question_embedding"):
-            concat_input(np.zeros(383), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
+            concat_input(np.zeros((1, 383)), np.zeros((1, TEXT_DIM)), np.zeros((1, VISION_DIM)))
+        with pytest.raises(DimensionMismatchError, match="question_embedding"):
+            concat_input(np.zeros(QUESTION_DIM), np.zeros((1, TEXT_DIM)), np.zeros((1, VISION_DIM)))
 
     def test_non_finite_names_component(self):
-        vision = np.zeros(VISION_DIM)
-        vision[7] = np.nan
+        vision = np.zeros((1, VISION_DIM))
+        vision[0, 7] = np.nan
         with pytest.raises(InvalidArgumentError, match="vision_embedding"):
-            concat_input(np.zeros(QUESTION_DIM), np.zeros(TEXT_DIM), vision)
+            concat_input(np.zeros((1, QUESTION_DIM)), np.zeros((1, TEXT_DIM)), vision)
 
     def test_blocks_concatenate_row_by_row(self):
         rng = np.random.default_rng(0)
@@ -93,7 +97,7 @@ class TestConcat:
         X = concat_input(*parts)
         assert X.shape == (5, INPUT_DIM) and X.dtype == np.float32
         for b in range(5):
-            assert X[b].tobytes() == concat_input(*(p[b] for p in parts)).tobytes()
+            assert X[b].tobytes() == concat_input(*(p[b:b + 1] for p in parts)).tobytes()
 
     def test_block_checks_name_the_component(self):
         vision = np.zeros((4, VISION_DIM))
@@ -104,7 +108,8 @@ class TestConcat:
             concat_input(np.zeros((4, QUESTION_DIM)), np.zeros((3, TEXT_DIM)),
                          np.zeros((4, VISION_DIM)))
         with pytest.raises(DimensionMismatchError, match="question_embedding"):
-            concat_input(np.zeros((2, 4, QUESTION_DIM)), np.zeros(TEXT_DIM), np.zeros(VISION_DIM))
+            concat_input(np.zeros((2, 4, QUESTION_DIM)), np.zeros((4, TEXT_DIM)),
+                         np.zeros((4, VISION_DIM)))
 
     def test_parts_already_in_out_stay_in_place(self):
         out = np.arange(3 * INPUT_DIM, dtype=np.float32).reshape(3, INPUT_DIM)
