@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, InvalidArgumentError
 from .paths import EMBED_DIMS, PATH_NAMES
@@ -114,9 +113,10 @@ def _hashmix(rows: np.ndarray, k: int, constants: np.ndarray) -> np.ndarray:
     return rows
 
 
-class _SeedWords(ISeedSequence):
+class _SeedWords:
     """The four uint64 words SeedSequence(seed).generate_state(4, uint64)
-    gives, already computed; all that PCG64 reads from its seed."""
+    gives, already computed; all that PCG64 reads from its seed. It is
+    registered as an `ISeedSequence` on first use."""
 
     __slots__ = ("words",)
 
@@ -145,6 +145,11 @@ def seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
     bad = [s for s in ints if not 0 <= s < 1 << 64]
     if bad:
         raise InvalidArgumentError(f"seeds must be in [0, 2**64), got {bad[0]}")
+    # Imported here, not with the module: loading numpy.random takes about
+    # 16 ms, and `route` seeds no stream at all.
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
     seeds64 = np.array(ints, dtype=np.uint64)
     # The entropy words, low half first, padded with zeros to the pool size.
     pool = np.zeros((_POOL_SIZE, len(ints)), dtype=np.uint32)

@@ -439,15 +439,14 @@ class TestDefaultSnapshotPin:
 
 
 # Imports the module named by the first argument in a fresh interpreter, runs
-# the CLI command given by the rest (if any), then prints the tableroute
-# modules loaded.
+# the CLI command given by the rest (if any), then prints the modules loaded.
 _MODULES_AFTER = """
 import importlib, json, sys
 importlib.import_module(sys.argv[1])
 if sys.argv[2:]:
     from tableroute import cli
     assert cli.main(sys.argv[2:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("tableroute"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 # What `import tableroute.cli` loads. perfbench/tracer.py patches traced
@@ -467,12 +466,12 @@ class TestCommandImports:
         save_checkpoint(workdir / "gate.ckpt", init_gate(seed=0))
         return corpus, workdir / "gate.ckpt"
 
-    def modules_after(self, module, *argv):
+    def modules_after(self, module, *argv, prefix="tableroute"):
         env = {k: v for k, v in os.environ.items() if k != "TABLEROUTE_CONFIG"}
         env["PYTHONPATH"] = str(Path(tableroute.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", _MODULES_AFTER, module, *map(str, argv)],
                              env=env, capture_output=True, text=True, check=True).stdout
-        return set(json.loads(out.splitlines()[-1]))
+        return {m for m in json.loads(out.splitlines()[-1]) if m.startswith(prefix)}
 
     def test_bare_import_loads_no_submodule(self):
         assert self.modules_after("tableroute") == {"tableroute"}
@@ -495,6 +494,14 @@ class TestCommandImports:
                                     "--checkpoint", ckpt, "--id", "syn-000003")
         assert "tableroute.gate" in loaded
         assert not loaded & {"tableroute.analysis", "tableroute.ingest", "tableroute.synthetic"}
+
+    def test_route_leaves_numpy_random_unloaded(self, tiny):
+        # `route` draws no random numbers; loading numpy.random would take
+        # about 16 ms of each call.
+        corpus, ckpt = tiny
+        assert not self.modules_after("tableroute.cli", "route", "--corpus", corpus,
+                                      "--checkpoint", ckpt, "--id", "syn-000003",
+                                      prefix="numpy.random")
 
     def test_infer(self, tiny):
         corpus, ckpt = tiny
