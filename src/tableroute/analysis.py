@@ -12,7 +12,7 @@ from .errors import IncompleteDataError, InvalidArgumentError, UndefinedRateErro
 from .fileio import write_lines
 from .gate import GateParameters
 from .paths import PATH_NAMES, PathCostVector
-from .trainer import TrainConfig, route_split, routed_paths, train
+from .trainer import TrainConfig, routed_paths, train
 
 
 @dataclass(frozen=True)
@@ -159,17 +159,18 @@ def lambda_sweep(
     costs: PathCostVector,
 ) -> list[SweepRow]:
     """Train one gate per resource weight (shared seed) and report the
-    resulting path mix, policy metrics, and heuristic alignment."""
+    resulting path mix, policy metrics, and heuristic alignment on the
+    validation split, as `train` routed it for the gate it returns."""
     if not resource_weights:
         raise InvalidArgumentError("lambda_sweep: empty resource weight list")
+    if not val_examples:
+        raise InvalidArgumentError("lambda_sweep: empty validation split")
     rows = []
     for weight in resource_weights:
         cfg = replace(base_cfg, resource_weight=float(weight))
-        # Only the weights are kept, so the optimizer moments of one gate
-        # are freed before the next gate trains.
-        params = train(train_examples, val_examples, cfg, costs).params
-        policy, chosen = route_split(params, val_examples, costs, base_cfg.gate_temperature)
-        records = _join_outcomes(val_examples, chosen)
+        result = train(train_examples, val_examples, cfg, costs)
+        policy = result.val_metrics
+        records = _join_outcomes(val_examples, result.val_paths)
         rows.append(
             SweepRow(
                 resource_weight=float(weight),

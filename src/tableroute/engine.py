@@ -41,7 +41,7 @@ from .paths import (
     QUESTION_DIM,
     TEXT_DIM,
     PathCostVector,
-    argmax_with_tiebreak,
+    choose_paths,
 )
 from .runconfig import BenchConfig, EngineConfig
 
@@ -100,22 +100,14 @@ def route_batch(
     gate_temperature: float = 1.0,
 ) -> list[RouteDecision]:
     """Pick a path for each row of the [B, 10,112] gate input `X` with one
-    float64 gate call (`compute_params`), by argmax over that row's logits;
-    ties go to the cheaper path. Non-finite inputs are rejected."""
+    float64 gate call (`compute_params`): `choose_paths` over the logits,
+    so ties go to the cheaper path. Non-finite inputs are rejected."""
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise InvalidArgumentError("gate input: non-finite entries")
     Z, _ = forward_batch(compute_params(gate), X, mode="eval")
-    decisions = []
-    for z in Z:
-        idx = argmax_with_tiebreak(z, costs)
-        decisions.append(RouteDecision(
-            path=PATH_NAMES[idx],
-            path_index=idx,
-            logits=z,
-            probabilities=softmax(z, gate_temperature),
-        ))
-    return decisions
+    return [RouteDecision(PATH_NAMES[i], int(i), z, p)
+            for i, z, p in zip(choose_paths(Z, costs), Z, softmax(Z, gate_temperature))]
 
 
 def route(

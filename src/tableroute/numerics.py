@@ -46,24 +46,21 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """Moments and constants for decoupled-weight-decay Adam."""
+    """Moments and weight decay for decoupled-weight-decay Adam (the betas
+    and epsilon are the module's ADAM_* constants)."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
     weight_decay: float = 0.0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
 
     @classmethod
-    def for_size(cls, n_params: int, weight_decay: float = 0.0, dtype=np.float64,
-                 **kwargs) -> "OptimizerState":
+    def for_size(cls, n_params: int, weight_decay: float = 0.0,
+                 dtype=np.float64) -> "OptimizerState":
         return cls(
             first_moment=np.zeros(n_params, dtype=dtype),
             second_moment=np.zeros(n_params, dtype=dtype),
             weight_decay=weight_decay,
-            **kwargs,
         )
 
 
@@ -114,7 +111,7 @@ def adamw_step(
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     p, g, m, v = params.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
     scratch = np.empty((2 if grad_scale is None else 3, min(p.size, ADAMW_BLOCK)), dtype=dtype)
@@ -134,7 +131,7 @@ def adamw_step(
         np.divide(mb, c1, out=b)  # m_hat
         np.divide(vb, c2, out=a)  # v_hat
         np.sqrt(a, out=a)
-        a += state.epsilon
+        a += ADAM_EPSILON
         b /= a
         np.multiply(state.weight_decay, pb, out=a)
         b += a

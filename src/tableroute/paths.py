@@ -54,13 +54,15 @@ class PathCostVector:
 DEFAULT_PATH_COSTS = PathCostVector((0.73, 0.81, 0.96))
 
 
-def argmax_with_tiebreak(logits, costs: PathCostVector | np.ndarray) -> int:
-    """Index of the largest logit; exact ties go to the cheapest path."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape != (N_PATHS,):
-        raise InvalidArgumentError(f"expected {N_PATHS} logits, got shape {z.shape}")
-    c = costs.as_array() if isinstance(costs, PathCostVector) else np.asarray(costs, dtype=np.float64)
-    tied = np.flatnonzero(z == z.max())
-    if tied.size == 1:
-        return int(tied[0])
-    return int(tied[np.argmin(c[tied])])
+def choose_paths(Z, costs: PathCostVector) -> np.ndarray:
+    """The chosen path index of each row of the [B, 3] logits `Z`: that of
+    the row's largest logit. An exact tie goes to the cheapest tied path,
+    and a tie in cost too to the lowest index."""
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or Z.shape[1] != N_PATHS:
+        raise InvalidArgumentError(f"expected [B, {N_PATHS}] logits, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise InvalidArgumentError("logits must be finite")
+    # Paths cheapest first; the first of them that holds its row's maximum.
+    order = np.argsort(costs.as_array(), kind="stable")
+    return order[np.argmax(Z[:, order] == Z.max(axis=1, keepdims=True), axis=1)]

@@ -34,8 +34,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size <= 0 or self.grad_accum_steps <= 0 or self.epochs <= 0:
-            raise InvalidArgumentError("batch size, accumulation steps and epochs must be > 0")
+        for name in ("batch_size", "grad_accum_steps", "epochs"):
+            value = getattr(self, name)
+            # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
+            if type(value) is not int or value <= 0:
+                raise InvalidArgumentError(f"{name} must be an integer > 0, got {value!r}")
         # A NaN, which Python's json parses, fails every one of these tests.
         for name, ok, wanted in (
             ("lr_max", 0 <= self.lr_max < math.inf, "finite and >= 0"),
@@ -73,8 +76,15 @@ class BenchConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
 
     def __post_init__(self):
-        if self.n_per_dataset < 1:
-            raise InvalidArgumentError(f"n_per_dataset must be >= 1, got {self.n_per_dataset}")
+        if type(self.n_per_dataset) is not int or self.n_per_dataset < 1:
+            raise InvalidArgumentError(
+                f"n_per_dataset must be an integer >= 1, got {self.n_per_dataset!r}"
+            )
+        if not (isinstance(self.seeds, tuple) and self.seeds
+                and all(type(s) is int for s in self.seeds)):
+            raise InvalidArgumentError(
+                f"seeds must be a non-empty list of integers, got {self.seeds!r}"
+            )
 
 
 def _field_defaults(cls, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
@@ -176,9 +186,9 @@ class RunConfig:
 
     def bench_config(self) -> BenchConfig:
         b = self.data["bench"]
-        return BenchConfig(
-            n_per_dataset=int(b["n_per_dataset"]), seeds=tuple(int(s) for s in b["seeds"])
-        )
+        seeds = b["seeds"]
+        return BenchConfig(n_per_dataset=b["n_per_dataset"],
+                           seeds=tuple(seeds) if isinstance(seeds, list) else seeds)
 
     def snapshot_json(self) -> str:
         return json.dumps(self.data, ensure_ascii=False, sort_keys=True, indent=2)
@@ -219,6 +229,9 @@ def _validate(cfg: RunConfig) -> None:
     corpus_dir = cfg.corpus_dir
     if corpus_dir is not None and not Path(corpus_dir).exists():
         raise ConfigError(f"corpus_dir does not exist: {corpus_dir}", key="corpus_dir")
+    seed = cfg.data["seed"]
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}", key="seed")
     # Exercise the typed views so bad values fail at load, naming the section.
     views = (("train", cfg.train_config), ("cost_vector", cfg.cost_vector),
              ("engine", cfg.engine_config), ("bench", cfg.bench_config))
@@ -233,6 +246,11 @@ def _validate(cfg: RunConfig) -> None:
         if type(value) is not int or value < minimum:
             raise ConfigError(f"profile.{name} must be an integer >= {minimum}, got {value!r}",
                               key=f"profile.{name}")
+    threshold = cfg.data["ingest"]["skip_threshold"]
+    if not (isinstance(threshold, (int, float)) and not isinstance(threshold, bool)
+            and 0 <= threshold <= 1):
+        raise ConfigError(f"ingest.skip_threshold must be a number in [0, 1], got {threshold!r}",
+                          key="ingest.skip_threshold")
     val_fraction = cfg.data["train"]["val_fraction"]
     if not (isinstance(val_fraction, (int, float)) and 0 <= val_fraction < 1):
         raise ConfigError(f"train.val_fraction must be in [0, 1), got {val_fraction!r}",

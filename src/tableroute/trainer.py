@@ -43,13 +43,13 @@ from .paths import (
     INPUT_DIM,
     N_PATHS,
     PathCostVector,
-    argmax_with_tiebreak,
+    choose_paths,
 )
 from .runconfig import TrainConfig
 
 
 def build_target(path_scores, temperature: float) -> np.ndarray:
-    """Soft target distribution from the binary per-path score vector."""
+    """Soft target distribution of each binary per-path score vector (last axis)."""
     return softmax(np.asarray(path_scores, dtype=np.float64), temperature)
 
 
@@ -64,7 +64,7 @@ def loss_batch(
     clamped at 0.
     """
     tau, tau_g, lam = cfg.target_temperature, cfg.gate_temperature, cfg.resource_weight
-    T = softmax(S, tau)
+    T = build_target(S, tau)
     P = softmax(Z, tau_g)
     Pf = np.maximum(P, KL_FLOOR)
     task = np.where(T > 0, T * (np.log(np.maximum(T, KL_FLOOR)) - np.log(Pf)), 0.0).sum(axis=-1)
@@ -98,6 +98,8 @@ class TrainResult:
     params: GateParameters
     history: list[HistoryRecord]
     val_metrics: PolicyEval | None
+    # `route_split`'s chosen path per validation example for `params`.
+    val_paths: np.ndarray | None
     total_steps: int
 
 
@@ -166,6 +168,7 @@ def train(
     history: list[HistoryRecord] = []
     best_params: GateParameters | None = None
     best_val: PolicyEval | None = None
+    best_paths: np.ndarray | None = None
     step_idx = 0
 
     for epoch in range(cfg.epochs):
@@ -201,15 +204,16 @@ def train(
 
         if val:
             # Exactly what `route_split` gives for the saved checkpoint.
-            metrics = route_split(params_view, val, cost, cfg.gate_temperature)[0]
+            metrics, chosen = route_split(params_view, val, cost, cfg.gate_temperature)
             if best_val is None or metrics.routing_accuracy > best_val.routing_accuracy:
-                best_val = metrics
+                best_val, best_paths = metrics, chosen
                 best_params = params_view.copy()
 
     return TrainResult(
         params=best_params if best_params is not None else params_view,
         history=history,
         val_metrics=best_val,
+        val_paths=best_paths,
         total_steps=total_steps,
     )
 
@@ -238,46 +242,27 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
     return Z
 
 
-def _chosen_paths(Z: np.ndarray, cost: PathCostVector) -> list[int]:
-    cost_arr = cost.as_array()
-    return [argmax_with_tiebreak(z, cost_arr) for z in Z]
-
-
-def _evaluate_arrays(
-    Z: np.ndarray,
-    S: np.ndarray,
-    cost: PathCostVector,
-    gate_temperature: float,
-    chosen: list[int],
-) -> PolicyEval:
-    """The `PolicyEval` of logits `Z`, given their `_chosen_paths`."""
-    cost_arr = cost.as_array()
-    chosen = np.asarray(chosen)
-    hits = S[np.arange(len(chosen)), chosen] == 1
-    P = softmax(Z, gate_temperature)
-    counts = np.bincount(chosen, minlength=N_PATHS).astype(np.float64)
-    return PolicyEval(
-        routing_accuracy=float(hits.mean()),
-        expected_cost=float((P @ cost_arr).mean()),
-        path_distribution=tuple((counts / len(chosen)).tolist()),
-        n_examples=len(chosen),
-    )
-
-
 def route_split(gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector,
-                gate_temperature: float = 1.0) -> tuple[PolicyEval, list[int]]:
+                gate_temperature: float = 1.0) -> tuple[PolicyEval, np.ndarray]:
     """The policy's metrics on `data` (argmax-routing accuracy, expected soft
     cost, chosen-path mix) and its chosen path per example, from one routing
     pass."""
     if not data:
         raise InvalidArgumentError("route_split: empty dataset")
     Z = _eval_logits(gate, data)
-    chosen = _chosen_paths(Z, cost)
-    return _evaluate_arrays(Z, _score_matrix(data), cost, gate_temperature, chosen), chosen
+    chosen = choose_paths(Z, cost)
+    hits = _score_matrix(data)[np.arange(len(chosen)), chosen] == 1
+    counts = np.bincount(chosen, minlength=N_PATHS)
+    return PolicyEval(
+        routing_accuracy=float(hits.mean()),
+        expected_cost=float((softmax(Z, gate_temperature) @ cost.as_array()).mean()),
+        path_distribution=tuple((counts / len(chosen)).tolist()),
+        n_examples=len(chosen),
+    ), chosen
 
 
 def routed_paths(
     gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector
-) -> list[int]:
+) -> np.ndarray:
     """Chosen path index per example under eval-mode argmax routing."""
-    return _chosen_paths(_eval_logits(gate, data), cost)
+    return choose_paths(_eval_logits(gate, data), cost)

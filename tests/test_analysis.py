@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tableroute import analysis as analysis_module
+from tableroute import trainer as trainer_module
 from tableroute.analysis import (
     OutcomeRecord,
     case_partition,
@@ -195,6 +197,30 @@ class TestLambdaSweep:
         assert row.expected_cost == metrics.expected_cost
         assert row.routing_accuracy == metrics.routing_accuracy
         assert row.path_distribution == metrics.path_distribution
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_routes_validation_only_inside_train(self, small_corpus, monkeypatch, epochs):
+        train_set, val_set = small_corpus
+        real_eval_logits, calls = trainer_module._eval_logits, []
+
+        def counting_eval_logits(gate, data):
+            calls.append(len(data))
+            return real_eval_logits(gate, data)
+
+        monkeypatch.setattr(trainer_module, "_eval_logits", counting_eval_logits)
+        lambda_sweep(train_set, val_set, [0.0, 1.0], TrainConfig(seed=11, epochs=epochs),
+                     DEFAULT_PATH_COSTS)
+        assert calls == [len(val_set)] * (2 * epochs)
+
+    def test_empty_validation_rejected_before_training(self, small_corpus, monkeypatch):
+        train_set, _ = small_corpus
+
+        def no_training(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(analysis_module, "train", no_training)
+        with pytest.raises(InvalidArgumentError, match="empty validation split"):
+            lambda_sweep(train_set, [], [0.15], TrainConfig(seed=11), DEFAULT_PATH_COSTS)
 
     def test_empty_weights_rejected(self, small_corpus):
         train_set, val_set = small_corpus

@@ -163,8 +163,23 @@ class TestExitCodes:
         ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": "x"}}, "bench"),
         ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 0}}, "bench"),
         ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": ["x"]}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": []}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": "01"}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": [0, 1.5]}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": [True]}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 1.9}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": True}}, "bench"),
+        ("train", [], {"seed": -1}, "seed"),
+        ("train", [], {"seed": 1.5}, "seed"),
+        ("train", [], {"seed": "7"}, "seed"),
+        ("train", [], {"seed": True}, "seed"),
+        ("train", [], {"seed": None}, "seed"),
+        ("train", ["--seed", "-1"], None, "seed"),
     ], ids=["lambda-not-a-number", "lambda-negative", "lambda-nan", "weight-string",
-            "no-weights", "n-not-a-number", "n-zero", "seed-not-a-number"])
+            "no-weights", "n-not-a-number", "n-zero", "seed-not-a-number", "no-seeds",
+            "seeds-string", "seed-float", "seed-bool", "n-float", "n-bool",
+            "top-seed-negative", "top-seed-float", "top-seed-string", "top-seed-bool",
+            "top-seed-null", "cli-seed-negative"])
     def test_bad_sweep_or_bench_exits_2_before_writing(
         self, workdir, capsys, command, extra, config, key
     ):
@@ -186,7 +201,9 @@ class TestExitCodes:
         ("clip_norm", float("nan")), ("lr_max", float("nan")), ("lr_max", float("inf")),
         ("weight_decay", float("nan")), ("resource_weight", float("inf")),
         ("gate_temperature", float("nan")), ("target_temperature", float("nan")),
-        ("gate_temperature", float("inf")),
+        ("gate_temperature", float("inf")), ("batch_size", 8.5), ("batch_size", 0),
+        ("batch_size", "8"), ("grad_accum_steps", 4.0), ("grad_accum_steps", False),
+        ("epochs", True), ("epochs", 1.5), ("epochs", None),
     ])
     def test_bad_train_value_exits_2_before_writing(self, workdir, capsys, field, value):
         # Python's json writes and reads NaN and Infinity.
@@ -199,6 +216,17 @@ class TestExitCodes:
         assert f"{field} must be" in err
         assert not (workdir / "run").exists()
 
+
+    @pytest.mark.parametrize("value", ["x", float("nan"), float("inf"), -0.1, 1.5, True, None])
+    def test_bad_skip_threshold_exits_2_before_writing(self, workdir, capsys, value):
+        raw = workdir / "raw.jsonl"
+        assert run("make-synthetic", "--out", raw, "--n", 4) == 0
+        (workdir / "cfg.json").write_text(json.dumps({"ingest": {"skip_threshold": value}}))
+        assert run("ingest", "--raw", raw, "--out", "corpus", "--config", "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ingest.skip_threshold must be a number in [0, 1]")
+        assert "(key: ingest.skip_threshold)" in err
+        assert not (workdir / "corpus").exists()
 
     @pytest.mark.parametrize("field,value", [
         ("samples_per_dataset", 0), ("samples_per_dataset", 2.5), ("samples_per_dataset", True),
@@ -356,6 +384,16 @@ class TestPipeline:
                    "--seed", 3, "--lambdas", "0,1.0") == 0
         dist = (rd / "path_distribution.csv").read_text().splitlines()
         assert len(dist) == 3
+
+    def test_sweep_lambda_without_validation_exits_1(self, workdir, capsys):
+        corpus = make_corpus(workdir, n=40)
+        (workdir / "cfg.json").write_text(json.dumps({"train": {"val_fraction": 0}}))
+        rd = workdir / "run"
+        assert run("sweep-lambda", "--corpus", corpus, "--run-dir", rd, "--config",
+                   workdir / "cfg.json", "--lambdas", "0,1.0") == 1
+        assert "lambda_sweep: empty validation split" in capsys.readouterr().err
+        assert not (rd / "path_distribution.csv").exists()
+        assert not (rd / "alignment_performance.csv").exists()
 
     def test_snapshot_reproduces_outputs_bitwise(self, workdir):
         corpus = make_corpus(workdir, n=80)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableroute import engine
 from tableroute.corpus import RoutingExample, Table
@@ -34,7 +36,7 @@ from tableroute.experts import (
 )
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import GateParameters, compute_params, concat_input, init_gate
-from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, argmax_with_tiebreak
+from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, choose_paths
 from tableroute.synthetic import biased_embedders
 
 
@@ -89,13 +91,50 @@ def make_stack(
     return backends, agent
 
 
+def reference_choice(z, costs):
+    """One row's path, chosen row by row: the largest logit; among exact
+    ties the cheapest path, and among equal costs the lowest index."""
+    tied = [i for i in range(3) if z[i] == max(z)]
+    return min(tied, key=lambda i: (costs[i], i))
+
+
+_logit = st.floats(-50, 50)
+# A row's three logits and the positions that are set to the row's maximum,
+# so that exact ties are common.
+_row = st.tuples(_logit, _logit, _logit, st.sets(st.integers(0, 2)))
+# Few distinct values, so that equal costs are common too.
+_cost = st.sampled_from([0.5, 0.73, 0.96]) | st.floats(1e-3, 10)
+
+
+class TestChoosePaths:
+    @given(st.lists(_row, min_size=1, max_size=40), st.tuples(_cost, _cost, _cost))
+    @settings(max_examples=300)
+    def test_matches_the_per_row_reference(self, rows, costs):
+        Z = np.array([r[:3] for r in rows])
+        for z, r in zip(Z, rows):
+            z[sorted(r[3])] = z.max()
+        chosen = choose_paths(Z, PathCostVector(costs))
+        assert chosen.shape == (len(rows),)
+        assert chosen.tolist() == [reference_choice(z.tolist(), costs) for z in Z]
+
+    @pytest.mark.parametrize("Z", [np.zeros(3), np.zeros((2, 4)), np.zeros((1, 3, 1)),
+                                   [[0.0, np.nan, 1.0]]],
+                             ids=["one-row-1d", "four-paths", "3d", "nan"])
+    def test_bad_logits_rejected(self, Z):
+        with pytest.raises(InvalidArgumentError):
+            choose_paths(Z, DEFAULT_PATH_COSTS)
+
+    def test_no_rows(self):
+        assert choose_paths(np.zeros((0, 3)), DEFAULT_PATH_COSTS).shape == (0,)
+
+
 class TestRoute:
     def test_argmax(self):
-        assert argmax_with_tiebreak([2.0, 1.0, 0.0], DEFAULT_PATH_COSTS) == 0
+        assert choose_paths([[2.0, 1.0, 0.0]], DEFAULT_PATH_COSTS).tolist() == [0]
 
     def test_tie_breaks_to_cheaper(self):
-        assert argmax_with_tiebreak([1.0, 1.0, 0.0], DEFAULT_PATH_COSTS) == 0
-        assert argmax_with_tiebreak([0.0, 1.0, 1.0], DEFAULT_PATH_COSTS) == 1
+        Z = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+        assert choose_paths(Z, DEFAULT_PATH_COSTS).tolist() == [0, 1]
 
     def test_route_decision_fields(self):
         x = concat_input(np.zeros((1, 384)), np.zeros((1, 3584)), np.zeros((1, 6144)))

@@ -218,23 +218,32 @@ class TestEvaluatePolicy:
         out = route_split(result.params, val_set, DEFAULT_PATH_COSTS)[0]
         assert sum(out.path_distribution) == pytest.approx(1.0, abs=1e-9)
 
+    def test_val_paths_are_those_of_the_returned_gate(self):
+        train_set, val_set = make_separable_corpus(
+            SeparableCorpusConfig(n_train=64, n_val=32, seed=1)
+        )
+        result = train(train_set, val_set, TrainConfig(seed=1, epochs=2), DEFAULT_PATH_COSTS)
+        policy, chosen = route_split(result.params, val_set, DEFAULT_PATH_COSTS)
+        assert result.val_metrics == policy
+        assert result.val_paths.tolist() == chosen.tolist()
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             route_split(self._gate_forcing(0), [], DEFAULT_PATH_COSTS)
 
-    def test_route_split_runs_the_argmax_once_per_row(self, monkeypatch):
+    def test_route_split_chooses_paths_once(self, monkeypatch):
         examples = [toy_example(i, "wtq", (0, 1, 0), 0.5) for i in range(8)]
         gate = init_gate(seed=3)
-        real_argmax, calls = trainer_module.argmax_with_tiebreak, []
+        real_choose, calls = trainer_module.choose_paths, []
 
-        def counting_argmax(z, costs):
-            calls.append(1)
-            return real_argmax(z, costs)
+        def counting_choose(Z, costs):
+            calls.append(len(Z))
+            return real_choose(Z, costs)
 
-        monkeypatch.setattr(trainer_module, "argmax_with_tiebreak", counting_argmax)
+        monkeypatch.setattr(trainer_module, "choose_paths", counting_choose)
         policy, chosen = route_split(gate, examples, DEFAULT_PATH_COSTS)
-        assert len(calls) == len(examples)
-        assert chosen == routed_paths(gate, examples, DEFAULT_PATH_COSTS)
+        assert calls == [len(examples)]
+        assert chosen.tolist() == routed_paths(gate, examples, DEFAULT_PATH_COSTS).tolist()
 
 
 class TestBlockedEval:
@@ -488,8 +497,10 @@ class TestFixedBuffers:
         )
         scores = iter(accuracies)
 
-        def fake_evaluate(Z, S, cost, gate_temperature, chosen):
-            return PolicyEval(next(scores), 0.0, (1.0, 0.0, 0.0), len(Z))
+        def fake_route_split(gate, data, cost, gate_temperature):
+            score = next(scores)
+            # The epoch's accuracy stands in for its chosen paths.
+            return PolicyEval(score, 0.0, (1.0, 0.0, 0.0), len(data)), score
 
         snapshots = []
 
@@ -498,7 +509,7 @@ class TestFixedBuffers:
             snapshots.append(params.copy())
             return out
 
-        monkeypatch.setattr(trainer_module, "_evaluate_arrays", fake_evaluate)
+        monkeypatch.setattr(trainer_module, "route_split", fake_route_split)
         monkeypatch.setattr(trainer_module, "adamw_step", recording_step)
         result = train(train_set, val_set, TrainConfig(seed=6, epochs=2), DEFAULT_PATH_COSTS)
         assert len(snapshots) == result.total_steps == 2 * planned_optimizer_steps(
@@ -509,12 +520,14 @@ class TestFixedBuffers:
 
     def test_first_epoch_best_returns_its_params_snapshot(self, monkeypatch):
         result, snapshots = self._two_epoch_run(monkeypatch, [0.75, 0.5])
+        assert result.val_paths == 0.75
         params = pack_parameters(result.params, np.float32).tobytes()
         assert params == snapshots[result.total_steps // 2 - 1].tobytes()
         assert params != snapshots[-1].tobytes()
 
     def test_last_epoch_best_returns_the_final_params(self, monkeypatch):
         result, snapshots = self._two_epoch_run(monkeypatch, [0.5, 0.75])
+        assert result.val_paths == 0.75
         assert pack_parameters(result.params, np.float32).tobytes() == snapshots[-1].tobytes()
 
 
