@@ -81,8 +81,7 @@ def _require_example(cfg: RunConfig, example_id: str):
 
 
 def _split(cfg: RunConfig, examples):
-    val_fraction = float(cfg["train"]["val_fraction"])
-    return stratified_split(examples, val_fraction, cfg.seed)
+    return stratified_split(examples, cfg["train"]["val_fraction"], cfg.seed)
 
 
 def _history_lines(history):
@@ -127,9 +126,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         labels[rid] = tuple(row)
     tags = sorted({str(r.get("dataset")) for r in raws if r.get("dataset")})
     backends, agent = build_stack(cfg, labels, tags)
-    result = run_ingest(
-        raws, backends, agent, args.out, skip_threshold=float(cfg["ingest"]["skip_threshold"])
-    )
+    result = run_ingest(raws, backends, agent, args.out,
+                        skip_threshold=cfg["ingest"]["skip_threshold"])
     print(f"ingested {len(result.examples)} examples into {args.out} "
           f"({len(result.skipped)} skipped)")
     return 0
@@ -190,14 +188,13 @@ def cmd_infer(args: argparse.Namespace) -> int:
 def cmd_profile_cost(args: argparse.Namespace) -> int:
     cfg, run_dir, examples = _start_run(args)
     backends, _ = backends_from_corpus(cfg, examples)
-    per_dataset = int(cfg["profile"]["samples_per_dataset"])
+    profile = cfg["profile"]
     testbed = []
     for dataset, group in sorted(split_by_dataset(examples).items()):
-        testbed.extend(sorted(group, key=lambda e: e.id)[:per_dataset])
+        testbed.extend(sorted(group, key=lambda e: e.id)[:profile["samples_per_dataset"]])
     costs, measurements = engine.measure_all_costs(
         testbed, backends,
-        warmup_runs=int(cfg["profile"]["warmup_runs"]),
-        timed_runs=int(cfg["profile"]["timed_runs"]),
+        warmup_runs=profile["warmup_runs"], timed_runs=profile["timed_runs"],
         api_overhead_s=cfg.engine_config().fusion_api_overhead_s,
     )
     lines = ["path,avg_latency_s,avg_tps,cost"]

@@ -367,67 +367,55 @@ def _tps(out: ExpertOutput) -> float:
     return out.output_tokens / out.latency_seconds
 
 
-def measure_cost(
-    path: str,
+def measure_all_costs(
     testbed: Sequence[RoutingExample],
     backends: EngineBackends,
     warmup_runs: int = 5,
     timed_runs: int = 10,
     api_overhead_s: float = EngineConfig.fusion_api_overhead_s,
-) -> CostMeasurement:
-    """Measure one path's average latency and TPS over the testbed.
+) -> tuple[PathCostVector, list[CostMeasurement]]:
+    """Measure each path's average latency and TPS over the testbed.
 
     Runs `warmup_runs` discarded iterations, then `timed_runs` timed ones;
-    each iteration processes every testbed sample. Per-run means are averaged
-    across the timed runs. The fusion row is derived from the two unimodal
-    generators per `fusion_cost_inputs`.
+    each iteration runs both generators once on every testbed sample. Per-run
+    means are averaged across the timed runs. The fusion row is derived from
+    the two unimodal outputs per `fusion_cost_inputs`.
     """
+    if not testbed:
+        raise InvalidArgumentError("measure_all_costs: empty testbed")
+    if timed_runs <= 0 or warmup_runs < 0:
+        raise InvalidArgumentError("measure_all_costs: need timed_runs > 0 and warmup_runs >= 0")
+
+    # Each path's (mean latency, mean TPS) of every timed run, in path order.
+    run_means: list[list[tuple[float, float]]] = [[] for _ in PATH_NAMES]
+    for run in range(warmup_runs + timed_runs):
+        samples = []
+        for ex in testbed:
+            out_t, out_v = generate_both(ex, backends, run)
+            text = (out_t.latency_seconds, _tps(out_t))
+            image = (out_v.latency_seconds, _tps(out_v))
+            samples.append((text, image, fusion_cost_inputs(*text, *image, api_overhead_s)))
+        if run >= warmup_runs:
+            for means, path_samples in zip(run_means, zip(*samples)):
+                lats, tpss = zip(*path_samples)
+                means.append((float(np.mean(lats)), float(np.mean(tpss))))
+
+    measurements = []
+    for path, means in zip(PATH_NAMES, run_means):
+        lats, tpss = zip(*means)
+        avg_latency, avg_tps = float(np.mean(lats)), float(np.mean(tpss))
+        measurements.append(CostMeasurement(path, avg_latency, avg_tps,
+                                            path_cost(avg_latency, avg_tps)))
+    return PathCostVector(tuple(m.cost for m in measurements)), measurements
+
+
+def measure_cost(
+    path: str, testbed: Sequence[RoutingExample], backends: EngineBackends, **kwargs
+) -> CostMeasurement:
+    """One path's row of `measure_all_costs`."""
     if path not in PATH_NAMES:
         raise InvalidArgumentError(f"unknown path {path!r}")
-    if not testbed:
-        raise InvalidArgumentError("measure_cost: empty testbed")
-    if timed_runs <= 0 or warmup_runs < 0:
-        raise InvalidArgumentError("measure_cost: need timed_runs > 0 and warmup_runs >= 0")
-
-    generators = {"text": backends.text_generator, "image": backends.image_generator}
-    run_latency: list[float] = []
-    run_tps: list[float] = []
-    for run in range(warmup_runs + timed_runs):
-        lats, tpss = [], []
-        for ex in testbed:
-            if path == "fusion":
-                out_t, out_v = generate_both(ex, backends, run)
-                lat, tps = fusion_cost_inputs(
-                    out_t.latency_seconds, _tps(out_t),
-                    out_v.latency_seconds, _tps(out_v),
-                    api_overhead_s,
-                )
-            else:
-                out = _generate(generators[path], ex, run)
-                lat, tps = out.latency_seconds, _tps(out)
-            lats.append(lat)
-            tpss.append(tps)
-        if run >= warmup_runs:
-            run_latency.append(float(np.mean(lats)))
-            run_tps.append(float(np.mean(tpss)))
-
-    avg_latency = float(np.mean(run_latency))
-    avg_tps = float(np.mean(run_tps))
-    return CostMeasurement(
-        path=path,
-        avg_latency_seconds=avg_latency,
-        avg_tps=avg_tps,
-        cost=path_cost(avg_latency, avg_tps),
-    )
-
-
-def measure_all_costs(
-    testbed: Sequence[RoutingExample],
-    backends: EngineBackends,
-    **kwargs,
-) -> tuple[PathCostVector, list[CostMeasurement]]:
-    measurements = [measure_cost(p, testbed, backends, **kwargs) for p in PATH_NAMES]
-    return PathCostVector(tuple(m.cost for m in measurements)), measurements
+    return measure_all_costs(testbed, backends, **kwargs)[1][PATH_NAMES.index(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """Run configuration: a JSON file of known sections overlaying built-in
-defaults. Unknown keys are rejected with the offending key path; referenced
-input paths must exist at load time. The `train`, `engine` and `bench`
-dataclasses live here, so loading a config imports no trainer or engine."""
+defaults. Unknown keys are rejected with the offending key path, every value
+is checked against its rule in `_RULES`, and `corpus_dir` must exist, all at
+load time. The `train`, `engine` and `bench` dataclasses live here, so
+loading a config imports no trainer or engine."""
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from .errors import ConfigError, InvalidArgumentError
-from .paths import DEFAULT_PATH_COSTS, MODALITIES, PATH_FUSION, PATH_NAMES, PathCostVector
+from .errors import ConfigError
+from .paths import (DEFAULT_PATH_COSTS, MODALITIES, N_PATHS, PATH_FUSION, PATH_NAMES,
+                    PathCostVector)
 
 if TYPE_CHECKING:
     from .corpus import RoutingExample
@@ -33,25 +35,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
 
-    def __post_init__(self):
-        for name in ("batch_size", "grad_accum_steps", "epochs"):
-            value = getattr(self, name)
-            # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
-            if type(value) is not int or value <= 0:
-                raise InvalidArgumentError(f"{name} must be an integer > 0, got {value!r}")
-        # A NaN, which Python's json parses, fails every one of these tests.
-        for name, ok, wanted in (
-            ("lr_max", 0 <= self.lr_max < math.inf, "finite and >= 0"),
-            ("weight_decay", 0 <= self.weight_decay < math.inf, "finite and >= 0"),
-            ("resource_weight", 0 <= self.resource_weight < math.inf, "finite and >= 0"),
-            ("clip_norm", 0 < self.clip_norm < math.inf, "finite and > 0"),
-            ("target_temperature", 0 < self.target_temperature < math.inf, "finite and > 0"),
-            ("gate_temperature", 0 < self.gate_temperature < math.inf, "finite and > 0"),
-            ("warmup_ratio", 0 <= self.warmup_ratio < 1, "in [0, 1)"),
-        ):
-            if not ok:
-                raise InvalidArgumentError(f"{name} must be {wanted}, got {getattr(self, name)}")
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -60,31 +43,11 @@ class EngineConfig:
     timing: str = "configured"  # "configured" keeps benches deterministic; "wallclock" measures
     gate_temperature: float = 1.0
 
-    def __post_init__(self):
-        if self.timing not in ("configured", "wallclock"):
-            raise InvalidArgumentError(f"timing must be 'configured' or 'wallclock', got {self.timing!r}")
-        # A NaN fails this test as well.
-        for name in ("gate_latency_s", "fusion_api_overhead_s"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {value}")
-
 
 @dataclass(frozen=True)
 class BenchConfig:
     n_per_dataset: int = 50
     seeds: tuple[int, ...] = (0, 1, 2)
-
-    def __post_init__(self):
-        if type(self.n_per_dataset) is not int or self.n_per_dataset < 1:
-            raise InvalidArgumentError(
-                f"n_per_dataset must be an integer >= 1, got {self.n_per_dataset!r}"
-            )
-        if not (isinstance(self.seeds, tuple) and self.seeds
-                and all(type(s) is int for s in self.seeds)):
-            raise InvalidArgumentError(
-                f"seeds must be a non-empty list of integers, got {self.seeds!r}"
-            )
 
 
 def _field_defaults(cls, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
@@ -137,6 +100,98 @@ _DEFAULTS: dict[str, Any] = {
 }
 
 
+# A rule is a check that a value passes and the phrase naming what passes.
+Rule = tuple[Callable[[Any], bool], str]
+
+
+def _int(minimum: int) -> Rule:
+    # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
+    return (lambda v: type(v) is int and v >= minimum), f"an integer >= {minimum}"
+
+
+def _number(within: Callable[[Any], bool], phrase: str) -> Rule:
+    """An int or float, not a bool, that converts to a finite float and for
+    which `within` holds. NaN and infinities, which Python's json parses,
+    fail the `abs` test, and so does an int too large for a float."""
+    return (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max
+            and within(v)), phrase
+
+
+def _one_of(*values: str) -> Rule:
+    return (lambda v: v in values), " or ".join(map(repr, values))
+
+
+def _text(optional: bool) -> Rule:
+    if optional:
+        return (lambda v: v is None or isinstance(v, str)), "a string or null"
+    return (lambda v: isinstance(v, str) and v != ""), "a non-empty string"
+
+
+def _list(item: Rule, length: int | None = None) -> Rule:
+    """A non-empty list, or one of `length` entries, each passing `item`."""
+    check, phrase = item
+    size = f"a list of {length} entries" if length else "a non-empty list"
+    return ((lambda v: isinstance(v, list) and (len(v) == length if length else len(v) > 0)
+             and all(map(check, v))), f"{size}, each {phrase}")
+
+
+def _pair(mean: Rule) -> Rule:
+    """A `[mean, jitter]` list: a mean passing `mean` and a jitter >= 0."""
+    mean_ok, phrase = mean
+    jitter_ok = _AT_LEAST_0[0]
+    return ((lambda v: isinstance(v, list) and len(v) == 2 and mean_ok(v[0]) and jitter_ok(v[1])),
+            f"a [mean, jitter] pair, mean {phrase} and jitter a finite number >= 0")
+
+
+_AT_LEAST_0 = _number(lambda v: v >= 0, "a finite number >= 0")
+_ABOVE_0 = _number(lambda v: v > 0, "a finite number > 0")
+_FRACTION = _number(lambda v: 0 <= v < 1, "a number in [0, 1)")
+_LATENCY = _pair(_ABOVE_0)
+_TOKENS = _pair(_AT_LEAST_0)
+_REMOTE = {"endpoint": _text(optional=True), "timeout_s": _ABOVE_0, "max_retries": _int(0),
+           "backoff_s": _AT_LEAST_0}
+
+# One rule for each leaf key path of `_DEFAULTS`; `_validate` checks them all.
+_RULES: dict[str, Rule] = {
+    "seed": _int(0),
+    "corpus_dir": _text(optional=True),
+    "run_dir": _text(optional=False),
+    "train.lr_max": _AT_LEAST_0,
+    "train.batch_size": _int(1),
+    "train.grad_accum_steps": _int(1),
+    "train.weight_decay": _AT_LEAST_0,
+    "train.clip_norm": _ABOVE_0,
+    "train.target_temperature": _ABOVE_0,
+    "train.gate_temperature": _ABOVE_0,
+    "train.resource_weight": _AT_LEAST_0,
+    "train.warmup_ratio": _FRACTION,
+    "train.epochs": _int(1),
+    "train.val_fraction": _FRACTION,
+    "cost_vector": _list(_ABOVE_0, N_PATHS),
+    "backends.kind": _one_of("simulated", "remote"),
+    "backends.embedding_seed": _int(0),
+    "backends.embedding_bias_scale": _AT_LEAST_0,
+    **{f"backends.{m}_embed_latency": _LATENCY for m in MODALITIES},
+    **{f"backends.{p}_gen_latency": _LATENCY for p in PATH_NAMES[:2]},
+    **{f"backends.{p}_gen_tokens": _TOKENS for p in PATH_NAMES[:2]},
+    **{f"backends.{k}": rule for k, rule in _REMOTE.items()},
+    "agent.kind": _one_of("scripted", "remote"),
+    "agent.latency": _LATENCY,
+    "agent.tokens": _TOKENS,
+    **{f"agent.{k}": rule for k, rule in _REMOTE.items()},
+    "engine.gate_latency_s": _AT_LEAST_0,
+    "engine.fusion_api_overhead_s": _AT_LEAST_0,
+    "engine.timing": _one_of("configured", "wallclock"),
+    "bench.n_per_dataset": _int(1),
+    "bench.seeds": _list(_int(0)),
+    "profile.samples_per_dataset": _int(1),
+    "profile.warmup_runs": _int(0),
+    "profile.timed_runs": _int(1),
+    "ingest.skip_threshold": _number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+    "sweep.resource_weights": _list(_AT_LEAST_0),
+}
+
+
 def _merge(defaults: Any, override: Any, path: str) -> Any:
     if isinstance(defaults, dict):
         if not isinstance(override, dict):
@@ -160,7 +215,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     @property
     def corpus_dir(self) -> str | None:
@@ -186,9 +241,7 @@ class RunConfig:
 
     def bench_config(self) -> BenchConfig:
         b = self.data["bench"]
-        seeds = b["seeds"]
-        return BenchConfig(n_per_dataset=b["n_per_dataset"],
-                           seeds=tuple(seeds) if isinstance(seeds, list) else seeds)
+        return BenchConfig(n_per_dataset=b["n_per_dataset"], seeds=tuple(b["seeds"]))
 
     def snapshot_json(self) -> str:
         return json.dumps(self.data, ensure_ascii=False, sort_keys=True, indent=2)
@@ -216,55 +269,14 @@ def load_runconfig(
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.data["backends"]["kind"] not in ("simulated", "remote"):
-        raise ConfigError(
-            f"backends.kind must be 'simulated' or 'remote', got {cfg.data['backends']['kind']!r}",
-            key="backends.kind",
-        )
-    if cfg.data["agent"]["kind"] not in ("scripted", "remote"):
-        raise ConfigError(
-            f"agent.kind must be 'scripted' or 'remote', got {cfg.data['agent']['kind']!r}",
-            key="agent.kind",
-        )
-    corpus_dir = cfg.corpus_dir
-    if corpus_dir is not None and not Path(corpus_dir).exists():
-        raise ConfigError(f"corpus_dir does not exist: {corpus_dir}", key="corpus_dir")
-    seed = cfg.data["seed"]
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}", key="seed")
-    # Exercise the typed views so bad values fail at load, naming the section.
-    views = (("train", cfg.train_config), ("cost_vector", cfg.cost_vector),
-             ("engine", cfg.engine_config), ("bench", cfg.bench_config))
-    for key, view in views:
-        try:
-            view()
-        except Exception as e:
-            raise ConfigError(f"bad {key} section: {e}", key=key) from e
-    for name, minimum in (("samples_per_dataset", 1), ("warmup_runs", 0), ("timed_runs", 1)):
-        value = cfg.data["profile"][name]
-        # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
-        if type(value) is not int or value < minimum:
-            raise ConfigError(f"profile.{name} must be an integer >= {minimum}, got {value!r}",
-                              key=f"profile.{name}")
-    threshold = cfg.data["ingest"]["skip_threshold"]
-    if not (isinstance(threshold, (int, float)) and not isinstance(threshold, bool)
-            and 0 <= threshold <= 1):
-        raise ConfigError(f"ingest.skip_threshold must be a number in [0, 1], got {threshold!r}",
-                          key="ingest.skip_threshold")
-    val_fraction = cfg.data["train"]["val_fraction"]
-    if not (isinstance(val_fraction, (int, float)) and 0 <= val_fraction < 1):
-        raise ConfigError(f"train.val_fraction must be in [0, 1), got {val_fraction!r}",
-                          key="train.val_fraction")
-    weights = cfg.data["sweep"]["resource_weights"]
-    if not isinstance(weights, list) or not weights or not all(
-        isinstance(w, (int, float)) and not isinstance(w, bool) and 0 <= w < math.inf
-        for w in weights
-    ):
-        raise ConfigError(
-            f"sweep.resource_weights must be a non-empty list of finite numbers >= 0, "
-            f"got {weights!r}",
-            key="sweep.resource_weights",
-        )
+    for key, (check, phrase) in _RULES.items():
+        value = cfg.data
+        for part in key.split("."):
+            value = value[part]
+        if not check(value):
+            raise ConfigError(f"{key} must be {phrase}, got {value!r}", key=key)
+    if cfg.corpus_dir is not None and not Path(cfg.corpus_dir).exists():
+        raise ConfigError(f"corpus_dir does not exist: {cfg.corpus_dir}", key="corpus_dir")
 
 
 def build_stack(
@@ -293,7 +305,7 @@ def build_stack(
         if not c["endpoint"]:
             raise ConfigError(f"{section}.endpoint required for {what}", key=f"{section}.endpoint")
         return RemoteClient(c["endpoint"], timeout_s=c["timeout_s"],
-                            max_retries=int(c["max_retries"]), backoff_s=c["backoff_s"])
+                            max_retries=c["max_retries"], backoff_s=c["backoff_s"])
 
     b = cfg.data["backends"]
     if b["kind"] == "remote":
@@ -305,7 +317,7 @@ def build_stack(
     else:
         from .synthetic import biased_embedders
 
-        seed = int(b["embedding_seed"])
+        seed = b["embedding_seed"]
         latencies = {m: _latency(b[f"{m}_embed_latency"]) for m in MODALITIES}
         embedders = biased_embedders(tags, float(b["embedding_bias_scale"]), seed, latencies).values()
         generators = [

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tableroute
-from tableroute import fileio
+from tableroute import fileio, runconfig
 from tableroute.cli import main
 from tableroute.errors import ConfigError
 from tableroute.gate import init_gate, save_checkpoint
@@ -64,6 +64,16 @@ class TestRunConfig:
         bad.write_text(json.dumps({"corpus_dir": "nope/does/not/exist"}))
         with pytest.raises(ConfigError):
             load_runconfig(bad)
+
+    def test_every_default_key_has_one_rule(self):
+        def leaf_paths(tree, prefix=""):
+            for key, value in tree.items():
+                if isinstance(value, dict):
+                    yield from leaf_paths(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert sorted(runconfig._RULES) == sorted(leaf_paths(runconfig._DEFAULTS))
 
     def test_overrides_merge(self):
         cfg = load_runconfig(None, overrides={"train": {"resource_weight": 0.5}})
@@ -160,31 +170,62 @@ class TestExitCodes:
         ("sweep-lambda", ["--lambdas", "0,nan"], None, "sweep.resource_weights"),
         ("sweep-lambda", [], {"sweep": {"resource_weights": ["x"]}}, "sweep.resource_weights"),
         ("sweep-lambda", [], {"sweep": {"resource_weights": []}}, "sweep.resource_weights"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": "x"}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 0}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": ["x"]}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": []}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": "01"}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": [0, 1.5]}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": [True]}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 1.9}}, "bench"),
-        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": True}}, "bench"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": "x"}},
+         "bench.n_per_dataset"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 0}},
+         "bench.n_per_dataset"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": ["x"]}}, "bench.seeds"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": []}}, "bench.seeds"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": "01"}}, "bench.seeds"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": [0, 1.5]}}, "bench.seeds"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"seeds": [True]}}, "bench.seeds"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": 1.9}},
+         "bench.n_per_dataset"),
+        ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": True}},
+         "bench.n_per_dataset"),
         ("train", [], {"seed": -1}, "seed"),
         ("train", [], {"seed": 1.5}, "seed"),
         ("train", [], {"seed": "7"}, "seed"),
         ("train", [], {"seed": True}, "seed"),
         ("train", [], {"seed": None}, "seed"),
         ("train", ["--seed", "-1"], None, "seed"),
+        ("profile-cost", [], {"backends": {"embedding_seed": "x"}}, "backends.embedding_seed"),
+        ("profile-cost", [], {"agent": {"tokens": "x"}}, "agent.tokens"),
+        ("profile-cost", [], {"backends": {"text_gen_latency": [1.0]}},
+         "backends.text_gen_latency"),
+        ("train", [], {"train": {"val_fraction": False}}, "train.val_fraction"),
+        ("train", [], {"cost_vector": ["1", 2, 3]}, "cost_vector"),
+        ("train", [], {"cost_vector": [True, 2, 3]}, "cost_vector"),
+        ("train", [], {"cost_vector": [0.73, 0.81]}, "cost_vector"),
+        ("profile-cost", [], {"run_dir": 7}, "run_dir"),
+        ("train", [], {"corpus_dir": 5}, "corpus_dir"),
+        ("profile-cost", [], {"backends": {"embedding_bias_scale": -1}},
+         "backends.embedding_bias_scale"),
+        ("profile-cost", [], {"agent": {"latency": [-1, 0]}}, "agent.latency"),
+        ("profile-cost", [], {"backends": {"timeout_s": 0}}, "backends.timeout_s"),
+        ("profile-cost", [], {"backends": {"max_retries": "x"}}, "backends.max_retries"),
+        ("profile-cost", [], {"agent": {"endpoint": 5}}, "agent.endpoint"),
+        ("train", [], {"train": {"lr_max": 10**400}}, "train.lr_max"),
     ], ids=["lambda-not-a-number", "lambda-negative", "lambda-nan", "weight-string",
             "no-weights", "n-not-a-number", "n-zero", "seed-not-a-number", "no-seeds",
             "seeds-string", "seed-float", "seed-bool", "n-float", "n-bool",
             "top-seed-negative", "top-seed-float", "top-seed-string", "top-seed-bool",
-            "top-seed-null", "cli-seed-negative"])
+            "top-seed-null", "cli-seed-negative", "embedding-seed-string",
+            "agent-tokens-string", "gen-latency-one-entry", "val-fraction-bool",
+            "cost-string", "cost-bool", "cost-two-entries", "run-dir-number",
+            "corpus-dir-number", "bias-scale-negative", "agent-latency-negative",
+            "timeout-zero", "max-retries-string", "agent-endpoint-number",
+            "lr-max-beyond-float"])
     def test_bad_sweep_or_bench_exits_2_before_writing(
         self, workdir, capsys, command, extra, config, key
     ):
         (workdir / "corpus").mkdir()
-        args = [command, "--corpus", workdir / "corpus", "--run-dir", workdir / "run", *extra]
+        args = [command, *extra]
+        # A --corpus or --run-dir flag would override the config's own value.
+        if key != "corpus_dir":
+            args += ["--corpus", workdir / "corpus"]
+        if key != "run_dir":
+            args += ["--run-dir", workdir / "run"]
         if config is not None:
             (workdir / "cfg.json").write_text(json.dumps(config))
             args += ["--config", workdir / "cfg.json"]
@@ -212,8 +253,8 @@ class TestExitCodes:
         assert run("train", "--corpus", "corpus", "--run-dir", "run",
                    "--config", "cfg.json") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "(key: train" in err
-        assert f"{field} must be" in err
+        assert err.startswith(f"config error: train.{field} must be ")
+        assert f"(key: train.{field})" in err
         assert not (workdir / "run").exists()
 
 
@@ -252,8 +293,8 @@ class TestExitCodes:
         assert run("bench", "--corpus", "corpus", "--run-dir", "run", "--checkpoint", "gate.ckpt",
                    "--config", "cfg.json") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "(key: engine)" in err
-        assert f"{field} must be finite and >= 0" in err
+        assert err.startswith(f"config error: engine.{field} must be a finite number >= 0")
+        assert f"(key: engine.{field})" in err
         assert not (workdir / "run").exists()
 
     def test_zero_engine_latencies_load(self):
