@@ -409,15 +409,6 @@ def measure_all_costs(
     return PathCostVector(tuple(m.cost for m in measurements)), measurements
 
 
-def measure_cost(
-    path: str, testbed: Sequence[RoutingExample], backends: EngineBackends, **kwargs
-) -> CostMeasurement:
-    """One path's row of `measure_all_costs`."""
-    if path not in PATH_NAMES:
-        raise InvalidArgumentError(f"unknown path {path!r}")
-    return measure_all_costs(testbed, backends, **kwargs)[1][PATH_NAMES.index(path)]
-
-
 # ---------------------------------------------------------------------------
 # Efficiency benchmark
 # ---------------------------------------------------------------------------

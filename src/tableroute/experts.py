@@ -245,7 +245,8 @@ class SimulatedEmbeddingBackend:
     The bias lets synthetic corpora carry a linearly separable signal while
     keeping every embedding a pure function of (payload, seed, tag): for a
     fixed (payload, seed, modality, tag) the vector is bitwise stable across
-    runs and platforms.
+    runs and platforms. Without `latency` an embedding takes a flat 0.05 s:
+    `make_separable_corpus` needs a model but never reads phase-1 times.
     """
 
     def __init__(
@@ -316,16 +317,16 @@ class SimulatedGenerationBackend:
         self,
         path: str,
         labels: Mapping[str, int],
-        latency: LatencyModel | None = None,
-        tokens: TokensModel | None = None,
+        latency: LatencyModel,
+        tokens: TokensModel,
         seed: int = 0,
     ):
         if path not in PATH_NAMES[:2]:
             raise InvalidArgumentError(f"generation path must be 'text' or 'image', got {path!r}")
         self.path = path
         self.labels = dict(labels)
-        self.latency = latency or LatencyModel(1.0)
-        self.tokens = tokens or TokensModel(32)
+        self.latency = latency
+        self.tokens = tokens
         self.seed = seed
 
     def generate(

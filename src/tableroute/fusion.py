@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Mapping, Protocol
 
 from .errors import (
     ConfigurationError,
@@ -203,60 +203,36 @@ def fuse(
 
 
 class ScriptedAgent:
-    """Offline fusion agent driven by a script function or a reply sequence.
+    """Offline fusion agent: answers gold iff the example's fusion label is 1.
 
-    Used for tests and fully offline pipeline runs. The optional `context`
-    passed to `complete` carries example identity so label-driven scripts can
-    decide correctness without parsing the prompt.
+    The call `context` carries the example's id and gold answer, so no prompt
+    is parsed; latency and token draws are keyed by `(seed, example_id)`.
     """
 
     def __init__(
         self,
-        script: Callable[[str, Mapping[str, Any] | None], str] | None = None,
-        replies: list[str] | None = None,
-        latency: LatencyModel | None = None,
-        tokens: TokensModel | None = None,
+        fusion_labels: Mapping[str, int],
+        latency: LatencyModel,
+        tokens: TokensModel,
         seed: int = 0,
     ):
-        if (script is None) == (replies is None):
-            raise ConfigurationError("ScriptedAgent needs exactly one of script= or replies=")
-        self._script = script
-        self._replies = list(replies) if replies is not None else None
-        self._call_count = 0
-        self.latency = latency or LatencyModel(0.3)
-        self.tokens = tokens or TokensModel(12)
+        self.labels = dict(fusion_labels)
+        self.latency = latency
+        self.tokens = tokens
         self.seed = seed
 
-    @classmethod
-    def from_labels(cls, fusion_labels: Mapping[str, int], **kwargs) -> "ScriptedAgent":
-        """Agent that answers gold iff the example's fusion label is 1."""
-        labels = dict(fusion_labels)
-
-        def script(prompt: str, context: Mapping[str, Any] | None) -> str:
-            if not context or "example_id" not in context or "gold_answer" not in context:
-                raise ConfigurationError(
-                    "label-driven agent needs example_id and gold_answer in the call context"
-                )
-            example_id = context["example_id"]
-            if example_id not in labels:
-                raise ConfigurationError(f"no fusion label for example {example_id!r}")
-            gold = context["gold_answer"]
-            answer = gold if labels[example_id] else wrong_answer(gold)
-            return json.dumps({"answer": [answer]})
-
-        return cls(script=script, **kwargs)
-
     def complete(self, prompt: str, *, context: Mapping[str, Any] | None = None) -> AgentReply:
-        if self._replies is not None:
-            if not self._replies:
-                raise ConfigurationError("ScriptedAgent ran out of scripted replies")
-            text = self._replies.pop(0)
-        else:
-            assert self._script is not None
-            text = self._script(prompt, context)
-        key_id = context.get("example_id") if context else None
-        key = key_id if key_id is not None else str(self._call_count)
-        self._call_count += 1
-        lat = self.latency.draw("agent-lat", self.seed, key)
-        toks = self.tokens.draw("agent-tok", self.seed, key)
-        return AgentReply(text=text, latency_seconds=lat, output_tokens=toks)
+        if not context or "example_id" not in context or "gold_answer" not in context:
+            raise ConfigurationError(
+                "label-driven agent needs example_id and gold_answer in the call context"
+            )
+        example_id = context["example_id"]
+        if example_id not in self.labels:
+            raise ConfigurationError(f"no fusion label for example {example_id!r}")
+        gold = context["gold_answer"]
+        answer = gold if self.labels[example_id] else wrong_answer(gold)
+        return AgentReply(
+            text=json.dumps({"answer": [answer]}),
+            latency_seconds=self.latency.draw("agent-lat", self.seed, example_id),
+            output_tokens=self.tokens.draw("agent-tok", self.seed, example_id),
+        )

@@ -86,7 +86,6 @@ class BatchCache:
     pre: np.ndarray
     dropped: np.ndarray
     mask_scale: np.ndarray
-    mode: str
 
 
 def init_gate(
@@ -187,7 +186,7 @@ def forward_batch(
         mask_scale = np.ones((X.shape[0], hidden_dim), dtype=X.dtype)
     dropped = relu * mask_scale
     Z = dropped @ params.W2.T + params.b2
-    return Z, BatchCache(X=X, pre=pre, dropped=dropped, mask_scale=mask_scale, mode=mode)
+    return Z, BatchCache(X=X, pre=pre, dropped=dropped, mask_scale=mask_scale)
 
 
 def backward_batch(

@@ -46,9 +46,6 @@ class PathCostVector:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.costs, dtype=np.float64)
 
-    def __getitem__(self, idx: int) -> float:
-        return self.costs[idx]
-
 
 # Measured defaults for the stock expert stack.
 DEFAULT_PATH_COSTS = PathCostVector((0.73, 0.81, 0.96))

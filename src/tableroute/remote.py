@@ -27,8 +27,9 @@ from .errors import (
     RequestTimeoutError,
     TransportError,
 )
-from .experts import EMBED_DIMS, ExpertOutput, whitespace_token_count
+from .experts import ExpertOutput, whitespace_token_count
 from .fusion import AgentReply
+from .paths import EMBED_DIMS
 
 
 class RemoteClient:

@@ -334,13 +334,10 @@ def build_stack(
         from .remote import RemoteAgentBackend
 
         return backends, RemoteAgentBackend(remote_client("agent", "a remote agent"))
-    agent = ScriptedAgent.from_labels(
+    return backends, ScriptedAgent(
         {k: row[PATH_FUSION] for k, row in labels.items()},
-        latency=_latency(a["latency"]),
-        tokens=_tokens(a["tokens"]),
-        seed=cfg.seed,
+        _latency(a["latency"]), _tokens(a["tokens"]), cfg.seed,
     )
-    return backends, agent
 
 
 def backends_from_corpus(cfg: RunConfig, examples: Sequence[RoutingExample]):

@@ -24,9 +24,7 @@ from tableroute.corpus import (
 )
 from tableroute.engine import EngineBackends, route
 from tableroute.errors import ContractViolationError, IngestError, InvalidArgumentError
-from tableroute.experts import (
-    SimulatedGenerationBackend,
-)
+from tableroute.experts import LatencyModel, SimulatedGenerationBackend, TokensModel
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import init_gate, pack_parameters, save_checkpoint
 from tableroute.ingest import ingest
@@ -316,14 +314,15 @@ def build_sim_stack(raws, seed=0):
     labels_t = {r["id"]: r["path_labels"][0] for r in raws}
     labels_i = {r["id"]: r["path_labels"][1] for r in raws}
     labels_f = {r["id"]: r["path_labels"][2] for r in raws}
+    gen_models = (LatencyModel(1.0), TokensModel(32))
     backends = EngineBackends(
         question_embedder=embedders["question"],
         text_embedder=embedders["text"],
         vision_embedder=embedders["vision"],
-        text_generator=SimulatedGenerationBackend("text", labels_t),
-        image_generator=SimulatedGenerationBackend("image", labels_i),
+        text_generator=SimulatedGenerationBackend("text", labels_t, *gen_models),
+        image_generator=SimulatedGenerationBackend("image", labels_i, *gen_models),
     )
-    return backends, ScriptedAgent.from_labels(labels_f)
+    return backends, ScriptedAgent(labels_f, LatencyModel(0.3), TokensModel(12))
 
 
 class _FailingEmbedder:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,6 @@ from tableroute.engine import (
     infer,
     infer_batch,
     measure_all_costs,
-    measure_cost,
     path_cost,
     route,
     route_batch,
@@ -37,7 +37,9 @@ from tableroute.experts import (
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import GateParameters, compute_params, concat_input, init_gate
 from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, choose_paths
+from tableroute.remote import RemoteAgentBackend, RemoteClient
 from tableroute.synthetic import biased_embedders
+from test_remote import FakeSession
 
 
 def forced_gate(idx):
@@ -87,7 +89,7 @@ def make_stack(
             "image", labels_i, LatencyModel(*image_latency), TokensModel(*image_tokens)
         ),
     )
-    agent = ScriptedAgent.from_labels(labels_f, latency=LatencyModel(*agent_latency))
+    agent = ScriptedAgent(labels_f, LatencyModel(*agent_latency), TokensModel(12))
     return backends, agent
 
 
@@ -276,9 +278,7 @@ class TestMeasureCost:
 
     def test_reproduces_reference_costs(self):
         examples, backends = self._stack()
-        text = measure_cost("text", examples, backends)
-        image = measure_cost("image", examples, backends)
-        fusion = measure_cost("fusion", examples, backends, api_overhead_s=0.3)
+        text, image, fusion = measure_all_costs(examples, backends, api_overhead_s=0.3)[1]
         assert text.cost == pytest.approx(0.73, abs=0.005)
         assert image.cost == pytest.approx(0.81, abs=0.005)
         assert fusion.cost == pytest.approx(0.96, abs=0.005)
@@ -294,10 +294,7 @@ class TestMeasureCost:
             text_latency=(text_latency, 0.0), image_latency=(image_latency, 0.0),
             text_tokens=(64, 0), image_tokens=(29, 0),
         )
-        text, image, fusion = (
-            measure_cost(p, examples, backends, api_overhead_s=0.3)
-            for p in ("text", "image", "fusion")
-        )
+        text, image, fusion = measure_all_costs(examples, backends, api_overhead_s=0.3)[1]
         latency, tps = fusion_cost_inputs(
             text.avg_latency_seconds, text.avg_tps,
             image.avg_latency_seconds, image.avg_tps, api_overhead_s=0.3,
@@ -316,13 +313,13 @@ class TestMeasureCost:
     def test_empty_testbed_rejected(self):
         _, backends = self._stack()
         with pytest.raises(InvalidArgumentError):
-            measure_cost("text", [], backends)
+            measure_all_costs([], backends)
 
     def test_warmups_discarded_with_jitter(self):
         # with jitter, including warmups in the mean would change the result
         examples = [make_example(0)]
         backends, _ = make_stack(examples, text_latency=(1.0, 0.5))
-        m = measure_cost("text", examples, backends, warmup_runs=5, timed_runs=10)
+        m = measure_all_costs(examples, backends, warmup_runs=5, timed_runs=10)[1][0]
         lat = backends.text_generator.latency
         expected = np.mean(
             [lat.draw("gen-lat", "text", 0, "ex-000", run) for run in range(5, 15)]
@@ -409,6 +406,62 @@ class TestBench:
         assert lines[0] == "dataset,mode,seed,mean_latency_s,mean_tps"
         # 2 datasets x 2 modes x 1 seed + 4 summary rows
         assert len(lines) == 1 + 4 + 4
+
+
+class TestUnreachableAgent:
+    """A remote fusion agent that refuses every connection, behind simulated
+    experts (text 1.0 s and 20 tokens, image 1.5 s): each fusion inference
+    degrades to the text expert's answer and is charged the slower
+    generation time only."""
+
+    MAX_RETRIES = 2
+
+    def _stack(self, examples, n_fusion_calls):
+        backends, _ = make_stack(examples, embed_latencies=(0.05, 0.10, 0.20))
+        session = FakeSession([requests.ConnectionError()]
+                              * (n_fusion_calls * (self.MAX_RETRIES + 1)))
+        client = RemoteClient("http://agent:9000", timeout_s=1.0, max_retries=self.MAX_RETRIES,
+                              backoff_s=0.01, session=session, sleep=lambda s: None)
+        return backends, RemoteAgentBackend(client), session
+
+    @pytest.mark.parametrize("mode,gate", [(MODE_ADAPTIVE, forced_gate(2)),
+                                           (MODE_NON_ADAPTIVE, None)],
+                             ids=["forced-fusion", "non-adaptive"])
+    def test_infer_batch_degrades_to_the_text_expert(self, mode, gate):
+        # the text expert is wrong and the image expert right on every example
+        examples = [make_example(i, scores=(0, 1, 1)) for i in range(3)]
+        backends, agent, session = self._stack(examples, len(examples))
+        records = infer_batch(examples, gate, backends, agent, DEFAULT_PATH_COSTS,
+                              EngineConfig(gate_latency_s=0.001), mode)
+        for ex, rec in zip(examples, records):
+            text_out = backends.text_generator.generate(
+                ex.table_markdown, ex.question, example_id=ex.id, gold_answer=ex.gold_answer)
+            assert rec.chosen_path == "fusion"
+            assert rec.degraded is True
+            assert rec.fusion_role is None
+            assert rec.final_answer == text_out.answer != ex.gold_answer
+            assert rec.output_tokens == text_out.output_tokens
+            assert rec.t_phase3 == 1.5  # max(1.0, 1.5), no agent time
+        assert len(session.calls) == len(examples) * (self.MAX_RETRIES + 1)
+        assert {c["url"] for c in session.calls} == {"http://agent:9000/complete"}
+
+    def test_efficiency_bench_completes_degraded(self):
+        examples = TestBench()._corpus()
+        # every sampled example takes the fusion path in both modes
+        backends, agent, session = self._stack(examples, 2 * len(examples))
+        report = run_efficiency_bench(
+            examples, forced_gate(2), backends, agent, DEFAULT_PATH_COSTS,
+            BenchConfig(n_per_dataset=4, seeds=(0,)), EngineConfig(gate_latency_s=0.001),
+        )
+        by_key = {(r.dataset, r.mode): r for r in report.rows}
+        for dataset in ("wtq", "tabmwp"):
+            # phase 1 0.2 + phase 2 (0.001 adaptive, 0 non-adaptive) + 1.5
+            for mode, latency in ((MODE_ADAPTIVE, 1.701), (MODE_NON_ADAPTIVE, 1.7)):
+                row = by_key[(dataset, mode)]
+                assert row.mean_latency_s == pytest.approx(latency)
+                assert row.mean_tps == pytest.approx(20 / latency)
+        assert len(session.calls) == 2 * len(examples) * (self.MAX_RETRIES + 1)
+        assert not session.outcomes
 
 
 def _reference_row(example, embedders, nonce):

@@ -193,32 +193,35 @@ class TestEmbeddingBackend:
         np.testing.assert_array_equal(a, b)
 
 
+GEN_MODELS = (LatencyModel(1.0), TokensModel(32))
+
+
 class TestGenerationBackend:
     def test_label_one_returns_gold(self):
-        backend = SimulatedGenerationBackend("text", {"ex": 1}, LatencyModel(1.445, 0.0))
+        backend = SimulatedGenerationBackend("text", {"ex": 1}, LatencyModel(1.445), TokensModel(64))
         out = backend.generate("| t |", "q", example_id="ex", gold_answer="Bolivia")
         assert out.answer == "Bolivia"
         assert out.latency_seconds == 1.445
 
     def test_label_zero_differs_from_gold(self):
-        backend = SimulatedGenerationBackend("image", {"ex": 0})
+        backend = SimulatedGenerationBackend("image", {"ex": 0}, *GEN_MODELS)
         out = backend.generate("| t |", "q", example_id="ex", gold_answer="Bolivia")
         assert not answers_match(out.answer, "Bolivia")
 
     def test_missing_label_is_configuration_error(self):
-        backend = SimulatedGenerationBackend("text", {})
+        backend = SimulatedGenerationBackend("text", {}, *GEN_MODELS)
         with pytest.raises(ConfigurationError):
             backend.generate("| t |", "q", example_id="nope", gold_answer="x")
 
     def test_missing_gold_is_configuration_error(self):
-        backend = SimulatedGenerationBackend("text", {"ex": 1})
+        backend = SimulatedGenerationBackend("text", {"ex": 1}, *GEN_MODELS)
         with pytest.raises(ConfigurationError):
             backend.generate("| t |", "q", example_id="ex")
 
     def test_population_reproduces_label_accuracy(self):
         rng = np.random.default_rng(0)
         labels = {f"e{i}": int(rng.integers(0, 2)) for i in range(200)}
-        backend = SimulatedGenerationBackend("text", labels)
+        backend = SimulatedGenerationBackend("text", labels, *GEN_MODELS)
         hits = sum(
             answers_match(
                 backend.generate("|t|", "q", example_id=k, gold_answer="G").answer, "G"

@@ -11,10 +11,11 @@ from tableroute.errors import (
     TransportError,
     UnknownDatasetWarning,
 )
-from tableroute.experts import ExpertOutput, LatencyModel, normalize_answer
+from tableroute.experts import ExpertOutput, LatencyModel, TokensModel, normalize_answer
 from tableroute.fusion import (
     ROLE_ARBITRATOR,
     ROLE_RESCUER,
+    AgentReply,
     FusionRequest,
     ScriptedAgent,
     build_fusion_prompt,
@@ -129,9 +130,24 @@ class TestRole:
         assert role == (ROLE_ARBITRATOR if matches else ROLE_RESCUER)
 
 
+class ReplyAgent:
+    """Fake agent: returns `replies` in order, each taking `latency` seconds."""
+
+    def __init__(self, replies, latency=0.3):
+        self.replies = list(replies)
+        self.latency = latency
+
+    def complete(self, prompt, *, context=None):
+        return AgentReply(self.replies.pop(0), self.latency, 12)
+
+
+def label_agent(labels):
+    return ScriptedAgent(labels, LatencyModel(0.3), TokensModel(12))
+
+
 class TestFuse:
     def test_echo_text_answer_is_arbitrator(self):
-        agent = ScriptedAgent(replies=['{"answer": ["Bolivia"]}'], latency=LatencyModel(0.3))
+        agent = ReplyAgent(['{"answer": ["Bolivia"]}'], latency=0.3)
         res = fuse(sample_request(), agent)
         assert res.role == ROLE_ARBITRATOR
         assert res.final_answer == "Bolivia"
@@ -139,20 +155,19 @@ class TestFuse:
         assert not res.degraded
 
     def test_novel_answer_is_rescuer(self):
-        agent = ScriptedAgent(replies=['{"answer": ["Peru"]}'])
+        agent = ReplyAgent(['{"answer": ["Peru"]}'])
         res = fuse(sample_request(), agent)
         assert res.role == ROLE_RESCUER
 
     def test_malformed_then_ok_uses_retry(self):
-        agent = ScriptedAgent(replies=["garbage", '{"answer": ["Chile"]}'],
-                              latency=LatencyModel(0.2))
+        agent = ReplyAgent(["garbage", '{"answer": ["Chile"]}'], latency=0.2)
         res = fuse(sample_request(), agent)
         assert res.final_answer == "Chile"
         assert not res.degraded
         assert res.api_latency_seconds == pytest.approx(0.4)  # both attempts counted
 
     def test_malformed_twice_degrades_to_text_answer(self):
-        agent = ScriptedAgent(replies=["garbage", "still garbage"])
+        agent = ReplyAgent(["garbage", "still garbage"])
         res = fuse(sample_request(), agent)
         assert res.degraded
         assert res.final_answer == "Bolivia"
@@ -167,34 +182,34 @@ class TestFuse:
             fuse(sample_request(), DeadAgent())
 
     def test_label_driven_agent(self):
-        agent = ScriptedAgent.from_labels({"ex-1": 1, "ex-2": 0})
+        agent = label_agent({"ex-1": 1, "ex-2": 0})
         ok = fuse(sample_request(), agent, context={"example_id": "ex-1", "gold_answer": "Bolivia"})
         assert ok.final_answer == "Bolivia"
         bad = fuse(sample_request(), agent, context={"example_id": "ex-2", "gold_answer": "Bolivia"})
         assert normalize_answer(bad.final_answer) != normalize_answer("Bolivia")
 
     def test_label_driven_agent_needs_context(self):
-        agent = ScriptedAgent.from_labels({"ex-1": 1})
+        agent = label_agent({"ex-1": 1})
         with pytest.raises(ConfigurationError):
             fuse(sample_request(), agent)
 
     def test_result_always_has_role_and_latency(self):
-        agent = ScriptedAgent(replies=["junk", "junk again"])
+        agent = ReplyAgent(["junk", "junk again"])
         res = fuse(sample_request(), agent)
         assert res.role in (ROLE_ARBITRATOR, ROLE_RESCUER)
         assert res.api_latency_seconds >= 0
 
 
 class TestScriptedAgent:
-    def test_reply_sequence_consumed_in_order(self):
-        agent = ScriptedAgent(replies=["a", "b"])
-        assert agent.complete("p").text == "a"
-        assert agent.complete("p").text == "b"
+    def test_unlabelled_example_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
-            agent.complete("p")
+            label_agent({"ex-1": 1}).complete("p", context={"example_id": "ex-9", "gold_answer": "g"})
 
-    def test_needs_exactly_one_mode(self):
-        with pytest.raises(ConfigurationError):
-            ScriptedAgent()
-        with pytest.raises(ConfigurationError):
-            ScriptedAgent(script=lambda p, c: "x", replies=["y"])
+    def test_draws_keyed_by_seed_and_example(self):
+        agent = ScriptedAgent({"a": 1, "b": 1}, LatencyModel(0.3, 0.1), TokensModel(12, 4), seed=3)
+        a1, a2, b = (agent.complete("p", context={"example_id": k, "gold_answer": "g"})
+                     for k in ("a", "a", "b"))
+        assert a1 == a2
+        assert a1.latency_seconds == LatencyModel(0.3, 0.1).draw("agent-lat", 3, "a")
+        assert a1.output_tokens == TokensModel(12, 4).draw("agent-tok", 3, "a")
+        assert b.latency_seconds != a1.latency_seconds
