@@ -20,16 +20,16 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import engine
-from .corpus import load_corpus, load_example, split_by_dataset, stratified_split
+from .corpus import load_corpus, load_example, read_rows, split_by_dataset, stratified_split
 from .errors import ConfigError, IngestError, TableRouteError, UndefinedRateError
 from .fileio import write_lines
 from .gate import compute_params, load_checkpoint, save_checkpoint
-from .paths import KNOWN_DATASETS, N_PATHS, TRAINING_DATASETS
+from .paths import INPUT_DIM, KNOWN_DATASETS, N_PATHS, TRAINING_DATASETS
 from .runconfig import RunConfig, backends_from_corpus, build_stack, load_runconfig
 from .trainer import train
-
-log = logging.getLogger("tableroute")
 
 CONFIG_ENV_VAR = "TABLEROUTE_CONFIG"
 SNAPSHOT_NAME = "config.snapshot.json"
@@ -163,7 +163,8 @@ def cmd_route(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     params = _load_gate(args)
     ex = _require_example(cfg, args.id)
-    decision = engine.route(params, ex.embedding, cfg.cost_vector(),
+    x = read_rows([ex], np.empty((1, INPUT_DIM)))
+    decision = engine.route(params, x, cfg.cost_vector(),
                             cfg.engine_config().gate_temperature)
     print(json.dumps({
         "path": decision.path,
@@ -215,8 +216,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cfg.bench_config(), cfg.engine_config(),
     )
     engine.write_bench_csv(report, run_dir / "bench.csv")
-    for msg in report.warnings:
-        log.warning(msg)
     print(f"bench complete: {len(report.rows)} rows; CSV at {run_dir / 'bench.csv'}")
     return 0
 

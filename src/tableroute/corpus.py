@@ -78,9 +78,9 @@ class Table:
 class RoutingExample:
     """One table-query instance with per-path correctness scores.
 
-    `embedding` is the float32 [10112] gate input row; a loaded corpus sets it
-    to a read-only view of the mapped sidecar and `sidecar_row` to (open
-    sidecar, row index, that view), which `read_rows` reads from instead.
+    `embedding` is the float32 [10112] gate input row, held in memory; a
+    loaded example leaves it None and sets `sidecar_row` to (open sidecar,
+    row index), which `read_rows` reads the row from.
     """
 
     id: str
@@ -241,7 +241,7 @@ def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> N
 
 
 def load_corpus(directory: str | Path) -> list[RoutingExample]:
-    """Load a corpus; each example's `embedding` is its sidecar row (`attach_sidecar`)."""
+    """Load a corpus; each example reads its row from the sidecar (`attach_sidecar`)."""
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
     examples = [_parse_record(corpus_path, *where) for where in _record_lines(corpus_path)]
@@ -250,27 +250,24 @@ def load_corpus(directory: str | Path) -> list[RoutingExample]:
 
 
 def attach_sidecar(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
-    """Point each example's `embedding` at its row of `directory`'s sidecar,
-    row i for `examples[i]`.
+    """Point each example at its row of `directory`'s sidecar, row i for
+    `examples[i]`.
 
     The sidecar must hold exactly one row per example, or IngestError is
-    raised. It is memory-mapped read-only, and `read_rows` reads rows from
-    the same open file even after a new sidecar is renamed over its path.
+    raised. It is opened, never mapped, and `read_rows` reads rows from the
+    same open file even after a new sidecar is renamed over its path.
     """
     sidecar = _open_sidecar(Path(directory), len(examples))
-    if examples:
-        matrix = np.memmap(sidecar, dtype="<f4", mode="r", shape=(len(examples), INPUT_DIM))
-        for i, (ex, row) in enumerate(zip(examples, np.asarray(matrix))):
-            ex.embedding = row
-            ex.sidecar_row = (sidecar, i, row)
+    for i, ex in enumerate(examples):
+        ex.sidecar_row = (sidecar, i)
 
 
 def load_example(directory: str | Path, example_id: str) -> RoutingExample | None:
     """The one example with id `example_id`, or None if no record has it.
 
     Only lines that contain the id as a JSON string are parsed, and only the
-    record whose parsed id equals it is built; its `embedding` maps just its
-    own row of the sidecar, read-only. Every non-empty line is still counted,
+    record whose parsed id equals it is built, pointed at its row of the
+    sidecar as `attach_sidecar` does. Every non-empty line is still counted,
     so the sidecar must hold exactly one row per record, as for `load_corpus`.
     The first record with the id wins.
     """
@@ -290,10 +287,7 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
     if found is None:
         return None
     i, ex = found
-    ex.embedding = np.asarray(np.memmap(
-        sidecar, dtype="<f4", mode="r", offset=i * _ROW_BYTES, shape=(INPUT_DIM,)
-    ))
-    ex.sidecar_row = (sidecar, i, ex.embedding)
+    ex.sidecar_row = (sidecar, i)
     return ex
 
 
@@ -306,10 +300,10 @@ def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray
     with the examples' rows and return that slice.
 
     Rows go _STAGE_ROWS at a time, straight into a float32 `out` or staged as
-    float32 and cast (exactly) into a float64 one: a loaded row is read from
-    its open sidecar, one positional read per run of consecutive rows, and
-    any other row is copied. A non-finite entry raises IngestError naming
-    the example.
+    float32 and cast (exactly) into a float64 one: a row held in `embedding`
+    is copied, and any other is read from its open sidecar, one positional
+    read per run of consecutive rows. A non-finite entry raises IngestError
+    naming the example.
     """
     direct = out.dtype == np.float32
     stage = None if direct else np.empty(
@@ -317,8 +311,7 @@ def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray
     for lo in range(0, len(examples), _STAGE_ROWS):
         block = examples[lo:lo + _STAGE_ROWS]
         dest = out[lo:lo + len(block)] if direct else stage[:len(block)]
-        sources = [ex.sidecar_row[:2] if ex.sidecar_row and ex.sidecar_row[2] is ex.embedding
-                   else None for ex in block]
+        sources = [ex.sidecar_row if ex.embedding is None else None for ex in block]
         k = 0
         while k < len(block):
             end = k + 1

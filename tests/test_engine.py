@@ -26,7 +26,12 @@ from tableroute.engine import (
     run_efficiency_bench,
     write_bench_csv,
 )
-from tableroute.errors import InferenceError, InvalidArgumentError
+from tableroute.errors import (
+    InferenceError,
+    InvalidArgumentError,
+    MalformedResponseError,
+    RequestTimeoutError,
+)
 from tableroute.experts import (
     LatencyModel,
     SimulatedEmbeddingBackend,
@@ -37,9 +42,9 @@ from tableroute.experts import (
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import GateParameters, compute_params, concat_input, init_gate
 from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, choose_paths
-from tableroute.remote import RemoteAgentBackend, RemoteClient
+from tableroute.remote import RemoteAgentBackend, RemoteClient, RemoteGenerationBackend
 from tableroute.synthetic import biased_embedders
-from test_remote import FakeSession
+from test_remote import FakeResponse, FakeSession
 
 
 def forced_gate(idx):
@@ -386,12 +391,16 @@ class TestBench:
     def test_insufficient_examples_flagged(self):
         examples = self._corpus(n_per=2)
         backends, agent = make_stack(examples)
-        with pytest.warns(UserWarning, match="only 2 examples"):
+        with pytest.warns(UserWarning, match="only 2 examples") as caught:
             report = run_efficiency_bench(
                 examples, forced_gate(0), backends, agent, DEFAULT_PATH_COSTS,
                 BenchConfig(n_per_dataset=10, seeds=(0,)),
             )
-        assert report.warnings
+        assert [str(w.message) for w in caught if "only 2 examples" in str(w.message)] == [
+            f"dataset {ds}: only 2 examples available, wanted 10; continuing with 2"
+            for ds in ("tabmwp", "wtq")
+        ]
+        assert len(report.rows) == 4  # each short dataset is still benched in both modes
 
     def test_csv_shape(self, tmp_path):
         examples = self._corpus()
@@ -462,6 +471,84 @@ class TestUnreachableAgent:
                 assert row.mean_tps == pytest.approx(20 / latency)
         assert len(session.calls) == 2 * len(examples) * (self.MAX_RETRIES + 1)
         assert not session.outcomes
+
+
+# Remote failures, each as the outcomes a `FakeSession` replays for one
+# request under `max_retries=2`, the error the client raises for it, and a
+# phrase of its message.
+REMOTE_FAILURES = {
+    "http-error": (lambda: [FakeResponse({"error": "overloaded"}, status_code=500)],
+                   MalformedResponseError, "returned HTTP 500"),
+    "non-json": (lambda: [FakeResponse("<html>busy</html>")],
+                 MalformedResponseError, "returned non-JSON body"),
+    "timeout": (lambda: [requests.Timeout() for _ in range(3)],
+                RequestTimeoutError, "timed out"),
+}
+
+
+class TestRemoteFailures:
+    """A remote generator or fusion agent fails on the second of two
+    examples in one `infer_batch` call. The agent's timeout degrades to the
+    text expert; every other failure raises InferenceError naming the
+    example and carrying its partial record."""
+
+    def _remote(self, first, failure):
+        outcomes, cause, phrase = REMOTE_FAILURES[failure]
+        session = FakeSession([first, *outcomes()])
+        client = RemoteClient("http://remote:9000", timeout_s=1.0, max_retries=2,
+                              backoff_s=0.01, session=session, sleep=lambda s: None)
+        return client, session, cause, phrase
+
+    def _infer_second_fails(self, examples, gate, backends, agent, path, cause, phrase):
+        with pytest.raises(InferenceError) as err:
+            infer_batch(examples, gate, backends, agent, DEFAULT_PATH_COSTS,
+                        EngineConfig(gate_latency_s=0.001))
+        message = str(err.value)
+        assert f"on {path} path for example {examples[1].id}: " in message
+        assert phrase in message
+        assert isinstance(err.value.__cause__, cause)
+        assert err.value.partial_record["example_id"] == examples[1].id
+        assert err.value.partial_record["chosen_path"] == path
+        assert err.value.partial_record["t_phase1"] == pytest.approx(0.20)
+
+    @pytest.mark.parametrize("failure", sorted(REMOTE_FAILURES))
+    def test_generator_failure_names_the_example(self, failure):
+        examples = [make_example(i) for i in range(2)]
+        backends, agent = make_stack(examples)
+        client, session, cause, phrase = self._remote(
+            FakeResponse({"answer": "120", "output_tokens": 5}), failure)
+        backends.text_generator = RemoteGenerationBackend(client, "text")
+        self._infer_second_fails(examples, forced_gate(0), backends, agent, "text", cause,
+                                 phrase)
+        assert not session.outcomes
+        assert {c["url"] for c in session.calls} == {"http://remote:9000/generate"}
+
+    @pytest.mark.parametrize("failure", ["http-error", "non-json"])
+    def test_agent_failure_names_the_example(self, failure):
+        examples = [make_example(i) for i in range(2)]
+        backends, _ = make_stack(examples)
+        client, session, cause, phrase = self._remote(
+            FakeResponse({"text": '{"answer": "120"}'}), failure)
+        self._infer_second_fails(examples, forced_gate(2), backends, RemoteAgentBackend(client),
+                                 "fusion", cause, phrase)
+        assert not session.outcomes
+
+    def test_agent_timeout_degrades_to_the_text_expert(self):
+        examples = [make_example(i, scores=(0, 1, 1)) for i in range(2)]
+        backends, _ = make_stack(examples)
+        client, session, _, _ = self._remote(FakeResponse({"text": '{"answer": "120"}'}),
+                                             "timeout")
+        first, second = infer_batch(examples, forced_gate(2), backends,
+                                    RemoteAgentBackend(client), DEFAULT_PATH_COSTS,
+                                    EngineConfig(gate_latency_s=0.001))
+        assert not session.outcomes
+        assert (first.final_answer, first.degraded) == ("120", False)
+        text_out = backends.text_generator.generate(
+            examples[1].table_markdown, examples[1].question, example_id=examples[1].id,
+            gold_answer=examples[1].gold_answer)
+        assert second.degraded is True and second.fusion_role is None
+        assert second.final_answer == text_out.answer != examples[1].gold_answer
+        assert second.t_phase3 == 1.5  # max(1.0, 1.5), no agent time
 
 
 def _reference_row(example, embedders, nonce):
