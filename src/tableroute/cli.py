@@ -216,6 +216,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cfg.bench_config(), cfg.engine_config(),
     )
     engine.write_bench_csv(report, run_dir / "bench.csv")
+    degraded = [f"{d}/{m} {k}" for (d, m), k in sorted(report.degraded.items()) if k]
+    if degraded:
+        print("warning: degraded inferences (per dataset/mode, all seeds): "
+              + ", ".join(degraded), file=sys.stderr)
     print(f"bench complete: {len(report.rows)} rows; CSV at {run_dir / 'bench.csv'}")
     return 0
 

@@ -291,48 +291,33 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
     return ex
 
 
-# Rows read per block in `read_rows` (16 float32 rows are 647 KB).
-_STAGE_ROWS = 16
-
-
 def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray:
     """Fill `out[:len(examples)]`, a C-contiguous float32 or float64 buffer,
     with the examples' rows and return that slice.
 
-    Rows go _STAGE_ROWS at a time, straight into a float32 `out` or staged as
-    float32 and cast (exactly) into a float64 one: a row held in `embedding`
-    is copied, and any other is read from its open sidecar, one positional
-    read per run of consecutive rows. A non-finite entry raises IngestError
-    naming the example.
+    A row held in `embedding` is copied; any other is read from its open
+    sidecar with one positional read. Rows land straight in a float32 `out`,
+    or in a one-row float32 stage that is cast (exactly) into a float64 one.
+    A non-finite entry raises IngestError naming the first such example.
     """
-    direct = out.dtype == np.float32
-    stage = None if direct else np.empty(
-        (min(len(examples), _STAGE_ROWS), out.shape[1]), dtype=np.float32)
-    for lo in range(0, len(examples), _STAGE_ROWS):
-        block = examples[lo:lo + _STAGE_ROWS]
-        dest = out[lo:lo + len(block)] if direct else stage[:len(block)]
-        sources = [ex.sidecar_row if ex.embedding is None else None for ex in block]
-        k = 0
-        while k < len(block):
-            end = k + 1
-            if sources[k] is None:
-                if block[k].embedding is None:
-                    raise IngestError(f"example {block[k].id}: embeddings not resolved")
-                dest[k] = block[k].embedding
-            else:
-                sidecar, row = sources[k]
-                while end < len(block) and sources[end] == (sidecar, row + end - k):
-                    end += 1
-                n_bytes = os.preadv(sidecar.fileno(), [dest[k:end]], row * _ROW_BYTES)
-                if n_bytes != (end - k) * _ROW_BYTES:
-                    raise IngestError(f"embedding sidecar {sidecar.name} ended before row {row}")
-            k = end
-        finite = np.isfinite(dest).all(axis=1)
-        if not finite.all():
-            raise IngestError(f"example {block[int(np.argmin(finite))].id}: non-finite embedding")
-        if not direct:
-            out[lo:lo + len(block)] = dest
-    return out[:len(examples)]
+    n = len(examples)
+    stage = None if out.dtype == np.float32 else np.empty(out.shape[1], dtype=np.float32)
+    for ex, dest in zip(examples, out[:n], strict=True):
+        row = dest if stage is None else stage
+        if ex.embedding is not None:
+            row[:] = ex.embedding
+        elif ex.sidecar_row is None:
+            raise IngestError(f"example {ex.id}: embeddings not resolved")
+        else:
+            sidecar, i = ex.sidecar_row
+            if os.preadv(sidecar.fileno(), [row], i * _ROW_BYTES) != _ROW_BYTES:
+                raise IngestError(f"embedding sidecar {sidecar.name} ended before row {i}")
+        if stage is not None:
+            dest[:] = stage
+    finite = np.isfinite(out[:n]).all(axis=1)
+    if not finite.all():
+        raise IngestError(f"example {examples[int(np.argmin(finite))].id}: non-finite embedding")
+    return out[:n]
 
 
 def split_by_dataset(examples: Iterable[RoutingExample]) -> dict[str, list[RoutingExample]]:

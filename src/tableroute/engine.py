@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -96,7 +97,6 @@ def route_batch(
     """Pick a path for each row of the [B, 10,112] gate input `X` with one
     float64 gate call (`compute_params`): `choose_paths` over the logits,
     so ties go to the cheaper path. Non-finite inputs are rejected."""
-    X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         raise InvalidArgumentError("gate input: non-finite entries")
     Z, _ = forward_batch(compute_params(gate), X, mode="eval")
@@ -141,6 +141,19 @@ def embed_examples(
         for embedder, p, c in zip(embedders, payloads, columns, strict=True)
     ))
     return concat_input(*parts, out=X), [max(t) for t in zip(*times)]
+
+
+def _embed_phase(
+    examples: Sequence[RoutingExample], embedders: Sequence[EmbeddingBackend], nonce: int
+) -> tuple[np.ndarray, list[float]]:
+    """`embed_examples`, with a backend failure raised as InferenceError
+    naming the embedding phase and the examples."""
+    try:
+        return embed_examples(examples, embedders, nonce)
+    except TableRouteError as e:
+        ids = ", ".join(ex.id for ex in examples)
+        raise InferenceError(f"backend failure in the embedding phase for example "
+                             f"{ids}: {e}") from e
 
 
 def _generate(
@@ -224,7 +237,7 @@ def infer_batch(
         raise InvalidArgumentError("adaptive mode needs a trained gate")
     if not examples:
         return []
-    X, t1 = embed_examples(examples, backends.embedders, nonce)
+    X, t1 = _embed_phase(examples, backends.embedders, nonce)
     return _infer_embedded(examples, X, t1, gate, backends, agent, costs, cfg, mode, nonce)
 
 
@@ -416,6 +429,8 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     summary: list[BenchRow] = field(default_factory=list)
+    # Degraded inferences per (dataset, mode), over all seeds.
+    degraded: Counter[tuple[str, str]] = field(default_factory=Counter)
 
 
 def run_efficiency_bench(
@@ -431,7 +446,8 @@ def run_efficiency_bench(
 
     Stratified sampling of `n_per_dataset` examples per dataset per seed;
     per-sample TPS is output_tokens / parallel_latency; per-cell means are
-    averaged across seeds into summary rows.
+    averaged across seeds into summary rows, and each cell's degraded
+    inferences are counted in `degraded`.
     """
     report = BenchReport()
     groups = split_by_dataset(examples)
@@ -450,7 +466,7 @@ def run_efficiency_bench(
             idx = rng.choice(len(pool), size=n, replace=False)
             sample = [pool[i] for i in sorted(idx.tolist())]
             # Both modes embed the sample alike, so it is embedded once.
-            X, t1 = embed_examples(sample, backends.embedders, seed)
+            X, t1 = _embed_phase(sample, backends.embedders, seed)
             for mode in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE):
                 records = _infer_embedded(
                     sample, X, t1, gate, backends, agent, costs, engine_cfg, mode, seed
@@ -460,6 +476,7 @@ def run_efficiency_bench(
                     np.mean([r.output_tokens / r.parallel_latency for r in records])
                 )
                 report.rows.append(BenchRow(dataset, mode, seed, mean_latency, mean_tps))
+                report.degraded[dataset, mode] += sum(r.degraded for r in records)
                 cell_values.setdefault((dataset, mode), []).append((mean_latency, mean_tps))
 
     for (dataset, mode), vals in sorted(cell_values.items()):

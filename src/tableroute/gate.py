@@ -20,7 +20,6 @@ dtype of the params they are given:
 """
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import zlib
@@ -268,8 +267,8 @@ def pack_gradients(grads: GateGradients) -> np.ndarray:
 #   u32 version | u32 input_dim | u32 hidden_dim | u32 output_dim | u32 flags (written as 0)
 #   metadata: u32 count, then per entry u32 len + utf8 key, u32 len + utf8 val
 #   parameters as <f4 blobs: W1, b1, W2, b2
-#   flags & 1 (older files; skipped on load): <f8 m, <f8 v, u64 step, <f8 wd/beta1/beta2/eps
-#   u32 crc32 over everything after the magic
+#   flags & 1 (older files; dropped on load): <f8 m, <f8 v, u64 step, <f8 wd/beta1/beta2/eps
+#   u32 crc32 over everything after the magic, checked before version and dims are trusted
 # --------------------------------------------------------------------------
 
 
@@ -308,40 +307,6 @@ def save_checkpoint(
         fh.write(struct.pack("<I", crc))
 
 
-class _Cursor:
-    def __init__(self, buf: memoryview):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise CheckpointIntegrityError("checkpoint truncated")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
-_CRC_CHUNK = 1 << 22  # bytes; a multiple of every page size
-
-
-def _crc32_releasing(mapped: mmap.mmap, start: int, end: int) -> int:
-    """CRC32 of `mapped[start:end]`, read one chunk at a time.
-
-    Each chunk's pages are dropped from this process once read (they stay in
-    the page cache and fault back in when used), so checking a file holds at
-    most one chunk of it resident, not the whole file.
-    """
-    view = memoryview(mapped)
-    crc = 0
-    for pos in range(0, end, _CRC_CHUNK):
-        crc = zlib.crc32(view[max(pos, start):min(pos + _CRC_CHUNK, end)], crc)
-        mapped.madvise(mmap.MADV_DONTNEED, pos, min(_CRC_CHUNK, len(mapped) - pos))
-    return crc
-
-
 def load_checkpoint(
     path: str | Path,
     expected_dims: tuple[int, int, int] | None = CANONICAL_DIMS,
@@ -349,49 +314,57 @@ def load_checkpoint(
     """Load a checkpoint's parameters and metadata; verifies integrity
     first, then dimension compatibility.
 
-    Pass `expected_dims=None` to accept any recorded dimensions. The file is
-    memory-mapped read-only and the parameters are copied out of the
-    mapping. Older files with flag 1 also carry AdamW moments: the checksum
-    covers them, and then they are skipped unread.
+    Pass `expected_dims=None` to accept any recorded dimensions. The file's
+    size is checked against its header before anything is sized from it;
+    then each array is read into its own buffer under a running CRC32. The
+    AdamW moments of older flag-1 files pass through a 1 MiB scratch buffer
+    into the checksum and are dropped.
     """
     with open(path, "rb") as fh:
-        # mmap rejects an empty file; a file this short is no checkpoint anyway
-        if os.fstat(fh.fileno()).st_size < len(_CKPT_MAGIC) + 4:
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(_CKPT_MAGIC) + 4 or fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise CheckpointIntegrityError(f"not a gate checkpoint: {path}")
-        raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointIntegrityError(f"not a gate checkpoint: {path}")
-    if _crc32_releasing(raw, len(_CKPT_MAGIC), len(raw) - 4) != struct.unpack("<I", raw[-4:])[0]:
-        raise CheckpointIntegrityError(f"checksum mismatch in {path}")
-    body = memoryview(raw)[len(_CKPT_MAGIC):-4]
+        crc = 0
 
-    cur = _Cursor(body)
-    version, d_in, d_h, d_out, flags = struct.unpack("<5I", cur.take(20))
+        def fill(buf) -> memoryview:
+            nonlocal crc
+            view = memoryview(buf).cast("B")
+            if fh.readinto(view) != len(view):
+                raise CheckpointIntegrityError("checkpoint truncated")
+            crc = zlib.crc32(view, crc)
+            return view
+
+        def take(n: int) -> bytes:
+            if n > size - 4 - fh.tell():
+                raise CheckpointIntegrityError("checkpoint truncated")
+            return bytes(fill(bytearray(n)))
+
+        def u32() -> int:
+            return struct.unpack("<I", take(4))[0]
+
+        version, d_in, d_h, d_out, flags = struct.unpack("<5I", take(20))
+        raw_meta = [(take(u32()), take(u32())) for _ in range(u32())]
+        n = d_h * d_in + d_h + d_out * d_h + d_out
+        moments = 16 * n + 40 if flags & 1 else 0
+        expected = fh.tell() + 4 * n + moments + 4
+        if size != expected:
+            raise CheckpointIntegrityError(
+                "checkpoint truncated" if size < expected else "trailing bytes in checkpoint body")
+        shapes = ((d_h, d_in), (d_h,), (d_out, d_h), (d_out,))
+        arrays = [np.empty(shape, dtype="<f4") for shape in shapes]
+        for arr in arrays:
+            fill(arr)
+        scratch = memoryview(bytearray(min(moments, 1 << 20)))
+        while moments:
+            moments -= len(fill(scratch[:min(moments, len(scratch))]))
+        stored = fh.read(4)
+    if struct.pack("<I", crc) != stored:
+        raise CheckpointIntegrityError(f"checksum mismatch in {path}")
     if version != _CKPT_VERSION:
         raise IncompatibleCheckpointError(f"unsupported checkpoint version {version}")
     if expected_dims is not None and (d_in, d_h, d_out) != tuple(expected_dims):
         raise IncompatibleCheckpointError(
             f"checkpoint dims {(d_in, d_h, d_out)} differ from expected {tuple(expected_dims)}"
         )
-
-    meta = {}
-    for _ in range(cur.u32()):
-        k = str(cur.take(cur.u32()), "utf-8")
-        v = str(cur.take(cur.u32()), "utf-8")
-        meta[k] = v
-
-    def read_f4(shape):
-        n = int(np.prod(shape))
-        return np.frombuffer(cur.take(4 * n), dtype="<f4").reshape(shape).copy()
-
-    params = GateParameters(
-        W1=read_f4((d_h, d_in)),
-        b1=read_f4((d_h,)),
-        W2=read_f4((d_out, d_h)),
-        b2=read_f4((d_out,)),
-    )
-    if flags & 1:
-        cur.take(16 * params.param_count + 40)
-    if cur.pos != len(body):
-        raise CheckpointIntegrityError("trailing bytes in checkpoint body")
-    return params, meta
+    meta = {str(k, "utf-8"): str(v, "utf-8") for k, v in raw_meta}
+    return GateParameters(*arrays), meta

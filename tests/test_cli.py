@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import tableroute
-from tableroute import fileio, runconfig
+from tableroute import cli, fileio, runconfig
 from tableroute.cli import main
-from tableroute.errors import ConfigError
+from tableroute.errors import ConfigError, ConnectionFailedError
 from tableroute.gate import init_gate, save_checkpoint
 from tableroute.runconfig import load_runconfig
 
@@ -417,6 +417,32 @@ class TestPipeline:
         )
         assert "complementarity_rate" in metrics
         assert "heuristic_alignment" in metrics
+
+    def test_bench_warns_once_when_inferences_degrade(self, workdir, monkeypatch, capsys):
+        corpus = make_corpus(workdir, n=60, all_tags=True)
+        ckpt = workdir / "gate.ckpt"
+        save_checkpoint(ckpt, init_gate(seed=0))
+        bench_cfg = workdir / "bench.json"
+        bench_cfg.write_text(json.dumps({"bench": {"n_per_dataset": 2, "seeds": [0, 1]}}))
+        bench = ["bench", "--config", bench_cfg, "--corpus", corpus, "--checkpoint", ckpt,
+                 "--run-dir", workdir / "run", "--seed", 3]
+        assert run(*bench) == 0
+        assert "degraded" not in capsys.readouterr().err
+
+        class UnreachableAgent:
+            def complete(self, prompt, *, context=None):
+                raise ConnectionFailedError("connection refused")
+
+        def stack(cfg, examples):
+            return runconfig.backends_from_corpus(cfg, examples)[0], UnreachableAgent()
+
+        monkeypatch.setattr(cli, "backends_from_corpus", stack)
+        assert run(*bench) == 0
+        warning = [ln for ln in capsys.readouterr().err.splitlines() if "degraded" in ln]
+        # always-fusion degrades each of its 2 examples per dataset in both seeds
+        assert len(warning) == 1 and "wtq/non_adaptive 4" in warning[0]
+        header = (workdir / "run" / "bench.csv").read_text().splitlines()[0]
+        assert header == "dataset,mode,seed,mean_latency_s,mean_tps"
 
     def test_sweep_lambda_two_points(self, workdir):
         corpus = make_corpus(workdir, n=100)

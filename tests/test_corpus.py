@@ -732,7 +732,7 @@ def _mapping_count(path):
 
 
 class TestReadRows:
-    N = 40  # rows in the corpus on disk: 2.5 staging blocks
+    N = 40  # rows in the corpus on disk
 
     @pytest.fixture
     def loaded(self, tmp_path):
@@ -745,7 +745,7 @@ class TestReadRows:
 
     @pytest.mark.parametrize("picks", [
         range(3, 11),                         # one run of consecutive rows
-        range(40),                            # runs that cross staging blocks
+        range(40),                            # every row, in order
         [9, 2, 17, 5, 30, 31, 0, 39, 18],     # scattered rows
         [20, 20, 21],                         # a row twice
     ], ids=["run", "all", "scattered", "repeat"])
@@ -794,7 +794,7 @@ class TestReadRows:
     def test_non_finite_row_names_its_example(self, tmp_path):
         write_corpus(tmp_path, _random_examples(self.N, seed=3))
         matrix = np.fromfile(tmp_path / "embeddings.bin", dtype="<f4").reshape(-1, INPUT_DIM)
-        matrix[21, 9000] = np.nan  # inside the second staging block of a full read
+        matrix[21, 9000] = np.nan  # past the middle of a full read
         matrix.tofile(tmp_path / "embeddings.bin")
         loaded = load_corpus(tmp_path)
         bad = loaded[21].id
@@ -812,7 +812,7 @@ class TestReadRows:
         with open(tmp_path / "embeddings.bin", "r+b") as fh:
             fh.truncate(10 * INPUT_DIM * 4)
         read_rows(loaded[:10], np.empty((10, INPUT_DIM)))
-        with pytest.raises(IngestError, match="embeddings.bin ended before row 8"):
+        with pytest.raises(IngestError, match="embeddings.bin ended before row 10"):
             read_rows(loaded[8:12], np.empty((4, INPUT_DIM)))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")

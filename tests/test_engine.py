@@ -41,8 +41,13 @@ from tableroute.experts import (
 )
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import GateParameters, compute_params, concat_input, init_gate
-from tableroute.paths import DEFAULT_PATH_COSTS, PathCostVector, choose_paths
-from tableroute.remote import RemoteAgentBackend, RemoteClient, RemoteGenerationBackend
+from tableroute.paths import DEFAULT_PATH_COSTS, QUESTION_DIM, PathCostVector, choose_paths
+from tableroute.remote import (
+    RemoteAgentBackend,
+    RemoteClient,
+    RemoteEmbeddingBackend,
+    RemoteGenerationBackend,
+)
 from tableroute.synthetic import biased_embedders
 from test_remote import FakeResponse, FakeSession
 
@@ -359,6 +364,7 @@ class TestBench:
         assert by_key[("wtq", "adaptive")].mean_latency_s == pytest.approx(1.201)
         # non-adaptive fusion: 0.2 + 0 + max(1.0, 1.5) + 0.3
         assert by_key[("wtq", "non_adaptive")].mean_latency_s == pytest.approx(2.0)
+        assert set(report.degraded.values()) == {0}
 
     def test_tps_definition(self):
         # 20 tokens at 2.0s parallel latency -> 10 tokens/s
@@ -471,6 +477,9 @@ class TestUnreachableAgent:
                 assert row.mean_tps == pytest.approx(20 / latency)
         assert len(session.calls) == 2 * len(examples) * (self.MAX_RETRIES + 1)
         assert not session.outcomes
+        # every inference degraded; bench.csv has no column for it
+        assert report.degraded == {(dataset, mode): 4 for dataset in ("tabmwp", "wtq")
+                                   for mode in (MODE_ADAPTIVE, MODE_NON_ADAPTIVE)}
 
 
 # Remote failures, each as the outcomes a `FakeSession` replays for one
@@ -549,6 +558,58 @@ class TestRemoteFailures:
         assert second.degraded is True and second.fusion_role is None
         assert second.final_answer == text_out.answer != examples[1].gold_answer
         assert second.t_phase3 == 1.5  # max(1.0, 1.5), no agent time
+
+
+class TestEmbeddingFailures:
+    """A remote question embedder answers the first example and fails on the
+    second: `infer`, `infer_batch` and the bench raise InferenceError naming
+    the embedding phase and the examples embedded together, with the
+    client's error as the cause."""
+
+    def _stack(self, examples, failure, n_ok=1):
+        backends, agent = make_stack(examples)
+        outcomes, cause, phrase = REMOTE_FAILURES[failure]
+        ok = FakeResponse({"embedding": [0.5] * QUESTION_DIM})
+        session = FakeSession([ok] * n_ok + outcomes())
+        client = RemoteClient("http://remote:9000", timeout_s=1.0, max_retries=2,
+                              backoff_s=0.01, session=session, sleep=lambda s: None)
+        backends.question_embedder = RemoteEmbeddingBackend(client, "question")
+        return backends, agent, session, cause, phrase
+
+    def _check(self, err, ids, cause, phrase, session):
+        message = str(err.value)
+        assert f"in the embedding phase for example {', '.join(ids)}: " in message
+        assert phrase in message
+        assert isinstance(err.value.__cause__, cause)
+        assert not session.outcomes
+        assert {c["url"] for c in session.calls} == {"http://remote:9000/embed"}
+
+    @pytest.mark.parametrize("failure", sorted(REMOTE_FAILURES))
+    def test_infer_batch_names_the_examples(self, failure):
+        examples = [make_example(i) for i in range(2)]
+        backends, agent, session, cause, phrase = self._stack(examples, failure)
+        with pytest.raises(InferenceError) as err:
+            infer_batch(examples, forced_gate(0), backends, agent, DEFAULT_PATH_COSTS,
+                        EngineConfig(gate_latency_s=0.001))
+        self._check(err, [ex.id for ex in examples], cause, phrase, session)
+
+    def test_infer_names_its_example(self):
+        example = make_example(0)
+        backends, agent, session, cause, phrase = self._stack([example], "http-error", n_ok=0)
+        with pytest.raises(InferenceError) as err:
+            infer(example, forced_gate(0), backends, agent, DEFAULT_PATH_COSTS,
+                  EngineConfig(gate_latency_s=0.001))
+        self._check(err, [example.id], cause, phrase, session)
+
+    def test_efficiency_bench_names_the_sample(self):
+        examples = TestBench()._corpus(n_per=2)
+        backends, agent, session, cause, phrase = self._stack(examples, "http-error")
+        with pytest.raises(InferenceError) as err:
+            run_efficiency_bench(examples, forced_gate(0), backends, agent, DEFAULT_PATH_COSTS,
+                                 BenchConfig(n_per_dataset=2, seeds=(0,)))
+        # tabmwp's sample is the first embedded
+        sample = [ex.id for ex in examples if ex.dataset == "tabmwp"]
+        self._check(err, sample, cause, phrase, session)
 
 
 def _reference_row(example, embedders, nonce):

@@ -535,7 +535,7 @@ def small_checkpoint(path):
 
 
 class TestCheckpointMapping:
-    """`load_checkpoint` maps the file read-only and runs the CRC over the mapping."""
+    """`load_checkpoint` reads the file with plain reads under a running CRC."""
 
     @pytest.mark.parametrize("blob", [b"", b"TRG"], ids=["empty", "3-bytes"])
     def test_short_file_is_integrity_error(self, tmp_path, blob):
@@ -559,12 +559,44 @@ class TestCheckpointMapping:
         with pytest.raises(CheckpointIntegrityError, match="checksum"):
             load_checkpoint(path, expected_dims=None)
 
+    # The header after the magic: version at 8, d_in at 12 to 15, the
+    # metadata count at 28 to 31.
+    @pytest.mark.parametrize("offset,flip", [(12, 0x01), (15, 0x80), (28, 0x01), (28, 0x02),
+                                             (31, 0x80)],
+                             ids=["d_in-low", "d_in-high", "count-down", "count-up",
+                                  "count-high"])
+    def test_header_flip_fails_before_allocating(self, tmp_path, offset, flip):
+        # Nothing is sized from a header whose size check fails: refusing the
+        # 10.4 MB file allocates under 1 MB.
+        path = tmp_path / "gate.ckpt"
+        save_checkpoint(path, init_gate(seed=0), {"note": "header"})
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= flip
+        path.write_bytes(bytes(blob))
+        del blob
+
+        def refused():
+            with pytest.raises(CheckpointIntegrityError):
+                load_checkpoint(path)
+
+        assert traced_peak_bytes(refused) < 1_000_000
+
+    @pytest.mark.parametrize("change,phrase", [(1, "trailing bytes"), (-1, "truncated")],
+                             ids=["one-byte-longer", "one-byte-shorter"])
+    def test_size_other_than_the_header_says_is_refused(self, tmp_path, change, phrase):
+        path = tmp_path / "gate.ckpt"
+        save_checkpoint(path, init_gate(seed=0, input_dim=16, hidden_dim=16))
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0" if change > 0 else blob[:-1])
+        with pytest.raises(CheckpointIntegrityError, match=phrase):
+            load_checkpoint(path, expected_dims=None)
+
     @pytest.mark.parametrize("offset", [8, (1 << 22) - 1, 1 << 22, -5])
     def test_flip_across_crc_chunks_is_integrity_error(self, tmp_path, offset):
         path = tmp_path / "gate.ckpt"
         save_checkpoint(path, init_gate(seed=0, input_dim=INPUT_DIM, hidden_dim=128))
         blob = bytearray(path.read_bytes())
-        assert len(blob) > 1 << 22  # the CRC reads it in 4 MiB chunks
+        assert len(blob) > 1 << 22  # a flip on each side of the 4 MiB mark
         load_checkpoint(path, expected_dims=None)
         blob[offset] ^= 0x80
         path.write_bytes(bytes(blob))
