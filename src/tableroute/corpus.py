@@ -1,14 +1,17 @@
 """Corpus data model and on-disk format.
 
 A corpus directory holds:
-    corpus.jsonl    one JSON record per example (no embeddings inline)
+    corpus.jsonl    one JSON record per example: a raw record's fields plus
+                    path_scores (no embeddings or markdown inline)
     embeddings.bin  the embedding matrix: little-endian float32, row-major,
                     shape [N, 10112]; row i is the gate input of line i of
                     corpus.jsonl (question || text || vision)
 
 Writing is serialized in example-id order, and embeddings are float32, so a
-re-run with the same inputs reproduces the files bitwise. A `manifest.json`
-left by older writers is ignored.
+re-run with the same inputs reproduces the files bitwise. Raw and stored
+records are built and checked by one constructor, `example_from_raw`. Older
+writers' `manifest.json` and their records' `table_markdown` and
+`expert_outputs` keys are ignored.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -57,17 +61,18 @@ class Table:
 
     def serialize(self) -> str:
         """Canonical structural form; the hash key for simulated embeddings."""
-        return json.dumps(
-            {"columns": list(self.columns), "rows": [list(r) for r in self.rows]},
-            separators=(",", ":"),
-            ensure_ascii=False,
-        )
+        return json.dumps(self.to_json(), separators=(",", ":"), ensure_ascii=False)
 
     def to_json(self) -> dict:
         return {"columns": list(self.columns), "rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Table":
+    def from_json(cls, obj) -> "Table":
+        if not (isinstance(obj, dict) and isinstance(obj.get("columns"), list)
+                and isinstance(obj.get("rows"), list)
+                and all(isinstance(row, list) for row in obj["rows"])):
+            raise InvalidArgumentError("field 'table' is not an object with a 'columns' "
+                                       "list and a list of 'rows' lists")
         return cls(
             columns=tuple(str(c) for c in obj["columns"]),
             rows=tuple(tuple(str(c) for c in row) for row in obj["rows"]),
@@ -87,7 +92,6 @@ class RoutingExample:
     dataset: str
     question: str
     table: Table
-    table_markdown: str
     path_scores: tuple[int, int, int]
     gold_answer: str
     embedding: np.ndarray | None = None
@@ -95,25 +99,29 @@ class RoutingExample:
 
     def __post_init__(self):
         if self.dataset not in KNOWN_DATASETS:
-            raise InvalidArgumentError(
-                f"example {self.id}: unknown dataset tag {self.dataset!r}"
-            )
+            raise InvalidArgumentError(f"unknown dataset tag {self.dataset!r}")
         if len(self.path_scores) != 3 or any(s not in (0, 1) for s in self.path_scores):
-            raise InvalidArgumentError(
-                f"example {self.id}: path_scores must be three 0/1 entries"
-            )
+            raise InvalidArgumentError("path_scores must be three 0/1 entries")
+
+    @cached_property
+    def table_markdown(self) -> str:
+        """The experts' and the agent's table input, built once, on first use."""
+        return self.table.to_markdown()
 
 
 def example_from_raw(raw: Mapping, path_scores: Sequence[int]) -> RoutingExample:
-    """The example a raw (pre-ingest) record describes, with `path_scores`
-    and no embedding yet."""
-    table = Table.from_json(raw["table"])
+    """The example a raw or a stored record describes, with `path_scores`
+    and no embedding yet. A missing or empty field, a table that is not
+    columns and rows lists or is ragged, an unknown dataset tag or bad path
+    scores raise InvalidArgumentError; keys it does not name are ignored."""
+    for name in ("id", "dataset", "question", "table", "gold_answer"):
+        if raw.get(name) in (None, ""):
+            raise InvalidArgumentError(f"missing field {name!r}")
     return RoutingExample(
         id=str(raw["id"]),
         dataset=raw["dataset"],
         question=str(raw["question"]),
-        table=table,
-        table_markdown=table.to_markdown(),
+        table=Table.from_json(raw["table"]),
         path_scores=tuple(path_scores),
         gold_answer=str(raw["gold_answer"]),
     )
@@ -125,24 +133,9 @@ def _example_to_json(ex: RoutingExample) -> dict:
         "dataset": ex.dataset,
         "question": ex.question,
         "table": ex.table.to_json(),
-        "table_markdown": ex.table_markdown,
         "path_scores": list(ex.path_scores),
         "gold_answer": ex.gold_answer,
     }
-
-
-def _example_from_json(rec: dict) -> RoutingExample:
-    """The example of one record; keys it does not name, such as the
-    `expert_outputs` that older writers cached, are ignored."""
-    return RoutingExample(
-        id=rec["id"],
-        dataset=rec["dataset"],
-        question=rec["question"],
-        table=Table.from_json(rec["table"]),
-        table_markdown=rec["table_markdown"],
-        path_scores=tuple(rec["path_scores"]),
-        gold_answer=rec["gold_answer"],
-    )
 
 
 def _parse_record(
@@ -150,8 +143,8 @@ def _parse_record(
 ) -> RoutingExample | None:
     """The example on one line; with `example_id`, None unless the record has that id.
 
-    A record that is not UTF-8 JSON, lacks a field or holds a field of the
-    wrong type raises IngestError naming the file and line.
+    A record that is not UTF-8 JSON, has no `path_scores` or is refused by
+    `example_from_raw` raises IngestError naming the file and line.
     """
     try:
         rec = json.loads(line.decode("utf-8"))
@@ -159,7 +152,7 @@ def _parse_record(
             raise TypeError("record is not a JSON object")
         if example_id is not None and rec.get("id") != example_id:
             return None
-        return _example_from_json(rec)
+        return example_from_raw(rec, rec["path_scores"])
     except (KeyError, TypeError, ValueError) as e:
         raise IngestError(f"{corpus_path}:{line_no}: bad record ({e})") from e
 

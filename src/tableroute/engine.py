@@ -305,9 +305,9 @@ def _generate_phase(
                 tokens = fres.output_tokens
                 fusion_role = fres.role
                 degraded = fres.degraded
-            except FusionUnavailableError:
-                # agent unreachable after retries: degrade to the text expert
-                t3 = gen_time
+            except FusionUnavailableError as e:
+                # agent unreachable: degrade to the text expert, charged the agent time spent
+                t3 = gen_time + e.agent_seconds
                 final = out_t.answer
                 tokens = out_t.output_tokens
                 degraded = True

@@ -35,12 +35,14 @@ class ConfigError(TableRouteError):
 
 
 class TransportError(TableRouteError):
-    """Network-level failure talking to a remote backend."""
+    """Network-level failure talking to a remote backend; `elapsed_s` is the
+    seconds spent on it, every attempt and the backoff between them included."""
 
-    def __init__(self, message: str, endpoint: str = "", attempts: int = 1):
+    def __init__(self, message: str, endpoint: str = "", attempts: int = 1, elapsed_s=0.0):
         super().__init__(message)
         self.endpoint = endpoint
         self.attempts = attempts
+        self.elapsed_s = elapsed_s
 
 
 class RequestTimeoutError(TransportError):
@@ -68,7 +70,11 @@ class FusionParseError(TableRouteError):
 
 
 class FusionUnavailableError(TableRouteError):
-    """Fusion agent unreachable after retries; caller decides the fallback."""
+    """Fusion agent unreachable after `agent_seconds`; caller decides the fallback."""
+
+    def __init__(self, message: str, agent_seconds: float = 0.0):
+        super().__init__(message)
+        self.agent_seconds = agent_seconds
 
 
 class InferenceError(TableRouteError):

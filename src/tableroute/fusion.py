@@ -161,13 +161,14 @@ def fuse(
 
     On a parse failure the agent is re-prompted once with a strict JSON-only
     suffix; if that also fails, the text expert's answer is returned with
-    `degraded=True`. Transport failures raise FusionUnavailableError.
+    `degraded=True`. A transport failure raises FusionUnavailableError with the
+    agent time spent: any earlier reply's latency plus the call's `elapsed_s`.
     """
     prompt = build_fusion_prompt(req)
     try:
         reply = agent.complete(prompt, context=context)
     except TransportError as e:
-        raise FusionUnavailableError(f"fusion agent unreachable: {e}") from e
+        raise FusionUnavailableError(f"fusion agent unreachable: {e}", e.elapsed_s) from e
 
     total_latency = reply.latency_seconds
     raw = reply.text
@@ -179,7 +180,8 @@ def fuse(
         try:
             retry = agent.complete(prompt + STRICT_RETRY_SUFFIX, context=context)
         except TransportError as e:
-            raise FusionUnavailableError(f"fusion agent unreachable on retry: {e}") from e
+            raise FusionUnavailableError(f"fusion agent unreachable on retry: {e}",
+                                         total_latency + e.elapsed_s) from e
         total_latency += retry.latency_seconds
         raw = retry.text
         tokens = retry.output_tokens

@@ -15,12 +15,9 @@ from .engine import EMBED_BLOCK_ROWS, EngineBackends, embed_examples, fuse_outpu
 from .errors import IngestError, TableRouteError
 from .experts import answers_match
 from .fusion import AgentBackend
-from .paths import INPUT_DIM, KNOWN_DATASETS
+from .paths import INPUT_DIM
 
 log = logging.getLogger(__name__)
-
-REQUIRED_RAW_FIELDS = ("id", "dataset", "question", "table", "gold_answer")
-
 
 @dataclass
 class IngestResult:
@@ -55,23 +52,6 @@ def read_raw_records(path: Path) -> list[dict]:
     return records
 
 
-def _validate_raw(raw: Mapping) -> str | None:
-    for name in REQUIRED_RAW_FIELDS:
-        if raw.get(name) in (None, ""):
-            return f"missing field {name!r}"
-    if raw["dataset"] not in KNOWN_DATASETS:
-        return f"unknown dataset tag {raw['dataset']!r}"
-    table = raw["table"]
-    if not (
-        isinstance(table, dict)
-        and isinstance(table.get("columns"), list)
-        and isinstance(table.get("rows"), list)
-        and all(isinstance(row, list) for row in table["rows"])
-    ):
-        return "field 'table' is not an object with a 'columns' list and a list of 'rows' lists"
-    return None
-
-
 def ingest(
     raw_records: Sequence[Mapping],
     backends: EngineBackends,
@@ -84,9 +64,10 @@ def ingest(
     Records go in id order, in blocks of EMBED_BLOCK_ROWS: a block's three
     embeddings are computed in one `embed_examples` call, then each record
     runs the text and image experts plus the fusion path and is scored
-    against the gold answer. Bad records are skipped with a logged reason; if
-    the skip rate exceeds `skip_threshold` the whole ingest fails and the
-    previous corpus stays. Each row is written once its block is scored, and
+    against the gold answer. A record that `corpus.example_from_raw`
+    refuses, or whose embedding or scoring fails, is skipped with a logged
+    reason; if the skip rate exceeds `skip_threshold` the whole ingest fails
+    and the previous corpus stays. Each row is written once its block is scored, and
     the returned examples read theirs from the written sidecar.
     Deterministic per backend seeds.
     """
@@ -144,11 +125,9 @@ def _ingest_block(
 
 
 def _example_or_reason(raw: Mapping) -> RoutingExample | str:
-    """The unscored example of `raw`, or why it is skipped: a failed field
-    check, or a table the example refuses (a ragged row, say)."""
-    reason = _validate_raw(raw)
-    if reason is not None:
-        return reason
+    """The unscored example of `raw`, or why it is skipped: the message of
+    the `example_from_raw` check it fails, the same checks a stored corpus
+    record passes on load."""
     try:
         # path scores are set by `_score`, once all paths ran
         return example_from_raw(raw, (0, 0, 0))

@@ -50,10 +50,12 @@ class RemoteClient:
         self._sleep = sleep
 
     def post_json(self, path: str, payload: dict) -> tuple[dict, float]:
-        """POST and parse JSON. Returns (body, seconds). Retries transport errors only."""
+        """POST and parse JSON. Returns (body, seconds). Retries transport errors
+        only; the last one's `elapsed_s` is all attempts' seconds plus the backoff."""
         url = self.endpoint + path
         attempts = self.max_retries + 1
         last_error: TransportError | None = None
+        spent = 0.0
         for attempt in range(attempts):
             start = time.monotonic()
             try:
@@ -82,9 +84,12 @@ class RemoteClient:
                 if not isinstance(body, dict):
                     raise MalformedResponseError(f"{url} returned a non-object JSON body")
                 return body, elapsed
+            spent += time.monotonic() - start
             if attempt + 1 < attempts:
                 self._sleep(self.backoff_s * (2**attempt))
+                spent += self.backoff_s * (2**attempt)
         assert last_error is not None
+        last_error.elapsed_s = spent
         raise last_error
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -49,19 +50,24 @@ from test_remote import FakeResponse, FakeSession
 
 # sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
 # `ingest --seed 7` write; they pin the on-disk corpus format. The records'
-# digest was retaken when they stopped carrying the experts' outputs.
+# digest was retaken when they stopped carrying the experts' outputs, and
+# again when they stopped carrying the table's markdown.
 PINNED_CORPUS_SHA256 = {
-    "corpus.jsonl": "3c0ae2b496a8f871518ed69ee3e8eaeaf28d8aaf67a216b04b5908cc0bcc6bd9",
+    "corpus.jsonl": "aa76534c9de748bb05925e8d05af2d0c09e9fd90ebaacb591ef711a105882739",
     "embeddings.bin": "b16e1c8509544b3ca09d09f2faaf777a6bfb7d7036c132a081a4a48fdc181edd",
 }
 # sha256 of the same two files for `make-synthetic --n 130 --all-tags --seed 1`
 # then `ingest --seed 7`: two full embedding blocks of 64 rows and a partial
 # one. Taken from the record-at-a-time embedder before rows were embedded in
-# blocks.
+# blocks; the records' digest was retaken when they stopped carrying the
+# table's markdown.
 PINNED_CORPUS_130_SHA256 = {
-    "corpus.jsonl": "dd466d49be3639f5d43ce14903d4427e3c5cec40d2deab36aa2e8c49e12a8f4e",
+    "corpus.jsonl": "967973e8ede77866e464e79019a95c1e4c1bf7ab494be8d963a2944e622a109c",
     "embeddings.bin": "630d88c1fa6813d4a9d93cdb2ba352fbca8d2262db67936d6b9edeb4a3090f89",
 }
+# sha256 of the 42-record corpus.jsonl that writers made while each record
+# also carried its table as markdown.
+LEGACY_MARKDOWN_CORPUS_SHA256 = "3c0ae2b496a8f871518ed69ee3e8eaeaf28d8aaf67a216b04b5908cc0bcc6bd9"
 # sha256 of the per-id offset manifest that earlier writers put beside them.
 LEGACY_MANIFEST_SHA256 = "8a2a15897c0fb5a654f94df15953367fa96aacda28278a89dcb77fbe9d1dba93"
 
@@ -135,12 +141,12 @@ class TestRoutingExample:
     def test_unknown_dataset_rejected(self):
         t = Table(columns=("a",), rows=(("1",),))
         with pytest.raises(InvalidArgumentError):
-            RoutingExample("x", "made-up", "q", t, t.to_markdown(), (1, 0, 0), "g")
+            RoutingExample("x", "made-up", "q", t, (1, 0, 0), "g")
 
     def test_bad_scores_rejected(self):
         t = Table(columns=("a",), rows=(("1",),))
         with pytest.raises(InvalidArgumentError):
-            RoutingExample("x", "wtq", "q", t, t.to_markdown(), (1, 2, 0), "g")
+            RoutingExample("x", "wtq", "q", t, (1, 2, 0), "g")
 
 
 class TestCorpusIO:
@@ -288,7 +294,7 @@ class TestCorpusIO:
         examples = self._examples(2)
         clone = RoutingExample(
             id=examples[0].id, dataset=examples[0].dataset, question="q",
-            table=examples[0].table, table_markdown=examples[0].table_markdown,
+            table=examples[0].table,
             path_scores=(1, 0, 0), gold_answer="g", embedding=examples[0].embedding,
         )
         with pytest.raises(IngestError, match="duplicate"):
@@ -477,11 +483,17 @@ class TestIngest:
         np.testing.assert_array_equal(kept, np.asarray([vectors[0], vectors[1], vectors[3]]))
 
     def test_legacy_expert_outputs_key_is_ignored(self, pinned_corpus, tmp_path):
-        # Ingest no longer writes the experts' outputs into each record; a
-        # corpus written when it did still loads, the key unread.
-        assert b"expert_outputs" not in (pinned_corpus / "corpus.jsonl").read_bytes()
+        # Ingest no longer writes the experts' outputs or the table's
+        # markdown into each record; a corpus written when it did still
+        # loads, both keys unread.
+        records = (pinned_corpus / "corpus.jsonl").read_bytes()
+        assert b"expert_outputs" not in records and b"table_markdown" not in records
         legacy = tmp_path / "legacy"
         shutil.copytree(pinned_corpus, legacy)
+        for line_no in range(1, 43):
+            _edit_line(legacy, line_no, lambda rec: rec.update(
+                table_markdown=Table.from_json(rec["table"]).to_markdown()))
+        assert _sha256(legacy / "corpus.jsonl") == LEGACY_MARKDOWN_CORPUS_SHA256
         output = {"answer": "42", "explanation": "sum", "latency_seconds": 1.5,
                   "output_tokens": 64}
         for line_no in range(1, 43):
@@ -490,6 +502,9 @@ class TestIngest:
         fresh = load_corpus(pinned_corpus)
         loaded = load_corpus(legacy)
         assert [_without_embedding(e) for e in loaded] == [_without_embedding(e) for e in fresh]
+        assert [e.table_markdown for e in loaded] == [e.table.to_markdown() for e in fresh]
+        rows = read_rows(loaded, np.empty((42, INPUT_DIM), dtype=np.float32))
+        assert rows.tobytes() == _sidecar_matrix(pinned_corpus).tobytes()
         one = load_example(legacy, fresh[3].id)
         assert _without_embedding(one) == _without_embedding(fresh[3])
         assert _read_one(one).tobytes() == _sidecar_matrix(pinned_corpus)[3].tobytes()
@@ -591,6 +606,52 @@ class TestBadRecords:
         err = capsys.readouterr().err
         assert err.startswith("error: IngestError: ")
         assert "corpus.jsonl:4: bad record" in err
+
+
+TABLE_SHAPE = "field 'table' is not an object with a 'columns' list and a list of 'rows' lists"
+
+# One edit per record check, each on an otherwise valid raw or stored record,
+# and the reason `example_from_raw` gives for it.
+RECORD_CHECKS = [
+    pytest.param(lambda rec: rec.pop("question"), "missing field 'question'",
+                 id="missing-question"),
+    pytest.param(lambda rec: rec.update(gold_answer=""), "missing field 'gold_answer'",
+                 id="empty-gold"),
+    pytest.param(lambda rec: rec["table"].update(columns="ivy"), TABLE_SHAPE,
+                 id="string-columns"),
+    pytest.param(lambda rec: rec["table"].update(rows=["ivy"]), TABLE_SHAPE,
+                 id="rows-not-lists"),
+    pytest.param(lambda rec: rec.update(table={"columns": ["a", "b"], "rows": [["1"]]}),
+                 "row width 1 does not match 2 columns", id="ragged-row"),
+    pytest.param(lambda rec: rec.update(dataset="nope"), "unknown dataset tag 'nope'",
+                 id="unknown-tag"),
+]
+
+
+class TestRecordChecks:
+    """Raw records in `ingest` and stored records in `load_corpus` and
+    `load_example` pass the same checks and fail them with the same reason."""
+
+    @pytest.mark.parametrize("edit,reason", RECORD_CHECKS)
+    def test_ingest_skips_with_the_reason(self, tmp_path, edit, reason):
+        raws = make_raw_records(10, seed=6)
+        bad = json.loads(json.dumps(raws[3]))
+        edit(bad)
+        raws[3] = bad
+        backends, agent = build_sim_stack(raws, seed=6)
+        result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.5)
+        assert result.skipped == [(bad["id"], reason)]
+        assert len(result.examples) == 9
+
+    @pytest.mark.parametrize("edit,reason", RECORD_CHECKS)
+    def test_load_names_the_line_and_the_reason(self, pinned_corpus, tmp_path, edit, reason):
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        example_id = _edit_line(tmp_path / "c", 4, edit)
+        message = re.escape(f"corpus.jsonl:4: bad record ({reason})")
+        with pytest.raises(IngestError, match=message):
+            load_corpus(tmp_path / "c")
+        with pytest.raises(IngestError, match=message):
+            load_example(tmp_path / "c", example_id)
 
 
 class TestLoadExample:
@@ -715,8 +776,8 @@ def _random_examples(n, seed):
     rows = rng.normal(size=(n, INPUT_DIM)).astype(np.float32)
     scores = rng.integers(0, 2, size=(n, 3))
     t = Table(columns=("a",), rows=(("1",),))
-    return [RoutingExample(f"r-{i:04d}", "wtq", "q", t, t.to_markdown(),
-                           tuple(int(s) for s in scores[i]), "g", embedding=rows[i])
+    return [RoutingExample(f"r-{i:04d}", "wtq", "q", t, tuple(int(s) for s in scores[i]),
+                           "g", embedding=rows[i])
             for i in range(n)]
 
 

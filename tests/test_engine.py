@@ -70,7 +70,6 @@ def make_example(i=0, dataset="wtq", scores=(1, 0, 1)):
         dataset=dataset,
         question="What is the value for copper?",
         table=table,
-        table_markdown=table.to_markdown(),
         path_scores=scores,
         gold_answer="120",
     )
@@ -205,6 +204,18 @@ class TestInfer:
         assert rec.t_phase3 == pytest.approx(1.8)
         assert rec.parallel_latency == pytest.approx(2.001)
         assert rec.fusion_role is not None
+
+    def test_fusion_builds_the_markdown_once(self, monkeypatch):
+        # both experts and the agent's prompt read the table's markdown
+        calls = []
+        to_markdown = Table.to_markdown
+        monkeypatch.setattr(Table, "to_markdown",
+                            lambda table: calls.append(table) or to_markdown(table))
+        ex = make_example()
+        backends, agent = make_stack([ex])
+        rec = infer(ex, forced_gate(2), backends, agent, DEFAULT_PATH_COSTS)
+        assert rec.chosen_path == "fusion" and rec.fusion_role is not None
+        assert calls == [ex.table]
 
     def test_fusion_phase3_at_least_each_generation(self):
         ex = make_example()
@@ -423,11 +434,20 @@ class TestBench:
         assert len(lines) == 1 + 4 + 4
 
 
+def assert_agent_time_charged(seconds, base):
+    """`seconds` is `base` plus the agent time that a `max_retries=2`,
+    `backoff_s=0.01` client spends before giving up on a fake session: the
+    0.01 + 0.02 s of backoff it passes to `sleep`, and microseconds for its
+    three failed attempts."""
+    assert base + 0.03 - 1e-9 <= seconds < base + 0.08
+
+
 class TestUnreachableAgent:
     """A remote fusion agent that refuses every connection, behind simulated
     experts (text 1.0 s and 20 tokens, image 1.5 s): each fusion inference
     degrades to the text expert's answer and is charged the slower
-    generation time only."""
+    generation time plus the agent time spent before giving up, which is at
+    least the backoff of its two retries (0.01 + 0.02 s)."""
 
     MAX_RETRIES = 2
 
@@ -456,7 +476,7 @@ class TestUnreachableAgent:
             assert rec.fusion_role is None
             assert rec.final_answer == text_out.answer != ex.gold_answer
             assert rec.output_tokens == text_out.output_tokens
-            assert rec.t_phase3 == 1.5  # max(1.0, 1.5), no agent time
+            assert_agent_time_charged(rec.t_phase3, 1.5)  # max(1.0, 1.5) + agent time
         assert len(session.calls) == len(examples) * (self.MAX_RETRIES + 1)
         assert {c["url"] for c in session.calls} == {"http://agent:9000/complete"}
 
@@ -471,10 +491,11 @@ class TestUnreachableAgent:
         by_key = {(r.dataset, r.mode): r for r in report.rows}
         for dataset in ("wtq", "tabmwp"):
             # phase 1 0.2 + phase 2 (0.001 adaptive, 0 non-adaptive) + 1.5
+            # + the agent time spent
             for mode, latency in ((MODE_ADAPTIVE, 1.701), (MODE_NON_ADAPTIVE, 1.7)):
                 row = by_key[(dataset, mode)]
-                assert row.mean_latency_s == pytest.approx(latency)
-                assert row.mean_tps == pytest.approx(20 / latency)
+                assert_agent_time_charged(row.mean_latency_s, latency)
+                assert row.mean_tps == pytest.approx(20 / row.mean_latency_s, rel=1e-3)
         assert len(session.calls) == 2 * len(examples) * (self.MAX_RETRIES + 1)
         assert not session.outcomes
         # every inference degraded; bench.csv has no column for it
@@ -557,7 +578,7 @@ class TestRemoteFailures:
             gold_answer=examples[1].gold_answer)
         assert second.degraded is True and second.fusion_role is None
         assert second.final_answer == text_out.answer != examples[1].gold_answer
-        assert second.t_phase3 == 1.5  # max(1.0, 1.5), no agent time
+        assert_agent_time_charged(second.t_phase3, 1.5)  # max(1.0, 1.5) + agent time
 
 
 class TestEmbeddingFailures:

@@ -181,6 +181,21 @@ class TestFuse:
         with pytest.raises(FusionUnavailableError):
             fuse(sample_request(), DeadAgent())
 
+    @pytest.mark.parametrize("replies,agent_seconds", [([], 0.5), (["garbage"], 0.7)],
+                             ids=["first-call", "strict-retry"])
+    def test_fusion_unavailable_carries_the_agent_time_spent(self, replies, agent_seconds):
+        # an earlier unparsable reply's 0.2 s counts, plus the failed call's elapsed_s
+        class FailingAgent(ReplyAgent):
+            def complete(self, prompt, *, context=None):
+                if self.replies:
+                    return super().complete(prompt, context=context)
+                raise TransportError("down", endpoint="http://agent", attempts=3,
+                                     elapsed_s=0.5)
+
+        with pytest.raises(FusionUnavailableError) as err:
+            fuse(sample_request(), FailingAgent(replies, latency=0.2))
+        assert err.value.agent_seconds == pytest.approx(agent_seconds)
+
     def test_label_driven_agent(self):
         agent = label_agent({"ex-1": 1, "ex-2": 0})
         ok = fuse(sample_request(), agent, context={"example_id": "ex-1", "gold_answer": "Bolivia"})

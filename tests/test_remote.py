@@ -72,6 +72,17 @@ class TestRetryContract:
         assert err.value.attempts == 3
         assert "http://backend:9000/embed" in str(err.value)
 
+    def test_failure_carries_attempt_and_backoff_seconds(self):
+        sleeps = []
+        session = FakeSession([requests.Timeout()] * 3)
+        client = RemoteClient("http://backend:9000", timeout_s=1.0, max_retries=2,
+                              backoff_s=0.01, session=session, sleep=sleeps.append)
+        with pytest.raises(RequestTimeoutError) as err:
+            client.post_json("/complete", {})
+        assert sleeps == [0.01, 0.02]
+        # the fake attempts return at once, so the backoff is nearly all of it
+        assert sum(sleeps) <= err.value.elapsed_s < sum(sleeps) + 0.05
+
     def test_timeout_surfaced_distinctly(self):
         client, _ = make_client([requests.Timeout()] * 3)
         with pytest.raises(RequestTimeoutError):

@@ -134,7 +134,6 @@ def toy_example(i, dataset, scores, coord, d_small=False):
         dataset=dataset,
         question=f"q{i}",
         table=table,
-        table_markdown=table.to_markdown(),
         path_scores=scores,
         gold_answer="1",
         embedding=concat_input(q[None], t[None], v[None])[0],
