@@ -2,8 +2,9 @@
 
 Every command resolves a RunConfig (built-in defaults, optional JSON config
 file via --config or the TABLEROUTE_CONFIG env var, then CLI overrides),
-writes its outputs into the run directory next to a resolved config
-snapshot, and exits 0 on success, 2 on config errors, 1 on runtime errors.
+writes its outputs into the run directory and then, last, a resolved config
+snapshot beside them, and exits 0 on success, 2 on config errors, 1 on
+runtime errors.
 
 The synthetic, ingest and analysis modules are imported inside the commands
 that call them, so `route` and `infer` do not pay to import them. The
@@ -64,13 +65,19 @@ def _corpus_dir(cfg: RunConfig) -> str:
 
 
 def _start_run(args: argparse.Namespace):
-    """The resolved config and run directory, after writing the config
-    snapshot there, and the corpus."""
+    """The resolved config, the corpus and the run directory, created once
+    the corpus has loaded."""
     cfg = _resolve_config(args)
+    examples = load_corpus(_corpus_dir(cfg))
     run_dir = Path(cfg.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, run_dir, examples
+
+
+def _finish_run(cfg: RunConfig, run_dir: Path) -> None:
+    """Write the config snapshot, after the command's outputs: a command
+    that fails leaves the previous snapshot in place."""
     write_lines(run_dir / SNAPSHOT_NAME, [cfg.snapshot_json()])
-    return cfg, run_dir, load_corpus(_corpus_dir(cfg))
 
 
 def _require_example(cfg: RunConfig, example_id: str):
@@ -144,6 +151,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_lines(run_dir / "val_metrics.json",
                     [json.dumps(asdict(result.val_metrics), indent=2, sort_keys=True)])
     save_checkpoint(run_dir / "gate.ckpt", result.params, metadata)
+    _finish_run(cfg, run_dir)
     acc = result.val_metrics.routing_accuracy if result.val_metrics else float("nan")
     print(f"trained {result.total_steps} steps; best val routing accuracy {acc:.4f}; "
           f"checkpoint at {run_dir / 'gate.ckpt'}")
@@ -202,6 +210,7 @@ def cmd_profile_cost(args: argparse.Namespace) -> int:
     for m in measurements:
         lines.append(f"{m.path},{m.avg_latency_seconds!r},{m.avg_tps!r},{m.cost!r}")
     write_lines(run_dir / "costs.csv", lines)
+    _finish_run(cfg, run_dir)
     print(f"measured path costs {tuple(round(c, 4) for c in costs.costs)} "
           f"over {len(testbed)} samples; CSV at {run_dir / 'costs.csv'}")
     return 0
@@ -216,6 +225,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         cfg.bench_config(), cfg.engine_config(),
     )
     engine.write_bench_csv(report, run_dir / "bench.csv")
+    _finish_run(cfg, run_dir)
     degraded = [f"{d}/{m} {k}" for (d, m), k in sorted(report.degraded.items()) if k]
     if degraded:
         print("warning: degraded inferences (per dataset/mode, all seeds): "
@@ -236,6 +246,7 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
     )
     analysis.write_path_distribution_csv(rows, run_dir / "path_distribution.csv")
     analysis.write_alignment_csv(rows, run_dir / "alignment_performance.csv")
+    _finish_run(cfg, run_dir)
     print(f"swept {len(rows)} resource weights; CSVs in {run_dir}")
     return 0
 
@@ -264,6 +275,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"both_wrong_unsolved_pct,{partition.both_wrong_unsolved!r}",
     ]
     write_lines(run_dir / "analysis.csv", lines)
+    _finish_run(cfg, run_dir)
     print(f"analysis of {len(records)} records written to {run_dir / 'analysis.csv'}")
     return 0
 

@@ -92,7 +92,7 @@ def route_batch(
     gate: GateParameters,
     X: np.ndarray,
     costs: PathCostVector = DEFAULT_PATH_COSTS,
-    gate_temperature: float = 1.0,
+    gate_temperature: float = EngineConfig.gate_temperature,
 ) -> list[RouteDecision]:
     """Pick a path for each row of the [B, 10,112] gate input `X` with one
     float64 gate call (`compute_params`): `choose_paths` over the logits,
@@ -108,7 +108,7 @@ def route(
     gate: GateParameters,
     x: np.ndarray,
     costs: PathCostVector = DEFAULT_PATH_COSTS,
-    gate_temperature: float = 1.0,
+    gate_temperature: float = EngineConfig.gate_temperature,
 ) -> RouteDecision:
     """Route the one 10,112-dim gate input `x`: a one-row `route_batch`."""
     return route_batch(gate, np.ravel(x)[None, :], costs, gate_temperature)[0]
@@ -372,8 +372,9 @@ def _tps(out: ExpertOutput) -> float:
 def measure_all_costs(
     testbed: Sequence[RoutingExample],
     backends: EngineBackends,
-    warmup_runs: int = 5,
-    timed_runs: int = 10,
+    *,
+    warmup_runs: int,
+    timed_runs: int,
     api_overhead_s: float = EngineConfig.fusion_api_overhead_s,
 ) -> tuple[PathCostVector, list[CostMeasurement]]:
     """Measure each path's average latency and TPS over the testbed.

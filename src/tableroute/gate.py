@@ -360,11 +360,15 @@ def load_checkpoint(
         stored = fh.read(4)
     if struct.pack("<I", crc) != stored:
         raise CheckpointIntegrityError(f"checksum mismatch in {path}")
+    try:
+        meta = {str(k, "utf-8"): str(v, "utf-8") for k, v in raw_meta}
+    except UnicodeDecodeError as e:
+        raise CheckpointIntegrityError(
+            f"checkpoint metadata is not UTF-8 in {path}: {e}") from None
     if version != _CKPT_VERSION:
         raise IncompatibleCheckpointError(f"unsupported checkpoint version {version}")
     if expected_dims is not None and (d_in, d_h, d_out) != tuple(expected_dims):
         raise IncompatibleCheckpointError(
             f"checkpoint dims {(d_in, d_h, d_out)} differ from expected {tuple(expected_dims)}"
         )
-    meta = {str(k, "utf-8"): str(v, "utf-8") for k, v in raw_meta}
     return GateParameters(*arrays), meta

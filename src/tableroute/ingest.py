@@ -57,7 +57,8 @@ def ingest(
     backends: EngineBackends,
     agent: AgentBackend,
     out_dir: str | Path,
-    skip_threshold: float = 0.2,
+    *,
+    skip_threshold: float,
 ) -> IngestResult:
     """Build a corpus directory from raw records.
 

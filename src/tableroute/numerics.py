@@ -142,9 +142,9 @@ def adamw_step(
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    lr_max: float = 1e-4
-    warmup_ratio: float = 0.05
-    total_steps: int = 1
+    lr_max: float
+    warmup_ratio: float
+    total_steps: int
 
     def __post_init__(self):
         if not 0.0 <= self.warmup_ratio < 1.0:

@@ -36,9 +36,10 @@ class RemoteClient:
     def __init__(
         self,
         endpoint: str,
-        timeout_s: float = 10.0,
-        max_retries: int = 2,
-        backoff_s: float = 0.5,
+        *,
+        timeout_s: float,
+        max_retries: int,
+        backoff_s: float,
         session=None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -123,17 +124,21 @@ class RemoteEmbeddingBackend:
         else:
             req["text"] = payload
         body, elapsed = self.client.post_json("/embed", req)
+        url = f"{self.client.endpoint}/embed"
         if "embedding" not in body or not isinstance(body["embedding"], list):
-            raise MalformedResponseError(
-                f"{self.client.endpoint}/embed response missing 'embedding' field"
-            )
-        vec = np.asarray(body["embedding"], dtype=np.float32)
+            raise MalformedResponseError(f"{url} response missing 'embedding' field")
+        try:
+            vec = np.asarray(body["embedding"])
+        except ValueError as e:  # a ragged nesting of lists
+            raise MalformedResponseError(f"{url} 'embedding' is not an array: {e}") from None
+        if vec.dtype.kind not in "if":
+            raise MalformedResponseError(f"{url} 'embedding' has entries that are not numbers")
         if vec.shape != (self.dim,):
             raise ContractViolationError(
-                f"{self.client.endpoint}/embed returned {vec.size}-dim vector "
-                f"for {self.modality}, expected {self.dim}"
+                f"{url} returned an embedding of shape {vec.shape} "
+                f"for {self.modality}, expected ({self.dim},)"
             )
-        return vec, elapsed
+        return vec.astype(np.float32), elapsed
 
 
 class RemoteGenerationBackend:
@@ -159,16 +164,19 @@ class RemoteGenerationBackend:
                 "dataset_tag": dataset_tag,
             },
         )
-        if "answer" not in body:
-            raise MalformedResponseError(
-                f"{self.client.endpoint}/generate response missing 'answer' field"
-            )
-        answer = str(body["answer"])
+        url = f"{self.client.endpoint}/generate"
+        answer = body.get("answer")
+        if not isinstance(answer, str):
+            raise MalformedResponseError(f"{url} response needs a string 'answer', got {answer!r}")
         explanation = str(body.get("explanation", ""))
         tokens = body.get("output_tokens")
         if tokens is None:
             tokens = whitespace_token_count(f"{answer} {explanation}".strip())
-        return ExpertOutput(answer, explanation, elapsed, int(tokens))
+        # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
+        elif type(tokens) is not int or tokens < 0:
+            raise MalformedResponseError(
+                f"{url} 'output_tokens' must be an integer >= 0, got {tokens!r}")
+        return ExpertOutput(answer, explanation, elapsed, tokens)
 
 
 class RemoteAgentBackend:
@@ -177,8 +185,8 @@ class RemoteAgentBackend:
 
     def complete(self, prompt: str, *, context=None) -> AgentReply:
         body, elapsed = self.client.post_json("/complete", {"prompt": prompt})
-        if "text" not in body:
+        text = body.get("text")
+        if not isinstance(text, str):
             raise MalformedResponseError(
-                f"{self.client.endpoint}/complete response missing 'text' field"
-            )
-        return AgentReply(text=str(body["text"]), latency_seconds=elapsed, output_tokens=None)
+                f"{self.client.endpoint}/complete response needs a string 'text', got {text!r}")
+        return AgentReply(text=text, latency_seconds=elapsed, output_tokens=None)

@@ -1,13 +1,14 @@
 """Run configuration: a JSON file of known sections overlaying built-in
-defaults. Unknown keys are rejected with the offending key path, every value
-is checked against its rule in `_RULES`, and `corpus_dir` must exist, all at
-load time. The `train`, `engine` and `bench` dataclasses live here, so
-loading a config imports no trainer or engine."""
+defaults. Each key is declared once, in `_KEYS`, with its default and its
+rule. Unknown keys are rejected with the offending key path, every value is
+checked against its rule, and `corpus_dir` must exist, all at load time.
+The `train`, `engine` and `bench` dataclasses live here, so loading a config
+imports no trainer or engine."""
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -41,63 +42,13 @@ class EngineConfig:
     gate_latency_s: float = 0.001
     fusion_api_overhead_s: float = 0.3
     timing: str = "configured"  # "configured" keeps benches deterministic; "wallclock" measures
-    gate_temperature: float = 1.0
+    gate_temperature: float = TrainConfig.gate_temperature
 
 
 @dataclass(frozen=True)
 class BenchConfig:
     n_per_dataset: int = 50
     seeds: tuple[int, ...] = (0, 1, 2)
-
-
-def _field_defaults(cls, exclude: tuple[str, ...] = ()) -> dict[str, Any]:
-    """The dataclass's field defaults by name, except the `exclude`d fields."""
-    return {f.name: f.default for f in fields(cls) if f.name not in exclude}
-
-
-# The train and engine keys that map one to one onto dataclass fields. The
-# train `seed` is the top-level one; the engine takes `gate_temperature` from
-# the train section.
-_TRAIN_DEFAULTS = _field_defaults(TrainConfig, ("seed",))
-_ENGINE_DEFAULTS = _field_defaults(EngineConfig, ("gate_temperature",))
-
-_DEFAULTS: dict[str, Any] = {
-    "seed": 0,
-    "corpus_dir": None,
-    "run_dir": "runs/latest",
-    "train": {**_TRAIN_DEFAULTS, "val_fraction": 0.15},
-    "cost_vector": list(DEFAULT_PATH_COSTS.costs),
-    "backends": {
-        "kind": "simulated",
-        "embedding_seed": 0,
-        "embedding_bias_scale": 1.0,
-        "question_embed_latency": [0.05, 0.0],
-        "text_embed_latency": [0.10, 0.0],
-        "vision_embed_latency": [0.20, 0.0],
-        "text_gen_latency": [1.445, 0.0],
-        "image_gen_latency": [1.559, 0.0],
-        "text_gen_tokens": [64, 0],
-        "image_gen_tokens": [29, 0],
-        "endpoint": None,
-        "timeout_s": 10.0,
-        "max_retries": 2,
-        "backoff_s": 0.5,
-    },
-    "agent": {
-        "kind": "scripted",
-        "latency": [0.3, 0.0],
-        "tokens": [12, 0],
-        "endpoint": None,
-        "timeout_s": 10.0,
-        "max_retries": 2,
-        "backoff_s": 0.5,
-    },
-    "engine": _ENGINE_DEFAULTS,
-    "bench": _field_defaults(BenchConfig),
-    "profile": {"samples_per_dataset": 10, "warmup_runs": 5, "timed_runs": 10},
-    "ingest": {"skip_threshold": 0.2},
-    "sweep": {"resource_weights": [0.0, 0.05, 0.1, 0.15, 1.0]},
-}
 
 
 # A rule is a check that a value passes and the phrase naming what passes.
@@ -148,48 +99,68 @@ _ABOVE_0 = _number(lambda v: v > 0, "a finite number > 0")
 _FRACTION = _number(lambda v: 0 <= v < 1, "a number in [0, 1)")
 _LATENCY = _pair(_ABOVE_0)
 _TOKENS = _pair(_AT_LEAST_0)
-_REMOTE = {"endpoint": _text(optional=True), "timeout_s": _ABOVE_0, "max_retries": _int(0),
-           "backoff_s": _AT_LEAST_0}
+_REMOTE = {"endpoint": (None, _text(optional=True)), "timeout_s": (10.0, _ABOVE_0),
+           "max_retries": (2, _int(0)), "backoff_s": (0.5, _AT_LEAST_0)}
 
-# One rule for each leaf key path of `_DEFAULTS`; `_validate` checks them all.
-_RULES: dict[str, Rule] = {
-    "seed": _int(0),
-    "corpus_dir": _text(optional=True),
-    "run_dir": _text(optional=False),
-    "train.lr_max": _AT_LEAST_0,
-    "train.batch_size": _int(1),
-    "train.grad_accum_steps": _int(1),
-    "train.weight_decay": _AT_LEAST_0,
-    "train.clip_norm": _ABOVE_0,
-    "train.target_temperature": _ABOVE_0,
-    "train.gate_temperature": _ABOVE_0,
-    "train.resource_weight": _AT_LEAST_0,
-    "train.warmup_ratio": _FRACTION,
-    "train.epochs": _int(1),
-    "train.val_fraction": _FRACTION,
-    "cost_vector": _list(_ABOVE_0, N_PATHS),
-    "backends.kind": _one_of("simulated", "remote"),
-    "backends.embedding_seed": _int(0),
-    "backends.embedding_bias_scale": _AT_LEAST_0,
-    **{f"backends.{m}_embed_latency": _LATENCY for m in MODALITIES},
-    **{f"backends.{p}_gen_latency": _LATENCY for p in PATH_NAMES[:2]},
-    **{f"backends.{p}_gen_tokens": _TOKENS for p in PATH_NAMES[:2]},
-    **{f"backends.{k}": rule for k, rule in _REMOTE.items()},
-    "agent.kind": _one_of("scripted", "remote"),
-    "agent.latency": _LATENCY,
-    "agent.tokens": _TOKENS,
-    **{f"agent.{k}": rule for k, rule in _REMOTE.items()},
-    "engine.gate_latency_s": _AT_LEAST_0,
-    "engine.fusion_api_overhead_s": _AT_LEAST_0,
-    "engine.timing": _one_of("configured", "wallclock"),
-    "bench.n_per_dataset": _int(1),
-    "bench.seeds": _list(_int(0)),
-    "profile.samples_per_dataset": _int(1),
-    "profile.warmup_runs": _int(0),
-    "profile.timed_runs": _int(1),
-    "ingest.skip_threshold": _number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-    "sweep.resource_weights": _list(_AT_LEAST_0),
+# Every config key path, with its default and the rule its value must pass,
+# in the order `_validate` checks them. The train `seed` is the top-level one;
+# the engine takes `gate_temperature` from the train section.
+_KEYS: dict[str, tuple[Any, Rule]] = {
+    "seed": (TrainConfig.seed, _int(0)),
+    "corpus_dir": (None, _text(optional=True)),
+    "run_dir": ("runs/latest", _text(optional=False)),
+    "train.lr_max": (TrainConfig.lr_max, _AT_LEAST_0),
+    "train.batch_size": (TrainConfig.batch_size, _int(1)),
+    "train.grad_accum_steps": (TrainConfig.grad_accum_steps, _int(1)),
+    "train.weight_decay": (TrainConfig.weight_decay, _AT_LEAST_0),
+    "train.clip_norm": (TrainConfig.clip_norm, _ABOVE_0),
+    "train.target_temperature": (TrainConfig.target_temperature, _ABOVE_0),
+    "train.gate_temperature": (TrainConfig.gate_temperature, _ABOVE_0),
+    "train.resource_weight": (TrainConfig.resource_weight, _AT_LEAST_0),
+    "train.warmup_ratio": (TrainConfig.warmup_ratio, _FRACTION),
+    "train.epochs": (TrainConfig.epochs, _int(1)),
+    "train.val_fraction": (0.15, _FRACTION),
+    "cost_vector": (DEFAULT_PATH_COSTS.costs, _list(_ABOVE_0, N_PATHS)),
+    "backends.kind": ("simulated", _one_of("simulated", "remote")),
+    "backends.embedding_seed": (0, _int(0)),
+    "backends.embedding_bias_scale": (1.0, _AT_LEAST_0),
+    "backends.question_embed_latency": ([0.05, 0.0], _LATENCY),
+    "backends.text_embed_latency": ([0.10, 0.0], _LATENCY),
+    "backends.vision_embed_latency": ([0.20, 0.0], _LATENCY),
+    "backends.text_gen_latency": ([1.445, 0.0], _LATENCY),
+    "backends.image_gen_latency": ([1.559, 0.0], _LATENCY),
+    "backends.text_gen_tokens": ([64, 0], _TOKENS),
+    "backends.image_gen_tokens": ([29, 0], _TOKENS),
+    **{f"backends.{k}": entry for k, entry in _REMOTE.items()},
+    "agent.kind": ("scripted", _one_of("scripted", "remote")),
+    "agent.latency": ([0.3, 0.0], _LATENCY),
+    "agent.tokens": ([12, 0], _TOKENS),
+    **{f"agent.{k}": entry for k, entry in _REMOTE.items()},
+    "engine.gate_latency_s": (EngineConfig.gate_latency_s, _AT_LEAST_0),
+    "engine.fusion_api_overhead_s": (EngineConfig.fusion_api_overhead_s, _AT_LEAST_0),
+    "engine.timing": (EngineConfig.timing, _one_of("configured", "wallclock")),
+    "bench.n_per_dataset": (BenchConfig.n_per_dataset, _int(1)),
+    "bench.seeds": (BenchConfig.seeds, _list(_int(0))),
+    "profile.samples_per_dataset": (10, _int(1)),
+    "profile.warmup_runs": (5, _int(0)),
+    "profile.timed_runs": (10, _int(1)),
+    "ingest.skip_threshold": (0.2, _number(lambda v: 0 <= v <= 1, "a number in [0, 1]")),
+    "sweep.resource_weights": ([0.0, 0.05, 0.1, 0.15, 1.0], _list(_AT_LEAST_0)),
 }
+
+
+def _tree(keys: Mapping[str, tuple[Any, Rule]]) -> dict[str, Any]:
+    """The defaults of `keys` as a config tree: "train.lr_max" becomes
+    ["train"]["lr_max"]. `load_runconfig` copies it through JSON, which
+    turns its tuples into lists."""
+    tree: dict[str, Any] = {}
+    for path, (default, _) in keys.items():
+        section, _, leaf = path.rpartition(".")
+        (tree.setdefault(section, {}) if section else tree)[leaf] = default
+    return tree
+
+
+_DEFAULTS = _tree(_KEYS)
 
 
 def _merge(defaults: Any, override: Any, path: str) -> Any:
@@ -208,7 +179,7 @@ def _merge(defaults: Any, override: Any, path: str) -> Any:
 
 @dataclass
 class RunConfig:
-    data: dict[str, Any] = field(default_factory=lambda: json.loads(json.dumps(_DEFAULTS)))
+    data: dict[str, Any]
 
     def __getitem__(self, key: str) -> Any:
         return self.data[key]
@@ -227,17 +198,15 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         t = self.data["train"]
-        return TrainConfig(**{k: t[k] for k in _TRAIN_DEFAULTS}, seed=self.seed)
+        return TrainConfig(**{f.name: t[f.name] for f in fields(TrainConfig) if f.name != "seed"},
+                           seed=self.seed)
 
     def cost_vector(self) -> PathCostVector:
         return PathCostVector(tuple(float(c) for c in self.data["cost_vector"]))
 
     def engine_config(self) -> EngineConfig:
-        e = self.data["engine"]
-        return EngineConfig(
-            **{k: e[k] for k in _ENGINE_DEFAULTS},
-            gate_temperature=self.data["train"]["gate_temperature"],
-        )
+        return EngineConfig(**self.data["engine"],
+                            gate_temperature=self.data["train"]["gate_temperature"])
 
     def bench_config(self) -> BenchConfig:
         b = self.data["bench"]
@@ -269,7 +238,7 @@ def load_runconfig(
 
 
 def _validate(cfg: RunConfig) -> None:
-    for key, (check, phrase) in _RULES.items():
+    for key, (_, (check, phrase)) in _KEYS.items():
         value = cfg.data
         for part in key.split("."):
             value = value[part]

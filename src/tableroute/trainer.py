@@ -242,8 +242,10 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
     return Z
 
 
-def route_split(gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector,
-                gate_temperature: float = 1.0) -> tuple[PolicyEval, np.ndarray]:
+def route_split(
+    gate: GateParameters, data: Sequence[RoutingExample], cost: PathCostVector,
+    gate_temperature: float = TrainConfig.gate_temperature,
+) -> tuple[PolicyEval, np.ndarray]:
     """The policy's metrics on `data` (argmax-routing accuracy, expected soft
     cost, chosen-path mix) and its chosen path per example, from one routing
     pass."""

@@ -14,7 +14,7 @@ from tableroute.errors import ConfigError, ConnectionFailedError
 from tableroute.gate import init_gate, save_checkpoint
 from tableroute.runconfig import load_runconfig
 
-from test_gate import write_legacy_checkpoint
+from test_gate import write_legacy_checkpoint, write_non_utf8_metadata_checkpoint
 
 
 @pytest.fixture()
@@ -65,16 +65,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             load_runconfig(bad)
 
-    def test_every_default_key_has_one_rule(self):
-        def leaf_paths(tree, prefix=""):
-            for key, value in tree.items():
-                if isinstance(value, dict):
-                    yield from leaf_paths(value, f"{prefix}{key}.")
-                else:
-                    yield prefix + key
-
-        assert sorted(runconfig._RULES) == sorted(leaf_paths(runconfig._DEFAULTS))
-
     def test_overrides_merge(self):
         cfg = load_runconfig(None, overrides={"train": {"resource_weight": 0.5}})
         assert cfg.train_config().resource_weight == 0.5
@@ -94,6 +84,15 @@ class TestExitCodes:
         code = run("route", "--corpus", corpus, "--checkpoint",
                    workdir / "missing.ckpt", "--id", "syn-000000")
         assert code in (1, 2)
+
+    def test_non_utf8_checkpoint_metadata_exits_1(self, workdir, capsys):
+        (workdir / "corpus").mkdir()
+        write_non_utf8_metadata_checkpoint(workdir / "bad.ckpt")
+        assert run("route", "--corpus", "corpus", "--checkpoint", workdir / "bad.ckpt",
+                   "--id", "syn-000000") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: CheckpointIntegrityError: ")
+        assert str(workdir / "bad.ckpt") in err[0]
 
     def test_env_var_config(self, workdir, monkeypatch, capsys):
         bad = workdir / "bad.json"
@@ -461,6 +460,19 @@ class TestPipeline:
         assert "lambda_sweep: empty validation split" in capsys.readouterr().err
         assert not (rd / "path_distribution.csv").exists()
         assert not (rd / "alignment_performance.csv").exists()
+
+    def test_failed_run_leaves_the_run_directory_as_it_was(self, workdir, capsys):
+        # The corpus directory exists, so the config loads, but holds no
+        # corpus: `train` fails at run time, after the config has resolved.
+        corpus = make_corpus(workdir, n=40)
+        rd = workdir / "run"
+        assert run("train", "--corpus", corpus, "--run-dir", rd, "--seed", 7) == 0
+        before = {p.name: p.read_bytes() for p in rd.iterdir()}
+        (workdir / "empty").mkdir()
+        assert run("train", "--corpus", workdir / "empty", "--run-dir", rd, "--seed", 8) == 1
+        assert "no corpus file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in rd.iterdir()} == before
+        assert json.loads(before["config.snapshot.json"])["seed"] == 7
 
     def test_snapshot_reproduces_outputs_bitwise(self, workdir):
         corpus = make_corpus(workdir, n=80)

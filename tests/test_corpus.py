@@ -367,7 +367,7 @@ class TestIngest:
     def test_ten_record_smoke(self, tmp_path):
         raws = make_raw_records(10, seed=5)
         backends, agent = build_sim_stack(raws, seed=5)
-        result = ingest(raws, backends, agent, tmp_path)
+        result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2)
         assert len(result.examples) == 10
         assert not result.skipped
         loaded = load_corpus(tmp_path)
@@ -398,7 +398,7 @@ class TestIngest:
         rest = [r for r in raws if r is not raws[bad]]
         assert [e.id for e in result.examples] == [r["id"] for r in rest]
         backends, agent = build_sim_stack(raws, seed=3)
-        ingest(rest, backends, agent, tmp_path / "want")
+        ingest(rest, backends, agent, tmp_path / "want", skip_threshold=0.2)
         for name in ("corpus.jsonl", "embeddings.bin"):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
@@ -415,7 +415,7 @@ class TestIngest:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             backends, agent = build_sim_stack(raws, seed=8)
-            ingest(raws, backends, agent, out)
+            ingest(raws, backends, agent, out, skip_threshold=0.2)
         for name in ("corpus.jsonl", "embeddings.bin"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -428,7 +428,7 @@ class TestIngest:
         backends, agent = runconfig.build_stack(
             runconfig.load_runconfig(None), labels, sorted({r["dataset"] for r in raws})
         )
-        ingested = ingest(raws, backends, agent, tmp_path).examples
+        ingested = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2).examples
         train, val = make_separable_corpus(SeparableCorpusConfig(n_train=30, n_val=10, seed=0))
         separable = sorted(train + val, key=lambda e: e.id)
         assert [e.id for e in ingested] == [e.id for e in separable]
@@ -454,7 +454,7 @@ class TestIngest:
         # the other records' bytes are those of an ingest without the bad one
         rest = [r for r in raws if r is not raws[bad]]
         backends, agent = build_sim_stack(raws, seed=2)
-        ingest(rest, backends, agent, tmp_path / "want")
+        ingest(rest, backends, agent, tmp_path / "want", skip_threshold=0.2)
         for name in ("corpus.jsonl", "embeddings.bin"):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
@@ -468,7 +468,7 @@ class TestIngest:
         wrong = FakeResponse({"embedding": [0.5] * 5})
         replies = [FakeResponse({"embedding": v}) for v in vectors]
         session = FakeSession([*replies[:2], wrong, *replies[:2], wrong, replies[3]])
-        client = RemoteClient("http://embed:9000", timeout_s=1.0, max_retries=0,
+        client = RemoteClient("http://embed:9000", timeout_s=1.0, max_retries=0, backoff_s=0.01,
                               session=session, sleep=lambda s: None)
         backends, agent = build_sim_stack(raws, seed=4)
         backends.question_embedder = RemoteEmbeddingBackend(client, "question")
@@ -476,8 +476,8 @@ class TestIngest:
         assert not session.outcomes
         assert [c["json"]["text"] for c in session.calls] == [*questions[:3], *questions]
         ids = sorted(r["id"] for r in raws)
-        assert result.skipped == [(ids[2], "http://embed:9000/embed returned 5-dim vector "
-                                            f"for question, expected {QUESTION_DIM}")]
+        assert result.skipped == [(ids[2], "http://embed:9000/embed returned an embedding of "
+                                            f"shape (5,) for question, expected ({QUESTION_DIM},)")]
         assert [e.id for e in result.examples] == ids[:2] + ids[3:]
         kept = _sidecar_matrix(tmp_path)[:, :QUESTION_DIM]
         np.testing.assert_array_equal(kept, np.asarray([vectors[0], vectors[1], vectors[3]]))

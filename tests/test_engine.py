@@ -27,6 +27,7 @@ from tableroute.engine import (
     write_bench_csv,
 )
 from tableroute.errors import (
+    ConnectionFailedError,
     InferenceError,
     InvalidArgumentError,
     MalformedResponseError,
@@ -299,7 +300,8 @@ class TestMeasureCost:
 
     def test_reproduces_reference_costs(self):
         examples, backends = self._stack()
-        text, image, fusion = measure_all_costs(examples, backends, api_overhead_s=0.3)[1]
+        text, image, fusion = measure_all_costs(examples, backends, warmup_runs=5, timed_runs=10,
+                                                 api_overhead_s=0.3)[1]
         assert text.cost == pytest.approx(0.73, abs=0.005)
         assert image.cost == pytest.approx(0.81, abs=0.005)
         assert fusion.cost == pytest.approx(0.96, abs=0.005)
@@ -315,7 +317,8 @@ class TestMeasureCost:
             text_latency=(text_latency, 0.0), image_latency=(image_latency, 0.0),
             text_tokens=(64, 0), image_tokens=(29, 0),
         )
-        text, image, fusion = measure_all_costs(examples, backends, api_overhead_s=0.3)[1]
+        text, image, fusion = measure_all_costs(examples, backends, warmup_runs=5, timed_runs=10,
+                                                 api_overhead_s=0.3)[1]
         latency, tps = fusion_cost_inputs(
             text.avg_latency_seconds, text.avg_tps,
             image.avg_latency_seconds, image.avg_tps, api_overhead_s=0.3,
@@ -327,14 +330,14 @@ class TestMeasureCost:
 
     def test_measure_all_costs_vector(self):
         examples, backends = self._stack()
-        costs, measurements = measure_all_costs(examples, backends)
+        costs, measurements = measure_all_costs(examples, backends, warmup_runs=5, timed_runs=10)
         assert isinstance(costs, PathCostVector)
         assert [m.path for m in measurements] == ["text", "image", "fusion"]
 
     def test_empty_testbed_rejected(self):
         _, backends = self._stack()
         with pytest.raises(InvalidArgumentError):
-            measure_all_costs([], backends)
+            measure_all_costs([], backends, warmup_runs=5, timed_runs=10)
 
     def test_warmups_discarded_with_jitter(self):
         # with jitter, including warmups in the mean would change the result
@@ -513,6 +516,8 @@ REMOTE_FAILURES = {
                  MalformedResponseError, "returned non-JSON body"),
     "timeout": (lambda: [requests.Timeout() for _ in range(3)],
                 RequestTimeoutError, "timed out"),
+    "connection": (lambda: [requests.ConnectionError() for _ in range(3)],
+                   ConnectionFailedError, "cannot connect"),
 }
 
 

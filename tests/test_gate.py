@@ -261,6 +261,18 @@ def write_legacy_checkpoint(path, params, metadata=None, second_moment=0.5):
         fh.write(struct.pack("<I", crc))
 
 
+def write_non_utf8_metadata_checkpoint(path):
+    """A 16-16-3 checkpoint whose one metadata key is the byte 0xff, under a
+    CRC rewritten to match it."""
+    save_checkpoint(path, init_gate(seed=0, input_dim=16, hidden_dim=16), {"k": "v"})
+    blob = bytearray(path.read_bytes())
+    # the key follows the magic (8 bytes), five u32s, the count and its length
+    assert blob[36:37] == b"k"
+    blob[36] = 0xFF
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[8:-4]))
+    path.write_bytes(bytes(blob))
+
+
 def traced_peak_bytes(fn):
     """Peak bytes traced by tracemalloc while `fn()` runs."""
     tracemalloc.start()
@@ -516,6 +528,13 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.W1, init_gate(seed=0).W1)
         assert [p.name for p in tmp_path.iterdir()] == ["gate.ckpt"]
+
+    def test_non_utf8_metadata_is_integrity_error(self, tmp_path):
+        path = tmp_path / "gate.ckpt"
+        write_non_utf8_metadata_checkpoint(path)
+        with pytest.raises(CheckpointIntegrityError, match="metadata is not UTF-8") as err:
+            load_checkpoint(path, expected_dims=None)
+        assert str(path) in str(err.value)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -129,6 +129,22 @@ class TestRemoteEmbedding:
         with pytest.raises(ContractViolationError):
             backend.embed_timed(["q"])
 
+    def test_nested_embedding_names_its_shape(self):
+        client, _ = make_client([FakeResponse({"embedding": [[0.0]] * 384})])
+        backend = RemoteEmbeddingBackend(client, "question")
+        with pytest.raises(ContractViolationError,
+                           match=r"embedding of shape \(384, 1\) for question, expected \(384,\)"):
+            backend.embed_timed(["q"])
+
+    @pytest.mark.parametrize("entries", [["0.5"] * 384, ["x"] * 384, [None] * 384,
+                                         [True] * 384, [[0.0], 0.0] * 192],
+                             ids=["numeric-strings", "strings", "nulls", "booleans", "ragged"])
+    def test_entries_that_are_not_numbers_are_malformed(self, entries):
+        client, _ = make_client([FakeResponse({"embedding": entries})])
+        backend = RemoteEmbeddingBackend(client, "question")
+        with pytest.raises(MalformedResponseError, match="'embedding'"):
+            backend.embed_timed(["q"])
+
     def test_missing_field_is_malformed(self):
         client, _ = make_client([FakeResponse({"vector": []})])
         backend = RemoteEmbeddingBackend(client, "question")
@@ -172,6 +188,19 @@ class TestRemoteGeneration:
         with pytest.raises(MalformedResponseError):
             backend.generate("| t |", "q")
 
+    def test_null_answer_malformed(self):
+        client, _ = make_client([FakeResponse({"answer": None, "output_tokens": 1})])
+        backend = RemoteGenerationBackend(client, "text")
+        with pytest.raises(MalformedResponseError, match="string 'answer', got None"):
+            backend.generate("| t |", "q")
+
+    @pytest.mark.parametrize("tokens", ["many", "7", 7.0, -1, True])
+    def test_output_tokens_other_than_a_count_malformed(self, tokens):
+        client, _ = make_client([FakeResponse({"answer": "42", "output_tokens": tokens})])
+        backend = RemoteGenerationBackend(client, "text")
+        with pytest.raises(MalformedResponseError, match="'output_tokens' must be an integer"):
+            backend.generate("| t |", "q")
+
 
 class TestRemoteAgent:
     def test_complete(self):
@@ -184,6 +213,12 @@ class TestRemoteAgent:
         client, _ = make_client([FakeResponse({"output": "x"})])
         agent = RemoteAgentBackend(client)
         with pytest.raises(MalformedResponseError):
+            agent.complete("prompt")
+
+    def test_null_text_malformed(self):
+        client, _ = make_client([FakeResponse({"text": None})])
+        agent = RemoteAgentBackend(client)
+        with pytest.raises(MalformedResponseError, match="string 'text', got None"):
             agent.complete("prompt")
 
 
