@@ -112,13 +112,14 @@ def cmd_make_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    from .ingest import ingest as run_ingest, read_raw_records
+    from .corpus import parse_record, record_lines
+    from .ingest import ingest as run_ingest
 
     cfg = _resolve_config(args)
     raw_path = Path(args.raw)
     if not raw_path.exists():
         raise ConfigError(f"raw corpus not found: {raw_path}")
-    raws = read_raw_records(raw_path)
+    raws = [parse_record(raw_path, *where) for where in record_lines(raw_path)]
 
     labels = {}
     for r in raws:
@@ -150,6 +151,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         metadata["val_routing_accuracy"] = repr(result.val_metrics.routing_accuracy)
         write_lines(run_dir / "val_metrics.json",
                     [json.dumps(asdict(result.val_metrics), indent=2, sort_keys=True)])
+    else:  # no validation split: an earlier run's metrics do not describe this gate
+        (run_dir / "val_metrics.json").unlink(missing_ok=True)
     save_checkpoint(run_dir / "gate.ckpt", result.params, metadata)
     _finish_run(cfg, run_dir)
     acc = result.val_metrics.routing_accuracy if result.val_metrics else float("nan")

@@ -9,7 +9,8 @@ A corpus directory holds:
 
 Writing is serialized in example-id order, and embeddings are float32, so a
 re-run with the same inputs reproduces the files bitwise. Raw and stored
-records are built and checked by one constructor, `example_from_raw`. Older
+records are read by one reader (`record_lines`, `parse_record`) and built
+and checked by one constructor, `example_from_raw`. Older
 writers' `manifest.json` and their records' `table_markdown` and
 `expert_outputs` keys are ignored.
 """
@@ -74,9 +75,19 @@ class Table:
             raise InvalidArgumentError("field 'table' is not an object with a 'columns' "
                                        "list and a list of 'rows' lists")
         return cls(
-            columns=tuple(str(c) for c in obj["columns"]),
-            rows=tuple(tuple(str(c) for c in row) for row in obj["rows"]),
+            columns=tuple(_text(c, "a 'table' column") for c in obj["columns"]),
+            rows=tuple(tuple(_text(c, "a 'table' cell") for c in row) for row in obj["rows"]),
         )
+
+
+def _text(value, what: str) -> str:
+    """`value` as text: a string as is, a number through `str()`. A list,
+    an object, a boolean or null raises InvalidArgumentError."""
+    if type(value) is str:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise InvalidArgumentError(f"{what} is not text or a number: {value!r:.40}")
 
 
 @dataclass
@@ -111,19 +122,21 @@ class RoutingExample:
 
 def example_from_raw(raw: Mapping, path_scores: Sequence[int]) -> RoutingExample:
     """The example a raw or a stored record describes, with `path_scores`
-    and no embedding yet. A missing or empty field, a table that is not
-    columns and rows lists or is ragged, an unknown dataset tag or bad path
-    scores raise InvalidArgumentError; keys it does not name are ignored."""
+    and no embedding yet. A missing or empty field, an `id`, `question`,
+    `gold_answer`, column or cell that is neither text nor a number, a table
+    that is not columns and rows lists or is ragged, an unknown dataset tag
+    or bad path scores raise InvalidArgumentError; keys it does not name are
+    ignored."""
     for name in ("id", "dataset", "question", "table", "gold_answer"):
         if raw.get(name) in (None, ""):
             raise InvalidArgumentError(f"missing field {name!r}")
     return RoutingExample(
-        id=str(raw["id"]),
+        id=_text(raw["id"], "field 'id'"),
         dataset=raw["dataset"],
-        question=str(raw["question"]),
+        question=_text(raw["question"], "field 'question'"),
         table=Table.from_json(raw["table"]),
         path_scores=tuple(path_scores),
-        gold_answer=str(raw["gold_answer"]),
+        gold_answer=_text(raw["gold_answer"], "field 'gold_answer'"),
     )
 
 
@@ -138,33 +151,35 @@ def _example_to_json(ex: RoutingExample) -> dict:
     }
 
 
-def _parse_record(
-    corpus_path: Path, line_no: int, line: bytes, example_id: str | None = None
-) -> RoutingExample | None:
-    """The example on one line; with `example_id`, None unless the record has that id.
+def parse_record(path: Path, line_no: int, line: bytes, build: Callable | None = None):
+    """The JSON object on one line of a raw or stored records file, or
+    `build` of it.
 
-    A record that is not UTF-8 JSON, has no `path_scores` or is refused by
-    `example_from_raw` raises IngestError naming the file and line.
+    A line that is not a UTF-8 JSON object, or a record that `build` refuses
+    (KeyError, TypeError or ValueError, as InvalidArgumentError is), raises
+    IngestError "<path>:<line>: bad record (<reason>)".
     """
     try:
         rec = json.loads(line.decode("utf-8"))
         if not isinstance(rec, dict):
             raise TypeError("record is not a JSON object")
-        if example_id is not None and rec.get("id") != example_id:
-            return None
-        return example_from_raw(rec, rec["path_scores"])
+        return rec if build is None else build(rec)
     except (KeyError, TypeError, ValueError) as e:
-        raise IngestError(f"{corpus_path}:{line_no}: bad record ({e})") from e
+        raise IngestError(f"{path}:{line_no}: bad record ({e})") from e
 
 
-def _record_lines(corpus_path: Path) -> Iterator[tuple[int, bytes]]:
-    """(line number, stripped line) of each non-empty line of the records file.
+def _stored_example(rec: dict) -> RoutingExample:
+    return example_from_raw(rec, rec["path_scores"])
 
-    Lines stay bytes: `_parse_record` decodes the ones it parses.
+
+def record_lines(path: Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, stripped line) of each non-empty line of a records file.
+
+    Lines stay bytes: `parse_record` decodes the ones it parses.
     """
-    if not corpus_path.exists():
-        raise IngestError(f"no corpus file at {corpus_path}")
-    with open(corpus_path, "rb") as fh:
+    if not path.exists():
+        raise IngestError(f"no corpus file at {path}")
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if line:
@@ -237,7 +252,8 @@ def load_corpus(directory: str | Path) -> list[RoutingExample]:
     """Load a corpus; each example reads its row from the sidecar (`attach_sidecar`)."""
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
-    examples = [_parse_record(corpus_path, *where) for where in _record_lines(corpus_path)]
+    examples = [parse_record(corpus_path, *where, _stored_example)
+                for where in record_lines(corpus_path)]
     attach_sidecar(directory, examples)
     return examples
 
@@ -268,11 +284,15 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
     corpus_path = directory / CORPUS_FILE
     needles = {json.dumps(example_id).encode(),
                json.dumps(example_id, ensure_ascii=False).encode("utf-8")}
+
+    def build(rec: dict) -> RoutingExample | None:
+        return _stored_example(rec) if rec.get("id") == example_id else None
+
     found: tuple[int, RoutingExample] | None = None
     n_records = 0
-    for line_no, line in _record_lines(corpus_path):
+    for line_no, line in record_lines(corpus_path):
         if found is None and any(needle in line for needle in needles):
-            ex = _parse_record(corpus_path, line_no, line, example_id)
+            ex = parse_record(corpus_path, line_no, line, build)
             if ex is not None:
                 found = (n_records, ex)
         n_records += 1

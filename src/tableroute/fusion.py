@@ -70,7 +70,6 @@ class FusionRequest:
 @dataclass(frozen=True)
 class FusionResult:
     final_answer: str
-    raw_response: str
     role: str
     api_latency_seconds: float
     output_tokens: int
@@ -196,7 +195,6 @@ def fuse(
     role = classify_role(final, req.text_output, req.vision_output)
     return FusionResult(
         final_answer=final,
-        raw_response=raw,
         role=role,
         api_latency_seconds=total_latency,
         output_tokens=int(tokens),

@@ -72,14 +72,6 @@ class GateParameters:
 
 
 @dataclass
-class GateGradients:
-    dW1: np.ndarray
-    db1: np.ndarray
-    dW2: np.ndarray
-    db2: np.ndarray
-
-
-@dataclass
 class BatchCache:
     X: np.ndarray
     pre: np.ndarray
@@ -189,34 +181,35 @@ def forward_batch(
 
 
 def backward_batch(
-    params: GateParameters, cache: BatchCache, dZ: np.ndarray, out: GateGradients | None = None
-) -> GateGradients:
-    """Gradients of sum_b dZ[b] . z[b] w.r.t. parameters (summed over the batch).
+    params: GateParameters, cache: BatchCache, dZ: np.ndarray, out: GateParameters | None = None
+) -> GateParameters:
+    """Gradients of sum_b dZ[b] . z[b] w.r.t. parameters (summed over the
+    batch), as a GateParameters of gradient arrays.
 
     Computes in the dtype of `params` (and of `cache`); `dZ` is cast to it.
     With `out`, the gradients are written into its arrays of that dtype (for
-    instance views of one flat buffer) and `out` is returned; otherwise into
-    new arrays. Both give the same bits.
+    instance `unpack_parameters` views of one flat buffer) and `out` is
+    returned; otherwise into new arrays. Both give the same bits.
     """
     dtype = params.W1.dtype
     dZ = np.asarray(dZ, dtype=dtype)
     if dZ.shape != (cache.X.shape[0], params.dims[2]):
         raise DimensionMismatchError(f"dZ: expected {(cache.X.shape[0], params.dims[2])}, got {dZ.shape}")
-    shapes = (params.W1.shape, params.b1.shape, params.W2.shape, params.b2.shape)
+    names = ("W1", "b1", "W2", "b2")
     if out is None:
-        out = GateGradients(*(np.empty(shape, dtype=dtype) for shape in shapes))
-    for name, shape in zip(("dW1", "db1", "dW2", "db2"), shapes):
-        arr = getattr(out, name)
+        out = GateParameters(*(np.empty(getattr(params, n).shape, dtype=dtype) for n in names))
+    for name in names:
+        arr, shape = getattr(out, name), getattr(params, name).shape
         if arr.shape != shape or arr.dtype != dtype:
             raise DimensionMismatchError(
                 f"out.{name}: expected {dtype} {shape}, got {arr.dtype} {arr.shape}"
             )
-    np.matmul(dZ.T, cache.dropped, out=out.dW2)
-    np.sum(dZ, axis=0, out=out.db2)
+    np.matmul(dZ.T, cache.dropped, out=out.W2)
+    np.sum(dZ, axis=0, out=out.b2)
     dDropped = dZ @ params.W2
     dPre = dDropped * cache.mask_scale * (cache.pre > 0)
-    np.matmul(dPre.T, cache.X, out=out.dW1)
-    np.sum(dPre, axis=0, out=out.db1)
+    np.matmul(dPre.T, cache.X, out=out.W1)
+    np.sum(dPre, axis=0, out=out.b1)
     return out
 
 
@@ -255,10 +248,9 @@ def unpack_parameters(flat: np.ndarray, dims: tuple[int, int, int]) -> GateParam
 
 
 # The tests' flat reference for gradients; perfbench/tracer.py hooks it by name.
-def pack_gradients(grads: GateGradients) -> np.ndarray:
-    return np.concatenate([
-        grads.dW1.ravel(), grads.db1.ravel(), grads.dW2.ravel(), grads.db2.ravel(),
-    ])
+def pack_gradients(grads: GateParameters) -> np.ndarray:
+    """`pack_parameters` in the gradients' own dtype."""
+    return pack_parameters(grads, grads.W1.dtype)
 
 
 # --------------------------------------------------------------------------

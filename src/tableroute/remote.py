@@ -138,6 +138,12 @@ class RemoteEmbeddingBackend:
                 f"{url} returned an embedding of shape {vec.shape} "
                 f"for {self.modality}, expected ({self.dim},)"
             )
+        # Checked before the cast, which would turn 1e39 into inf (NaN fails too).
+        if not (np.abs(vec) <= np.finfo(np.float32).max).all():
+            raise ContractViolationError(
+                f"{url} returned an embedding for {self.modality} with entries that "
+                f"float32 cannot hold (NaN, infinite or over 3.4e38 in magnitude)"
+            )
         return vec.astype(np.float32), elapsed
 
 

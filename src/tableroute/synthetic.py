@@ -8,8 +8,6 @@ tag, which guarantees a linear routing solution exists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import RoutingExample, Table, example_from_raw, stratified_split
@@ -99,26 +97,22 @@ def make_raw_records(
     return records
 
 
-@dataclass(frozen=True)
-class SeparableCorpusConfig:
-    n_train: int = 2000
-    n_val: int = 500
-    seed: int = 0
-    bias_scale: float = 1.0
-    tags: tuple[str, ...] = TRAINING_DATASETS
-
-
 def make_separable_corpus(
-    cfg: SeparableCorpusConfig = SeparableCorpusConfig(),
+    n_train: int = 2000,
+    n_val: int = 500,
+    *,
+    seed: int = 0,
+    bias_scale: float = 1.0,
+    tags: tuple[str, ...] = TRAINING_DATASETS,
 ) -> tuple[list[RoutingExample], list[RoutingExample]]:
     """The documented separable corpus: embeddings resolved in memory.
 
     Path labels are taken directly from the tag profiles (running the
     simulated experts would reproduce them exactly, by construction).
     """
-    total = cfg.n_train + cfg.n_val
-    raws = make_raw_records(total, seed=cfg.seed, tags=cfg.tags)
-    embedders = tuple(biased_embedders(cfg.tags, cfg.bias_scale, cfg.seed).values())
+    total = n_train + n_val
+    raws = make_raw_records(total, seed=seed, tags=tags)
+    embedders = tuple(biased_embedders(tags, bias_scale, seed).values())
     examples = [example_from_raw(raw, raw["path_labels"]) for raw in raws]
     X = np.empty((total, INPUT_DIM), dtype=np.float32)
     for lo in range(0, total, EMBED_BLOCK_ROWS):
@@ -126,6 +120,4 @@ def make_separable_corpus(
         embed_examples(examples[lo:hi], embedders, out=X[lo:hi])
     for example, x in zip(examples, X):
         example.embedding = x
-    val_fraction = cfg.n_val / total
-    train, val = stratified_split(examples, val_fraction, cfg.seed)
-    return train, val
+    return stratified_split(examples, n_val / total, seed)

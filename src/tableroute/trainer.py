@@ -20,7 +20,6 @@ from .errors import InvalidArgumentError
 from .experts import stable_digest64
 from .gate import (
     HIDDEN_DIM,
-    GateGradients,
     GateParameters,
     backward_batch,
     compute_params,
@@ -108,12 +107,6 @@ class TrainResult:
 EVAL_BLOCK_ROWS = 64
 
 
-def _gradient_views(flat: np.ndarray, dims: tuple[int, int, int]) -> GateGradients:
-    """Views into `flat` shaped as the gradients of a gate of `dims`."""
-    p = unpack_parameters(flat, dims)
-    return GateGradients(p.W1, p.b1, p.W2, p.b2)
-
-
 def _score_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
     return np.asarray([ex.path_scores for ex in examples], dtype=np.float64)
 
@@ -158,7 +151,7 @@ def train(
     master = pack_parameters(init_gate(cfg.seed, *dims), np.float32)
     params_view = unpack_parameters(master, dims)
     grad = np.empty_like(master)
-    grad_views = _gradient_views(grad, dims)
+    grad_views = unpack_parameters(grad, dims)
     opt = OptimizerState.for_size(master.size, cfg.weight_decay, dtype=master.dtype)
     total_steps = planned_optimizer_steps(n, cfg)
     sched = ScheduleConfig(lr_max=cfg.lr_max, warmup_ratio=cfg.warmup_ratio, total_steps=total_steps)

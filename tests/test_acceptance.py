@@ -28,7 +28,7 @@ from tableroute.gate import (
     unpack_parameters,
 )
 from tableroute.paths import DEFAULT_PATH_COSTS, KNOWN_DATASETS
-from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
+from tableroute.synthetic import make_separable_corpus
 from tableroute.trainer import TrainConfig, build_target, loss_batch, train
 
 from test_engine import forced_gate, make_example, make_stack
@@ -41,7 +41,7 @@ def report(n, name):
 
 @pytest.fixture(scope="module")
 def separable_corpus():
-    return make_separable_corpus(SeparableCorpusConfig(n_train=2000, n_val=500, seed=0))
+    return make_separable_corpus(n_train=2000, n_val=500, seed=0)
 
 
 def test_criterion_1_parameter_count():

@@ -22,7 +22,7 @@ from tableroute.analysis import (
 )
 from tableroute.errors import IncompleteDataError, InvalidArgumentError, UndefinedRateError
 from tableroute.paths import DEFAULT_PATH_COSTS
-from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
+from tableroute.synthetic import make_separable_corpus
 from tableroute.trainer import TrainConfig, train
 
 
@@ -157,7 +157,7 @@ class TestGreedyChoice:
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    return make_separable_corpus(SeparableCorpusConfig(n_train=160, n_val=80, seed=11))
+    return make_separable_corpus(n_train=160, n_val=80, seed=11)
 
 
 class TestOutcomeRecords:

@@ -461,6 +461,19 @@ class TestPipeline:
         assert not (rd / "path_distribution.csv").exists()
         assert not (rd / "alignment_performance.csv").exists()
 
+    def test_train_without_validation_removes_earlier_val_metrics(self, workdir, capsys):
+        corpus = make_corpus(workdir, n=40)
+        rd = workdir / "run"
+        assert run("train", "--corpus", corpus, "--run-dir", rd) == 0
+        assert (rd / "val_metrics.json").exists()
+        (workdir / "cfg.json").write_text(json.dumps({"train": {"val_fraction": 0}}))
+        assert run("train", "--corpus", corpus, "--run-dir", rd, "--config",
+                   workdir / "cfg.json") == 0
+        assert "best val routing accuracy nan" in capsys.readouterr().out
+        assert not (rd / "val_metrics.json").exists()
+        assert sorted(p.name for p in rd.iterdir()) == [
+            "config.snapshot.json", "gate.ckpt", "history.csv"]
+
     def test_failed_run_leaves_the_run_directory_as_it_was(self, workdir, capsys):
         # The corpus directory exists, so the config loads, but holds no
         # corpus: `train` fails at run time, after the config has resolved.

@@ -16,6 +16,7 @@ from tableroute.cli import main as cli_main
 from tableroute.corpus import (
     RoutingExample,
     Table,
+    example_from_raw,
     load_corpus,
     load_example,
     read_rows,
@@ -39,7 +40,6 @@ from tableroute.paths import (
 )
 from tableroute.remote import RemoteClient, RemoteEmbeddingBackend
 from tableroute.synthetic import (
-    SeparableCorpusConfig,
     TAG_PROFILES,
     biased_embedders,
     make_raw_records,
@@ -151,7 +151,7 @@ class TestRoutingExample:
 
 class TestCorpusIO:
     def _examples(self, n=6):
-        train, val = make_separable_corpus(SeparableCorpusConfig(n_train=n, n_val=0, seed=2))
+        train, val = make_separable_corpus(n_train=n, n_val=0, seed=2)
         return train
 
     def test_round_trip(self, tmp_path):
@@ -303,7 +303,7 @@ class TestCorpusIO:
 
 class TestStratifiedSplit:
     def test_deterministic_and_stratified(self):
-        train, val = make_separable_corpus(SeparableCorpusConfig(n_train=80, n_val=0, seed=4))
+        train, val = make_separable_corpus(n_train=80, n_val=0, seed=4)
         t1, v1 = stratified_split(train, 0.25, seed=9)
         t2, v2 = stratified_split(train, 0.25, seed=9)
         assert [e.id for e in t1] == [e.id for e in t2]
@@ -322,13 +322,13 @@ class TestSynthetic:
             assert raw["path_labels"] == list(TAG_PROFILES[raw["dataset"]])
 
     def test_corpus_sizes_and_tags(self):
-        train, val = make_separable_corpus(SeparableCorpusConfig(n_train=100, n_val=25, seed=0))
+        train, val = make_separable_corpus(n_train=100, n_val=25, seed=0)
         assert len(train) == 100
         assert len(val) == 25
         assert {e.dataset for e in train} <= set(TAG_PROFILES)
 
     def test_labels_follow_profiles(self):
-        train, _ = make_separable_corpus(SeparableCorpusConfig(n_train=50, n_val=10, seed=1))
+        train, _ = make_separable_corpus(n_train=50, n_val=10, seed=1)
         for ex in train:
             assert ex.path_scores == TAG_PROFILES[ex.dataset]
 
@@ -429,7 +429,7 @@ class TestIngest:
             runconfig.load_runconfig(None), labels, sorted({r["dataset"] for r in raws})
         )
         ingested = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2).examples
-        train, val = make_separable_corpus(SeparableCorpusConfig(n_train=30, n_val=10, seed=0))
+        train, val = make_separable_corpus(n_train=30, n_val=10, seed=0)
         separable = sorted(train + val, key=lambda e: e.id)
         assert [e.id for e in ingested] == [e.id for e in separable]
         matrix = _sidecar_matrix(tmp_path)
@@ -625,6 +625,14 @@ RECORD_CHECKS = [
                  "row width 1 does not match 2 columns", id="ragged-row"),
     pytest.param(lambda rec: rec.update(dataset="nope"), "unknown dataset tag 'nope'",
                  id="unknown-tag"),
+    pytest.param(lambda rec: rec.update(question=["a"]),
+                 "field 'question' is not text or a number: ['a']", id="list-question"),
+    pytest.param(lambda rec: rec.update(gold_answer={"x": 1}),
+                 "field 'gold_answer' is not text or a number: {'x': 1}", id="object-gold"),
+    pytest.param(lambda rec: rec["table"]["columns"].__setitem__(0, True),
+                 "a 'table' column is not text or a number: True", id="boolean-column"),
+    pytest.param(lambda rec: rec["table"]["rows"][0].__setitem__(1, None),
+                 "a 'table' cell is not text or a number: None", id="null-cell"),
 ]
 
 
@@ -654,6 +662,53 @@ class TestRecordChecks:
             load_example(tmp_path / "c", example_id)
 
 
+# Each place a record holds text, as a setter on a raw or stored record.
+TEXT_FIELDS = {
+    "id": lambda rec, v: rec.update(id=v),
+    "question": lambda rec, v: rec.update(question=v),
+    "gold_answer": lambda rec, v: rec.update(gold_answer=v),
+    "column": lambda rec, v: rec["table"]["columns"].__setitem__(1, v),
+    "cell": lambda rec, v: rec["table"]["rows"][0].__setitem__(2, v),
+}
+NOT_TEXT = [pytest.param(["x"], id="list"), pytest.param({"a": 1}, id="object"),
+            pytest.param(True, id="boolean"), pytest.param(None, id="null")]
+
+
+class TestTextFields:
+    """`example_from_raw` reads a number through `str()` where a record holds
+    text, and refuses a list, an object, a boolean or null there."""
+
+    @pytest.mark.parametrize("value", NOT_TEXT)
+    @pytest.mark.parametrize("field", TEXT_FIELDS)
+    def test_refused(self, field, value):
+        rec = make_raw_records(1, seed=6)[0]
+        TEXT_FIELDS[field](rec, value)
+        with pytest.raises(InvalidArgumentError):
+            example_from_raw(rec, (0, 0, 0))
+
+    @pytest.mark.parametrize("field", TEXT_FIELDS)
+    def test_numbers_read_as_text(self, field):
+        rec = make_raw_records(1, seed=6)[0]
+        ref = json.loads(json.dumps(rec))
+        for number, text in ((12, "12"), (1.5, "1.5")):
+            TEXT_FIELDS[field](rec, number)
+            TEXT_FIELDS[field](ref, text)
+            assert example_from_raw(rec, (0, 0, 0)) == example_from_raw(ref, (0, 0, 0))
+
+    def test_id_refused_by_ingest_and_on_load(self, pinned_corpus, tmp_path):
+        # `TestRecordChecks` covers the other fields; a list id cannot key its stack.
+        reason = "field 'id' is not text or a number: ['x']"
+        raws = make_raw_records(10, seed=6)
+        backends, agent = build_sim_stack(raws, seed=6)
+        raws[3]["id"] = ["x"]
+        result = ingest(raws, backends, agent, tmp_path / "out", skip_threshold=0.5)
+        assert result.skipped == [("['x']", reason)] and len(result.examples) == 9
+        shutil.copytree(pinned_corpus, tmp_path / "c")
+        _edit_line(tmp_path / "c", 4, lambda rec: rec.update(id=["x"]))
+        with pytest.raises(IngestError, match=re.escape(f"corpus.jsonl:4: bad record ({reason})")):
+            load_corpus(tmp_path / "c")
+
+
 class TestLoadExample:
     def test_every_id_equals_load_corpus(self, pinned_corpus):
         full = load_corpus(pinned_corpus)
@@ -671,7 +726,7 @@ class TestLoadExample:
         assert load_example(pinned_corpus, "wtq") is None
 
     def test_id_that_prefixes_another_id(self, tmp_path):
-        base, _ = make_separable_corpus(SeparableCorpusConfig(n_train=3, n_val=0, seed=2))
+        base, _ = make_separable_corpus(n_train=3, n_val=0, seed=2)
         decoy_table = Table(columns=("ref",), rows=(("x-1",), ("x-10",)))
         examples = [
             dataclasses.replace(base[0], id="a-decoy", table=decoy_table,

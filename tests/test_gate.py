@@ -18,7 +18,6 @@ from tableroute.errors import (
 from tableroute.gate import (
     CANONICAL_DIMS,
     DROPOUT_KEEP,
-    GateGradients,
     GateParameters,
     backward_batch,
     compute_params,
@@ -334,7 +333,7 @@ class TestBackward:
         _, cache = forward_batch(params, X)
         dl_dz = np.array([0.3, -1.2, 0.9])
         grads = backward_batch(params, cache, dl_dz[None, :])
-        np.testing.assert_array_equal(grads.db2, dl_dz)
+        np.testing.assert_array_equal(grads.b2, dl_dz)
 
     @pytest.mark.parametrize("mode,rng_seed", [("eval", 0), ("train", 11)])
     def test_matches_finite_differences(self, mode, rng_seed):
@@ -366,7 +365,7 @@ def reference_backward(params, cache, dZ):
     """The allocating expressions `backward_batch` computed before it took `out`."""
     dZ = dZ.astype(params.W2.dtype)
     dPre = (dZ @ params.W2) * cache.mask_scale * (cache.pre > 0)
-    return GateGradients(dPre.T @ cache.X, dPre.sum(axis=0), dZ.T @ cache.dropped, dZ.sum(axis=0))
+    return GateParameters(dPre.T @ cache.X, dPre.sum(axis=0), dZ.T @ cache.dropped, dZ.sum(axis=0))
 
 
 def trainer_batch(dtype=np.float32, seed=2):
@@ -390,11 +389,8 @@ class TestBackwardOut:
         params, cache, dZ = batch
         assert cache.X.dtype == cache.dropped.dtype == np.float32
         flat = np.full(params.param_count, np.nan, dtype=np.float32)
-        views = unpack_parameters(flat, CANONICAL_DIMS)
-        out = GateGradients(views.W1, views.b1, views.W2, views.b2)
-        returned = backward_batch(params, cache, dZ, out=out)
-        assert returned is out
-        assert returned.dW1 is views.W1 and returned.db2 is views.b2
+        out = unpack_parameters(flat, CANONICAL_DIMS)
+        assert backward_batch(params, cache, dZ, out=out) is out
         reference = pack_gradients(reference_backward(params, cache, dZ))
         assert flat.tobytes() == reference.tobytes()
         assert pack_gradients(backward_batch(params, cache, dZ)).tobytes() == reference.tobytes()
@@ -403,12 +399,12 @@ class TestBackwardOut:
     def test_wrong_out_rejected(self, bad):
         params = toy_params()
         _, cache = forward_batch(params, np.ones((2, 20)))
-        out = GateGradients(np.empty((6, 20)), np.empty(6), np.empty((3, 6)), np.empty(3))
+        out = GateParameters(np.empty((6, 20)), np.empty(6), np.empty((3, 6)), np.empty(3))
         if bad == "shape":
-            out.dW1 = np.empty((20, 6))
+            out.W1 = np.empty((20, 6))
         else:
-            out.dW2 = np.empty((3, 6), dtype=np.float32)
-        with pytest.raises(DimensionMismatchError, match="out.dW"):
+            out.W2 = np.empty((3, 6), dtype=np.float32)
+        with pytest.raises(DimensionMismatchError, match=r"out\.W"):
             backward_batch(params, cache, np.ones((2, 3)), out=out)
 
 

@@ -1,5 +1,6 @@
 """Remote client contract tests against a fake transport."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,25 @@ class TestRemoteEmbedding:
         backend = RemoteEmbeddingBackend(client, "question")
         with pytest.raises(MalformedResponseError, match="'embedding'"):
             backend.embed_timed(["q"])
+
+    @pytest.mark.parametrize("entry", [1e39, -1e39, float("nan"), float("inf")],
+                             ids=["over", "under", "nan", "infinity"])
+    def test_entries_float32_cannot_hold_are_contract_violations(self, entry):
+        # As the server's text: json writes NaN and Infinity, which json reads back.
+        body = json.dumps({"embedding": [0.5] * 383 + [entry]})
+        client, _ = make_client([FakeResponse(body)])
+        backend = RemoteEmbeddingBackend(client, "question")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError,
+                               match=r"backend:9000/embed .* for question .* float32 cannot hold"):
+                backend.embed_timed(["q"])
+
+    def test_largest_float32_is_kept(self):
+        top = float(np.finfo(np.float32).max)
+        client, _ = make_client([FakeResponse({"embedding": [top, -top] * 192})])
+        vec = RemoteEmbeddingBackend(client, "question").embed_timed(["q"])[0]
+        assert np.isfinite(vec).all() and vec[0, 0] == np.float32(top)
 
     def test_missing_field_is_malformed(self):
         client, _ = make_client([FakeResponse({"vector": []})])

@@ -31,13 +31,12 @@ from tableroute.gate import (
 from tableroute.numerics import OptimizerState, adamw_step, clip_grad_norm
 from tableroute.paths import DEFAULT_PATH_COSTS, INPUT_DIM
 from tableroute.runconfig import load_runconfig
-from tableroute.synthetic import SeparableCorpusConfig, make_separable_corpus
+from tableroute.synthetic import make_separable_corpus
 from tableroute.trainer import (
     EVAL_BLOCK_ROWS,
     PolicyEval,
     TrainConfig,
     _eval_logits,
-    _gradient_views,
     build_target,
     loss_batch,
     planned_optimizer_steps,
@@ -158,9 +157,7 @@ class TestTrain:
             train(examples, [], TrainConfig(), DEFAULT_PATH_COSTS)
 
     def test_deterministic_history(self):
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=96, n_val=32, seed=3)
-        )
+        train_set, val_set = make_separable_corpus(n_train=96, n_val=32, seed=3)
         cfg = TrainConfig(seed=3)
         r1 = train(train_set, val_set, cfg, DEFAULT_PATH_COSTS)
         r2 = train(train_set, val_set, cfg, DEFAULT_PATH_COSTS)
@@ -170,9 +167,7 @@ class TestTrain:
         np.testing.assert_array_equal(r1.params.W1, r2.params.W1)
 
     def test_frozen_inputs_not_mutated(self):
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=64, n_val=16, seed=5)
-        )
+        train_set, val_set = make_separable_corpus(n_train=64, n_val=16, seed=5)
         before = [ex.embedding.copy() for ex in train_set[:4]]
         train(train_set, val_set, TrainConfig(seed=5), DEFAULT_PATH_COSTS)
         for ex, snap in zip(train_set[:4], before):
@@ -210,17 +205,13 @@ class TestEvaluatePolicy:
         assert out.routing_accuracy == 0.0
 
     def test_distribution_sums_to_one(self):
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=64, n_val=32, seed=1)
-        )
+        train_set, val_set = make_separable_corpus(n_train=64, n_val=32, seed=1)
         result = train(train_set, val_set, TrainConfig(seed=1), DEFAULT_PATH_COSTS)
         out = route_split(result.params, val_set, DEFAULT_PATH_COSTS)[0]
         assert sum(out.path_distribution) == pytest.approx(1.0, abs=1e-9)
 
     def test_val_paths_are_those_of_the_returned_gate(self):
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=64, n_val=32, seed=1)
-        )
+        train_set, val_set = make_separable_corpus(n_train=64, n_val=32, seed=1)
         result = train(train_set, val_set, TrainConfig(seed=1, epochs=2), DEFAULT_PATH_COSTS)
         policy, chosen = route_split(result.params, val_set, DEFAULT_PATH_COSTS)
         assert result.val_metrics == policy
@@ -332,9 +323,7 @@ class TestTrainingBytesPin:
 
 def test_one_train_forward_per_optimizer_step(monkeypatch):
     # 150 rows: four 32-row cycles and a 22-row one per epoch.
-    train_set, val_set = make_separable_corpus(
-        SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
-    )
+    train_set, val_set = make_separable_corpus(n_train=150, n_val=40, seed=4)
     train_rows, steps = [], []
     real_forward, real_step = trainer_module.forward_batch, trainer_module.adamw_step
 
@@ -367,7 +356,7 @@ class TestNonFiniteGradient:
         def planting_backward(params, cache, dZ, out=None):
             grads = real_backward(params, cache, dZ, out=out)
             if len(calls) == at_call:
-                grads.dW1[0, 0] = value
+                grads.W1[0, 0] = value
             calls.append(1)
             return grads
 
@@ -375,9 +364,7 @@ class TestNonFiniteGradient:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_train_raises_at_the_step(self, monkeypatch, value):
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
-        )
+        train_set, val_set = make_separable_corpus(n_train=150, n_val=40, seed=4)
         self._plant(monkeypatch, value, at_call=2)
         steps, real_step = [], trainer_module.adamw_step
 
@@ -447,8 +434,8 @@ class TestFixedBuffers:
         cache.mask_scale[:, :16] = 0.0
         cache.dropped[:, :16] = 0.0
         grad = {k: np.empty_like(master) for k in ("dz", "gradient")}
-        backward_batch(params, cache, dZ / 32, out=_gradient_views(grad["dz"], dims))
-        backward_batch(params, cache, dZ, out=_gradient_views(grad["gradient"], dims))
+        backward_batch(params, cache, dZ / 32, out=unpack_parameters(grad["dz"], dims))
+        backward_batch(params, cache, dZ, out=unpack_parameters(grad["gradient"], dims))
         grad["gradient"] /= 32
         assert grad["dz"].tobytes() == grad["gradient"].tobytes()
         # Backward writes the gradient in place and nothing zeroes it, so the
@@ -471,9 +458,7 @@ class TestFixedBuffers:
 
     def test_peak_does_not_grow_with_training_rows(self):
         # A float32 copy of the training rows would grow by 7.8 MB here.
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=256, n_val=16, seed=2)
-        )
+        train_set, val_set = make_separable_corpus(n_train=256, n_val=16, seed=2)
         cfg = TrainConfig(seed=2)
         peaks = []
         for n in (64, 256):
@@ -491,9 +476,7 @@ class TestFixedBuffers:
     def _two_epoch_run(monkeypatch, accuracies):
         """Train 2 epochs of 2 steps with the given per-epoch val accuracies;
         returns the result and a copy of the float32 master after each step."""
-        train_set, val_set = make_separable_corpus(
-            SeparableCorpusConfig(n_train=64, n_val=16, seed=6)
-        )
+        train_set, val_set = make_separable_corpus(n_train=64, n_val=16, seed=6)
         scores = iter(accuracies)
 
         def fake_route_split(gate, data, cost, gate_temperature):
@@ -540,9 +523,7 @@ PINNED_MULTI_CYCLE_SHA256 = "efeac70953b42e601ff0cb94334c243f5a8f0ede2086765f260
 
 
 def test_multi_cycle_training_pinned():
-    train_set, val_set = make_separable_corpus(
-        SeparableCorpusConfig(n_train=150, n_val=40, seed=4)
-    )
+    train_set, val_set = make_separable_corpus(n_train=150, n_val=40, seed=4)
     result = train(train_set, val_set, TrainConfig(seed=4, epochs=2), DEFAULT_PATH_COSTS)
     assert (len(train_set), len(result.history)) == (150, 10)
     digest = hashlib.sha256()
