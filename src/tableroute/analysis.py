@@ -9,7 +9,6 @@ import numpy as np
 
 from .corpus import RoutingExample, split_by_dataset
 from .errors import IncompleteDataError, InvalidArgumentError, UndefinedRateError
-from .fileio import write_lines
 from .gate import GateParameters
 from .paths import PATH_NAMES, PathCostVector
 from .trainer import TrainConfig, routed_paths, train
@@ -183,23 +182,3 @@ def lambda_sweep(
         )
     return rows
 
-
-def write_path_distribution_csv(rows: Sequence[SweepRow], path) -> None:
-    lines = ["resource_weight,text_share,image_share,fusion_share"]
-    for r in rows:
-        d = r.path_distribution
-        lines.append(f"{r.resource_weight!r},{d[0]!r},{d[1]!r},{d[2]!r}")
-    write_lines(path, lines)
-
-
-def write_alignment_csv(rows: Sequence[SweepRow], path) -> None:
-    lines = [
-        "resource_weight,heuristic_alignment_pct,mean_task_performance,"
-        "routing_accuracy,expected_cost"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r.resource_weight!r},{r.heuristic_alignment_pct!r},"
-            f"{r.mean_task_performance!r},{r.routing_accuracy!r},{r.expected_cost!r}"
-        )
-    write_lines(path, lines)

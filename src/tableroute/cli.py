@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from . import engine
 from .corpus import load_corpus, load_example, read_rows, split_by_dataset, stratified_split
 from .errors import ConfigError, IngestError, TableRouteError, UndefinedRateError
-from .fileio import write_lines
+from .fileio import write_csv, write_lines
 from .gate import compute_params, load_checkpoint, save_checkpoint
 from .paths import INPUT_DIM, KNOWN_DATASETS, N_PATHS, TRAINING_DATASETS
 from .runconfig import RunConfig, backends_from_corpus, build_stack, load_runconfig
@@ -47,7 +47,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "resource_weight", None) is not None:
         overrides["train"] = {"resource_weight": args.resource_weight}
-    if getattr(args, "lambdas", None):
+    if getattr(args, "lambdas", None) is not None:
         try:
             weights = [float(x) for x in args.lambdas.split(",") if x.strip()]
         except ValueError as e:
@@ -89,13 +89,6 @@ def _require_example(cfg: RunConfig, example_id: str):
 
 def _split(cfg: RunConfig, examples):
     return stratified_split(examples, cfg["train"]["val_fraction"], cfg.seed)
-
-
-def _history_lines(history):
-    yield "step,lr,loss_total,loss_task,loss_resource,grad_norm"
-    for h in history:
-        yield (f"{h.step},{h.lr!r},{h.loss_total!r},{h.loss_task!r},"
-               f"{h.loss_resource!r},{h.grad_norm!r}")
 
 
 def cmd_make_synthetic(args: argparse.Namespace) -> int:
@@ -145,7 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg, run_dir, examples = _start_run(args)
     train_set, val_set = _split(cfg, examples)
     result = train(train_set, val_set, cfg.train_config(), cfg.cost_vector())
-    write_lines(run_dir / "history.csv", _history_lines(result.history))
+    write_csv(run_dir / "history.csv", "step,lr,loss_total,loss_task,loss_resource,grad_norm",
+              map(astuple, result.history))
     metadata = {"seed": str(cfg.seed), "resource_weight": str(cfg["train"]["resource_weight"])}
     if result.val_metrics:
         metadata["val_routing_accuracy"] = repr(result.val_metrics.routing_accuracy)
@@ -209,10 +203,7 @@ def cmd_profile_cost(args: argparse.Namespace) -> int:
         warmup_runs=profile["warmup_runs"], timed_runs=profile["timed_runs"],
         api_overhead_s=cfg.engine_config().fusion_api_overhead_s,
     )
-    lines = ["path,avg_latency_s,avg_tps,cost"]
-    for m in measurements:
-        lines.append(f"{m.path},{m.avg_latency_seconds!r},{m.avg_tps!r},{m.cost!r}")
-    write_lines(run_dir / "costs.csv", lines)
+    write_csv(run_dir / "costs.csv", "path,avg_latency_s,avg_tps,cost", map(astuple, measurements))
     _finish_run(cfg, run_dir)
     print(f"measured path costs {tuple(round(c, 4) for c in costs.costs)} "
           f"over {len(testbed)} samples; CSV at {run_dir / 'costs.csv'}")
@@ -227,7 +218,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         examples, params, backends, agent, cfg.cost_vector(),
         cfg.bench_config(), cfg.engine_config(),
     )
-    engine.write_bench_csv(report, run_dir / "bench.csv")
+    write_csv(run_dir / "bench.csv", "dataset,mode,seed,mean_latency_s,mean_tps",
+              map(astuple, report.rows + report.summary))
     _finish_run(cfg, run_dir)
     degraded = [f"{d}/{m} {k}" for (d, m), k in sorted(report.degraded.items()) if k]
     if degraded:
@@ -247,8 +239,14 @@ def cmd_sweep_lambda(args: argparse.Namespace) -> int:
         [float(w) for w in cfg["sweep"]["resource_weights"]],
         cfg.train_config(), cfg.cost_vector(),
     )
-    analysis.write_path_distribution_csv(rows, run_dir / "path_distribution.csv")
-    analysis.write_alignment_csv(rows, run_dir / "alignment_performance.csv")
+    write_csv(run_dir / "path_distribution.csv",
+              "resource_weight,text_share,image_share,fusion_share",
+              ((r.resource_weight, *r.path_distribution) for r in rows))
+    write_csv(run_dir / "alignment_performance.csv",
+              "resource_weight,heuristic_alignment_pct,mean_task_performance,"
+              "routing_accuracy,expected_cost",
+              ((r.resource_weight, r.heuristic_alignment_pct, r.mean_task_performance,
+                r.routing_accuracy, r.expected_cost) for r in rows))
     _finish_run(cfg, run_dir)
     print(f"swept {len(rows)} resource weights; CSVs in {run_dir}")
     return 0
@@ -263,21 +261,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     partition = analysis.case_partition(records)
     try:
         synergy = analysis.synergy_success_rate(records)
-        synergy_repr = repr(synergy)
     except UndefinedRateError:
-        synergy_repr = "undefined"
-    lines = [
-        "metric,value",
-        f"complementarity_rate,{analysis.complementarity_rate(records)!r}",
-        f"synergy_success_rate,{synergy_repr}",
-        f"heuristic_alignment,{analysis.heuristic_alignment(records)!r}",
-        f"both_correct_pct,{partition.both_correct!r}",
-        f"only_text_pct,{partition.only_text!r}",
-        f"only_image_pct,{partition.only_image!r}",
-        f"both_wrong_rescued_pct,{partition.both_wrong_rescued!r}",
-        f"both_wrong_unsolved_pct,{partition.both_wrong_unsolved!r}",
+        synergy = "undefined"
+    metrics = [
+        ("complementarity_rate", analysis.complementarity_rate(records)),
+        ("synergy_success_rate", synergy),
+        ("heuristic_alignment", analysis.heuristic_alignment(records)),
+        *((f"{name}_pct", pct) for name, pct in asdict(partition).items()),
     ]
-    write_lines(run_dir / "analysis.csv", lines)
+    write_csv(run_dir / "analysis.csv", "metric,value", metrics)
     _finish_run(cfg, run_dir)
     print(f"analysis of {len(records)} records written to {run_dir / 'analysis.csv'}")
     return 0
@@ -360,7 +352,7 @@ def main(argv=None) -> int:
         key = f" (key: {e.key})" if e.key else ""
         print(f"config error: {e}{key}", file=sys.stderr)
         return 2
-    except TableRouteError as e:
+    except (TableRouteError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

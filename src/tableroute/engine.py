@@ -22,7 +22,6 @@ import numpy as np
 from .corpus import RoutingExample, split_by_dataset
 from .errors import FusionUnavailableError, InferenceError, InvalidArgumentError, TableRouteError
 from .experts import EmbeddingBackend, ExpertOutput, GenerationBackend, stable_digest64
-from .fileio import write_lines
 from .fusion import AgentBackend, FusionRequest, FusionResult, fuse
 from .gate import GateParameters, compute_params, concat_input, forward_batch
 from .numerics import softmax
@@ -279,13 +278,6 @@ def _generate_phase(
     agent: AgentBackend,
     nonce: int,
 ) -> InferenceRecord:
-    partial = {
-        "example_id": example.id,
-        "chosen_path": PATH_NAMES[path_idx],
-        "t_phase1": t1,
-        "t_phase2": t2,
-    }
-
     fusion_role: str | None = None
     degraded = False
     try:
@@ -313,8 +305,7 @@ def _generate_phase(
                 degraded = True
     except TableRouteError as e:
         raise InferenceError(
-            f"backend failure on {PATH_NAMES[path_idx]} path for example {example.id}: {e}",
-            partial_record=partial,
+            f"backend failure on {PATH_NAMES[path_idx]} path for example {example.id}: {e}"
         ) from e
 
     return InferenceRecord(
@@ -485,12 +476,3 @@ def run_efficiency_bench(
         tps = float(np.mean([v[1] for v in vals]))
         report.summary.append(BenchRow(dataset, mode, "avg", lat, tps))
     return report
-
-
-def write_bench_csv(report: BenchReport, path) -> None:
-    lines = ["dataset,mode,seed,mean_latency_s,mean_tps"]
-    for row in report.rows + report.summary:
-        lines.append(
-            f"{row.dataset},{row.mode},{row.seed},{row.mean_latency_s!r},{row.mean_tps!r}"
-        )
-    write_lines(path, lines)

@@ -78,11 +78,7 @@ class FusionUnavailableError(TableRouteError):
 
 
 class InferenceError(TableRouteError):
-    """A routed inference failed; `partial_record` holds what was measured."""
-
-    def __init__(self, message: str, partial_record: dict | None = None):
-        super().__init__(message)
-        self.partial_record = partial_record or {}
+    """A routed inference failed; the message names the path and the example."""
 
 
 class IngestError(TableRouteError):

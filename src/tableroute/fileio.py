@@ -1,8 +1,10 @@
-"""Atomic file replacement for the outputs a crash must not leave half-written."""
+"""Atomic file replacement for the outputs a crash must not leave half-written,
+and the one CSV writer for every run-directory table."""
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -47,3 +49,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Replace `path` with the `header` line, then each row's values formatted
+    with `str` and joined by ",", through `write_lines`. `str` prints a float
+    in its shortest round-trip form, and a numpy scalar as its digits."""
+    write_lines(path, chain([header], (",".join(map(str, row)) for row in rows)))

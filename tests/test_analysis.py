@@ -17,9 +17,8 @@ from tableroute.analysis import (
     mean_task_performance,
     outcome_records,
     synergy_success_rate,
-    write_alignment_csv,
-    write_path_distribution_csv,
 )
+from tableroute.cli import main as cli_main
 from tableroute.errors import IncompleteDataError, InvalidArgumentError, UndefinedRateError
 from tableroute.paths import DEFAULT_PATH_COSTS
 from tableroute.synthetic import make_separable_corpus
@@ -227,16 +226,24 @@ class TestLambdaSweep:
         with pytest.raises(InvalidArgumentError):
             lambda_sweep(train_set, val_set, [], TrainConfig(seed=11), DEFAULT_PATH_COSTS)
 
-    def test_csv_writers(self, small_corpus, tmp_path):
-        train_set, val_set = small_corpus
-        rows = lambda_sweep(train_set, val_set, [0.0], TrainConfig(seed=11), DEFAULT_PATH_COSTS)
-        write_path_distribution_csv(rows, tmp_path / "dist.csv")
-        write_alignment_csv(rows, tmp_path / "align.csv")
-        dist_lines = (tmp_path / "dist.csv").read_text().splitlines()
+    def test_csv_writers(self, tmp_path, monkeypatch):
+        # `sweep-lambda` writes one row per resource weight into each of its CSVs.
+        monkeypatch.delenv("TABLEROUTE_CONFIG", raising=False)
+        raw, corpus, run = tmp_path / "raw.jsonl", tmp_path / "corpus", tmp_path / "run"
+        assert cli_main(["make-synthetic", "--out", str(raw), "--n", "40"]) == 0
+        assert cli_main(["ingest", "--raw", str(raw), "--out", str(corpus)]) == 0
+        assert cli_main(["sweep-lambda", "--corpus", str(corpus), "--run-dir", str(run),
+                         "--lambdas", "0,1"]) == 0
+        dist_lines = (run / "path_distribution.csv").read_text().splitlines()
         assert dist_lines[0] == "resource_weight,text_share,image_share,fusion_share"
-        assert len(dist_lines) == 2
-        align_lines = (tmp_path / "align.csv").read_text().splitlines()
-        assert align_lines[0].startswith("resource_weight,heuristic_alignment_pct")
+        assert [line.split(",")[0] for line in dist_lines[1:]] == ["0.0", "1.0"]
+        for line in dist_lines[1:]:
+            assert sum(float(v) for v in line.split(",")[1:]) == pytest.approx(1.0)
+        align_lines = (run / "alignment_performance.csv").read_text().splitlines()
+        assert align_lines[0] == ("resource_weight,heuristic_alignment_pct,"
+                                  "mean_task_performance,routing_accuracy,expected_cost")
+        assert [line.split(",")[0] for line in align_lines[1:]] == ["0.0", "1.0"]
+        assert all(len(line.split(",")) == 5 for line in align_lines)
 
 
 class TestMeanTaskPerformance:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tableroute
@@ -94,6 +95,23 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: CheckpointIntegrityError: ")
         assert str(workdir / "bad.ckpt") in err[0]
 
+    @pytest.mark.parametrize("argv,cls,name", [
+        (["route", "--corpus", "corpus", "--checkpoint", "adir", "--id", "syn-000000"],
+         "IsADirectoryError", "adir"),
+        (["train", "--corpus", "corpus", "--run-dir", "afile"], "FileExistsError", "afile"),
+        (["make-synthetic", "--out", "afile/x.jsonl", "--n", "2"], "FileExistsError", "afile"),
+    ], ids=["checkpoint-is-a-directory", "run-dir-is-a-file", "out-under-a-file"])
+    def test_os_error_exits_1_with_one_line(self, workdir, capsys, argv, cls, name):
+        make_corpus(workdir, n=8)
+        (workdir / "adir").mkdir()
+        (workdir / "afile").write_text("kept")
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cls}: ")
+        assert name in err[0]
+        assert (workdir / "afile").read_text() == "kept"
+
     def test_env_var_config(self, workdir, monkeypatch, capsys):
         bad = workdir / "bad.json"
         bad.write_text(json.dumps({"boom": 1}))
@@ -167,6 +185,7 @@ class TestExitCodes:
         ("sweep-lambda", ["--lambdas", "0,abc"], None, "sweep.resource_weights"),
         ("sweep-lambda", ["--lambdas", "0,-1"], None, "sweep.resource_weights"),
         ("sweep-lambda", ["--lambdas", "0,nan"], None, "sweep.resource_weights"),
+        ("sweep-lambda", ["--lambdas", ""], None, "sweep.resource_weights"),
         ("sweep-lambda", [], {"sweep": {"resource_weights": ["x"]}}, "sweep.resource_weights"),
         ("sweep-lambda", [], {"sweep": {"resource_weights": []}}, "sweep.resource_weights"),
         ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": "x"}},
@@ -205,7 +224,8 @@ class TestExitCodes:
         ("profile-cost", [], {"backends": {"max_retries": "x"}}, "backends.max_retries"),
         ("profile-cost", [], {"agent": {"endpoint": 5}}, "agent.endpoint"),
         ("train", [], {"train": {"lr_max": 10**400}}, "train.lr_max"),
-    ], ids=["lambda-not-a-number", "lambda-negative", "lambda-nan", "weight-string",
+    ], ids=["lambda-not-a-number", "lambda-negative", "lambda-nan", "lambda-empty",
+            "weight-string",
             "no-weights", "n-not-a-number", "n-zero", "seed-not-a-number", "no-seeds",
             "seeds-string", "seed-float", "seed-bool", "n-float", "n-bool",
             "top-seed-negative", "top-seed-float", "top-seed-string", "top-seed-bool",
@@ -302,7 +322,7 @@ class TestExitCodes:
 
 class TestAtomicOutputs:
     @pytest.mark.parametrize("target", ["config.snapshot.json", "bench.csv"])
-    def test_failed_write_keeps_previous_outputs(self, workdir, monkeypatch, target):
+    def test_failed_write_keeps_previous_outputs(self, workdir, monkeypatch, capsys, target):
         class HalfWriter:
             def __init__(self, fh):
                 self.fh = fh
@@ -331,10 +351,31 @@ class TestAtomicOutputs:
         before = {p.name: p.read_bytes() for p in rd.iterdir()}
         assert set(before) == {"config.snapshot.json", "bench.csv"}
         monkeypatch.setattr(fileio, "open", failing_open, raising=False)
-        with pytest.raises(OSError, match="disk full"):
-            run(*bench)
+        capsys.readouterr()
+        assert run(*bench) == 1
         monkeypatch.undo()
+        assert capsys.readouterr().err.splitlines() == ["error: OSError: disk full"]
         assert {p.name: p.read_bytes() for p in rd.iterdir()} == before
+
+
+class TestWriteCsv:
+    def test_values_print_with_str(self, tmp_path):
+        out = tmp_path / "t.csv"
+        fileio.write_csv(out, "a,b,c", [(1, 0.1, "avg"), (np.float64(1 / 3), np.int64(2), 1e-20)])
+        assert out.read_text() == "a,b,c\n1,0.1,avg\n0.3333333333333333,2,1e-20\n"
+
+    def test_failing_row_keeps_previous_file(self, tmp_path):
+        out = tmp_path / "t.csv"
+        out.write_text("before\n")
+
+        def rows():
+            yield (1, 2)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            fileio.write_csv(out, "a,b", rows())
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert out.read_text() == "before\n"
 
 
 class TestPipeline:
@@ -499,14 +540,19 @@ class TestPipeline:
 
 
 # sha256 of what `make-synthetic --n 42 --all-tags --seed 1`, then `ingest`,
-# `train`, `bench` and `analyze` with `--seed 7` write, and of the `route` and
-# `infer --id syn-000000` stdout on that run; they pin the evaluate outputs.
+# `train`, `bench`, `analyze`, `profile-cost` and `sweep-lambda --lambdas
+# 0,0.15,1.0` with `--seed 7` write, and of the `route` and `infer --id
+# syn-000000` stdout on that run; they pin the evaluate outputs.
 # The `route` digest was retaken when the gate began training in float32 and
 # again when each training cycle became one batch: its probabilities moved,
 # while bench.csv, analysis.csv and infer kept their bytes.
 PINNED_EVALUATE_SHA256 = {
     "bench.csv": "9f4ede956eaf3cf88f3e2f65e35028fb8b1c790c554d50e558baa6477b902971",
     "analysis.csv": "d7fd926c78cac10a1f56d9962b21f0638d07614fd07247dec36e255a446cc982",
+    "costs.csv": "544f4e13777d0e3d31b390cfe058f843b24530d5e5955a3f46ee0120fb40453c",
+    "path_distribution.csv": "35cb5fa3a18dbdf9a7754b0076f5af55b88670f5bfdd8134f38b596ebcee459d",
+    "alignment_performance.csv":
+        "fae7582a0d3366cf172973ea882642d4400a2c86d6b4c494e10b9707a8520aae",
     "route": "b92e77a3f641c86c8b464c8c27c46f73bfa6786d585eb2bf4fef1a6073e9927e",
     "infer": "da6e4bbe3d1a70092358a2435ddad5ceed5bca2e79cb0603797ce4b540ad819f",
 }
@@ -524,9 +570,13 @@ class TestEvaluateBytesPin:
                        "--seed", 7) == 0
         assert run("analyze", "--corpus", corpus, "--checkpoint", ckpt, "--run-dir", runs,
                    "--seed", 7) == 0
+        assert run("profile-cost", "--corpus", corpus, "--run-dir", runs, "--seed", 7) == 0
+        assert run("sweep-lambda", "--corpus", corpus, "--run-dir", runs, "--seed", 7,
+                   "--lambdas", "0,0.15,1.0") == 0
         digests = {
             name: hashlib.sha256((runs / name).read_bytes()).hexdigest()
-            for name in ("bench.csv", "analysis.csv")
+            for name in ("bench.csv", "analysis.csv", "costs.csv", "path_distribution.csv",
+                         "alignment_performance.csv")
         }
         for command in ("route", "infer"):
             capsys.readouterr()
