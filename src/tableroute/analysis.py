@@ -1,5 +1,10 @@
 """Policy diagnostics: complementarity, case partition, synergy, heuristic
-alignment, and the resource-weight sweep."""
+alignment, and the resource-weight sweep.
+
+Each diagnostic reads the examples' `[N, 3]` 0/1 path-score matrix `S`
+(columns text, image, fusion; `trainer.score_matrix`) and, where routing
+matters, the `[N]` chosen path indices. Counts are Python ints, and each
+percentage is `100.0 * count / n`."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -7,31 +12,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import RoutingExample, split_by_dataset
-from .errors import IncompleteDataError, InvalidArgumentError, UndefinedRateError
+from .corpus import RoutingExample
+from .errors import InvalidArgumentError, UndefinedRateError
 from .gate import GateParameters
-from .paths import PATH_NAMES, PathCostVector
-from .trainer import TrainConfig, routed_paths, train
+from .paths import PathCostVector
+from .trainer import TrainConfig, routed_paths, score_matrix, train
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """Per-instance outcome of the two unimodal paths plus the routed result."""
-
-    example_id: str
-    text_correct: bool
-    image_correct: bool
-    fusion_correct: bool | None = None
-    chosen_path: str | None = None
-    final_correct: bool | None = None
+def _columns(S: np.ndarray) -> np.ndarray:
+    """The text, image and fusion columns of `S`, as booleans."""
+    return np.asarray(S, dtype=bool).reshape(-1, 3).T
 
 
-def complementarity_rate(records: Sequence[OutcomeRecord]) -> float:
+def _percent(mask: np.ndarray) -> float:
+    if len(mask) == 0:
+        raise InvalidArgumentError("no examples to take a percentage of")
+    return 100.0 * int(np.count_nonzero(mask)) / len(mask)
+
+
+def complementarity_rate(S: np.ndarray) -> float:
     """Percentage of instances solved by exactly one unimodal path."""
-    if not records:
-        raise InvalidArgumentError("complementarity_rate: no records")
-    hits = sum(1 for r in records if r.text_correct != r.image_correct)
-    return 100.0 * hits / len(records)
+    text, image, _ = _columns(S)
+    return _percent(text != image)
 
 
 @dataclass(frozen=True)
@@ -45,89 +47,41 @@ class CasePartition:
     both_wrong_unsolved: float
 
 
-def case_partition(records: Sequence[OutcomeRecord]) -> CasePartition:
+def case_partition(S: np.ndarray) -> CasePartition:
     """Partition instances by which path(s) produced a correct answer."""
-    if not records:
-        raise InvalidArgumentError("case_partition: no records")
-    counts = [0, 0, 0, 0, 0]
-    for r in records:
-        if r.text_correct and r.image_correct:
-            counts[0] += 1
-        elif r.text_correct:
-            counts[1] += 1
-        elif r.image_correct:
-            counts[2] += 1
-        else:
-            if r.fusion_correct is None:
-                raise IncompleteDataError(
-                    f"record {r.example_id}: both unimodal paths wrong but no fusion label"
-                )
-            counts[3 if r.fusion_correct else 4] += 1
-    pct = [100.0 * c / len(records) for c in counts]
-    return CasePartition(*pct)
+    text, image, fusion = _columns(S)
+    hard = ~text & ~image
+    buckets = (text & image, text & ~image, ~text & image, hard & fusion, hard & ~fusion)
+    return CasePartition(*map(_percent, buckets))
 
 
-def synergy_success_rate(records: Sequence[OutcomeRecord]) -> float:
+def synergy_success_rate(S: np.ndarray) -> float:
     """Percentage of both-unimodal-wrong cases rescued by the fusion path."""
-    hard = [r for r in records if not r.text_correct and not r.image_correct]
-    if not hard:
+    text, image, fusion = _columns(S)
+    hard = ~text & ~image
+    if not hard.any():
         raise UndefinedRateError("no hard cases (both unimodal paths wrong) in records")
-    for r in hard:
-        if r.fusion_correct is None:
-            raise IncompleteDataError(
-                f"record {r.example_id}: hard case without a fusion label"
-            )
-    rescued = sum(1 for r in hard if r.fusion_correct)
-    return 100.0 * rescued / len(hard)
+    return _percent(fusion[hard])
 
 
-def greedy_choice(text_correct: bool, image_correct: bool) -> str:
-    """Cheapest path known to solve the instance; fusion when neither does."""
-    if text_correct:
-        return "text"
-    if image_correct:
-        return "image"
-    return "fusion"
+def greedy_paths(S: np.ndarray) -> np.ndarray:
+    """Per row, the cheapest path known to solve it: text, then image, else fusion."""
+    text, image, _ = _columns(S)
+    return np.where(text, 0, np.where(image, 1, 2))
 
 
-def heuristic_alignment(records: Sequence[OutcomeRecord]) -> float:
+def heuristic_alignment(S: np.ndarray, chosen: np.ndarray) -> float:
     """Percentage of routing decisions matching the greedy cheapest-correct rule."""
-    if not records:
-        raise InvalidArgumentError("heuristic_alignment: no records")
-    aligned = 0
-    for r in records:
-        if r.chosen_path is None:
-            raise IncompleteDataError(f"record {r.example_id}: no routing decision")
-        if r.chosen_path == greedy_choice(r.text_correct, r.image_correct):
-            aligned += 1
-    return 100.0 * aligned / len(records)
+    return _percent(np.asarray(chosen) == greedy_paths(S))
 
 
 def outcome_records(
     gate: GateParameters,
     data: Sequence[RoutingExample],
     costs: PathCostVector,
-) -> list[OutcomeRecord]:
-    """Route `data` with the gate and join with the per-path score labels."""
-    return _join_outcomes(data, routed_paths(gate, data, costs))
-
-
-def _join_outcomes(data: Sequence[RoutingExample], chosen: Sequence[int]) -> list[OutcomeRecord]:
-    """One record per example, with the path index chosen for it."""
-    out = []
-    for ex, idx in zip(data, chosen):
-        s = ex.path_scores
-        out.append(
-            OutcomeRecord(
-                example_id=ex.id,
-                text_correct=bool(s[0]),
-                image_correct=bool(s[1]),
-                fusion_correct=bool(s[2]),
-                chosen_path=PATH_NAMES[idx],
-                final_correct=bool(s[idx]),
-            )
-        )
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """Route `data` with the gate: its score matrix `S` and the chosen paths."""
+    return score_matrix(data), routed_paths(gate, data, costs)
 
 
 @dataclass(frozen=True)
@@ -140,14 +94,11 @@ class SweepRow:
     mean_task_performance: float
 
 
-def mean_task_performance(records: Sequence[OutcomeRecord], data: Sequence[RoutingExample]) -> float:
+def mean_task_performance(data: Sequence[RoutingExample], chosen: np.ndarray) -> float:
     """Unweighted mean over datasets of per-dataset routed accuracy."""
-    by_id = {r.example_id: r for r in records}
-    per_dataset = []
-    for dataset, group in sorted(split_by_dataset(data).items()):
-        vals = [1.0 if by_id[ex.id].final_correct else 0.0 for ex in group]
-        per_dataset.append(float(np.mean(vals)))
-    return float(np.mean(per_dataset))
+    hits = score_matrix(data)[np.arange(len(data)), chosen]
+    datasets = np.array([ex.dataset for ex in data])
+    return float(np.mean([hits[datasets == d].mean() for d in sorted(set(datasets))]))
 
 
 def lambda_sweep(
@@ -164,21 +115,20 @@ def lambda_sweep(
         raise InvalidArgumentError("lambda_sweep: empty resource weight list")
     if not val_examples:
         raise InvalidArgumentError("lambda_sweep: empty validation split")
+    S = score_matrix(val_examples)
     rows = []
     for weight in resource_weights:
         cfg = replace(base_cfg, resource_weight=float(weight))
         result = train(train_examples, val_examples, cfg, costs)
         policy = result.val_metrics
-        records = _join_outcomes(val_examples, result.val_paths)
         rows.append(
             SweepRow(
                 resource_weight=float(weight),
                 path_distribution=policy.path_distribution,
                 routing_accuracy=policy.routing_accuracy,
                 expected_cost=policy.expected_cost,
-                heuristic_alignment_pct=heuristic_alignment(records),
-                mean_task_performance=mean_task_performance(records, val_examples),
+                heuristic_alignment_pct=heuristic_alignment(S, result.val_paths),
+                mean_task_performance=mean_task_performance(val_examples, result.val_paths),
             )
         )
     return rows
-

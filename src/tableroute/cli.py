@@ -49,7 +49,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["train"] = {"resource_weight": args.resource_weight}
     if getattr(args, "lambdas", None) is not None:
         try:
-            weights = [float(x) for x in args.lambdas.split(",") if x.strip()]
+            weights = [float(x) for x in args.lambdas.split(",")]
         except ValueError as e:
             raise ConfigError(f"--lambdas must be comma-separated numbers: {e}",
                               key="sweep.resource_weights") from None
@@ -257,21 +257,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     cfg, run_dir, examples = _start_run(args)
     params = _load_gate(args)
-    records = analysis.outcome_records(params, examples, cfg.cost_vector())
-    partition = analysis.case_partition(records)
+    S, chosen = analysis.outcome_records(params, examples, cfg.cost_vector())
     try:
-        synergy = analysis.synergy_success_rate(records)
+        synergy = analysis.synergy_success_rate(S)
     except UndefinedRateError:
         synergy = "undefined"
     metrics = [
-        ("complementarity_rate", analysis.complementarity_rate(records)),
+        ("complementarity_rate", analysis.complementarity_rate(S)),
         ("synergy_success_rate", synergy),
-        ("heuristic_alignment", analysis.heuristic_alignment(records)),
-        *((f"{name}_pct", pct) for name, pct in asdict(partition).items()),
+        ("heuristic_alignment", analysis.heuristic_alignment(S, chosen)),
+        *((f"{name}_pct", pct) for name, pct in asdict(analysis.case_partition(S)).items()),
     ]
     write_csv(run_dir / "analysis.csv", "metric,value", metrics)
     _finish_run(cfg, run_dir)
-    print(f"analysis of {len(records)} records written to {run_dir / 'analysis.csv'}")
+    print(f"analysis of {len(chosen)} records written to {run_dir / 'analysis.csv'}")
     return 0
 
 

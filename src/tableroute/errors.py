@@ -85,10 +85,6 @@ class IngestError(TableRouteError):
     pass
 
 
-class IncompleteDataError(TableRouteError):
-    """An analysis input record is missing a required field; names the record."""
-
-
 class UndefinedRateError(TableRouteError):
     """A ratio metric has an empty denominator; distinct from a 0% value."""
 

@@ -175,7 +175,8 @@ def seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """mean + jitter * u, u in [-1, 1) keyed deterministically per call."""
+    """mean + jitter * u, u in [-1, 1) keyed deterministically per call; a
+    jitter below the mean keeps every draw above 0."""
 
     mean: float
     jitter: float = 0.0
@@ -183,13 +184,14 @@ class LatencyModel:
     def __post_init__(self):
         if self.mean <= 0:
             raise InvalidArgumentError(f"latency mean must be > 0, got {self.mean}")
-        if self.jitter < 0:
-            raise InvalidArgumentError(f"jitter must be >= 0, got {self.jitter}")
+        if not 0 <= self.jitter < self.mean:
+            raise InvalidArgumentError(
+                f"jitter must be >= 0 and below the mean {self.mean}, got {self.jitter}")
 
     def draw(self, *key) -> float:
         if self.jitter == 0.0:
             return self.mean
-        return max(0.0, self.mean + self.jitter * unit_draw(*key))
+        return self.mean + self.jitter * unit_draw(*key)
 
 
 @dataclass(frozen=True)

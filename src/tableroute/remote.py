@@ -8,8 +8,9 @@ Wire protocol:
     POST /complete {"prompt": ...} -> {"text": ...}
 
 Latency is measured client-side with a monotonic clock. Transport failures
-(timeout, connection) are retried with exponential backoff up to the
-configured retry count; application-level problems are never retried.
+(timeout, connection, a body cut off mid-read) are retried with exponential
+backoff up to the configured retry count; any other request failure and
+application-level problems are never retried.
 """
 from __future__ import annotations
 
@@ -74,6 +75,15 @@ class RemoteClient:
                     endpoint=url,
                     attempts=attempt + 1,
                 )
+            except requests.exceptions.ChunkedEncodingError:
+                last_error = ConnectionFailedError(
+                    f"connection to {url} dropped while reading the body "
+                    f"(attempt {attempt + 1}/{attempts})",
+                    endpoint=url,
+                    attempts=attempt + 1,
+                )
+            except requests.RequestException as e:
+                raise MalformedResponseError(f"{url} request failed: {e!r}") from e
             else:
                 elapsed = time.monotonic() - start
                 if resp.status_code != 200:

@@ -86,18 +86,22 @@ def _list(item: Rule, length: int | None = None) -> Rule:
              and all(map(check, v))), f"{size}, each {phrase}")
 
 
-def _pair(mean: Rule) -> Rule:
-    """A `[mean, jitter]` list: a mean passing `mean` and a jitter >= 0."""
+def _pair(mean: Rule, jitter_below_mean: bool = False) -> Rule:
+    """A `[mean, jitter]` list: a mean passing `mean` and a jitter >= 0, and
+    below the mean if `jitter_below_mean`."""
     mean_ok, phrase = mean
     jitter_ok = _AT_LEAST_0[0]
-    return ((lambda v: isinstance(v, list) and len(v) == 2 and mean_ok(v[0]) and jitter_ok(v[1])),
-            f"a [mean, jitter] pair, mean {phrase} and jitter a finite number >= 0")
+    below = " below the mean" if jitter_below_mean else ""
+    return ((lambda v: isinstance(v, list) and len(v) == 2 and mean_ok(v[0]) and jitter_ok(v[1])
+             and (v[1] < v[0] or not jitter_below_mean)),
+            f"a [mean, jitter] pair, mean {phrase} and jitter a finite number >= 0{below}")
 
 
 _AT_LEAST_0 = _number(lambda v: v >= 0, "a finite number >= 0")
 _ABOVE_0 = _number(lambda v: v > 0, "a finite number > 0")
 _FRACTION = _number(lambda v: 0 <= v < 1, "a number in [0, 1)")
-_LATENCY = _pair(_ABOVE_0)
+# A latency draw, mean + jitter * u with u in [-1, 1), is then always > 0.
+_LATENCY = _pair(_ABOVE_0, jitter_below_mean=True)
 _TOKENS = _pair(_AT_LEAST_0)
 _REMOTE = {"endpoint": (None, _text(optional=True)), "timeout_s": (10.0, _ABOVE_0),
            "max_retries": (2, _int(0)), "backoff_s": (0.5, _AT_LEAST_0)}

@@ -107,7 +107,8 @@ class TrainResult:
 EVAL_BLOCK_ROWS = 64
 
 
-def _score_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
+def score_matrix(examples: Sequence[RoutingExample]) -> np.ndarray:
+    """The `[N, 3]` float64 matrix of the examples' 0/1 path scores."""
     return np.asarray([ex.path_scores for ex in examples], dtype=np.float64)
 
 
@@ -143,7 +144,7 @@ def train(
     # `read_rows` rejects a non-finite row as it reads it: a training row in
     # the first epoch's cycles, a validation row in the first validation.
     X = np.empty((min(cycle, n), INPUT_DIM), dtype=np.float32)
-    S = _score_matrix(train_examples)
+    S = score_matrix(train_examples)
 
     dims = (INPUT_DIM, HIDDEN_DIM, N_PATHS)
     # Fixed float32 buffers of one parameter vector each, written in place:
@@ -246,7 +247,7 @@ def route_split(
         raise InvalidArgumentError("route_split: empty dataset")
     Z = _eval_logits(gate, data)
     chosen = choose_paths(Z, cost)
-    hits = _score_matrix(data)[np.arange(len(chosen)), chosen] == 1
+    hits = score_matrix(data)[np.arange(len(chosen)), chosen] == 1
     counts = np.bincount(chosen, minlength=N_PATHS)
     return PolicyEval(
         routing_accuracy=float(hits.mean()),

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from tableroute.analysis import greedy_choice, heuristic_alignment, OutcomeRecord
+from tableroute.analysis import greedy_paths, heuristic_alignment
 from tableroute.cli import main as cli_main
 from tableroute.engine import (
     EngineConfig,
@@ -198,19 +198,14 @@ def test_criterion_7_latency_accounting():
 
 
 def test_criterion_8_heuristic_alignment():
-    fixture = [
-        OutcomeRecord("a", True, False, None, "text", None),
-        OutcomeRecord("b", False, True, None, "fusion", None),
-        OutcomeRecord("c", False, False, None, "fusion", None),
-        OutcomeRecord("d", True, False, None, "image", None),
-    ]
-    assert heuristic_alignment(fixture) == 50.0
+    # (text, image, fusion) scores; chosen paths text, fusion, fusion, image
+    # against the greedy text, image, fusion, text: two of four aligned.
+    fixture = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 0, 0]], dtype=np.float64)
+    assert heuristic_alignment(fixture, np.array([0, 2, 2, 1])) == 50.0
     rng = np.random.default_rng(99)
-    records = []
-    for i in range(1000):
-        t, v = bool(rng.integers(2)), bool(rng.integers(2))
-        records.append(OutcomeRecord(f"r{i}", t, v, None, greedy_choice(t, v), None))
-    assert heuristic_alignment(records) == 100.0
+    S = np.zeros((1000, 3))
+    S[:, :2] = rng.integers(2, size=(1000, 2))
+    assert heuristic_alignment(S, greedy_paths(S)) == 100.0
     report(8, "heuristic alignment fidelity")
 
 

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from tableroute import analysis as analysis_module
 from tableroute import trainer as trainer_module
 from tableroute.analysis import (
-    OutcomeRecord,
     case_partition,
     complementarity_rate,
-    greedy_choice,
+    greedy_paths,
     heuristic_alignment,
     lambda_sweep,
     mean_task_performance,
@@ -19,139 +18,148 @@ from tableroute.analysis import (
     synergy_success_rate,
 )
 from tableroute.cli import main as cli_main
-from tableroute.errors import IncompleteDataError, InvalidArgumentError, UndefinedRateError
+from tableroute.errors import InvalidArgumentError, UndefinedRateError
 from tableroute.paths import DEFAULT_PATH_COSTS
 from tableroute.synthetic import make_separable_corpus
-from tableroute.trainer import TrainConfig, train
+from tableroute.trainer import TrainConfig, score_matrix, train
+
+TEXT, IMAGE, FUSION = 0, 1, 2
 
 
-def rec(i, text, image, fusion=None, chosen=None):
-    return OutcomeRecord(
-        example_id=f"r{i}",
-        text_correct=text,
-        image_correct=image,
-        fusion_correct=fusion,
-        chosen_path=chosen,
-        final_correct=None,
-    )
+def scores(*rows):
+    """An [N, 3] 0/1 path-score matrix from (text, image, fusion) rows."""
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def random_scores(seed, n):
+    return np.random.default_rng(seed).integers(0, 2, size=(n, 3)).astype(np.float64)
 
 
 class TestComplementarity:
     def test_all_both_correct_is_zero(self):
-        records = [rec(i, True, True) for i in range(5)]
-        assert complementarity_rate(records) == 0.0
+        assert complementarity_rate(scores(*[(1, 1, 0)] * 5)) == 0.0
 
     def test_hand_count_half(self):
-        records = [
-            rec(0, True, False),   # exactly one
-            rec(1, False, True),   # exactly one
-            rec(2, True, True),
-            rec(3, False, False, fusion=True),
-        ]
-        assert complementarity_rate(records) == 50.0
+        S = scores(
+            (1, 0, 0),  # exactly one
+            (0, 1, 0),  # exactly one
+            (1, 1, 0),
+            (0, 0, 1),
+        )
+        assert complementarity_rate(S) == 50.0
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=50))
     @settings(max_examples=100)
     def test_in_range(self, flags):
-        records = [rec(i, t, v, fusion=False) for i, (t, v) in enumerate(flags)]
-        assert 0.0 <= complementarity_rate(records) <= 100.0
+        S = scores(*[(t, v, 0) for t, v in flags])
+        assert 0.0 <= complementarity_rate(S) <= 100.0
 
 
 class TestCasePartition:
     def test_hand_counted_fixture(self):
-        records = (
-            [rec(i, True, True) for i in range(6)]
-            + [rec(6, True, False)]
-            + [rec(7, False, True), rec(8, False, True)]
-            + [rec(9, False, False, fusion=True)]
-        )
-        part = case_partition(records)
-        assert astuple(part) == (60.0, 10.0, 20.0, 10.0, 0.0)
+        S = scores(*[(1, 1, 0)] * 6, (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1))
+        assert astuple(case_partition(S)) == (60.0, 10.0, 20.0, 10.0, 0.0)
 
     def test_buckets_sum_to_100(self):
-        rng = np.random.default_rng(0)
-        records = [
-            rec(i, bool(rng.integers(2)), bool(rng.integers(2)), fusion=bool(rng.integers(2)))
-            for i in range(137)
-        ]
-        assert sum(astuple(case_partition(records))) == pytest.approx(100.0, abs=1e-9)
-
-    def test_missing_fusion_label_names_record(self):
-        records = [rec(0, False, False, fusion=None)]
-        with pytest.raises(IncompleteDataError, match="r0"):
-            case_partition(records)
+        S = random_scores(0, 137)
+        assert sum(astuple(case_partition(S))) == pytest.approx(100.0, abs=1e-9)
 
     def test_exhaustive_and_exclusive(self):
-        rng = np.random.default_rng(1)
-        records = [
-            rec(i, bool(rng.integers(2)), bool(rng.integers(2)), fusion=bool(rng.integers(2)))
-            for i in range(64)
-        ]
-        part = case_partition(records)
-        total_counted = round(sum(astuple(part)) * len(records) / 100)
-        assert total_counted == len(records)
+        S = random_scores(1, 64)
+        part = case_partition(S)
+        total_counted = round(sum(astuple(part)) * len(S) / 100)
+        assert total_counted == len(S)
 
 
 class TestSynergy:
     def test_one_in_five_rescued(self):
-        records = [rec(i, False, False, fusion=(i == 0)) for i in range(5)]
-        assert synergy_success_rate(records) == 20.0
+        S = scores(*[(0, 0, int(i == 0)) for i in range(5)])
+        assert synergy_success_rate(S) == 20.0
 
     def test_all_rescued(self):
-        records = [rec(i, False, False, fusion=True) for i in range(3)]
-        assert synergy_success_rate(records) == 100.0
+        assert synergy_success_rate(scores(*[(0, 0, 1)] * 3)) == 100.0
 
     def test_no_hard_cases_is_undefined_not_zero(self):
-        records = [rec(0, True, False, fusion=True)]
         with pytest.raises(UndefinedRateError):
-            synergy_success_rate(records)
-
-    def test_unlabeled_hard_case_incomplete(self):
-        records = [rec(0, False, False, fusion=None)]
-        with pytest.raises(IncompleteDataError):
-            synergy_success_rate(records)
+            synergy_success_rate(scores((1, 0, 1)))
 
 
 class TestHeuristicAlignment:
     def test_single_aligned_record(self):
-        assert heuristic_alignment([rec(0, True, False, chosen="text")]) == 100.0
+        assert heuristic_alignment(scores((1, 0, 0)), np.array([TEXT])) == 100.0
 
     def test_hand_traced_fixture_is_half(self):
-        records = [
-            rec(0, True, False, chosen="text"),     # heuristic text -> aligned
-            rec(1, False, True, chosen="fusion"),   # heuristic image -> not
-            rec(2, False, False, chosen="fusion"),  # heuristic fusion -> aligned
-            rec(3, True, False, chosen="image"),    # heuristic text -> not
-        ]
-        assert heuristic_alignment(records) == 50.0
+        S = scores((1, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 0))
+        chosen = np.array([
+            TEXT,    # heuristic text -> aligned
+            FUSION,  # heuristic image -> not
+            FUSION,  # heuristic fusion -> aligned
+            IMAGE,   # heuristic text -> not
+        ])
+        assert heuristic_alignment(S, chosen) == 50.0
 
     def test_greedy_policy_scores_100(self):
-        rng = np.random.default_rng(2)
-        records = []
-        for i in range(1000):
-            t, v = bool(rng.integers(2)), bool(rng.integers(2))
-            records.append(rec(i, t, v, chosen=greedy_choice(t, v)))
-        assert heuristic_alignment(records) == 100.0
-
-    def test_missing_choice_incomplete(self):
-        with pytest.raises(IncompleteDataError):
-            heuristic_alignment([rec(0, True, False, chosen=None)])
+        S = random_scores(2, 1000)
+        assert heuristic_alignment(S, greedy_paths(S)) == 100.0
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(0, 2)),
                     min_size=1, max_size=60))
     @settings(max_examples=100)
     def test_in_range(self, rows):
-        paths = ("text", "image", "fusion")
-        records = [rec(i, t, v, chosen=paths[c]) for i, (t, v, c) in enumerate(rows)]
-        assert 0.0 <= heuristic_alignment(records) <= 100.0
+        S = scores(*[(t, v, 0) for t, v, _ in rows])
+        chosen = np.array([c for _, _, c in rows])
+        assert 0.0 <= heuristic_alignment(S, chosen) <= 100.0
 
 
 class TestGreedyChoice:
     def test_order(self):
-        assert greedy_choice(True, True) == "text"
-        assert greedy_choice(True, False) == "text"
-        assert greedy_choice(False, True) == "image"
-        assert greedy_choice(False, False) == "fusion"
+        S = scores((1, 1, 0), (1, 0, 1), (0, 1, 1), (0, 0, 1), (0, 0, 0))
+        assert greedy_paths(S).tolist() == [TEXT, TEXT, IMAGE, FUSION, FUSION]
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("metric", [
+        complementarity_rate, case_partition,
+        lambda S: heuristic_alignment(S, np.empty(0, dtype=np.int64)),
+    ], ids=["complementarity", "case-partition", "heuristic-alignment"])
+    def test_no_rows_is_invalid(self, metric):
+        with pytest.raises(InvalidArgumentError):
+            metric(np.empty((0, 3)))
+
+    def test_no_rows_has_no_hard_cases(self):
+        with pytest.raises(UndefinedRateError):
+            synergy_success_rate(np.empty((0, 3)))
+
+
+class TestMetricsMatchPerRowReference:
+    """Each array metric equals the same count taken one row at a time."""
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+                              st.integers(0, 2)), min_size=1, max_size=80))
+    @settings(max_examples=200)
+    def test_against_loops(self, rows):
+        S = scores(*[r[:3] for r in rows])
+        chosen = np.array([r[3] for r in rows])
+        n = len(rows)
+        exactly_one = sum(1 for t, v, _, _ in rows if t != v)
+        assert complementarity_rate(S) == 100.0 * exactly_one / n
+
+        buckets = [0] * 5
+        for t, v, f, _ in rows:
+            buckets[0 if t and v else 1 if t else 2 if v else 3 if f else 4] += 1
+        assert astuple(case_partition(S)) == tuple(100.0 * c / n for c in buckets)
+
+        hard = [f for t, v, f, _ in rows if not t and not v]
+        if hard:
+            assert synergy_success_rate(S) == 100.0 * sum(hard) / len(hard)
+        else:
+            with pytest.raises(UndefinedRateError):
+                synergy_success_rate(S)
+
+        greedy = [TEXT if t else IMAGE if v else FUSION for t, v, _, _ in rows]
+        assert greedy_paths(S).tolist() == greedy
+        aligned = sum(1 for g, (_, _, _, c) in zip(greedy, rows) if g == c)
+        assert heuristic_alignment(S, chosen) == 100.0 * aligned / n
 
 
 @pytest.fixture(scope="module")
@@ -163,15 +171,13 @@ class TestOutcomeRecords:
     def test_built_from_routing(self, small_corpus):
         train_set, val_set = small_corpus
         result = train(train_set, val_set, TrainConfig(seed=11), DEFAULT_PATH_COSTS)
-        records = outcome_records(result.params, val_set, DEFAULT_PATH_COSTS)
-        assert len(records) == len(val_set)
-        by_id = {e.id: e for e in val_set}
-        for r in records:
-            ex = by_id[r.example_id]
-            assert r.text_correct == bool(ex.path_scores[0])
-            assert r.chosen_path in ("text", "image", "fusion")
-            idx = ("text", "image", "fusion").index(r.chosen_path)
-            assert r.final_correct == bool(ex.path_scores[idx])
+        S, chosen = outcome_records(result.params, val_set, DEFAULT_PATH_COSTS)
+        assert S.shape == (len(val_set), 3)
+        assert S.tolist() == [list(ex.path_scores) for ex in val_set]
+        assert chosen.shape == (len(val_set),)
+        assert set(chosen.tolist()) <= {TEXT, IMAGE, FUSION}
+        # The same paths `train` chose for the gate it returned.
+        assert chosen.tolist() == result.val_paths.tolist()
 
 
 class TestLambdaSweep:
@@ -249,9 +255,13 @@ class TestLambdaSweep:
 class TestMeanTaskPerformance:
     def test_unweighted_across_datasets(self, small_corpus):
         _, val_set = small_corpus
-        # pretend every routed answer was correct
-        records = [
-            OutcomeRecord(e.id, True, True, True, "text", final_correct=True)
-            for e in val_set
-        ]
-        assert mean_task_performance(records, val_set) == 1.0
+        # wtq routes 1 of 3 right, tabfact 1 of 1: (1/3 + 1) / 2, not 2 of 4
+        rows = [("wtq", (1, 0, 0)), ("wtq", (0, 1, 0)), ("wtq", (0, 0, 0)),
+                ("tabfact", (0, 0, 1))]
+        data = [replace(ex, dataset=d, path_scores=s) for ex, (d, s) in zip(val_set, rows)]
+        chosen = np.array([TEXT, TEXT, TEXT, FUSION])
+        assert mean_task_performance(data, chosen) == np.mean([np.mean([1.0, 0.0, 0.0]), 1.0])
+        assert mean_task_performance(val_set, greedy_paths(score_matrix(val_set))) == np.mean([
+            np.mean([float(any(ex.path_scores)) for ex in val_set if ex.dataset == d])
+            for d in sorted({ex.dataset for ex in val_set})
+        ])

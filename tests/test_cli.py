@@ -186,6 +186,8 @@ class TestExitCodes:
         ("sweep-lambda", ["--lambdas", "0,-1"], None, "sweep.resource_weights"),
         ("sweep-lambda", ["--lambdas", "0,nan"], None, "sweep.resource_weights"),
         ("sweep-lambda", ["--lambdas", ""], None, "sweep.resource_weights"),
+        ("sweep-lambda", ["--lambdas", "0,,1"], None, "sweep.resource_weights"),
+        ("sweep-lambda", ["--lambdas", "0,1,"], None, "sweep.resource_weights"),
         ("sweep-lambda", [], {"sweep": {"resource_weights": ["x"]}}, "sweep.resource_weights"),
         ("sweep-lambda", [], {"sweep": {"resource_weights": []}}, "sweep.resource_weights"),
         ("bench", ["--checkpoint", "gate.ckpt"], {"bench": {"n_per_dataset": "x"}},
@@ -211,6 +213,8 @@ class TestExitCodes:
         ("profile-cost", [], {"agent": {"tokens": "x"}}, "agent.tokens"),
         ("profile-cost", [], {"backends": {"text_gen_latency": [1.0]}},
          "backends.text_gen_latency"),
+        ("profile-cost", [], {"backends": {"text_gen_latency": [0.05, 1.0]}},
+         "backends.text_gen_latency"),
         ("train", [], {"train": {"val_fraction": False}}, "train.val_fraction"),
         ("train", [], {"cost_vector": ["1", 2, 3]}, "cost_vector"),
         ("train", [], {"cost_vector": [True, 2, 3]}, "cost_vector"),
@@ -225,12 +229,13 @@ class TestExitCodes:
         ("profile-cost", [], {"agent": {"endpoint": 5}}, "agent.endpoint"),
         ("train", [], {"train": {"lr_max": 10**400}}, "train.lr_max"),
     ], ids=["lambda-not-a-number", "lambda-negative", "lambda-nan", "lambda-empty",
-            "weight-string",
-            "no-weights", "n-not-a-number", "n-zero", "seed-not-a-number", "no-seeds",
+            "lambda-empty-entry", "lambda-trailing-comma", "weight-string", "no-weights",
+            "n-not-a-number", "n-zero", "seed-not-a-number", "no-seeds",
             "seeds-string", "seed-float", "seed-bool", "n-float", "n-bool",
             "top-seed-negative", "top-seed-float", "top-seed-string", "top-seed-bool",
             "top-seed-null", "cli-seed-negative", "embedding-seed-string",
-            "agent-tokens-string", "gen-latency-one-entry", "val-fraction-bool",
+            "agent-tokens-string", "gen-latency-one-entry", "gen-latency-jitter-over-mean",
+            "val-fraction-bool",
             "cost-string", "cost-bool", "cost-two-entries", "run-dir-number",
             "corpus-dir-number", "bias-scale-negative", "agent-latency-negative",
             "timeout-zero", "max-retries-string", "agent-endpoint-number",

@@ -523,6 +523,8 @@ REMOTE_FAILURES = {
                 RequestTimeoutError, "timed out"),
     "connection": (lambda: [requests.ConnectionError() for _ in range(3)],
                    ConnectionFailedError, "cannot connect"),
+    "broken-body": (lambda: [requests.exceptions.ChunkedEncodingError() for _ in range(3)],
+                    ConnectionFailedError, "dropped while reading the body"),
 }
 
 
@@ -570,11 +572,11 @@ class TestRemoteFailures:
                                  "fusion", cause, phrase)
         assert not session.outcomes
 
-    def test_agent_timeout_degrades_to_the_text_expert(self):
+    def _agent_failure_degrades(self, failure):
         examples = [make_example(i, scores=(0, 1, 1)) for i in range(2)]
         backends, _ = make_stack(examples)
         client, session, _, _ = self._remote(FakeResponse({"text": '{"answer": "120"}'}),
-                                             "timeout")
+                                             failure)
         first, second = infer_batch(examples, forced_gate(2), backends,
                                     RemoteAgentBackend(client), DEFAULT_PATH_COSTS,
                                     EngineConfig(gate_latency_s=0.001))
@@ -586,6 +588,12 @@ class TestRemoteFailures:
         assert second.degraded is True and second.fusion_role is None
         assert second.final_answer == text_out.answer != examples[1].gold_answer
         assert_agent_time_charged(second.t_phase3, 1.5)  # max(1.0, 1.5) + agent time
+
+    def test_agent_timeout_degrades_to_the_text_expert(self):
+        self._agent_failure_degrades("timeout")
+
+    def test_agent_broken_body_degrades_to_the_text_expert(self):
+        self._agent_failure_degrades("broken-body")
 
 
 class TestEmbeddingFailures:

@@ -241,6 +241,12 @@ class TestGenerationBackend:
         assert a.latency_seconds != c.latency_seconds
         assert 0.8 <= a.latency_seconds <= 1.2
 
+    @pytest.mark.parametrize("jitter", [1.0, 2.0, -0.1])
+    def test_jitter_outside_zero_to_mean_refused(self, jitter):
+        # A jitter at or over the mean could draw a latency of 0 (or below).
+        with pytest.raises(InvalidArgumentError, match="jitter"):
+            LatencyModel(1.0, jitter)
+
 
 def test_whitespace_token_count():
     assert whitespace_token_count("a b  c") == 3

@@ -97,6 +97,19 @@ class TestRetryContract:
         assert body == {"text": "ok"}
         assert len(session.calls) == 2
 
+    def test_body_cut_off_is_retried(self):
+        # Running out of retries is one of test_engine's REMOTE_FAILURES.
+        client, session = make_client(
+            [requests.exceptions.ChunkedEncodingError(), FakeResponse({"text": "ok"})])
+        assert client.post_json("/complete", {})[0] == {"text": "ok"}
+        assert len(session.calls) == 2
+
+    def test_other_request_failure_is_malformed_and_never_retried(self):
+        client, session = make_client([requests.exceptions.TooManyRedirects("30 redirects")] * 2)
+        with pytest.raises(MalformedResponseError, match="TooManyRedirects"):
+            client.post_json("/complete", {})
+        assert len(session.calls) == 1
+
     def test_malformed_response_never_retried(self):
         client, session = make_client([FakeResponse("not json"), FakeResponse({"x": 1})])
         with pytest.raises(MalformedResponseError):
