@@ -114,9 +114,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise ConfigError(f"raw corpus not found: {raw_path}")
     raws = [parse_record(raw_path, *where) for where in record_lines(raw_path)]
 
+    # A record without path_labels gets no label: a simulated expert skips it.
     labels = {}
     for r in raws:
-        rid, row = str(r.get("id")), r.get("path_labels", [0, 0, 0])
+        if "path_labels" not in r:
+            continue
+        rid, row = str(r.get("id")), r["path_labels"]
         # `type(v) is int` refuses floats and JSON's true/false, which Python counts as ints
         if not (isinstance(row, list) and len(row) == N_PATHS
                 and all(type(v) is int and v in (0, 1) for v in row)):

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .paths import INPUT_DIM, KNOWN_DATASETS
 CORPUS_FILE = "corpus.jsonl"
 SIDECAR_FILE = "embeddings.bin"
 _ROW_BYTES = INPUT_DIM * np.dtype("<f4").itemsize
+# Bytes per `os.sendfile` call when `CorpusWriter.append` copies a part file.
+_COPY_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -208,44 +210,68 @@ def _open_sidecar(directory: Path, n_records: int) -> _Sidecar:
     return sidecar
 
 
-@contextmanager
-def corpus_writer(directory: str | Path) -> Iterator[Callable[[RoutingExample], None]]:
-    """Stage a corpus in `directory` one example at a time.
+class CorpusWriter:
+    """Writes examples' rows and records to an open sidecar and records file.
 
-    Yields `add(example)`, which writes the example's row and record to temp
-    files at once; ids must ascend. When the body returns, the previous
-    `corpus.jsonl` is removed and both temp files are renamed into place,
-    sidecar first, so a process killed between the renames leaves a
-    directory that `load_corpus` rejects, never a new sidecar beside the
-    previous records. An exception leaves the previous pair as it was.
+    `add` writes one example; `append` copies the part files of another
+    writer onto the end. Ids must ascend across both: `check_next` refuses
+    an id not past the last one.
+    """
+
+    def __init__(self, rows: BinaryIO, records: TextIO):
+        self.rows, self.records = rows, records
+        self.last_id: str | None = None
+
+    def check_next(self, example_id: str) -> None:
+        """Raise IngestError unless `example_id` ascends past the last id, then make it the last."""
+        if self.last_id is not None and example_id <= self.last_id:
+            raise IngestError(f"duplicate example ids in corpus, or out of order: {example_id}")
+        self.last_id = example_id
+
+    def add(self, ex: RoutingExample) -> None:
+        if ex.embedding is None or np.shape(ex.embedding) != (INPUT_DIM,):
+            raise IngestError(f"example {ex.id} has no {INPUT_DIM}-dim embedding to write")
+        self.check_next(ex.id)
+        self.records.write(json.dumps(_example_to_json(ex), ensure_ascii=False,
+                                      sort_keys=True) + "\n")
+        self.rows.write(np.ascontiguousarray(ex.embedding, dtype="<f4"))
+
+    def append(self, rows_part: Path, records_part: Path) -> None:
+        """Copy the whole of the part files another writer wrote after this
+        writer's rows and records, in the kernel (`os.sendfile`). Their ids
+        must have passed this writer's `check_next` already."""
+        for dest, part in ((self.rows, rows_part), (self.records, records_part)):
+            dest.flush()
+            with open(part, "rb") as src:
+                while os.sendfile(dest.fileno(), src.fileno(), None, _COPY_BYTES):
+                    pass
+
+
+@contextmanager
+def corpus_writer(directory: str | Path) -> Iterator[CorpusWriter]:
+    """Stage a corpus in `directory` through a `CorpusWriter` on temp files.
+
+    When the body returns, the previous `corpus.jsonl` is removed and both
+    temp files are renamed into place, sidecar first, so a process killed
+    between the renames leaves a directory that `load_corpus` rejects,
+    never a new sidecar beside the previous records. An exception leaves the
+    previous pair as it was.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     corpus_path = directory / CORPUS_FILE
-    last_id: str | None = None
     with staged(directory / SIDECAR_FILE, corpus_path) as (sidecar_tmp, corpus_tmp):
         with open(sidecar_tmp, "wb") as rows, \
                 open(corpus_tmp, "w", encoding="utf-8", newline="\n") as records:
-            def add(ex: RoutingExample) -> None:
-                nonlocal last_id
-                if ex.embedding is None or np.shape(ex.embedding) != (INPUT_DIM,):
-                    raise IngestError(f"example {ex.id} has no {INPUT_DIM}-dim embedding to write")
-                if last_id is not None and ex.id <= last_id:
-                    raise IngestError(f"duplicate example ids in corpus, or out of order: {ex.id}")
-                records.write(json.dumps(_example_to_json(ex), ensure_ascii=False,
-                                         sort_keys=True) + "\n")
-                rows.write(np.ascontiguousarray(ex.embedding, dtype="<f4"))
-                last_id = ex.id
-
-            yield add
+            yield CorpusWriter(rows, records)
         corpus_path.unlink(missing_ok=True)
 
 
 def write_corpus(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
     """Write `examples` in id order through `corpus_writer`."""
-    with corpus_writer(directory) as add:
+    with corpus_writer(directory) as writer:
         for ex in sorted(examples, key=lambda e: e.id):
-            add(ex)
+            writer.add(ex)
 
 
 def load_corpus(directory: str | Path) -> list[RoutingExample]:

@@ -164,6 +164,25 @@ class TestExitCodes:
         assert f"record {records[1]['id']}: path_labels" in err
         assert not (workdir / "corpus").exists()
 
+    def test_ingest_record_without_path_labels_is_one_skip(self, workdir, capsys, caplog):
+        raw = workdir / "raw.jsonl"
+        assert run("make-synthetic", "--out", raw, "--n", 10) == 0
+        records = [json.loads(ln) for ln in raw.read_text().splitlines()]
+        unlabelled = records[1]["id"]
+        del records[1]["path_labels"]
+        raw.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        assert run("ingest", "--raw", raw, "--out", workdir / "corpus") == 0
+        assert "(1 skipped)" in capsys.readouterr().out
+        assert (f"skipping {unlabelled}: simulated text expert has no correctness label "
+                f"for example {unlabelled!r}") in caplog.text
+        stored = (workdir / "corpus" / "corpus.jsonl").read_text().splitlines()
+        assert [json.loads(ln)["id"] for ln in stored] == [r["id"] for r in records
+                                                           if r["id"] != unlabelled]
+        # The same skip among 4 records is 25%, over the 20% threshold.
+        raw.write_text("\n".join(json.dumps(r) for r in records[:4]) + "\n")
+        assert run("ingest", "--raw", raw, "--out", workdir / "corpus4") == 1
+        assert "skipped 1 of 4 records" in capsys.readouterr().err
+
     @pytest.mark.parametrize("table", [{"cols": []}, "| a | b |", {"columns": ["a"], "rows": "1"}],
                              ids=["missing-key", "string-table", "string-rows"])
     def test_ingest_bad_table_is_one_skip(self, workdir, capsys, caplog, table):

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -351,16 +353,62 @@ def build_sim_stack(raws, seed=0):
 
 
 class _FailingEmbedder:
-    """Wraps an embedder; a batch holding `bad_payload` raises."""
+    """Wraps an embedder; a batch holding `bad_payload` raises `error`."""
 
-    def __init__(self, inner, bad_payload):
+    def __init__(self, inner, bad_payload, error=None):
         self.inner, self.bad_payload = inner, bad_payload
+        self.error = error or ContractViolationError("no embedding for this payload")
         self.modality, self.dim = inner.modality, inner.dim
 
     def embed_timed(self, payloads, tags=None, nonce=0, out=None):
         if self.bad_payload in payloads:
-            raise ContractViolationError("no embedding for this payload")
+            raise self.error
         return self.inner.embed_timed(payloads, tags, nonce, out)
+
+
+class _StallingEmbedder:
+    """Wraps an embedder; in any process but the one that made it, each
+    call first sleeps `seconds`."""
+
+    def __init__(self, inner, seconds):
+        self.inner, self.seconds, self.pid = inner, seconds, os.getpid()
+        self.modality, self.dim = inner.modality, inner.dim
+
+    def embed_timed(self, payloads, tags=None, nonce=0, out=None):
+        if os.getpid() != self.pid:
+            time.sleep(self.seconds)
+        return self.inner.embed_timed(payloads, tags, nonce, out)
+
+
+def _use_cpus(monkeypatch, n):
+    """Let `ingest` see `n` usable CPUs; the list of the worker pids it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forked, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def _skip_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "tableroute.ingest"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Index of a bad record among 130 (first, second or last block of 64), and
+# the usable CPUs `ingest` sees. The one-CPU cases keep the ids they had
+# before the CPU count was a parameter.
+BAD_RECORD_AND_CPUS = [pytest.param(bad, cpus, id=str(bad) if cpus == 1 else f"{bad}-two-cpus")
+                       for bad in (5, 70, 129) for cpus in (1, 2)]
 
 
 class TestIngest:
@@ -387,18 +435,31 @@ class TestIngest:
         assert result.skipped[0][0] == raws[3]["id"]
         assert "gold_answer" in result.skipped[0][1]
 
-    @pytest.mark.parametrize("bad", [5, 70, 129])
-    def test_ragged_table_skipped_with_reason(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad,cpus", BAD_RECORD_AND_CPUS)
+    def test_ragged_table_skipped_with_reason(self, tmp_path, monkeypatch, caplog, bad, cpus):
         # The field check passes a ragged table; the example refuses it.
+        # Record 0 lacks its gold answer, so with two CPUs records 70 and
+        # 129 are skipped in the worker's share after a skip in this
+        # process's share.
         raws = make_raw_records(130, seed=3)
+        raws[0] = dict(raws[0], gold_answer="")
         raws[bad] = dict(raws[bad], table={"columns": ["a", "b"], "rows": [["1"]]})
         backends, agent = build_sim_stack(raws, seed=3)
+        forked = _use_cpus(monkeypatch, cpus)
         result = ingest(raws, backends, agent, tmp_path / "got", skip_threshold=0.5)
-        assert result.skipped == [(raws[bad]["id"], "row width 1 does not match 2 columns")]
-        rest = [r for r in raws if r is not raws[bad]]
+        assert len(forked) == cpus - 1
+        skipped = [(raws[0]["id"], "missing field 'gold_answer'"),
+                   (raws[bad]["id"], "row width 1 does not match 2 columns")]
+        assert result.skipped == skipped
+        assert _skip_warnings(caplog) == [f"skipping {i}: {reason}" for i, reason in skipped]
+        rest = [r for r in raws if r is not raws[0] and r is not raws[bad]]
         assert [e.id for e in result.examples] == [r["id"] for r in rest]
+        _assert_no_child_left()
+        _use_cpus(monkeypatch, 1)
         backends, agent = build_sim_stack(raws, seed=3)
         ingest(rest, backends, agent, tmp_path / "want", skip_threshold=0.2)
+        assert sorted(p.name for p in (tmp_path / "got").iterdir()) == [
+            "corpus.jsonl", "embeddings.bin"]
         for name in ("corpus.jsonl", "embeddings.bin"):
             assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
@@ -439,20 +500,28 @@ class TestIngest:
             assert _read_one(got).tobytes() == row.tobytes()
             assert got.path_scores == want.path_scores == TAG_PROFILES[got.dataset]
 
-    @pytest.mark.parametrize("bad", [5, 70, 129])
-    def test_embedding_failure_skips_only_its_record(self, tmp_path, bad):
-        # Record `bad` sits in the first, second or last (partial) block of 64.
+    @pytest.mark.parametrize("bad,cpus", BAD_RECORD_AND_CPUS)
+    def test_embedding_failure_skips_only_its_record(self, tmp_path, monkeypatch, caplog, bad,
+                                                     cpus):
+        # Record `bad` sits in the first, second or last (partial) block of
+        # 64; with two CPUs the last two blocks are the worker's share.
         raws = make_raw_records(130, seed=2)
         raws[bad] = dict(raws[bad], question="Which question breaks the embedder?")
         backends, agent = build_sim_stack(raws, seed=2)
         backends.question_embedder = _FailingEmbedder(
             backends.question_embedder, raws[bad]["question"]
         )
+        forked = _use_cpus(monkeypatch, cpus)
         result = ingest(raws, backends, agent, tmp_path / "got", skip_threshold=0.5)
+        assert len(forked) == cpus - 1
         assert result.skipped == [(raws[bad]["id"], "no embedding for this payload")]
+        assert _skip_warnings(caplog) == [
+            f"skipping {raws[bad]['id']}: no embedding for this payload"]
         assert [e.id for e in result.examples] == [r["id"] for r in raws if r is not raws[bad]]
-        # the other records' bytes are those of an ingest without the bad one
+        _assert_no_child_left()
+        # the other records' bytes are those of a one-CPU ingest without the bad one
         rest = [r for r in raws if r is not raws[bad]]
+        _use_cpus(monkeypatch, 1)
         backends, agent = build_sim_stack(raws, seed=2)
         ingest(rest, backends, agent, tmp_path / "want", skip_threshold=0.2)
         for name in ("corpus.jsonl", "embeddings.bin"):
@@ -508,6 +577,82 @@ class TestIngest:
         one = load_example(legacy, fresh[3].id)
         assert _without_embedding(one) == _without_embedding(fresh[3])
         assert _read_one(one).tobytes() == _sidecar_matrix(pinned_corpus)[3].tobytes()
+
+
+def _duplicate_id(i):
+    """Record `i` takes record `i - 1`'s id."""
+    def edit(raws, backends):
+        raws[i] = dict(raws[i], id=raws[i - 1]["id"])
+        return IngestError, f"duplicate example ids in corpus, or out of order: {raws[i]['id']}"
+    return edit
+
+
+def _over_skip_threshold(raws, backends):
+    for i in range(0, 130, 4):
+        raws[i] = dict(raws[i], gold_answer="")
+    return IngestError, "ingest skipped 33 of 130 records (threshold 20%)"
+
+
+def _embedder_crash(i, stall_s=0.0):
+    """The question embedder raises a RuntimeError, not a backend error, on
+    record `i`'s block; in a worker every call first sleeps `stall_s`."""
+    def edit(raws, backends):
+        raws[i] = dict(raws[i], question="Which question crashes the embedder?")
+        inner = _StallingEmbedder(backends.question_embedder, stall_s)
+        backends.question_embedder = _FailingEmbedder(inner, raws[i]["question"],
+                                                      RuntimeError("embedder crashed"))
+        return RuntimeError, "embedder crashed"
+    return edit
+
+
+class TestIngestFailures:
+    """With two CPUs, the first of three blocks is this process's share and
+    the last two the worker's. A failed ingest raises what a one-CPU run
+    raises and leaves the previous corpus pair, no part file and no child."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(_duplicate_id(64), id="duplicate-across-shares"),
+        pytest.param(_duplicate_id(100), id="duplicate-in-worker-share"),
+        pytest.param(_over_skip_threshold, id="skip-threshold"),
+        pytest.param(_embedder_crash(5, stall_s=30.0), id="crash-in-first-share"),
+        pytest.param(_embedder_crash(100), id="crash-in-worker-share"),
+    ])
+    def test_fails_as_one_cpu_and_leaves_nothing(self, tmp_path, monkeypatch, edit, cpus):
+        raws = make_raw_records(130, seed=2)
+        backends, agent = build_sim_stack(raws, seed=2)
+        out = tmp_path / "corpus"
+        ingest(raws[:10], backends, agent, out, skip_threshold=0.2)
+        previous = {p.name: p.read_bytes() for p in out.iterdir()}
+        cls, message = edit(raws, backends)
+        forked = _use_cpus(monkeypatch, cpus)
+        start = time.monotonic()
+        with pytest.raises(cls) as raised:
+            ingest(raws, backends, agent, out, skip_threshold=0.2)
+        # a stalled worker is killed, not waited for
+        assert time.monotonic() - start < 15.0
+        assert type(raised.value) is cls and str(raised.value) == message
+        assert len(forked) == cpus - 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == previous
+        _assert_no_child_left()
+
+    def test_killed_worker_raises_ingest_error(self, tmp_path, monkeypatch):
+        raws = make_raw_records(130, seed=2)
+        backends, agent = build_sim_stack(raws, seed=2)
+        generate, test_pid = backends.text_generator.generate, os.getpid()
+
+        def killed_in_a_worker(*args, **kwargs):
+            if os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(backends.text_generator, "generate", killed_in_a_worker)
+        forked = _use_cpus(monkeypatch, 2)
+        with pytest.raises(IngestError, match=r"ingest worker \d+ ended with exit code -9"):
+            ingest(raws, backends, agent, tmp_path / "corpus", skip_threshold=0.2)
+        assert len(forked) == 1
+        assert list((tmp_path / "corpus").iterdir()) == []
+        _assert_no_child_left()
 
 
 class TestFormatPin:
