@@ -132,7 +132,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     backends, agent = build_stack(cfg, labels, tags)
     result = run_ingest(raws, backends, agent, args.out,
                         skip_threshold=cfg["ingest"]["skip_threshold"])
-    print(f"ingested {len(result.examples)} examples into {args.out} "
+    print(f"ingested {len(result.ids)} examples into {args.out} "
           f"({len(result.skipped)} skipped)")
     return 0
 
@@ -171,7 +171,7 @@ def cmd_route(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     params = _load_gate(args)
     ex = _require_example(cfg, args.id)
-    x = read_rows([ex], np.empty((1, INPUT_DIM)))
+    x = read_rows([ex], np.empty((1, INPUT_DIM), dtype=np.float32))
     decision = engine.route(params, x, cfg.cost_vector(),
                             cfg.engine_config().gate_temperature)
     print(json.dumps({

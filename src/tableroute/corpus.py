@@ -10,9 +10,10 @@ A corpus directory holds:
 Writing is serialized in example-id order, and embeddings are float32, so a
 re-run with the same inputs reproduces the files bitwise. Raw and stored
 records are read by one reader (`record_lines`, `parse_record`) and built
-and checked by one constructor, `example_from_raw`. Older
-writers' `manifest.json` and their records' `table_markdown` and
-`expert_outputs` keys are ignored.
+and checked by one constructor, `example_from_raw`. A loaded example points
+at its row of the open sidecar, and `read_rows` reads rows, as float32, into
+the caller's buffer. Older writers' `manifest.json` and their records'
+`table_markdown` and `expert_outputs` keys are ignored.
 """
 from __future__ import annotations
 
@@ -274,26 +275,21 @@ def write_corpus(directory: Path, examples: Sequence[RoutingExample]) -> None:
 
 
 def load_corpus(directory: str | Path) -> list[RoutingExample]:
-    """Load a corpus; each example reads its row from the sidecar (`attach_sidecar`)."""
+    """Load a corpus, each example pointed at its row of the sidecar, row i
+    for record i.
+
+    The sidecar must hold exactly one row per record, or IngestError is
+    raised. It is opened, never mapped, and `read_rows` reads rows from the
+    same open file even after a new sidecar is renamed over its path.
+    """
     directory = Path(directory)
     corpus_path = directory / CORPUS_FILE
     examples = [parse_record(corpus_path, *where, _stored_example)
                 for where in record_lines(corpus_path)]
-    attach_sidecar(directory, examples)
-    return examples
-
-
-def attach_sidecar(directory: str | Path, examples: Sequence[RoutingExample]) -> None:
-    """Point each example at its row of `directory`'s sidecar, row i for
-    `examples[i]`.
-
-    The sidecar must hold exactly one row per example, or IngestError is
-    raised. It is opened, never mapped, and `read_rows` reads rows from the
-    same open file even after a new sidecar is renamed over its path.
-    """
-    sidecar = _open_sidecar(Path(directory), len(examples))
+    sidecar = _open_sidecar(directory, len(examples))
     for i, ex in enumerate(examples):
         ex.sidecar_row = (sidecar, i)
+    return examples
 
 
 def load_example(directory: str | Path, example_id: str) -> RoutingExample | None:
@@ -301,7 +297,7 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
 
     Only lines that contain the id as a JSON string are parsed, and only the
     record whose parsed id equals it is built, pointed at its row of the
-    sidecar as `attach_sidecar` does. Every non-empty line is still counted,
+    sidecar as `load_corpus` does. Every non-empty line is still counted,
     so the sidecar must hold exactly one row per record, as for `load_corpus`.
     The first record with the id wins.
     """
@@ -330,18 +326,18 @@ def load_example(directory: str | Path, example_id: str) -> RoutingExample | Non
 
 
 def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray:
-    """Fill `out[:len(examples)]`, a C-contiguous float32 or float64 buffer,
-    with the examples' rows and return that slice.
+    """Fill `out[:len(examples)]`, a C-contiguous float32 buffer, with the
+    examples' rows and return that slice.
 
-    A row held in `embedding` is copied; any other is read from its open
-    sidecar with one positional read. Rows land straight in a float32 `out`,
-    or in a one-row float32 stage that is cast (exactly) into a float64 one.
-    A non-finite entry raises IngestError naming the first such example.
+    A row held in `embedding` is copied; any other is read straight into
+    `out` from its open sidecar with one positional read. An `out` of any
+    other dtype raises InvalidArgumentError. A non-finite entry raises
+    IngestError naming the first such example.
     """
+    if out.dtype != np.float32:
+        raise InvalidArgumentError(f"read_rows reads float32 rows, not into a {out.dtype} buffer")
     n = len(examples)
-    stage = None if out.dtype == np.float32 else np.empty(out.shape[1], dtype=np.float32)
-    for ex, dest in zip(examples, out[:n], strict=True):
-        row = dest if stage is None else stage
+    for ex, row in zip(examples, out[:n], strict=True):
         if ex.embedding is not None:
             row[:] = ex.embedding
         elif ex.sidecar_row is None:
@@ -350,8 +346,6 @@ def read_rows(examples: Sequence[RoutingExample], out: np.ndarray) -> np.ndarray
             sidecar, i = ex.sidecar_row
             if os.preadv(sidecar.fileno(), [row], i * _ROW_BYTES) != _ROW_BYTES:
                 raise IngestError(f"embedding sidecar {sidecar.name} ended before row {i}")
-        if stage is not None:
-            dest[:] = stage
     finite = np.isfinite(out[:n]).all(axis=1)
     if not finite.all():
         raise IngestError(f"example {examples[int(np.argmin(finite))].id}: non-finite embedding")

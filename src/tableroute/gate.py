@@ -306,11 +306,12 @@ def load_checkpoint(
     """Load a checkpoint's parameters and metadata; verifies integrity
     first, then dimension compatibility.
 
-    Pass `expected_dims=None` to accept any recorded dimensions. The file's
-    size is checked against its header before anything is sized from it;
-    then each array is read into its own buffer under a running CRC32. The
-    AdamW moments of older flag-1 files pass through a 1 MiB scratch buffer
-    into the checksum and are dropped.
+    Pass `expected_dims=None` to accept any recorded dimensions; a zero one
+    is refused either way, once the checksum matched. The file's size is
+    checked against its header before anything is sized from it; then each
+    array is read into its own buffer under a running CRC32. The AdamW
+    moments of older flag-1 files pass through a 1 MiB scratch buffer into
+    the checksum and are dropped.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -345,7 +346,7 @@ def load_checkpoint(
         shapes = ((d_h, d_in), (d_h,), (d_out, d_h), (d_out,))
         arrays = [np.empty(shape, dtype="<f4") for shape in shapes]
         for arr in arrays:
-            fill(arr)
+            fill(arr.reshape(-1))  # a 2-D view with a zero in its shape cannot be cast
         scratch = memoryview(bytearray(min(moments, 1 << 20)))
         while moments:
             moments -= len(fill(scratch[:min(moments, len(scratch))]))
@@ -359,6 +360,8 @@ def load_checkpoint(
             f"checkpoint metadata is not UTF-8 in {path}: {e}") from None
     if version != _CKPT_VERSION:
         raise IncompatibleCheckpointError(f"unsupported checkpoint version {version}")
+    if 0 in (d_in, d_h, d_out):
+        raise IncompatibleCheckpointError(f"checkpoint dims {(d_in, d_h, d_out)} include a zero")
     if expected_dims is not None and (d_in, d_h, d_out) != tuple(expected_dims):
         raise IncompatibleCheckpointError(
             f"checkpoint dims {(d_in, d_h, d_out)} differ from expected {tuple(expected_dims)}"

@@ -1,8 +1,9 @@
 """Corpus ingestion: embed every record, run all three paths to fill the
-per-path correctness scores, and write the corpus directory."""
+per-path correctness scores, and write the corpus directory. `ingest`
+returns the ids it wrote and the records it skipped; the corpus itself is
+read back with `corpus.load_corpus`."""
 from __future__ import annotations
 
-import json
 import logging
 import os
 import pickle
@@ -13,15 +14,8 @@ from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .corpus import (
-    CORPUS_FILE,
-    SIDECAR_FILE,
-    CorpusWriter,
-    RoutingExample,
-    attach_sidecar,
-    corpus_writer,
-    example_from_raw,
-)
+from .corpus import (CORPUS_FILE, SIDECAR_FILE, CorpusWriter, RoutingExample, corpus_writer,
+                     example_from_raw)
 from .engine import EMBED_BLOCK_ROWS, EngineBackends, embed_examples, fuse_outputs, generate_both
 from .errors import IngestError, TableRouteError
 from .experts import answers_match
@@ -35,12 +29,14 @@ Block = Sequence[Mapping]
 
 @dataclass
 class IngestResult:
-    examples: list[RoutingExample] = field(default_factory=list)
+    """The ids written, in corpus order, and each skipped record's id and reason."""
+
+    ids: list[str] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def skip_rate(self) -> float:
-        total = len(self.examples) + len(self.skipped)
+        total = len(self.ids) + len(self.skipped)
         return len(self.skipped) / total if total else 0.0
 
 
@@ -61,7 +57,7 @@ def ingest(
     refuses, or whose embedding or scoring fails, is skipped with a logged
     reason; if the skip rate exceeds `skip_threshold` the whole ingest fails
     and the previous corpus stays. Each row is written once its block is
-    scored, and the returned examples read theirs from the written sidecar.
+    scored; the result holds the written ids and the skips.
 
     The blocks are split into contiguous shares, one per usable CPU
     (`_shares`). This process scores the first share; each later one is
@@ -86,22 +82,20 @@ def ingest(
                     _skip(result, raw_id, outcome)
                     continue
                 writer.add(outcome)
-                outcome.embedding = None
-                result.examples.append(outcome)
+                result.ids.append(outcome.id)
             for worker in workers:
                 worker.merge(writer, result)
 
             if result.skip_rate > skip_threshold:
                 raise IngestError(
                     f"ingest skipped {len(result.skipped)} of "
-                    f"{len(result.examples) + len(result.skipped)} records "
+                    f"{len(result.ids) + len(result.skipped)} records "
                     f"(threshold {skip_threshold:.0%})"
                 )
-            if not result.examples:
+            if not result.ids:
                 raise IngestError("ingest produced no examples")
     finally:
         _stop(workers)
-    attach_sidecar(out_dir, result.examples)
     return result
 
 
@@ -142,11 +136,12 @@ def _raw_id(raw: Mapping) -> str:
 class _Worker:
     """A forked process scoring one share, as the caller sees it.
 
-    The worker writes part files beside the staged outputs, named by its
-    pid: rows and records as `CorpusWriter` writes them, and one JSON line
-    per record for its outcome, the skip reason or the path scores. It logs
-    nothing. An exception it raises is pickled into its status pipe; no rows
-    are pickled.
+    The worker writes two part files beside the staged outputs, named by
+    its pid: rows and records as `CorpusWriter` writes them. It logs
+    nothing. When it is done it pickles `(reasons, error)` into its status
+    pipe and exits with 0: one skip reason per record it scored, None for a
+    record it wrote, and the exception it raised or None. No rows are
+    pickled.
     """
 
     def __init__(self, share: Sequence[Block], pid: int, status_fd: int, out_dir: Path):
@@ -174,63 +169,59 @@ class _Worker:
 
     def merge(self, writer: CorpusWriter, result: IngestResult) -> None:
         """Wait for the worker, then take its records as the one-share run
-        would: log each skip and check each id through `writer`, in order,
-        then raise what the worker raised, or append its part files to
-        `writer`. A worker that ends without an exception and otherwise than
-        by exiting with 0 raises IngestError."""
+        would: log each skip and check each written id through `writer`, in
+        order, then raise what the worker raised, or append its part files
+        to `writer`. A worker that ends otherwise than by exiting with 0,
+        so without sending its outcomes, raises IngestError."""
         with self.status:
             payload = self.status.read()
         _, status = os.waitpid(self.pid, 0)
         self.running = False
-        if status and not payload:
+        if status:
             raise IngestError(f"ingest worker {self.pid} ended with exit code "
                               f"{os.waitstatus_to_exitcode(status)}")
-        error = pickle.loads(payload) if payload else None
-        rows_part, records_part, outcomes_part = self.parts
-        if error is not None and not outcomes_part.exists():
-            raise error
-        with open(outcomes_part, encoding="utf-8") as fh:
-            outcomes = [json.loads(line) for line in fh]
+        reasons, error = pickle.loads(payload)
         raws = (raw for block in self.share for raw in block)
-        for raw, outcome in zip(raws, outcomes):
-            if isinstance(outcome, str):
-                _skip(result, _raw_id(raw), outcome)
+        for raw, reason in zip(raws, reasons):
+            raw_id = _raw_id(raw)
+            if reason is not None:
+                _skip(result, raw_id, reason)
                 continue
-            example = example_from_raw(raw, outcome)
-            writer.check_next(example.id)
-            result.examples.append(example)
+            writer.check_next(raw_id)
+            result.ids.append(raw_id)
         if error is not None:
             raise error
-        writer.append(rows_part, records_part)
+        writer.append(*self.parts)
 
 
-def _part_paths(out_dir: Path, pid: int) -> tuple[Path, Path, Path]:
-    """A worker's rows, records and outcomes part files."""
-    return tuple(out_dir / f".{name}.{pid}.part"
-                 for name in (SIDECAR_FILE, CORPUS_FILE, "outcomes.jsonl"))
+def _part_paths(out_dir: Path, pid: int) -> tuple[Path, Path]:
+    """A worker's rows and records part files."""
+    return tuple(out_dir / f".{name}.{pid}.part" for name in (SIDECAR_FILE, CORPUS_FILE))
 
 
 def _work(share: Sequence[Block], backends: EngineBackends, agent: AgentBackend,
-          parts: tuple[Path, Path, Path], parent: int, status_out: int) -> NoReturn:
+          parts: tuple[Path, Path], parent: int, status_out: int) -> NoReturn:
     """The body of a forked worker. It ends the process with `os._exit`, so
-    it never unwinds into the caller's stack. A worker whose parent has
-    ended stops at its next block and removes its part files."""
-    code = 1
+    it never unwinds into the caller's stack: with 0 once its outcomes are
+    in the status pipe, with 1 if they cannot be sent. A worker whose
+    parent has ended stops at its next block and removes its part files."""
+    code, reasons, error = 1, [], None
     try:
-        rows_part, records_part, outcomes_part = parts
+        rows_part, records_part = parts
         with open(rows_part, "wb") as rows, \
-                open(records_part, "w", encoding="utf-8", newline="\n") as records, \
-                open(outcomes_part, "w", encoding="utf-8", newline="\n") as outcomes:
+                open(records_part, "w", encoding="utf-8", newline="\n") as records:
             writer = CorpusWriter(rows, records)
             for _, outcome in _share_outcomes(share, backends, agent, parent):
                 if not isinstance(outcome, str):
                     writer.add(outcome)
-                    outcome = outcome.path_scores
-                outcomes.write(json.dumps(outcome) + "\n")
-        code = 0
+                    outcome = None
+                reasons.append(outcome)
     except BaseException as e:
+        error = e
+    try:
         with open(status_out, "wb", closefd=False) as pipe:
-            pipe.write(pickle.dumps(e))
+            pipe.write(pickle.dumps((reasons, error)))
+        code = 0
     finally:
         if os.getppid() != parent:
             for part in parts:

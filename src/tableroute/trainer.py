@@ -213,8 +213,9 @@ def train(
 
 
 def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.ndarray:
-    """Eval-mode logits for `data`, read into one float64 buffer and routed
-    EVAL_BLOCK_ROWS rows at a time through the compute form of `gate`.
+    """Eval-mode logits for `data`, read into one float32 buffer and routed
+    EVAL_BLOCK_ROWS rows at a time through the compute form of `gate`, which
+    casts each block to float64 (exactly).
 
     Blocks start at multiples of EVAL_BLOCK_ROWS, which is a multiple of the
     BLAS kernels' row tiles, so with that weight layout every row is computed
@@ -225,7 +226,7 @@ def _eval_logits(gate: GateParameters, data: Sequence[RoutingExample]) -> np.nda
     """
     gate = compute_params(gate)
     Z = np.empty((len(data), gate.dims[2]))
-    X = np.empty((min(len(data), EVAL_BLOCK_ROWS + 1), gate.dims[0]))
+    X = np.empty((min(len(data), EVAL_BLOCK_ROWS + 1), gate.dims[0]), dtype=np.float32)
     lo = 0
     while lo < len(data):
         hi = lo + EVAL_BLOCK_ROWS

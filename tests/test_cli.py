@@ -17,7 +17,11 @@ from tableroute.errors import ConfigError, ConnectionFailedError
 from tableroute.gate import init_gate, save_checkpoint
 from tableroute.runconfig import load_runconfig
 
-from test_gate import write_legacy_checkpoint, write_non_utf8_metadata_checkpoint
+from test_gate import (
+    write_hand_built_checkpoint,
+    write_legacy_checkpoint,
+    write_non_utf8_metadata_checkpoint,
+)
 
 
 @pytest.fixture()
@@ -127,6 +131,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: CheckpointIntegrityError: ")
         assert str(workdir / "bad.ckpt") in err[0]
+
+    def test_zero_dimension_checkpoint_exits_1(self, workdir, capsys):
+        (workdir / "corpus").mkdir()
+        write_hand_built_checkpoint(workdir / "zero.ckpt", (0, 0, 0))
+        assert run("route", "--corpus", "corpus", "--checkpoint", workdir / "zero.ckpt",
+                   "--id", "syn-000000") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: IncompatibleCheckpointError: checkpoint dims (0, 0, 0) "
+                       "include a zero"]
 
     @pytest.mark.parametrize("argv,cls,name", [
         (["route", "--corpus", "corpus", "--checkpoint", "adir", "--id", "syn-000000"],

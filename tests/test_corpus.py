@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import gc
 import hashlib
@@ -29,7 +30,7 @@ from tableroute.corpus import (
     stratified_split,
     write_corpus,
 )
-from tableroute.engine import EngineBackends, route
+from tableroute.engine import EngineBackends, embed_examples, route
 from tableroute.errors import (
     ContractViolationError,
     IngestError,
@@ -56,7 +57,7 @@ from tableroute.synthetic import (
     make_separable_corpus,
 )
 from tableroute.trainer import TrainConfig, _eval_logits, route_split, train
-from test_engine import REMOTE_FAILURES
+from test_engine import EMBEDDING_FAILURES, REMOTE_FAILURES
 from test_remote import FakeResponse, FakeSession
 
 # sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
@@ -478,7 +479,7 @@ class TestIngest:
         raws = make_raw_records(10, seed=5)
         backends, agent = build_sim_stack(raws, seed=5)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2)
-        assert len(result.examples) == 10
+        assert result.ids == sorted(r["id"] for r in raws)
         assert not result.skipped
         loaded = load_corpus(tmp_path)
         assert _sidecar_matrix(tmp_path).shape == (10, INPUT_DIM)
@@ -493,7 +494,7 @@ class TestIngest:
         raws[3] = dict(raws[3], gold_answer="")
         backends, agent = build_sim_stack(raws, seed=6)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.5)
-        assert len(result.examples) == 9
+        assert len(result.ids) == 9
         assert result.skipped[0][0] == raws[3]["id"]
         assert "gold_answer" in result.skipped[0][1]
 
@@ -515,7 +516,7 @@ class TestIngest:
         assert result.skipped == skipped
         assert _skip_warnings(caplog) == [f"skipping {i}: {reason}" for i, reason in skipped]
         rest = [r for r in raws if r is not raws[0] and r is not raws[bad]]
-        assert [e.id for e in result.examples] == [r["id"] for r in rest]
+        assert result.ids == [r["id"] for r in rest]
         _assert_no_child_left()
         _use_cpus(monkeypatch, 1)
         backends, agent = build_sim_stack(raws, seed=3)
@@ -539,16 +540,20 @@ class TestIngest:
         raws[0] = dict(raws[0], question="")
         backends, agent = build_sim_stack(raws, seed=7)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2)
-        assert (len(result.examples), result.skip_rate) == (4, 0.2)
+        assert (len(result.ids), result.skip_rate) == (4, 0.2)
 
     def test_examples_read_their_rows_from_the_written_sidecar(self, tmp_path):
-        # 130 records fill the one block buffer three times
+        # 130 records fill the one block buffer three times; each written
+        # row is its own record's embedding
         raws = make_raw_records(130, seed=8)
         backends, agent = build_sim_stack(raws, seed=8)
-        examples = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2).examples
-        assert all(ex.embedding is None for ex in examples)
+        result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2)
+        examples = load_corpus(tmp_path)
+        assert [ex.id for ex in examples] == result.ids
         rows = read_rows(examples, np.empty((130, INPUT_DIM), dtype=np.float32))
         assert rows.tobytes() == _sidecar_matrix(tmp_path).tobytes()
+        want, _ = embed_examples(examples, backends.embedders)
+        assert rows.tobytes() == want.tobytes()
 
     def test_rerun_bitwise_identical(self, tmp_path):
         raws = make_raw_records(8, seed=8)
@@ -568,7 +573,9 @@ class TestIngest:
         backends, agent = runconfig.build_stack(
             runconfig.load_runconfig(None), labels, sorted({r["dataset"] for r in raws})
         )
-        ingested = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2).examples
+        result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2)
+        ingested = load_corpus(tmp_path)
+        assert [e.id for e in ingested] == result.ids
         train, val = make_separable_corpus(n_train=30, n_val=10, seed=0)
         separable = sorted(train + val, key=lambda e: e.id)
         assert [e.id for e in ingested] == [e.id for e in separable]
@@ -596,7 +603,7 @@ class TestIngest:
         assert result.skipped == [(raws[bad]["id"], "no embedding for this payload")]
         assert _skip_warnings(caplog) == [
             f"skipping {raws[bad]['id']}: no embedding for this payload"]
-        assert [e.id for e in result.examples] == [r["id"] for r in raws if r is not raws[bad]]
+        assert result.ids == [r["id"] for r in raws if r is not raws[bad]]
         _assert_no_child_left()
         # the other records' bytes are those of a one-CPU ingest without the bad one
         rest = [r for r in raws if r is not raws[bad]]
@@ -626,7 +633,7 @@ class TestIngest:
         ids = sorted(r["id"] for r in raws)
         assert result.skipped == [(ids[2], "http://embed:9000/embed returned an embedding of "
                                             f"shape (5,) for question, expected ({QUESTION_DIM},)")]
-        assert [e.id for e in result.examples] == ids[:2] + ids[3:]
+        assert result.ids == ids[:2] + ids[3:]
         kept = _sidecar_matrix(tmp_path)[:, :QUESTION_DIM]
         np.testing.assert_array_equal(kept, np.asarray([vectors[0], vectors[1], vectors[3]]))
 
@@ -857,43 +864,84 @@ class _PayloadSession:
         return outcome
 
 
+def _embedder(modality):
+    return (f"{modality}_embedder", lambda client: RemoteEmbeddingBackend(client, modality),
+            FakeResponse({"embedding": [0.5] * EMBED_DIMS[modality]}))
+
+
+def _generator(path):
+    return (f"{path}_generator", lambda client: RemoteGenerationBackend(client, path),
+            FakeResponse({"answer": "120", "output_tokens": 5}))
+
+
+# Each remote backend by its test id: the `EngineBackends` attribute it
+# replaces, how it is built on a client, and the reply to every request but
+# the failing record's. "embedder" and "generator" keep the ids they had
+# when they were the only two.
+REMOTE_BACKENDS = {
+    "embedder": _embedder("question"),
+    "text-embedder": _embedder("text"),
+    "vision-embedder": _embedder("vision"),
+    "generator": _generator("text"),
+    "image-generator": _generator("image"),
+}
+
+
+def _request_value(backend, raw):
+    """The value in `backend`'s request for `raw` that names that record."""
+    if backend in ("text-embedder", "vision-embedder"):
+        serialized = Table.from_json(raw["table"]).serialize()
+        if backend == "text-embedder":
+            return serialized
+        return base64.b64encode(serialized.encode("utf-8")).decode("ascii")
+    return raw["question"]
+
+
+def _backend_error(backend, outcomes, client):
+    """The error `backend`, built on `client`, raises when its one request
+    gets `outcomes`."""
+    with pytest.raises(TableRouteError) as err:
+        remote = REMOTE_BACKENDS[backend][1](client)
+        if backend.endswith("embedder"):
+            remote.embed_timed(["x"])
+        else:
+            remote.generate("| a |", "q")
+    return err.value
+
+
 class TestIngestRemoteFailures:
-    """A remote question embedder or text generator fails on one record's
-    request: ingest skips that record with the client's message and logs it
-    once, at one CPU and in the worker's share of a two-share run (the last
-    6 of 70 records), and leaves no part file and no child."""
+    """A remote embedder or generator fails on one record's request: ingest
+    skips that record with the client's or the backend's message and logs
+    it once, at one CPU and in the worker's share of a two-share run (the
+    last 6 of 70 records), and leaves no part file and no child. Every
+    embedder also meets a reply of the wrong dimension."""
 
     @pytest.mark.parametrize("n,bad,cpus", [(10, 3, 1), (70, 66, 2)],
                              ids=["one-cpu", "worker-share"])
-    @pytest.mark.parametrize("backend", ["embedder", "generator"])
-    @pytest.mark.parametrize("failure", sorted(REMOTE_FAILURES))
+    @pytest.mark.parametrize("failure,backend", [
+        pytest.param(f, b, id=f"{f}-{b}") for f in sorted(EMBEDDING_FAILURES)
+        for b in REMOTE_BACKENDS if f in REMOTE_FAILURES or b.endswith("embedder")])
     def test_record_skipped_with_the_message(self, tmp_path, monkeypatch, caplog, failure,
                                              backend, n, bad, cpus):
-        outcomes = REMOTE_FAILURES[failure][0]
+        outcomes = EMBEDDING_FAILURES[failure][0]
         raws = make_raw_records(n, seed=9)
         raws[bad] = dict(raws[bad], question="Which question fails remotely?")
         backends, agent = build_sim_stack(raws, seed=9)
-        path, ok = (("/embed", FakeResponse({"embedding": [0.5] * QUESTION_DIM}))
-                    if backend == "embedder" else
-                    ("/generate", FakeResponse({"answer": "120", "output_tokens": 5})))
+        attr, build, ok = REMOTE_BACKENDS[backend]
 
         def client(session):
             return RemoteClient("http://remote:9000", timeout_s=1.0, max_retries=2,
                                 backoff_s=0.01, session=session, sleep=lambda s: None)
 
-        with pytest.raises(TableRouteError) as err:
-            client(FakeSession(outcomes())).post_json(path, {})
-        remote = client(_PayloadSession(raws[bad]["question"], outcomes, ok))
-        if backend == "embedder":
-            backends.question_embedder = RemoteEmbeddingBackend(remote, "question")
-        else:
-            backends.text_generator = RemoteGenerationBackend(remote, "text")
+        err = _backend_error(backend, outcomes, client(FakeSession(outcomes())))
+        setattr(backends, attr,
+                build(client(_PayloadSession(_request_value(backend, raws[bad]), outcomes, ok))))
         forked = _use_cpus(monkeypatch, cpus)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.5)
         assert len(forked) == cpus - 1
-        assert result.skipped == [(raws[bad]["id"], str(err.value))]
-        assert _skip_warnings(caplog) == [f"skipping {raws[bad]['id']}: {err.value}"]
-        assert [e.id for e in result.examples] == [r["id"] for r in raws if r is not raws[bad]]
+        assert result.skipped == [(raws[bad]["id"], str(err))]
+        assert _skip_warnings(caplog) == [f"skipping {raws[bad]['id']}: {err}"]
+        assert result.ids == [r["id"] for r in raws if r is not raws[bad]]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "embeddings.bin"]
         _assert_no_child_left()
 
@@ -1037,7 +1085,7 @@ class TestRecordChecks:
         backends, agent = build_sim_stack(raws, seed=6)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.5)
         assert result.skipped == [(bad["id"], reason)]
-        assert len(result.examples) == 9
+        assert len(result.ids) == 9
 
     @pytest.mark.parametrize("edit,reason", RECORD_CHECKS)
     def test_load_names_the_line_and_the_reason(self, pinned_corpus, tmp_path, edit, reason):
@@ -1090,7 +1138,7 @@ class TestTextFields:
         backends, agent = build_sim_stack(raws, seed=6)
         raws[3]["id"] = ["x"]
         result = ingest(raws, backends, agent, tmp_path / "out", skip_threshold=0.5)
-        assert result.skipped == [("['x']", reason)] and len(result.examples) == 9
+        assert result.skipped == [("['x']", reason)] and len(result.ids) == 9
         shutil.copytree(pinned_corpus, tmp_path / "c")
         _edit_line(tmp_path / "c", 4, lambda rec: rec.update(id=["x"]))
         with pytest.raises(IngestError, match=re.escape(f"corpus.jsonl:4: bad record ({reason})")):
@@ -1225,8 +1273,8 @@ def _random_examples(n, seed):
 
 
 def _stacked(rows):
-    """The reference gather: each row as float32, stacked into float64."""
-    return np.stack([np.asarray(r, dtype=np.float32) for r in rows], dtype=np.float64)
+    """The reference gather: each row as float32, stacked."""
+    return np.stack([np.asarray(r, dtype=np.float32) for r in rows])
 
 
 def _mapping_count(path):
@@ -1255,7 +1303,7 @@ class TestReadRows:
     ], ids=["run", "all", "scattered", "repeat"])
     def test_sidecar_rows_bitwise_equal_to_stack(self, loaded, matrix, picks):
         examples = [loaded[i] for i in picks]
-        out = np.full((len(examples) + 2, INPUT_DIM), 7.0)
+        out = np.full((len(examples) + 2, INPUT_DIM), 7.0, dtype=np.float32)
         got = read_rows(examples, out)
         assert got.base is out and got.shape == (len(examples), INPUT_DIM)
         assert got.tobytes() == _stacked(matrix[list(picks)]).tobytes()
@@ -1269,7 +1317,7 @@ class TestReadRows:
         out = np.full((len(examples) + 1, INPUT_DIM), 7.0, dtype=np.float32)
         got = read_rows(examples, out)
         assert got.base is out and got.dtype == np.float32
-        assert got.tobytes() == _stacked(rows).astype(np.float32).tobytes()
+        assert got.tobytes() == _stacked(rows).tobytes()
         assert (out[len(examples):] == 7.0).all()
 
     def test_in_memory_rows_mixed_with_sidecar_rows(self, loaded, matrix):
@@ -1280,19 +1328,26 @@ class TestReadRows:
         h = [ex.embedding for ex in held]
         rows = [matrix[0], h[0], matrix[1], matrix[2], h[1], h[2], matrix[7], h[3], h[4],
                 matrix[8]]
-        got = read_rows(examples, np.empty((len(examples), INPUT_DIM)))
+        got = read_rows(examples, np.empty((len(examples), INPUT_DIM), dtype=np.float32))
         assert got.tobytes() == _stacked(rows).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, ">f4"])
+    def test_buffer_of_another_dtype_is_refused(self, loaded, dtype):
+        out = np.full((2, INPUT_DIM), 7.0, dtype=dtype)
+        with pytest.raises(InvalidArgumentError, match="reads float32 rows"):
+            read_rows(loaded[:2], out)
+        assert (out == 7.0).all()
 
     def test_reassigned_embedding_is_the_one_read(self, loaded, matrix):
         loaded[4].embedding = np.ones(INPUT_DIM, dtype=np.float32)
-        got = read_rows(loaded[3:6], np.empty((3, INPUT_DIM)))
+        got = read_rows(loaded[3:6], np.empty((3, INPUT_DIM), dtype=np.float32))
         assert got.tobytes() == _stacked([matrix[3], loaded[4].embedding, matrix[5]]).tobytes()
         assert (got[1] == 1.0).all()
 
     def test_row_from_load_example(self, loaded, matrix, tmp_path):
         for i in (0, 13, self.N - 1):
             ex = load_example(tmp_path, loaded[i].id)
-            got = read_rows([ex, loaded[i]], np.empty((2, INPUT_DIM)))
+            got = read_rows([ex, loaded[i]], np.empty((2, INPUT_DIM), dtype=np.float32))
             assert got.tobytes() == _stacked([matrix[i], matrix[i]]).tobytes()
 
     def test_non_finite_row_names_its_example(self, tmp_path):
@@ -1303,7 +1358,7 @@ class TestReadRows:
         loaded = load_corpus(tmp_path)
         bad = loaded[21].id
         with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
-            read_rows(loaded, np.empty((self.N, INPUT_DIM)))
+            read_rows(loaded, np.empty((self.N, INPUT_DIM), dtype=np.float32))
         with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
             train(loaded, [], TrainConfig(), DEFAULT_PATH_COSTS)
         with pytest.raises(IngestError, match=f"example {bad}: non-finite"):
@@ -1315,9 +1370,9 @@ class TestReadRows:
     def test_sidecar_cut_short_after_load(self, loaded, tmp_path):
         with open(tmp_path / "embeddings.bin", "r+b") as fh:
             fh.truncate(10 * INPUT_DIM * 4)
-        read_rows(loaded[:10], np.empty((10, INPUT_DIM)))
+        read_rows(loaded[:10], np.empty((10, INPUT_DIM), dtype=np.float32))
         with pytest.raises(IngestError, match="embeddings.bin ended before row 10"):
-            read_rows(loaded[8:12], np.empty((4, INPUT_DIM)))
+            read_rows(loaded[8:12], np.empty((4, INPUT_DIM), dtype=np.float32))
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
     def test_training_and_evaluation_leave_the_mapping_unread(self, tmp_path):

@@ -29,6 +29,7 @@ from tableroute.engine import (
 )
 from tableroute.errors import (
     ConnectionFailedError,
+    ContractViolationError,
     InferenceError,
     InvalidArgumentError,
     MalformedResponseError,
@@ -593,6 +594,14 @@ REMOTE_FAILURES = {
                     ConnectionFailedError, "dropped while reading the body"),
 }
 
+# The failures of a remote embedder: those above, and a 200 reply whose
+# embedding is too short, which the backend refuses without a retry.
+EMBEDDING_FAILURES = {
+    **REMOTE_FAILURES,
+    "wrong-dimension": (lambda: [FakeResponse({"embedding": [0.5] * 5})],
+                        ContractViolationError, "returned an embedding of shape (5,)"),
+}
+
 
 class TestRemoteFailures:
     """A remote generator or fusion agent fails on the second of two
@@ -689,7 +698,7 @@ class TestEmbeddingFailures:
 
     def _stack(self, examples, failure, n_ok=1, modality="question"):
         backends, agent = make_stack(examples)
-        outcomes, cause, phrase = REMOTE_FAILURES[failure]
+        outcomes, cause, phrase = EMBEDDING_FAILURES[failure]
         ok = FakeResponse({"embedding": [0.5] * EMBED_DIMS[modality]})
         session = FakeSession([ok] * n_ok + outcomes())
         client = RemoteClient("http://remote:9000", timeout_s=1.0, max_retries=2,
@@ -726,7 +735,7 @@ class TestEmbeddingFailures:
         self._bench_names_the_sample("http-error", "question")
 
     @pytest.mark.parametrize("failure,modality", [
-        (f, m) for f in sorted(REMOTE_FAILURES) for m in MODALITIES
+        (f, m) for f in sorted(EMBEDDING_FAILURES) for m in MODALITIES
         if (f, m) != ("http-error", "question")
     ])
     def test_efficiency_bench_names_the_sample_on_each_failure(self, failure, modality):

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -298,6 +299,17 @@ def write_non_utf8_metadata_checkpoint(path):
     path.write_bytes(bytes(blob))
 
 
+def write_hand_built_checkpoint(path, dims, crc_flip=0):
+    """A version-1 checkpoint for `dims` with zero-valued parameters and one
+    metadata entry, built without `save_checkpoint` (which cannot write a
+    zero dimension), under its CRC xor `crc_flip`."""
+    d_in, d_h, d_out = dims
+    body = struct.pack("<5I", 1, d_in, d_h, d_out, 0) + struct.pack("<I", 1)
+    body += struct.pack("<I", 1) + b"k" + struct.pack("<I", 1) + b"v"
+    body += bytes(4 * (d_h * d_in + d_h + d_out * d_h + d_out))
+    path.write_bytes(b"TRGCKPT1" + body + struct.pack("<I", zlib.crc32(body) ^ crc_flip))
+
+
 def traced_peak_bytes(fn):
     """Peak bytes traced by tracemalloc while `fn()` runs."""
     tracemalloc.start()
@@ -590,6 +602,22 @@ class TestCheckpoint:
         blob[-4:] = struct.pack("<I", zlib.crc32(blob[8:-4]))
         path.write_bytes(bytes(blob))
         with pytest.raises(IncompatibleCheckpointError, match="unsupported checkpoint version 2"):
+            load_checkpoint(path, expected_dims=None)
+
+    @pytest.mark.parametrize("dims", [(0, 0, 0), (16, 0, 3), (0, 16, 3), (16, 16, 0)])
+    @pytest.mark.parametrize("expected", [CANONICAL_DIMS, None], ids=["canonical", "any"])
+    def test_zero_dimension_is_incompatible(self, tmp_path, dims, expected):
+        path = tmp_path / "gate.ckpt"
+        write_hand_built_checkpoint(path, dims)
+        with pytest.raises(IncompatibleCheckpointError,
+                           match=re.escape(f"checkpoint dims {dims} include a zero")):
+            load_checkpoint(path, expected_dims=expected)
+
+    def test_zero_dimension_under_a_bad_checksum_is_integrity_error(self, tmp_path):
+        # the checksum is checked before any dimension is trusted
+        path = tmp_path / "gate.ckpt"
+        write_hand_built_checkpoint(path, (0, 0, 0), crc_flip=1)
+        with pytest.raises(CheckpointIntegrityError, match="checksum mismatch"):
             load_checkpoint(path, expected_dims=None)
 
     def test_file_cut_after_its_size_was_read_is_truncated(self, tmp_path, monkeypatch):

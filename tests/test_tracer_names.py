@@ -1,7 +1,8 @@
 """perfbench/tracer.py hooks program functions by name and reads some of
-their positional arguments, so a rename in src/ would quietly break
-`perfbench/run.py --trace 1`. These tests load the tracer without running
-it and check that what it names is still there."""
+their positional arguments and result fields, so a rename in src/ would
+quietly break `perfbench/run.py --trace 1`. These tests load the tracer
+without running it and check that what it names is still there."""
+import dataclasses
 import importlib
 import inspect
 import types
@@ -47,3 +48,28 @@ def test_observed_positional_arguments_in_place(tracer, module_name, func, posit
     params = list(inspect.signature(fn).parameters.values())
     assert params[position].name == name
     assert params[position].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+# (observer, the dataclass its hooked function returns, the field it reads
+# from that result).
+OBSERVED_RESULT_FIELDS = [
+    ("ingest.ingest", "IngestResult", "skipped"),
+    ("trainer.train", "TrainResult", "history"),
+    ("fusion.fuse", "FusionResult", "degraded"),
+    ("engine.infer", "InferenceRecord", "chosen_path"),
+]
+
+
+@pytest.mark.parametrize("span,cls_name,field", OBSERVED_RESULT_FIELDS)
+def test_observed_result_fields_in_place(tracer, span, cls_name, field):
+    assert field in tracer.OBSERVERS[span].__code__.co_names
+    module_name, attr = next((m, a) for m, a in tracer.TRACED
+                             if f"{m.split('.')[-1]}.{a}" == span)
+    module = importlib.import_module(module_name)
+    assert inspect.signature(getattr(module, attr)).return_annotation == cls_name
+    assert field in {f.name for f in dataclasses.fields(getattr(module, cls_name))}
+
+
+def test_every_observer_is_checked(tracer):
+    checked = {f"{m.split('.')[-1]}.{f}" for m, f, _, _ in OBSERVED_ARGUMENTS}
+    assert set(tracer.OBSERVERS) == checked | {span for span, _, _ in OBSERVED_RESULT_FIELDS}
