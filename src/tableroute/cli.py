@@ -7,8 +7,8 @@ snapshot beside them, and exits 0 on success, 2 on config errors, 1 on
 runtime errors.
 
 The synthetic, ingest and analysis modules are imported inside the commands
-that call them, so `route` and `infer` do not pay to import them. The
-engine, corpus, gate and trainer stay imported here: `perfbench/tracer.py`
+that call them, so no other command pays to import them. The engine, corpus,
+gate, trainer and runconfig stay imported here: `perfbench/tracer.py`
 patches traced functions only in the modules that importing this one loads.
 """
 from __future__ import annotations
@@ -128,8 +128,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 f"each 0 or 1, got {row!r}"
             )
         labels[rid] = tuple(row)
-    tags = sorted({str(r.get("dataset")) for r in raws if r.get("dataset")})
-    backends, agent = build_stack(cfg, labels, tags)
+    backends, agent = build_stack(cfg, labels)
     result = run_ingest(raws, backends, agent, args.out,
                         skip_threshold=cfg["ingest"]["skip_threshold"])
     print(f"ingested {len(result.ids)} examples into {args.out} "

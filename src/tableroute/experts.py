@@ -15,7 +15,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError
-from .paths import EMBED_DIMS
+from .paths import EMBED_DIMS, KNOWN_DATASETS
 
 WRONG_ANSWER_SUFFIX = " [alt]"
 
@@ -227,14 +227,22 @@ class GenerationBackend(Protocol):
     ) -> ExpertOutput: ...
 
 
-class SimulatedEmbeddingBackend:
-    """Hash-based embeddings with an optional per-dataset-tag bias vector.
+def tag_bias_vector(tag: str, modality: str, bias_scale: float, seed: int) -> np.ndarray:
+    """Dense per-tag bias added to simulated embeddings of `modality`."""
+    rng = np.random.Generator(np.random.PCG64(stable_digest64("tag-bias", seed, tag, modality)))
+    return rng.uniform(-bias_scale, bias_scale, EMBED_DIMS[modality])
 
-    The bias lets synthetic corpora carry a linearly separable signal while
-    keeping every embedding a pure function of (payload, seed, tag): for a
-    fixed (payload, seed, modality, tag) the vector is bitwise stable across
-    runs and platforms. Without `latency` an embedding takes a flat 0.05 s:
-    `make_separable_corpus` needs a model but never reads phase-1 times.
+
+class SimulatedEmbeddingBackend:
+    """Hash-based embeddings plus a bias vector per known dataset tag.
+
+    The bias of each tag in `KNOWN_DATASETS` is `tag_bias_vector(tag,
+    modality, bias_scale, seed)`, drawn here, so synthetic corpora carry a
+    linearly separable signal while every embedding stays a pure function of
+    (payload, seed, tag), bitwise stable across runs and platforms. At the
+    default `bias_scale` of 0 every bias is zero. Without `latency` an
+    embedding takes a flat 0.05 s: `make_separable_corpus` needs a model but
+    never reads phase-1 times.
     """
 
     def __init__(
@@ -242,18 +250,14 @@ class SimulatedEmbeddingBackend:
         modality: str,
         seed: int = 0,
         latency: LatencyModel | None = None,
-        bias_by_tag: Mapping[str, np.ndarray] | None = None,
+        bias_scale: float = 0.0,
     ):
         self.modality = modality
         self.dim = EMBED_DIMS[modality]
         self.seed = seed
         self.latency = latency or LatencyModel(0.05)
-        self.bias_by_tag = dict(bias_by_tag or {})
-        for tag, bias in self.bias_by_tag.items():
-            if np.shape(bias) != (self.dim,):
-                raise InvalidArgumentError(
-                    f"bias for tag {tag!r} must be {self.dim}-dim, got {np.shape(bias)}"
-                )
+        self.bias_by_tag = {tag: tag_bias_vector(tag, modality, bias_scale, seed)
+                            for tag in KNOWN_DATASETS}
 
     def embed(
         self,
@@ -278,7 +282,7 @@ class SimulatedEmbeddingBackend:
             rng.random(out=row)
             row *= 2.0
             row -= 1.0
-            bias = self.bias_by_tag.get(tag) if tag is not None else None
+            bias = self.bias_by_tag.get(tag)
             if bias is not None:
                 row += bias
             out[b] = row

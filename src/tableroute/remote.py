@@ -175,10 +175,11 @@ class RemoteGenerationBackend:
             },
         )
         url = f"{self.client.endpoint}/generate"
-        answer = body.get("answer")
-        if not isinstance(answer, str):
-            raise MalformedResponseError(f"{url} response needs a string 'answer', got {answer!r}")
-        explanation = str(body.get("explanation", ""))
+        answer, explanation = body.get("answer"), body.get("explanation", "")
+        for name, value in (("answer", answer), ("explanation", explanation)):
+            if not isinstance(value, str):
+                raise MalformedResponseError(
+                    f"{url} response needs a string {name!r}, got {value!r}")
         tokens = body.get("output_tokens")
         if tokens is None:
             tokens = whitespace_token_count(f"{answer} {explanation}".strip())

@@ -253,16 +253,17 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def build_stack(
-    cfg: RunConfig, labels: Mapping[str, Sequence[int]], tags: Sequence[str]
+    cfg: RunConfig, labels: Mapping[str, Sequence[int]]
 ) -> tuple[EngineBackends, AgentBackend]:
     """The expert backends and the fusion agent that `cfg` configures.
 
     Simulated generators and the scripted agent replay `labels`, each
     example's (text, image, fusion) correctness by id; simulated embedders
-    carry a bias for each dataset tag in `tags`.
+    draw their own bias for each known dataset tag.
     """
     from .engine import EngineBackends
-    from .experts import LatencyModel, SimulatedGenerationBackend, TokensModel
+    from .experts import (LatencyModel, SimulatedEmbeddingBackend, SimulatedGenerationBackend,
+                          TokensModel)
     from .fusion import ScriptedAgent
 
     def _latency(pair: Sequence[float]) -> LatencyModel:
@@ -288,11 +289,10 @@ def build_stack(
         embedders = [RemoteEmbeddingBackend(client, m) for m in MODALITIES]
         generators = [RemoteGenerationBackend(client, p) for p in PATH_NAMES[:2]]
     else:
-        from .synthetic import biased_embedders
-
         seed = b["embedding_seed"]
-        latencies = {m: _latency(b[f"{m}_embed_latency"]) for m in MODALITIES}
-        embedders = biased_embedders(tags, float(b["embedding_bias_scale"]), seed, latencies).values()
+        scale = float(b["embedding_bias_scale"])
+        embedders = [SimulatedEmbeddingBackend(m, seed, _latency(b[f"{m}_embed_latency"]), scale)
+                     for m in MODALITIES]
         generators = [
             SimulatedGenerationBackend(
                 p, {k: row[i] for k, row in labels.items()},
@@ -315,5 +315,4 @@ def build_stack(
 
 def backends_from_corpus(cfg: RunConfig, examples: Sequence[RoutingExample]):
     """Backend stack whose generation labels replay the corpus path scores."""
-    return build_stack(cfg, {ex.id: ex.path_scores for ex in examples},
-                       sorted({ex.dataset for ex in examples}))
+    return build_stack(cfg, {ex.id: ex.path_scores for ex in examples})

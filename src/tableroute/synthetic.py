@@ -1,10 +1,11 @@
 """Synthetic corpora for offline experiments.
 
 Each dataset tag maps to a fixed correctness profile (which of the three
-paths solves its instances), and the simulated embedding backends add a
-per-tag bias vector to every modality. Tags are therefore linearly separable
-in embedding space and the correctness labels are an exact function of the
-tag, which guarantees a linear routing solution exists.
+paths solves its instances), and each simulated embedding backend draws a
+bias vector per known dataset tag (`experts.tag_bias_vector`). Tags are
+therefore linearly separable in embedding space and the correctness labels
+are an exact function of the tag, which guarantees a linear routing
+solution exists.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import numpy as np
 from .corpus import RoutingExample, Table, example_from_raw, stratified_split
 from .engine import EMBED_BLOCK_ROWS, embed_examples
 from .errors import InvalidArgumentError
-from .experts import LatencyModel, SimulatedEmbeddingBackend, seeded_generators, stable_digest64
-from .paths import EMBED_DIMS, INPUT_DIM, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
+from .experts import SimulatedEmbeddingBackend, seeded_generators, stable_digest64
+from .paths import INPUT_DIM, KNOWN_DATASETS, MODALITIES, TRAINING_DATASETS
 
 # Per-tag correctness profile: (text, image, fusion).
 TAG_PROFILES: dict[str, tuple[int, int, int]] = {
@@ -31,26 +32,6 @@ _ITEMS = (
     "copper", "wheat", "steel", "cotton", "coffee", "timber", "nickel",
     "rubber", "cocoa", "barley",
 )
-
-
-def tag_bias_vector(tag: str, modality: str, bias_scale: float, seed: int) -> np.ndarray:
-    """Dense per-tag bias added to simulated embeddings of `modality`."""
-    rng = np.random.Generator(np.random.PCG64(stable_digest64("tag-bias", seed, tag, modality)))
-    return rng.uniform(-bias_scale, bias_scale, EMBED_DIMS[modality])
-
-
-def biased_embedders(
-    tags, bias_scale: float, seed: int, latencies: dict[str, LatencyModel] | None = None
-) -> dict[str, SimulatedEmbeddingBackend]:
-    """One simulated embedding backend per modality, biased per dataset tag."""
-    latencies = latencies or {}
-    backends = {}
-    for modality in MODALITIES:
-        bias = {t: tag_bias_vector(t, modality, bias_scale, seed) for t in tags}
-        backends[modality] = SimulatedEmbeddingBackend(
-            modality, seed=seed, latency=latencies.get(modality), bias_by_tag=bias
-        )
-    return backends
 
 
 def _make_table(rng: np.random.Generator) -> tuple[Table, str, str]:
@@ -112,7 +93,7 @@ def make_separable_corpus(
     """
     total = n_train + n_val
     raws = make_raw_records(total, seed=seed, tags=tags)
-    embedders = tuple(biased_embedders(tags, bias_scale, seed).values())
+    embedders = [SimulatedEmbeddingBackend(m, seed, bias_scale=bias_scale) for m in MODALITIES]
     examples = [example_from_raw(raw, raw["path_labels"]) for raw in raws]
     X = np.empty((total, INPUT_DIM), dtype=np.float32)
     for lo in range(0, total, EMBED_BLOCK_ROWS):

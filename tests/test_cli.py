@@ -819,12 +819,22 @@ class TestCommandImports:
                                     "--out", workdir / "raw.jsonl", "--n", 3)
         assert loaded == CLI_MODULES | {"tableroute.synthetic"}
 
-    def test_route(self, tiny):
+    @pytest.mark.parametrize("command", ["route", "infer", "bench", "profile-cost", "ingest"])
+    def test_command_leaves_synthetic_and_analysis_unloaded(self, tiny, workdir, command):
+        # The simulated embedders draw their own tag biases, so no command
+        # but make-synthetic needs the corpus generator.
         corpus, ckpt = tiny
-        loaded = self.modules_after("tableroute.cli", "route", "--corpus", corpus,
-                                    "--checkpoint", ckpt, "--id", "syn-000003")
-        assert "tableroute.gate" in loaded
-        assert not loaded & {"tableroute.analysis", "tableroute.ingest", "tableroute.synthetic"}
+        argv = {
+            "route": ["--corpus", corpus, "--checkpoint", ckpt, "--id", "syn-000003"],
+            "infer": ["--corpus", corpus, "--checkpoint", ckpt, "--id", "syn-000003"],
+            "bench": ["--corpus", corpus, "--checkpoint", ckpt, "--run-dir", workdir / "run"],
+            "profile-cost": ["--corpus", corpus, "--run-dir", workdir / "run"],
+            "ingest": ["--raw", workdir / "raw.jsonl", "--out", workdir / "again"],
+        }[command]
+        loaded = self.modules_after("tableroute.cli", command, *argv)
+        assert CLI_MODULES <= loaded
+        assert not loaded & {"tableroute.analysis", "tableroute.synthetic"}
+        assert ("tableroute.ingest" in loaded) == (command == "ingest")
 
     def test_route_leaves_numpy_random_unloaded(self, tiny):
         # `route` draws no random numbers; loading numpy.random would take
@@ -833,10 +843,3 @@ class TestCommandImports:
         assert not self.modules_after("tableroute.cli", "route", "--corpus", corpus,
                                       "--checkpoint", ckpt, "--id", "syn-000003",
                                       prefix="numpy.random")
-
-    def test_infer(self, tiny):
-        corpus, ckpt = tiny
-        loaded = self.modules_after("tableroute.cli", "infer", "--corpus", corpus,
-                                    "--checkpoint", ckpt, "--id", "syn-000003")
-        assert "tableroute.engine" in loaded
-        assert not loaded & {"tableroute.analysis", "tableroute.ingest"}

@@ -30,14 +30,15 @@ from tableroute.corpus import (
     stratified_split,
     write_corpus,
 )
-from tableroute.engine import EngineBackends, embed_examples, route
+from tableroute.engine import EngineBackends, embed_examples, fuse_outputs, generate_both, route
 from tableroute.errors import (
     ContractViolationError,
     IngestError,
     InvalidArgumentError,
     TableRouteError,
 )
-from tableroute.experts import LatencyModel, SimulatedGenerationBackend, TokensModel
+from tableroute.experts import (LatencyModel, SimulatedEmbeddingBackend,
+                                SimulatedGenerationBackend, TokensModel)
 from tableroute.fusion import ScriptedAgent
 from tableroute.gate import init_gate, pack_parameters, save_checkpoint
 from tableroute.ingest import ingest
@@ -49,13 +50,9 @@ from tableroute.paths import (
     MODALITIES,
     QUESTION_DIM,
 )
-from tableroute.remote import RemoteClient, RemoteEmbeddingBackend, RemoteGenerationBackend
-from tableroute.synthetic import (
-    TAG_PROFILES,
-    biased_embedders,
-    make_raw_records,
-    make_separable_corpus,
-)
+from tableroute.remote import (RemoteAgentBackend, RemoteClient, RemoteEmbeddingBackend,
+                               RemoteGenerationBackend)
+from tableroute.synthetic import TAG_PROFILES, make_raw_records, make_separable_corpus
 from tableroute.trainer import TrainConfig, _eval_logits, route_split, train
 from test_engine import EMBEDDING_FAILURES, REMOTE_FAILURES
 from test_remote import FakeResponse, FakeSession
@@ -380,16 +377,16 @@ class TestSynthetic:
 
 
 def build_sim_stack(raws, seed=0):
-    tags = sorted({r["dataset"] for r in raws})
-    embedders = biased_embedders(tags, bias_scale=1.0, seed=seed)
+    question, text, vision = (SimulatedEmbeddingBackend(m, seed, bias_scale=1.0)
+                              for m in MODALITIES)
     labels_t = {r["id"]: r["path_labels"][0] for r in raws}
     labels_i = {r["id"]: r["path_labels"][1] for r in raws}
     labels_f = {r["id"]: r["path_labels"][2] for r in raws}
     gen_models = (LatencyModel(1.0), TokensModel(32))
     backends = EngineBackends(
-        question_embedder=embedders["question"],
-        text_embedder=embedders["text"],
-        vision_embedder=embedders["vision"],
+        question_embedder=question,
+        text_embedder=text,
+        vision_embedder=vision,
         text_generator=SimulatedGenerationBackend("text", labels_t, *gen_models),
         image_generator=SimulatedGenerationBackend("image", labels_i, *gen_models),
     )
@@ -570,9 +567,7 @@ class TestIngest:
         # embed through the engine's one embedding step.
         raws = make_raw_records(40, seed=0)
         labels = {r["id"]: tuple(r["path_labels"]) for r in raws}
-        backends, agent = runconfig.build_stack(
-            runconfig.load_runconfig(None), labels, sorted({r["dataset"] for r in raws})
-        )
+        backends, agent = runconfig.build_stack(runconfig.load_runconfig(None), labels)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.2)
         ingested = load_corpus(tmp_path)
         assert [e.id for e in ingested] == result.ids
@@ -897,6 +892,11 @@ def _request_value(backend, raw):
     return raw["question"]
 
 
+def _client(session):
+    return RemoteClient("http://remote:9000", timeout_s=1.0, max_retries=2, backoff_s=0.01,
+                        session=session, sleep=lambda s: None)
+
+
 def _backend_error(backend, outcomes, client):
     """The error `backend`, built on `client`, raises when its one request
     gets `outcomes`."""
@@ -909,15 +909,30 @@ def _backend_error(backend, outcomes, client):
     return err.value
 
 
-class TestIngestRemoteFailures:
-    """A remote embedder or generator fails on one record's request: ingest
-    skips that record with the client's or the backend's message and logs
-    it once, at one CPU and in the worker's share of a two-share run (the
-    last 6 of 70 records), and leaves no part file and no child. Every
-    embedder also meets a reply of the wrong dimension."""
+class _Prompted(Exception):
+    """Raised by `_PromptAgent` with the prompt it was sent."""
 
-    @pytest.mark.parametrize("n,bad,cpus", [(10, 3, 1), (70, 66, 2)],
-                             ids=["one-cpu", "worker-share"])
+
+class _PromptAgent:
+    def complete(self, prompt, *, context=None):
+        raise _Prompted(prompt)
+
+
+# Where the record to fail sits: among 10 records at one CPU, or in the
+# worker's share of a two-share run (the last 6 of 70 records).
+SHARES = pytest.mark.parametrize("n,bad,cpus", [(10, 3, 1), (70, 66, 2)],
+                                 ids=["one-cpu", "worker-share"])
+
+
+class TestIngestRemoteFailures:
+    """A remote embedder, generator or fusion agent fails on one record's
+    request: ingest skips that record with the client's, the backend's or
+    the fusion step's message and logs it once, at one CPU and in the
+    worker's share of a two-share run, writes every other record, and
+    leaves no part file and no child. Every embedder also meets a reply of
+    the wrong dimension."""
+
+    @SHARES
     @pytest.mark.parametrize("failure,backend", [
         pytest.param(f, b, id=f"{f}-{b}") for f in sorted(EMBEDDING_FAILURES)
         for b in REMOTE_BACKENDS if f in REMOTE_FAILURES or b.endswith("embedder")])
@@ -928,14 +943,34 @@ class TestIngestRemoteFailures:
         raws[bad] = dict(raws[bad], question="Which question fails remotely?")
         backends, agent = build_sim_stack(raws, seed=9)
         attr, build, ok = REMOTE_BACKENDS[backend]
-
-        def client(session):
-            return RemoteClient("http://remote:9000", timeout_s=1.0, max_retries=2,
-                                backoff_s=0.01, session=session, sleep=lambda s: None)
-
-        err = _backend_error(backend, outcomes, client(FakeSession(outcomes())))
+        err = _backend_error(backend, outcomes, _client(FakeSession(outcomes())))
         setattr(backends, attr,
-                build(client(_PayloadSession(_request_value(backend, raws[bad]), outcomes, ok))))
+                build(_client(_PayloadSession(_request_value(backend, raws[bad]), outcomes, ok))))
+        self._assert_only_skipped(tmp_path, monkeypatch, caplog, raws, bad, cpus, backends, agent,
+                                  err)
+
+    @SHARES
+    @pytest.mark.parametrize("failure", sorted(REMOTE_FAILURES))
+    def test_agent_failure_skips_its_record(self, tmp_path, monkeypatch, caplog, failure, n, bad,
+                                            cpus):
+        outcomes = REMOTE_FAILURES[failure][0]
+        raws = make_raw_records(n, seed=9)
+        raws[bad] = dict(raws[bad], question="Which question fails remotely?")
+        backends, _ = build_sim_stack(raws, seed=9)
+        example = example_from_raw(raws[bad], (0, 0, 0))
+        outputs = generate_both(example, backends)
+        with pytest.raises(_Prompted) as prompt:
+            fuse_outputs(example, *outputs, _PromptAgent())
+        with pytest.raises(TableRouteError) as err:
+            fuse_outputs(example, *outputs, RemoteAgentBackend(_client(FakeSession(outcomes()))))
+        session = _PayloadSession(prompt.value.args[0], outcomes,
+                                  FakeResponse({"text": '{"answer": "120"}'}))
+        self._assert_only_skipped(tmp_path, monkeypatch, caplog, raws, bad, cpus, backends,
+                                  RemoteAgentBackend(_client(session)), err.value)
+
+    @staticmethod
+    def _assert_only_skipped(tmp_path, monkeypatch, caplog, raws, bad, cpus, backends, agent,
+                             err):
         forked = _use_cpus(monkeypatch, cpus)
         result = ingest(raws, backends, agent, tmp_path, skip_threshold=0.5)
         assert len(forked) == cpus - 1

@@ -58,7 +58,6 @@ from tableroute.remote import (
     RemoteEmbeddingBackend,
     RemoteGenerationBackend,
 )
-from tableroute.synthetic import biased_embedders
 from test_remote import FakeResponse, FakeSession
 
 
@@ -778,10 +777,8 @@ class TestEmbedExamples:
                 for i in range(n)]
 
     def _embedders(self):
-        embedders = biased_embedders(("wtq", "tabmwp"), 1.0, seed=4, latencies={
-            m: LatencyModel(mean, 0.02) for m, mean in
-            (("question", 0.05), ("text", 0.10), ("vision", 0.20))})
-        return tuple(embedders[m] for m in ("question", "text", "vision"))
+        return tuple(SimulatedEmbeddingBackend(m, 4, LatencyModel(mean, 0.02), bias_scale=1.0)
+                     for m, mean in (("question", 0.05), ("text", 0.10), ("vision", 0.20)))
 
     @pytest.mark.parametrize("n", [1, 7, 65])
     def test_rows_and_times_equal_the_per_example_reference(self, n):

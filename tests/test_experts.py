@@ -14,11 +14,12 @@ from tableroute.experts import (
     normalize_answer,
     seeded_generators,
     stable_digest64,
+    tag_bias_vector,
     unit_draw,
     whitespace_token_count,
     wrong_answer,
 )
-from tableroute.paths import EMBED_DIMS, QUESTION_DIM
+from tableroute.paths import EMBED_DIMS, KNOWN_DATASETS, MODALITIES, QUESTION_DIM
 
 
 class TestNormalization:
@@ -49,13 +50,10 @@ class TestNormalization:
         assert not answers_match(wrong_answer(gold), gold)
 
 
-def _embed_one(payload, seed, modality, bias=None):
+def _embed_one(payload, seed, modality, tag=None, bias_scale=0.0):
     """One payload through the batched simulated embedder, as a row."""
-    tags = None if bias is None else ["tag"]
-    backend = SimulatedEmbeddingBackend(
-        modality, seed=seed, bias_by_tag=None if bias is None else {"tag": bias}
-    )
-    return backend.embed([payload], tags)[0]
+    backend = SimulatedEmbeddingBackend(modality, seed=seed, bias_scale=bias_scale)
+    return backend.embed([payload], [tag])[0]
 
 
 class TestPseudoEmbedding:
@@ -77,8 +75,11 @@ class TestPseudoEmbedding:
         assert np.all(v >= -1.0) and np.all(v <= 1.0)
 
     def test_bias_added(self):
-        v = _embed_one("x", seed=0, modality="question", bias=np.full(QUESTION_DIM, 5.0))
-        assert np.all(v >= 4.0)
+        plain = _embed_one("x", seed=0, modality="question")
+        biased = _embed_one("x", seed=0, modality="question", tag="wtq", bias_scale=5.0)
+        np.testing.assert_allclose(biased - plain, tag_bias_vector("wtq", "question", 5.0, 0),
+                                   atol=1e-5)
+        assert np.abs(biased).max() > 1.0
 
     def test_unit_draw_stable_and_bounded(self):
         assert unit_draw("a", 1, "b") == unit_draw("a", 1, "b")
@@ -143,10 +144,9 @@ class TestBatchedEmbedding:
     @pytest.mark.parametrize("biased", [False, True])
     def test_rows_equal_the_reference_expression(self, modality, batch, biased):
         dim = EMBED_DIMS[modality]
-        bias = {"wtq": np.random.default_rng(1).uniform(-1, 1, dim)} if biased else None
-        backend = SimulatedEmbeddingBackend(modality, seed=5, bias_by_tag=bias)
+        backend = SimulatedEmbeddingBackend(modality, seed=5, bias_scale=1.0 if biased else 0.0)
         payloads = [f"payload {i}" if i % 2 else f"payload {i}".encode() for i in range(batch)]
-        # untagged rows and rows whose tag has no bias take none
+        # untagged rows take no bias
         tags = [("wtq", None, "hitab")[i % 3] for i in range(batch)]
         got = backend.embed(payloads, tags)
         assert got.shape == (batch, dim) and got.dtype == np.float32
@@ -161,9 +161,22 @@ class TestBatchedEmbedding:
         np.testing.assert_array_equal(block[:, :QUESTION_DIM], backend.embed(["a", "b", "c"]))
         assert not block[:, QUESTION_DIM:].any()
 
-    def test_wrong_bias_shape_refused_at_construction(self):
-        with pytest.raises(InvalidArgumentError, match="wtq"):
-            SimulatedEmbeddingBackend("text", bias_by_tag={"wtq": np.zeros(16)})
+    @pytest.mark.parametrize("modality", MODALITIES)
+    def test_each_known_tag_gets_its_drawn_bias(self, modality):
+        backend = SimulatedEmbeddingBackend(modality, seed=5, bias_scale=0.5)
+        assert set(backend.bias_by_tag) == set(KNOWN_DATASETS)
+        for tag, bias in backend.bias_by_tag.items():
+            assert bias.shape == (EMBED_DIMS[modality],)
+            assert bias.tobytes() == tag_bias_vector(tag, modality, 0.5, 5).tobytes()
+        payloads = ["p", "q", b"r"]
+        plain = backend.embed(payloads)
+        # no tag and an unknown tag take no bias
+        assert backend.embed(payloads, [None, "nope", None]).tobytes() == plain.tobytes()
+        # at scale 0 every known tag's row is the untagged row, bit for bit
+        unscaled = SimulatedEmbeddingBackend(modality, seed=5, bias_scale=0.0)
+        for tag in KNOWN_DATASETS:
+            rows = unscaled.embed(payloads, [tag] * len(payloads))
+            assert rows.tobytes() == plain.tobytes()
 
 
 class TestEmbeddingBackend:
@@ -183,11 +196,10 @@ class TestEmbeddingBackend:
         np.testing.assert_array_equal(a, backend.embed(["t"])[0])
 
     def test_tag_bias_changes_vector(self):
-        bias = {"wtq": np.full(3584, 2.0, dtype=np.float64)}
-        backend = SimulatedEmbeddingBackend("text", seed=9, bias_by_tag=bias)
+        backend = SimulatedEmbeddingBackend("text", seed=9, bias_scale=2.0)
         plain, biased = backend.embed(["t", "t"], [None, "wtq"])
         assert not np.array_equal(plain, biased)
-        np.testing.assert_allclose(biased - plain, 2.0, atol=1e-6)
+        np.testing.assert_allclose(biased - plain, backend.bias_by_tag["wtq"], atol=1e-6)
 
     def test_timed_latency_configured(self):
         backend = SimulatedEmbeddingBackend("text", latency=LatencyModel(0.10, 0.0))

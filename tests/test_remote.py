@@ -1,5 +1,6 @@
 """Remote client contract tests against a fake transport."""
 import json
+import re
 import time
 import warnings
 
@@ -251,6 +252,20 @@ class TestRemoteGeneration:
         with pytest.raises(MalformedResponseError, match="string 'answer', got None"):
             backend.generate("| t |", "q")
 
+    @pytest.mark.parametrize("explanation", [None, 5, ["a"], {"a": 1}, True],
+                             ids=["null", "int", "list", "object", "bool"])
+    def test_explanation_other_than_a_string_malformed(self, explanation):
+        client, _ = make_client([FakeResponse({"answer": "42", "explanation": explanation})])
+        backend = RemoteGenerationBackend(client, "text")
+        with pytest.raises(MalformedResponseError,
+                           match=re.escape(f"string 'explanation', got {explanation!r}")):
+            backend.generate("| t |", "q")
+
+    def test_absent_explanation_is_empty(self):
+        client, _ = make_client([FakeResponse({"answer": "42"})])
+        out = RemoteGenerationBackend(client, "text").generate("| t |", "q")
+        assert (out.explanation, out.output_tokens) == ("", 1)
+
     @pytest.mark.parametrize("tokens", ["many", "7", 7.0, -1, True])
     def test_output_tokens_other_than_a_count_malformed(self, tokens):
         client, _ = make_client([FakeResponse({"answer": "42", "output_tokens": tokens})])
@@ -288,7 +303,7 @@ class TestBuildStack:
             "backends": {"kind": "remote", "endpoint": "http://localhost:9/", "max_retries": 4},
             "agent": {"kind": "remote", "endpoint": "http://localhost:8", "timeout_s": 3.0},
         })
-        backends, agent = build_stack(cfg, {}, [])
+        backends, agent = build_stack(cfg, {})
         experts = [*backends.embedders, backends.text_generator, backends.image_generator]
         assert all(isinstance(e, RemoteEmbeddingBackend) for e in experts[:3])
         assert all(isinstance(e, RemoteGenerationBackend) for e in experts[3:])
@@ -307,5 +322,5 @@ class TestBuildStack:
     def test_missing_endpoint_is_config_error(self, section, message):
         cfg = load_runconfig(None, {section: {"kind": "remote"}})
         with pytest.raises(ConfigError, match=message) as err:
-            build_stack(cfg, {}, [])
+            build_stack(cfg, {})
         assert err.value.key == f"{section}.endpoint"
