@@ -29,6 +29,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, Te
 import numpy as np
 
 from .errors import IngestError, InvalidArgumentError
+from .experts import seeded_generators, stable_digest64
 from .fileio import staged
 from .paths import INPUT_DIM, KNOWN_DATASETS
 
@@ -363,24 +364,18 @@ def stratified_split(
     examples: Sequence[RoutingExample], val_fraction: float, seed: int
 ) -> tuple[list[RoutingExample], list[RoutingExample]]:
     """Deterministic train/val split, stratified per dataset tag, of
-    examples in id order (as a loaded corpus is)."""
+    examples in id order (as a loaded corpus is). Each dataset's order is a
+    permutation from the stream keyed `stable_digest64("split", seed,
+    dataset)`."""
     if not 0.0 <= val_fraction < 1.0:
         raise InvalidArgumentError(f"val_fraction must be in [0, 1), got {val_fraction}")
     train: list[RoutingExample] = []
     val: list[RoutingExample] = []
     for dataset, group in sorted(split_by_dataset(examples).items()):
-        rng = np.random.Generator(np.random.PCG64(seed ^ hash_tag(dataset)))
+        rng = seeded_generators([stable_digest64("split", seed, dataset)])[0]
         order = rng.permutation(len(group))
         n_val = int(round(val_fraction * len(group)))
         val_idx = set(order[:n_val].tolist())
         for i, ex in enumerate(group):
             (val if i in val_idx else train).append(ex)
     return train, val
-
-
-def hash_tag(tag: str) -> int:
-    """Small stable integer from a dataset tag, for seed mixing."""
-    out = 0
-    for ch in tag.encode("utf-8"):
-        out = (out * 131 + ch) % (2**31)
-    return out

@@ -21,7 +21,8 @@ import numpy as np
 
 from .corpus import RoutingExample, split_by_dataset
 from .errors import FusionUnavailableError, InferenceError, InvalidArgumentError, TableRouteError
-from .experts import EmbeddingBackend, ExpertOutput, GenerationBackend, stable_digest64
+from .experts import (EmbeddingBackend, ExpertOutput, GenerationBackend, seeded_generators,
+                      stable_digest64)
 from .fusion import AgentBackend, FusionRequest, FusionResult, fuse
 from .gate import GateParameters, compute_params, concat_input, forward_batch
 from .numerics import softmax
@@ -446,7 +447,7 @@ def run_efficiency_bench(
                     f"dataset {dataset}: only {len(pool)} examples available, "
                     f"wanted {bench_cfg.n_per_dataset}; continuing with {n}"
                 )
-            rng = np.random.Generator(np.random.PCG64(stable_digest64("bench", seed, dataset)))
+            rng = seeded_generators([stable_digest64("bench", seed, dataset)])[0]
             idx = rng.choice(len(pool), size=n, replace=False)
             sample = [pool[i] for i in sorted(idx.tolist())]
             # Both modes embed the sample alike, so it is embedded once.

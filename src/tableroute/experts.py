@@ -4,6 +4,10 @@ Simulated backends stand in for the frozen text/vision experts at desk
 scale: embeddings are hash-seeded pseudo-vectors, generation correctness is
 driven by per-example labels, and latencies/token counts come from small
 configurable models so benches are deterministic.
+
+Every random stream in tableroute is a `seeded_generators` generator whose
+seed is `stable_digest64` of the stream's name and key, so no two streams
+share a seed and a key of any size is accepted.
 """
 from __future__ import annotations
 
@@ -70,47 +74,10 @@ def unit_draw(*parts) -> float:
     return 2.0 * u01 - 1.0
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx); NEP 19
-# keeps its output stable across numpy versions.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The first `n` values of one of SeedSequence's uint32 hash constants,
-    which start at `init` and are multiplied by `mult` after each use, as a
-    column [n, 1]."""
-    out = [init]
-    while len(out) < n:
-        out.append((out[-1] * mult) & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-# One hashmix per pool word, one per ordered pair of pool words, and one
-# more constant for the last multiply; then 8 state words.
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
-_SHIFT = np.uint32(16)
-_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
-
-
-def _hashmix(rows: np.ndarray, k: int, constants: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of uint32 rows [m, N]: row i is the (k + i)-th
-    hashmix, as numpy's hash constant advances once per call."""
-    m = rows.shape[0]
-    rows = rows ^ constants[k:k + m]
-    rows *= constants[k + 1:k + m + 1]
-    rows ^= rows >> _SHIFT
-    return rows
-
-
 class _SeedWords:
-    """The four uint64 words SeedSequence(seed).generate_state(4, uint64)
-    gives, already computed; all that PCG64 reads from its seed. It is
-    registered as an `ISeedSequence` on first use."""
+    """PCG64's four uint64 seed words, already computed: all that PCG64
+    reads from its seed. It is registered as an `ISeedSequence` on first
+    use."""
 
     __slots__ = ("words",)
 
@@ -122,13 +89,13 @@ class _SeedWords:
 
 
 def seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
-    """`[np.random.Generator(np.random.PCG64(s)) for s in seeds]`, bit for bit.
+    """One PCG64 generator per seed, the one source of every random stream.
 
-    SeedSequence's pool mixing and `generate_state(4, uint64)` run once, as
-    uint32 array operations over all seeds; each PCG64 then takes its four
-    words from a `_SeedWords`. A seed below 2**64 has at most two uint32
-    entropy words, and SeedSequence pads a shorter entropy with hashes of 0,
-    as here. Seeds must be integers in [0, 2**64).
+    A seed's four PCG64 seed words are the BLAKE2b-256 digest of its eight
+    little-endian bytes, read as four little-endian uint64 words: a digest
+    is already well-mixed state, so no SeedSequence runs. Seeds must be
+    integers in [0, 2**64); a key of any size reaches here through
+    `stable_digest64`.
     """
     try:
         ints = [operator.index(s) for s in seeds]
@@ -142,26 +109,10 @@ def seeded_generators(seeds: Sequence[int]) -> list[np.random.Generator]:
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
-    seeds64 = np.array(ints, dtype=np.uint64)
-    # The entropy words, low half first, padded with zeros to the pool size.
-    pool = np.zeros((_POOL_SIZE, len(ints)), dtype=np.uint32)
-    pool[0] = seeds64 & np.uint64(_MASK32)
-    pool[1] = seeds64 >> np.uint64(32)
-    pool = _hashmix(pool, 0, _HASH_A)
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed = pool[dst] * _MIX_L
-                mixed -= _hashmix(pool[src:src + 1], k, _HASH_A)[0] * _MIX_R
-                mixed ^= mixed >> _SHIFT
-                pool[dst] = mixed
-                k += 1
-    state = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], 0, _HASH_B)
-    state = state.astype(np.uint64)
-    # uint64 word j is uint32 words 2j (low half) and 2j + 1; PCG64 reads
-    # each seed's four words from one contiguous row.
-    words = np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
+    digests = b"".join(hashlib.blake2b(s.to_bytes(8, "little"), digest_size=32).digest()
+                       for s in ints)
+    # Native uint64, one contiguous row of four words per seed.
+    words = np.frombuffer(digests, dtype="<u8").astype(np.uint64).reshape(-1, 4)
     return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
@@ -229,7 +180,7 @@ class GenerationBackend(Protocol):
 
 def tag_bias_vector(tag: str, modality: str, bias_scale: float, seed: int) -> np.ndarray:
     """Dense per-tag bias added to simulated embeddings of `modality`."""
-    rng = np.random.Generator(np.random.PCG64(stable_digest64("tag-bias", seed, tag, modality)))
+    rng = seeded_generators([stable_digest64("tag-bias", seed, tag, modality)])[0]
     return rng.uniform(-bias_scale, bias_scale, EMBED_DIMS[modality])
 
 

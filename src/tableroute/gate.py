@@ -35,7 +35,7 @@ from .errors import (
     IncompatibleCheckpointError,
     InvalidArgumentError,
 )
-from .experts import seeded_generators
+from .experts import seeded_generators, stable_digest64
 from .fileio import atomic_open
 from .paths import INPUT_DIM, N_PATHS, QUESTION_DIM, TEXT_DIM, VISION_DIM
 
@@ -89,7 +89,7 @@ def init_gate(
 
     Draw order is fixed (W1 then W2) so a seed pins the full parameter set.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_generators([stable_digest64("init-gate", seed)])[0]
     lim1 = np.sqrt(6.0 / (input_dim + hidden_dim))
     lim2 = np.sqrt(6.0 / (hidden_dim + output_dim))
     W1 = rng.uniform(-lim1, lim1, size=(hidden_dim, input_dim)).astype(np.float32)
@@ -154,7 +154,8 @@ def forward_batch(
     """Batched forward pass. X: [B, input]. Returns (logits [B, out], cache).
 
     Computes in the dtype of `params` (X is cast to it): pass
-    `compute_params(params)` for float64 inference.
+    `compute_params(params)` for float64 inference. In train mode row b's
+    dropout mask is drawn from `seeded_generators([rng_seeds[b]])[0]`.
     """
     if mode not in ("train", "eval"):
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")

@@ -24,10 +24,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# Elements per block of the in-place AdamW update and per leaf of the
-# clipping norm: 32K-element scratch buffers (at most 256 KB each) hold a
-# block's temporaries while it is in cache, instead of full-size temporaries
-# streamed through memory.
+# Elements per block of the in-place AdamW update: 32K-element scratch
+# buffers (at most 256 KB each) hold a block's temporaries while it is in
+# cache, instead of full-size temporaries streamed through memory.
 ADAMW_BLOCK = 32768
 
 
@@ -164,25 +163,6 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
     return cfg.lr_max * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
-def _sum_of_squares(g: np.ndarray, scratch: np.ndarray):
-    """`np.sum(g * g)` bit for bit, squaring ADAMW_BLOCK elements at a time.
-
-    numpy sums a contiguous array pairwise: it splits n elements at n // 2,
-    rounded down to a multiple of 8, until a piece has at most 128. This
-    takes the same splits down to pieces of at most ADAMW_BLOCK elements,
-    sums each piece's squares in `scratch` with `np.add.reduce` (the loop
-    behind `np.sum`, without its Python wrapper), and adds the partial sums
-    back up the same tree in g's dtype. (`np.sum` also adds its 0.0 start to
-    the total, which changes no sum of squares.)
-    """
-    n = g.size
-    if n <= ADAMW_BLOCK:
-        return np.add.reduce(np.multiply(g, g, out=scratch[:n]))
-    half = n // 2
-    half -= half % 8
-    return _sum_of_squares(g[:half], scratch) + _sum_of_squares(g[half:], scratch)
-
-
 def clip_grad_norm(grads, max_norm: float) -> tuple[float | None, float]:
     """The global L2 norm of `grads` and the scale that clips it to `max_norm`.
 
@@ -191,16 +171,13 @@ def clip_grad_norm(grads, max_norm: float) -> tuple[float | None, float]:
     `grad_scale`. `grads` is not modified. A float32 array is handled in
     float32, anything else in float64. The norm is `sqrt(sum(g * g))` with
     numpy's summation order, not `np.dot(g, g)`: the two differ in the last
-    bits, and the norm is part of the training history. The squares are
-    formed and summed ADAMW_BLOCK elements at a time, in one block-sized
-    scratch buffer, with bitwise the same result as the full-size `g * g`.
-    A norm that is not finite is returned as it is; callers check it before
-    they step.
+    bits, and the norm is part of the training history. The squares take
+    one gradient-sized temporary. A norm that is not finite is returned as
+    it is; callers check it before they step.
     """
     if not (np.isfinite(max_norm) and max_norm > 0):
         raise InvalidArgumentError(f"max_norm must be > 0, got {max_norm}")
     dtype = np.float32 if getattr(grads, "dtype", None) == np.float32 else np.float64
     g = np.ascontiguousarray(grads, dtype=dtype).reshape(-1)
-    scratch = np.empty(min(g.size, ADAMW_BLOCK), dtype=dtype)
-    norm = float(np.sqrt(_sum_of_squares(g, scratch)))
+    norm = float(np.sqrt(np.sum(g * g)))
     return (max_norm / norm if norm > max_norm else None), norm

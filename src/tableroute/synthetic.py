@@ -52,7 +52,10 @@ def make_raw_records(
     seed: int = 0,
     tags: tuple[str, ...] = TRAINING_DATASETS,
 ) -> list[dict]:
-    """Raw (pre-ingest) records: table, question, gold answer, path labels."""
+    """Raw (pre-ingest) records: table, question, gold answer, path labels.
+
+    Record i's table is drawn from the stream keyed `stable_digest64(
+    "syn-example", seed, i)`, so it does not depend on `n_examples`."""
     if n_examples <= 0:
         raise InvalidArgumentError("n_examples must be > 0")
     unknown = [t for t in tags if t not in KNOWN_DATASETS]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import RoutingExample, read_rows
 from .errors import InvalidArgumentError
-from .experts import stable_digest64
+from .experts import seeded_generators, stable_digest64
 from .gate import (
     HIDDEN_DIM,
     GateParameters,
@@ -158,7 +158,7 @@ def train(
     sched = ScheduleConfig(lr_max=cfg.lr_max, warmup_ratio=cfg.warmup_ratio, total_steps=total_steps)
     cost_arr = cost.as_array()
 
-    shuffle_rng = np.random.Generator(np.random.PCG64(stable_digest64("shuffle", cfg.seed)))
+    shuffle_rng = seeded_generators([stable_digest64("shuffle", cfg.seed)])[0]
     history: list[HistoryRecord] = []
     best_params: GateParameters | None = None
     best_val: PolicyEval | None = None

@@ -60,23 +60,25 @@ from test_remote import FakeResponse, FakeSession
 # sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
 # `ingest --seed 7` write; they pin the on-disk corpus format. The records'
 # digest was retaken when they stopped carrying the experts' outputs, and
-# again when they stopped carrying the table's markdown.
+# again when they stopped carrying the table's markdown. Both were retaken
+# when every random stream came to be seeded from one BLAKE2b digest.
 PINNED_CORPUS_SHA256 = {
-    "corpus.jsonl": "aa76534c9de748bb05925e8d05af2d0c09e9fd90ebaacb591ef711a105882739",
-    "embeddings.bin": "b16e1c8509544b3ca09d09f2faaf777a6bfb7d7036c132a081a4a48fdc181edd",
+    "corpus.jsonl": "2812a648492568e1911fb9f77a7f404a23ba177aa5b8f2af601b0ddbd64e93e8",
+    "embeddings.bin": "df5a5aeeb6527dd7bcc7998ec3e2a5d4fc4b035b0dc2e46c797db1808c4076a1",
 }
 # sha256 of the same two files for `make-synthetic --n 130 --all-tags --seed 1`
 # then `ingest --seed 7`: two full embedding blocks of 64 rows and a partial
 # one. Taken from the record-at-a-time embedder before rows were embedded in
 # blocks; the records' digest was retaken when they stopped carrying the
-# table's markdown.
+# table's markdown, and both when every random stream came to be seeded
+# from one BLAKE2b digest.
 PINNED_CORPUS_130_SHA256 = {
-    "corpus.jsonl": "967973e8ede77866e464e79019a95c1e4c1bf7ab494be8d963a2944e622a109c",
-    "embeddings.bin": "630d88c1fa6813d4a9d93cdb2ba352fbca8d2262db67936d6b9edeb4a3090f89",
+    "corpus.jsonl": "998950ac362b2035050909018623363ba27baf826b8a4c8631db1799448b1e34",
+    "embeddings.bin": "28432cecf31ab5b822cee53fb0855e019d7184003e58d0943dcd62d917193418",
 }
 # sha256 of the 42-record corpus.jsonl that writers made while each record
-# also carried its table as markdown.
-LEGACY_MARKDOWN_CORPUS_SHA256 = "3c0ae2b496a8f871518ed69ee3e8eaeaf28d8aaf67a216b04b5908cc0bcc6bd9"
+# also carried its table as markdown, retaken with the pinned corpus above.
+LEGACY_MARKDOWN_CORPUS_SHA256 = "1854a9145b2d117536a0de29af0da1ff338c642d5eb91a12240c78d70140c688"
 # sha256 of the per-id offset manifest that earlier writers put beside them.
 LEGACY_MANIFEST_SHA256 = "8a2a15897c0fb5a654f94df15953367fa96aacda28278a89dcb77fbe9d1dba93"
 

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from tableroute.errors import ConfigurationError, InvalidArgumentError
 from tableroute.experts import (
@@ -9,7 +12,6 @@ from tableroute.experts import (
     SimulatedEmbeddingBackend,
     SimulatedGenerationBackend,
     TokensModel,
-    _hash_constants,
     answers_match,
     normalize_answer,
     seeded_generators,
@@ -87,14 +89,26 @@ class TestPseudoEmbedding:
             assert -1.0 <= unit_draw("key", i) < 1.0
 
 
-# Seeds at the edges of SeedSequence's one- and two-word entropy.
+class _Blake2bSeed(ISeedSequence):
+    """PCG64's seed words as the seeding rule states them: the BLAKE2b-256
+    digest of the seed's eight little-endian bytes, as four little-endian
+    uint64 words."""
+
+    def __init__(self, seed):
+        digest = hashlib.blake2b(int(seed).to_bytes(8, "little"), digest_size=32).digest()
+        self.words = np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def reference_generator(seed) -> np.random.Generator:
+    """The tests' one reference for the generator `seeded_generators` gives `seed`."""
+    return np.random.Generator(np.random.PCG64(_Blake2bSeed(seed)))
+
+
+# Seeds at the edges of one and two 32-bit words, and of 64 bits.
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-
-
-def test_hash_constants_start_at_init_and_multiply():
-    # one column of n values, each the last times `mult` modulo 2**32
-    assert _hash_constants(3, 5, 4).tolist() == [[3], [15], [75], [375]]
-    assert _hash_constants(0x80000001, 2, 2).tolist() == [[0x80000001], [2]]
 
 
 class TestSeededGenerators:
@@ -103,7 +117,7 @@ class TestSeededGenerators:
         got = seeded_generators(seeds)
         assert len(got) == len(seeds)
         for seed, rng in zip(seeds, got):
-            ref = np.random.Generator(np.random.PCG64(seed))
+            ref = reference_generator(seed)
             assert rng.bit_generator.state == ref.bit_generator.state, seed
             np.testing.assert_array_equal(rng.random(8), ref.random(8))
 
@@ -127,10 +141,10 @@ class TestSeededGenerators:
 
 
 def _reference_embedding(backend, payload, tag):
-    """The embedding as one expression: a generator from PCG64(int), then
-    uniform draws plus the tag's bias, cast to float32."""
+    """The embedding as one expression: the reference generator of the row's
+    seed, then uniform draws plus the tag's bias, cast to float32."""
     seed = stable_digest64("embed", backend.modality, backend.seed, payload)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = reference_generator(seed)
     vec = rng.uniform(-1.0, 1.0, backend.dim)
     bias = backend.bias_by_tag.get(tag) if tag is not None else None
     if bias is not None:

@@ -35,6 +35,7 @@ from tableroute.gate import (
 )
 from tableroute.numerics import softmax
 from tableroute.paths import INPUT_DIM, QUESTION_DIM, TEXT_DIM, VISION_DIM
+from test_experts import reference_generator
 
 
 def toy_params(seed=0, d_in=20, d_h=6, d_out=3, dtype=np.float64):
@@ -154,13 +155,13 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
     def test_train_masks_bitwise_equal_to_float64_reference(self, dtype):
         # Reference: each row's float64 mask divided by DROPOUT_KEEP, then
-        # cast to the compute dtype, one PCG64 generator per row seed.
+        # cast to the compute dtype, one reference generator per row seed.
         params = toy_params(d_h=256, dtype=dtype)
         seeds = list(range(100))
         X = np.zeros((len(seeds), 20), dtype=dtype)
         _, cache = forward_batch(params, X, mode="train", rng_seeds=seeds)
         expected = np.stack([
-            (np.random.Generator(np.random.PCG64(s)).random(256) < DROPOUT_KEEP)
+            (reference_generator(s).random(256) < DROPOUT_KEEP)
             .astype(np.float64) / DROPOUT_KEEP
             for s in seeds
         ]).astype(dtype)

@@ -341,10 +341,9 @@ class TestClipInPlace:
         "size", [1, 7, 129, 10_001, 3 * ADAMW_BLOCK + 5, CANONICAL_PARAM_COUNT]
     )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_leaf_tree_norm_gives_the_bits_of_np_sum(self, dtype, size):
-        # The norm squares and sums ADAMW_BLOCK elements at a time; the full-size
-        # `g * g` and numpy's pairwise sum of it are the oracle. Entries spread
-        # over six decades make the last bits depend on where the tree splits.
+    def test_norm_gives_the_bits_of_np_sum_in_the_gradient_dtype(self, dtype, size):
+        # A float32 gradient is squared and summed in float32. Entries spread
+        # over six decades make the last bits depend on numpy's pairwise order.
         rng = np.random.default_rng(size)
         for _ in range(8):
             g = (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)).astype(dtype)
@@ -355,27 +354,35 @@ class TestClipInPlace:
             assert scale == 1e-9 / expected
             assert g.tobytes() == before
 
+    @staticmethod
+    def _traced_peak(fn):
+        fn()  # warm up
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_canonical_norm_and_step_allocate_under_1mb(self, dtype):
-        # The squares alone would be one more full-size buffer (10.4 MB in float32).
+    def test_canonical_step_allocates_under_1mb(self, dtype):
+        # A full-size temporary would be 10.4 MB in float32.
         rng = np.random.default_rng(0)
         params = rng.normal(size=CANONICAL_PARAM_COUNT).astype(dtype)
         grads = rng.normal(size=CANONICAL_PARAM_COUNT).astype(dtype)
         state = OptimizerState.for_size(CANONICAL_PARAM_COUNT, weight_decay=0.01, dtype=dtype)
-
-        def step():
-            scale, _ = clip_grad_norm(grads, 1.0)
-            assert scale is not None
-            adamw_step(params, grads, state, lr=1e-4, grad_scale=scale)
-
-        step()  # warm up
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        scale, _ = clip_grad_norm(grads, 1.0)
+        assert scale is not None
+        peak = self._traced_peak(
+            lambda: adamw_step(params, grads, state, lr=1e-4, grad_scale=scale))
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_canonical_norm_allocates_one_gradient_of_squares(self, dtype):
+        # `g * g` in the gradient's dtype, and no float64 copy of a float32 one.
+        grads = np.random.default_rng(0).normal(size=CANONICAL_PARAM_COUNT).astype(dtype)
+        peak = self._traced_peak(lambda: clip_grad_norm(grads, 1.0))
+        assert peak < grads.nbytes + 1_000_000
 
 
 class TestAdamWGradScale:
