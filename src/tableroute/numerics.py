@@ -3,9 +3,10 @@
 `softmax` computes in float64; `adamw_step` and `clip_grad_norm` compute in
 the dtype they are handed (float32 in training, see `gate`). Only
 `adamw_step` mutates its arguments: it updates `params` and the state's
-moments in place. `clip_grad_norm` leaves the gradient as it is and returns
-the scale that clipping calls for, which `adamw_step` applies block by block
-as it reads the gradient (`grad_scale`). The rest are pure.
+moments in place, one divide and one sqrt per element. `clip_grad_norm`
+takes the gradient's norm without a temporary, leaves the gradient as it is
+and returns the scale that clipping calls for, which `adamw_step` folds into
+its moments' constants (`grad_scale`). The rest are pure.
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
-# Elements per block of the in-place AdamW update: 32K-element scratch
-# buffers (at most 256 KB each) hold a block's temporaries while it is in
-# cache, instead of full-size temporaries streamed through memory.
+# Elements per block of the in-place AdamW update: one 32K-element scratch
+# buffer (at most 256 KB) holds a block's temporaries while it is in cache,
+# instead of full-size temporaries streamed through memory.
 ADAMW_BLOCK = 32768
 
 
@@ -68,19 +69,30 @@ def adamw_step(
 ) -> np.ndarray:
     """One Adam step with decoupled weight decay, in place; returns `params`.
 
-    p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+    With s the clip scale (1 without `grad_scale`), t the new step count and
+    c1 = 1 - beta1**t, c2 = 1 - beta2**t, the step computes
+
+        m <- beta1 * m + ((1 - beta1) * s) * g
+        v <- beta2 * v + (g * (sqrt(1 - beta2) * s))**2
+        p <- p * (1 - lr * weight_decay)
+               - (lr * sqrt(c2) / c1) * (m / (sqrt(v) + eps * sqrt(c2)))
+
+    which is p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p) on
+    the prescaled gradient s * g, with both bias corrections folded into
+    the step size and epsilon (Kingma & Ba, sec. 2) and the clip scale into
+    the moments' constants, so a block of the update costs one divide and
+    one sqrt. The constants are formed in float64 and rounded once to the
+    step's dtype; in float32 that rounds the decay factor to a multiple of
+    2**-24, which over the README's schedule puts the summed decay 0.6%
+    above the exact sum.
 
     `params` and the moments must be writable C-contiguous arrays of one
     dtype, float32 or float64, which the step computes in. They are updated
-    in place, and `state.step_count` is incremented. The arrays are walked
-    in blocks of ADAMW_BLOCK elements; every element sees the same IEEE
-    operations in the same order as the unblocked expression above, so
-    results are bitwise those of the out-of-place form.
-
-    With `grad_scale` (the scale `clip_grad_norm` returns), each block of
-    the gradient is first multiplied by it in the step's dtype, into
-    scratch: the same multiply as `grads *= grad_scale`, so the step is
-    bitwise that of a prescaled gradient, and `grads` is left as it is.
+    in place, and `state.step_count` is incremented; `grads` is left as it
+    is. The arrays are walked in blocks of ADAMW_BLOCK elements; every
+    element sees the same IEEE operations in the same order as the
+    unblocked expression above, so results are bitwise those of the
+    out-of-place form.
     """
     m, v = state.first_moment, state.second_moment
     dtype = getattr(params, "dtype", None)
@@ -103,39 +115,45 @@ def adamw_step(
         )
     if not (np.isfinite(lr) and lr >= 0):
         raise InvalidArgumentError(f"adamw_step: lr must be >= 0, got {lr}")
-    if grad_scale is not None:
-        if not np.isfinite(grad_scale):
-            raise InvalidArgumentError(f"adamw_step: grad_scale must be finite, got {grad_scale}")
-        grad_scale = params.dtype.type(grad_scale)
+    if grad_scale is None:
+        grad_scale = 1.0
+    elif not np.isfinite(grad_scale):
+        raise InvalidArgumentError(f"adamw_step: grad_scale must be finite, got {grad_scale}")
 
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    root_c2 = math.sqrt(1.0 - b2**t)
+    # Formed in float64 (an np.float64 scale included), rounded once to the
+    # step's dtype.
+    m_scale, v_scale, step, eps, decay = (
+        dtype.type(c) for c in (
+            (1.0 - b1) * float(grad_scale),
+            math.sqrt(1.0 - b2) * float(grad_scale),
+            lr * root_c2 / (1.0 - b1**t),
+            ADAM_EPSILON * root_c2,
+            1.0 - lr * state.weight_decay,
+        )
+    )
     p, g, m, v = params.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-    scratch = np.empty((2 if grad_scale is None else 3, min(p.size, ADAMW_BLOCK)), dtype=dtype)
+    scratch = np.empty(min(p.size, ADAMW_BLOCK), dtype=dtype)
     for lo in range(0, p.size, ADAMW_BLOCK):
         hi = min(lo + ADAMW_BLOCK, p.size)
         pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-        a, b = scratch[0, : hi - lo], scratch[1, : hi - lo]
-        if grad_scale is not None:
-            gb = np.multiply(gb, grad_scale, out=scratch[2, : hi - lo])
+        a = scratch[: hi - lo]
         mb *= b1
-        np.multiply(1.0 - b1, gb, out=a)
+        np.multiply(gb, m_scale, out=a)
         mb += a
         vb *= b2
-        np.multiply(1.0 - b2, gb, out=a)
-        a *= gb
+        np.multiply(gb, v_scale, out=a)
+        a *= a
         vb += a
-        np.divide(mb, c1, out=b)  # m_hat
-        np.divide(vb, c2, out=a)  # v_hat
-        np.sqrt(a, out=a)
-        a += ADAM_EPSILON
-        b /= a
-        np.multiply(state.weight_decay, pb, out=a)
-        b += a
-        b *= lr
-        pb -= b
+        np.sqrt(vb, out=a)
+        a += eps
+        np.divide(mb, a, out=a)
+        a *= step
+        pb *= decay
+        pb -= a
     return params
 
 
@@ -169,15 +187,16 @@ def clip_grad_norm(grads, max_norm: float) -> tuple[float | None, float]:
     Returns (scale, observed norm): scale is `max_norm / norm` when the norm
     exceeds `max_norm` and None otherwise; pass it to `adamw_step` as
     `grad_scale`. `grads` is not modified. A float32 array is handled in
-    float32, anything else in float64. The norm is `sqrt(sum(g * g))` with
-    numpy's summation order, not `np.dot(g, g)`: the two differ in the last
-    bits, and the norm is part of the training history. The squares take
-    one gradient-sized temporary. A norm that is not finite is returned as
-    it is; callers check it before they step.
+    float32, anything else in float64. The norm is the square root of
+    `np.einsum("i,i->", g, g)`: numpy's own sum of products, which squares
+    and adds each block of the gradient as it reads it, with no temporary
+    and no BLAS call, so its bits do not depend on the BLAS kernel or
+    thread count. The norm is part of the training history. A norm that is
+    not finite is returned as it is; callers check it before they step.
     """
     if not (np.isfinite(max_norm) and max_norm > 0):
         raise InvalidArgumentError(f"max_norm must be > 0, got {max_norm}")
     dtype = np.float32 if getattr(grads, "dtype", None) == np.float32 else np.float64
     g = np.ascontiguousarray(grads, dtype=dtype).reshape(-1)
-    norm = float(np.sqrt(np.sum(g * g)))
+    norm = float(np.sqrt(np.einsum("i,i->", g, g)))
     return (max_norm / norm if norm > max_norm else None), norm

@@ -17,6 +17,7 @@ from tableroute.errors import ConfigError, ConnectionFailedError
 from tableroute.gate import init_gate, save_checkpoint
 from tableroute.runconfig import load_runconfig
 
+import pins
 from test_gate import (
     write_hand_built_checkpoint,
     write_legacy_checkpoint,
@@ -690,27 +691,11 @@ class TestPipeline:
         assert (rd1 / "gate.ckpt").read_bytes() == (rd2 / "gate.ckpt").read_bytes()
 
 
-# sha256 of what `make-synthetic --n 42 --all-tags --seed 1`, then `ingest`,
-# `train`, `bench`, `analyze`, `profile-cost` and `sweep-lambda --lambdas
-# 0,0.15,1.0` with `--seed 7` write, and of the `route` and `infer --id
-# syn-000000` stdout on that run; they pin the evaluate outputs.
-# The `route` digest was retaken when the gate began training in float32 and
-# again when each training cycle became one batch: its probabilities moved,
-# while bench.csv, analysis.csv and infer kept their bytes. All but
-# costs.csv were retaken when every random stream came to be seeded from
-# one BLAKE2b digest.
-PINNED_EVALUATE_SHA256 = {
-    "bench.csv": "818942679109885cdaa8198147cdf4ac294b1b3fbf32415028f7b826ca40cec5",
-    "analysis.csv": "a40a189a887399ac36fd983c2ffaf02cf898de9d3c5b809d1355ed07879891cc",
-    "costs.csv": "544f4e13777d0e3d31b390cfe058f843b24530d5e5955a3f46ee0120fb40453c",
-    "path_distribution.csv": "aadcfa8d04bc1b4f960feb4b1f64277d4eb0fdcc6b4a6ff39be77d4810f05a7f",
-    "alignment_performance.csv":
-        "c6f2eb06137e22184d78e05ac1f95f38c82acfe62c959f22212303eb90472583",
-    "route": "a022e8122682445de6981db84f445cdc6b1bc7d6a8c1a60693b73c7e23ecee57",
-    "infer": "afe2e5e528af2162507149c2d590650dd12b5c854691d54fd6600bd9d94d0d5c",
-}
-
-
+# The evaluate pins (tests/pins.json, group "evaluate") are the sha256 of
+# what `make-synthetic --n 42 --all-tags --seed 1`, then `ingest`, `train`,
+# `bench`, `analyze`, `profile-cost` and `sweep-lambda --lambdas 0,0.15,1.0`
+# with `--seed 7` write, and of the `route` and `infer --id syn-000000`
+# stdout on that run.
 class TestEvaluateBytesPin:
     def test_cli_evaluate_bytes_pinned(self, workdir, capsys):
         raw, corpus, runs = workdir / "raw.jsonl", workdir / "corpus", workdir / "run"
@@ -736,7 +721,7 @@ class TestEvaluateBytesPin:
             assert run(command, "--corpus", corpus, "--checkpoint", ckpt,
                        "--id", "syn-000000", "--seed", 7) == 0
             digests[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digests == PINNED_EVALUATE_SHA256
+        pins.check("evaluate", digests)
 
 
 class TestCheckpointWithMoments:
@@ -758,17 +743,15 @@ class TestCheckpointWithMoments:
         assert stdout["moments"] == stdout["plain"]
 
 
-# sha256 of the `config.snapshot.json` that `train --corpus corpus --run-dir run
-# --seed 7` writes with no config file: it pins every default of the run config.
-PINNED_DEFAULT_SNAPSHOT_SHA256 = "5b672b9b5325931455a9bdeca892cdc47d70c7fe4b7e552da4e2302a8a365ab9"
-
-
+# The pin "default_snapshot" is the sha256 of the `config.snapshot.json` that
+# `train --corpus corpus --run-dir run --seed 7` writes with no config file:
+# it pins every default of the run config.
 class TestDefaultSnapshotPin:
     def test_default_snapshot_pinned(self, workdir):
         make_corpus(workdir, n=40)
         assert run("train", "--corpus", "corpus", "--run-dir", "run", "--seed", 7) == 0
         snapshot = (workdir / "run" / "config.snapshot.json").read_bytes()
-        assert hashlib.sha256(snapshot).hexdigest() == PINNED_DEFAULT_SNAPSHOT_SHA256
+        pins.check("default_snapshot", hashlib.sha256(snapshot).hexdigest())
 
 
 class TestSeedAbove64Bits:

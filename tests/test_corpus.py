@@ -54,33 +54,18 @@ from tableroute.remote import (RemoteAgentBackend, RemoteClient, RemoteEmbedding
                                RemoteGenerationBackend)
 from tableroute.synthetic import TAG_PROFILES, make_raw_records, make_separable_corpus
 from tableroute.trainer import TrainConfig, _eval_logits, route_split, train
+import pins
 from test_engine import EMBEDDING_FAILURES, REMOTE_FAILURES
 from test_remote import FakeResponse, FakeSession
 
-# sha256 of the files that `make-synthetic --n 42 --all-tags --seed 1` then
-# `ingest --seed 7` write; they pin the on-disk corpus format. The records'
-# digest was retaken when they stopped carrying the experts' outputs, and
-# again when they stopped carrying the table's markdown. Both were retaken
-# when every random stream came to be seeded from one BLAKE2b digest.
-PINNED_CORPUS_SHA256 = {
-    "corpus.jsonl": "2812a648492568e1911fb9f77a7f404a23ba177aa5b8f2af601b0ddbd64e93e8",
-    "embeddings.bin": "df5a5aeeb6527dd7bcc7998ec3e2a5d4fc4b035b0dc2e46c797db1808c4076a1",
-}
-# sha256 of the same two files for `make-synthetic --n 130 --all-tags --seed 1`
-# then `ingest --seed 7`: two full embedding blocks of 64 rows and a partial
-# one. Taken from the record-at-a-time embedder before rows were embedded in
-# blocks; the records' digest was retaken when they stopped carrying the
-# table's markdown, and both when every random stream came to be seeded
-# from one BLAKE2b digest.
-PINNED_CORPUS_130_SHA256 = {
-    "corpus.jsonl": "998950ac362b2035050909018623363ba27baf826b8a4c8631db1799448b1e34",
-    "embeddings.bin": "28432cecf31ab5b822cee53fb0855e019d7184003e58d0943dcd62d917193418",
-}
-# sha256 of the 42-record corpus.jsonl that writers made while each record
-# also carried its table as markdown, retaken with the pinned corpus above.
-LEGACY_MARKDOWN_CORPUS_SHA256 = "1854a9145b2d117536a0de29af0da1ff338c642d5eb91a12240c78d70140c688"
-# sha256 of the per-id offset manifest that earlier writers put beside them.
-LEGACY_MANIFEST_SHA256 = "8a2a15897c0fb5a654f94df15953367fa96aacda28278a89dcb77fbe9d1dba93"
+# The corpus pins (tests/pins.json) are the sha256 of the files that
+# `make-synthetic --n 42 --all-tags --seed 1` then `ingest --seed 7` write
+# ("corpus_42"), and of the same two files for `--n 130` ("corpus_130"): two
+# full embedding blocks of 64 rows and a partial one. They pin the on-disk
+# corpus format. "legacy_markdown_corpus" is the 42-record corpus.jsonl that
+# writers made while each record also carried its table as markdown, and
+# "legacy_manifest" the per-id offset manifest that earlier writers put
+# beside them.
 
 
 def _sha256(path) -> str:
@@ -219,7 +204,7 @@ class TestCorpusIO:
         shutil.copytree(pinned_corpus, legacy)
         fresh = load_corpus(pinned_corpus)
         _write_legacy_manifest(legacy, fresh)
-        assert _sha256(legacy / "manifest.json") == LEGACY_MANIFEST_SHA256
+        pins.check("legacy_manifest", _sha256(legacy / "manifest.json"))
         loaded = load_corpus(legacy)
         assert [e.id for e in loaded] == [e.id for e in fresh]
         got = read_rows(loaded, np.empty((len(loaded), INPUT_DIM), dtype=np.float32))
@@ -645,7 +630,7 @@ class TestIngest:
         for line_no in range(1, 43):
             _edit_line(legacy, line_no, lambda rec: rec.update(
                 table_markdown=Table.from_json(rec["table"]).to_markdown()))
-        assert _sha256(legacy / "corpus.jsonl") == LEGACY_MARKDOWN_CORPUS_SHA256
+        pins.check("legacy_markdown_corpus", _sha256(legacy / "corpus.jsonl"))
         output = {"answer": "42", "explanation": "sum", "latency_seconds": 1.5,
                   "output_tokens": 64}
         for line_no in range(1, 43):
@@ -985,18 +970,14 @@ class TestIngestRemoteFailures:
 
 class TestFormatPin:
     def test_cli_corpus_bytes_pinned(self, pinned_corpus):
-        assert sorted(p.name for p in pinned_corpus.iterdir()) == sorted(PINNED_CORPUS_SHA256)
-        for name, digest in PINNED_CORPUS_SHA256.items():
-            assert _sha256(pinned_corpus / name) == digest, name
+        pins.check("corpus_42", {p.name: _sha256(p) for p in pinned_corpus.iterdir()})
 
     def test_cli_corpus_bytes_pinned_across_blocks(self, tmp_path):
         raw, out = tmp_path / "raw.jsonl", tmp_path / "corpus"
         assert cli_main(["make-synthetic", "--out", str(raw), "--n", "130", "--all-tags",
                          "--seed", "1"]) == 0
         assert cli_main(["ingest", "--raw", str(raw), "--out", str(out), "--seed", "7"]) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(PINNED_CORPUS_130_SHA256)
-        for name, digest in PINNED_CORPUS_130_SHA256.items():
-            assert _sha256(out / name) == digest, name
+        pins.check("corpus_130", {p.name: _sha256(p) for p in out.iterdir()})
 
 
 def _without_embedding(ex):

@@ -73,6 +73,18 @@ def forced_gate(idx):
     )
 
 
+def gate_routing_rows_to(X, paths):
+    """A float64 gate that routes row k of the gate input X to path
+    `paths[k]`: hidden unit k reads row k through the dual basis of X's rows
+    (X @ pinv(X) is the identity), and feeds that path's logit alone."""
+    X = np.asarray(X, dtype=np.float64)
+    W1 = np.zeros((256, X.shape[1]))
+    W1[: len(X)] = np.linalg.pinv(X).T
+    W2 = np.zeros((3, 256))
+    W2[paths, np.arange(len(X))] = 1.0
+    return GateParameters(W1=W1, b1=np.zeros(256), W2=W2, b2=np.zeros(3))
+
+
 def make_example(i=0, dataset="wtq", scores=(1, 0, 1)):
     table = Table(columns=("item", "value"), rows=(("copper", "120"),))
     return RoutingExample(
@@ -825,14 +837,15 @@ class TestBatched:
 
     @pytest.mark.parametrize("mode", [MODE_ADAPTIVE, MODE_NON_ADAPTIVE])
     def test_records_equal_per_example_infer(self, mode):
-        # distinct questions give distinct gate inputs, which the untrained
-        # gate of seed 27 routes to all three paths (3 text, 3 image, 2 fusion)
+        # distinct questions give distinct gate inputs, which a gate built on
+        # them routes to all three paths (3 text, 3 image, 2 fusion)
         examples = [
             dataclasses.replace(ex, question=f"What is the value for item {i}?")
             for i, ex in enumerate(self._corpus())
         ]
         backends, agent = self._jittered_stack(examples)
-        gate = compute_params(init_gate(seed=27))
+        X, _ = engine.embed_examples(examples, backends.embedders, nonce=2)
+        gate = gate_routing_rows_to(X, [0, 0, 0, 1, 1, 1, 2, 2])
         cfg = EngineConfig(gate_latency_s=0.001)
         batch = infer_batch(examples, gate, backends, agent, DEFAULT_PATH_COSTS, cfg,
                             mode=mode, nonce=2)
@@ -842,7 +855,7 @@ class TestBatched:
         ]
         assert batch == singles
         if mode == MODE_ADAPTIVE:
-            assert {r.chosen_path for r in batch} == {"text", "image", "fusion"}
+            assert [r.chosen_path for r in batch] == ["text"] * 3 + ["image"] * 3 + ["fusion"] * 2
         assert infer_batch([], gate, backends, agent, mode=mode) == []
 
     def test_route_batch_paths_equal_per_row_route(self):

@@ -175,15 +175,27 @@ class TestAdamW:
         np.testing.assert_allclose(p, p_ref, rtol=1e-12)
 
 
-def reference_adamw(p, g, m, v, t, lr, weight_decay):
-    """The out-of-place AdamW expression; returns new (params, m, v).
+def reference_adamw(p, g, m, v, t, lr, weight_decay, scale=None):
+    """The out-of-place folded AdamW expression; returns new (params, m, v).
 
-    The in-place, blocked `adamw_step` must reproduce it bit for bit.
+    Both bias corrections sit in the step size and epsilon, the decay is
+    one multiply and the clip scale sits in the moments' constants. The
+    in-place, blocked `adamw_step` must reproduce it bit for bit.
     """
-    m = m * ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
-    v = v * ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * g * g
+    s = 1.0 if scale is None else float(scale)
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2**t)
+    m = m * ADAM_BETA1 + g * ((1.0 - ADAM_BETA1) * s)
+    v = v * ADAM_BETA2 + (g * (math.sqrt(1.0 - ADAM_BETA2) * s)) ** 2
+    step = lr * root_c2 / (1.0 - ADAM_BETA1**t)
+    update = m / (np.sqrt(v) + ADAM_EPSILON * root_c2) * step
+    return p * (1.0 - lr * weight_decay) - update, m, v
+
+
+def textbook_adamw(p, g, m, v, t, lr, weight_decay):
+    """AdamW as Loshchilov & Hutter write it, in float64: bias-corrected
+    moments, then decoupled decay. Returns new (params, m, v)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
     return p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPSILON) + weight_decay * p), m, v
@@ -227,6 +239,29 @@ class TestAdamWInPlace:
         params.flags.writeable = False
         with pytest.raises(InvalidArgumentError):
             adamw_step(params, np.ones(4), OptimizerState.for_size(4), lr=1e-3)
+
+    def test_float32_step_follows_textbook_adamw_over_30_steps(self):
+        # The float32 step, clipped on some steps, against float64 AdamW on
+        # the prescaled gradient. Measured: a normwise relative error on the
+        # parameters of 2.0e-7 over 20 seeds (1.4e-7 for the unfolded step
+        # with its three divides); the bound allows 1.5x that.
+        size = 10_000
+        rng = np.random.default_rng(2)
+        params = rng.normal(scale=0.02, size=size).astype(np.float32)
+        state = OptimizerState.for_size(size, weight_decay=0.01, dtype=np.float32)
+        p_ref, m_ref, v_ref = params.astype(np.float64), np.zeros(size), np.zeros(size)
+        clipped = 0
+        for t in range(1, 31):
+            g = rng.normal(size=size) * 10.0 ** rng.uniform(-4, -1, size=size)
+            g = (g * 10.0 ** rng.uniform(-1.5, 1)).astype(np.float32)
+            lr = 1e-3 * t / 30
+            scale, _ = clip_grad_norm(g, 1.0)
+            clipped += scale is not None
+            adamw_step(params, g, state, lr, grad_scale=scale)
+            g_ref = g.astype(np.float64) * (1.0 if scale is None else scale)
+            p_ref, m_ref, v_ref = textbook_adamw(p_ref, g_ref, m_ref, v_ref, t, lr, 0.01)
+            assert np.linalg.norm(params - p_ref) <= 3e-7 * np.linalg.norm(p_ref)
+        assert 5 <= clipped <= 25
 
     def test_canonical_step_allocates_under_1mb(self):
         # Full-size temporaries of the 2.59M-parameter gate would be ~20 MB each.
@@ -329,30 +364,36 @@ class TestClipInPlace:
         np.testing.assert_array_equal(g, [3.0, 4.0])
         assert (scale, norm) == (1.0 / 5.0, 5.0)
 
-    def test_norm_is_sqrt_of_sum_of_squares(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            g = rng.normal(size=10_001)
-            expected = float(np.sqrt(np.sum(g * g)))
-            _, norm = clip_grad_norm(g, 1e9)
-            assert norm == expected
-
     @pytest.mark.parametrize(
         "size", [1, 7, 129, 10_001, 3 * ADAMW_BLOCK + 5, CANONICAL_PARAM_COUNT]
     )
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_norm_gives_the_bits_of_np_sum_in_the_gradient_dtype(self, dtype, size):
-        # A float32 gradient is squared and summed in float32. Entries spread
-        # over six decades make the last bits depend on numpy's pairwise order.
+    def test_norm_gives_the_bits_of_einsum_in_the_gradient_dtype(self, dtype, size):
+        # A float32 gradient is squared and summed in float32, at any
+        # alignment of its data.
         rng = np.random.default_rng(size)
-        for _ in range(8):
-            g = (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)).astype(dtype)
-            expected = float(np.sqrt(np.sum(g * g)))
+        for offset in range(4):
+            base = rng.normal(size=size + offset) * 10.0 ** rng.uniform(-3, 3, size=size + offset)
+            g = base.astype(dtype)[offset:]
+            expected = float(np.sqrt(np.einsum("i,i->", g, g)))
             before = g.tobytes()
             scale, norm = clip_grad_norm(g, 1e-9)
             assert norm == expected
             assert scale == 1e-9 / expected
             assert g.tobytes() == before
+
+    @pytest.mark.parametrize("size", [129, 10_001, CANONICAL_PARAM_COUNT])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_norm_within_1e6_of_a_float64_sum(self, dtype, size):
+        # Entries spread over six decades; the float64 reference sums their
+        # squares with math.fsum, correctly rounded.
+        rng = np.random.default_rng(size + 1)
+        for _ in range(4):
+            g = (rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size=size)).astype(dtype)
+            g64 = g.astype(np.float64)
+            expected = math.sqrt(math.fsum(g64 * g64))
+            _, norm = clip_grad_norm(g, 1.0)
+            assert abs(norm - expected) <= 1e-6 * expected
 
     @staticmethod
     def _traced_peak(fn):
@@ -378,11 +419,11 @@ class TestClipInPlace:
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
-    def test_canonical_norm_allocates_one_gradient_of_squares(self, dtype):
-        # `g * g` in the gradient's dtype, and no float64 copy of a float32 one.
+    def test_canonical_norm_allocates_under_1mb(self, dtype):
+        # No gradient of squares, and no float64 copy of a float32 gradient.
         grads = np.random.default_rng(0).normal(size=CANONICAL_PARAM_COUNT).astype(dtype)
         peak = self._traced_peak(lambda: clip_grad_norm(grads, 1.0))
-        assert peak < grads.nbytes + 1_000_000
+        assert peak < 1_000_000
 
 
 class TestAdamWGradScale:
@@ -398,11 +439,7 @@ class TestAdamWGradScale:
             g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=size).astype(dtype)
             g[rng.integers(0, size, size=64)] = -0.0
             before = g.tobytes()
-            # the prescaled gradient, as `g *= scale` gives it
-            g_ref = g.copy()
-            if scale is not None:
-                g_ref *= scale
-            p_ref, m_ref, v_ref = reference_adamw(p_ref, g_ref, m_ref, v_ref, t, 1e-3, 0.01)
+            p_ref, m_ref, v_ref = reference_adamw(p_ref, g, m_ref, v_ref, t, 1e-3, 0.01, scale)
             adamw_step(params, g, state, 1e-3, grad_scale=scale)
             assert g.tobytes() == before
             assert params.tobytes() == p_ref.tobytes()

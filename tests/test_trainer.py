@@ -45,6 +45,8 @@ from tableroute.trainer import (
     train,
 )
 
+import pins
+
 CFG = TrainConfig(seed=0)
 
 
@@ -267,18 +269,10 @@ class TestBlockedEval:
         assert peak < block_rows + 4_000_000
 
 
-# sha256 of what `train --seed 7` writes for the corpus of `make-synthetic
-# --n 42 --all-tags --seed 1` + `ingest --seed 7`, taken when each training
-# cycle became one batch and retaken when every random stream came to be
-# seeded from one BLAKE2b digest; they pin the training step's
+# The training pins (tests/pins.json, group "train") are the sha256 of what
+# `train --seed 7` writes for the corpus of `make-synthetic --n 42
+# --all-tags --seed 1` + `ingest --seed 7`; they pin the training step's
 # floating-point order.
-PINNED_TRAIN_SHA256 = {
-    "gate.ckpt": "7bd5253cf148387c8e44e952fdc0a423f1932cbd0d64845ce58636afc87f022e",
-    "history.csv": "d30cee74a3e5dc71ceb3f7d7c5ac706497d7c2318d736f8e8801f2c8890e5367",
-    "val_metrics.json": "bd3f6e80cb191b2bf6e7829e99b43780a63cd8805e302096ba5050f6e96bab62",
-}
-
-
 class TestTrainingBytesPin:
     @pytest.fixture(scope="class")
     def cli_run(self, tmp_path_factory):
@@ -293,8 +287,10 @@ class TestTrainingBytesPin:
 
     def test_cli_training_bytes_pinned(self, cli_run):
         _, run = cli_run
-        for name, digest in PINNED_TRAIN_SHA256.items():
-            assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
+        pins.check("train", {
+            name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+            for name in ("gate.ckpt", "history.csv", "val_metrics.json")
+        })
 
     def test_val_metrics_are_those_of_the_saved_gate(self, cli_run):
         corpus, run = cli_run
@@ -515,16 +511,11 @@ class TestFixedBuffers:
         assert pack_parameters(result.params, np.float32).tobytes() == snapshots[-1].tobytes()
 
 
-# sha256 of a 2-epoch `train` on `make_separable_corpus(n_train=150, n_val=40,
-# seed=4)`: five cycles per epoch, the last of 22 rows, and the best
-# validation in the first epoch (both epochs score 1.0 and the first is
-# kept). Taken when each training cycle became one batch and retaken when
-# every random stream came to be seeded from one BLAKE2b digest; it pins the
-# floating-point order across cycles, which the single-cycle CLI pin above
-# does not reach.
-PINNED_MULTI_CYCLE_SHA256 = "8bd20b8e4a4978808f88cb16d45a0a4f787e01abf3eb1ec1edd8a55898921e72"
-
-
+# The pin "multi_cycle" is the sha256 of a 2-epoch `train` on
+# `make_separable_corpus(n_train=150, n_val=40, seed=4)`: five cycles per
+# epoch, the last of 22 rows, and the best validation in the first epoch
+# (both epochs score 1.0 and the first is kept). It pins the floating-point
+# order across cycles, which the single-cycle CLI pin above does not reach.
 def test_multi_cycle_training_pinned():
     train_set, val_set = make_separable_corpus(n_train=150, n_val=40, seed=4)
     result = train(train_set, val_set, TrainConfig(seed=4, epochs=2), DEFAULT_PATH_COSTS)
@@ -533,4 +524,4 @@ def test_multi_cycle_training_pinned():
     digest.update(repr(result.history).encode())
     digest.update(repr(result.val_metrics).encode())
     digest.update(pack_parameters(result.params, np.float32).tobytes())
-    assert digest.hexdigest() == PINNED_MULTI_CYCLE_SHA256
+    pins.check("multi_cycle", digest.hexdigest())
